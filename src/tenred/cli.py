@@ -33,7 +33,7 @@ from .oracle import (
 )
 from .polysys import Assignment, parse_dimacs, encode_3sat
 from .rings import QQ, RingDescriptor, Scalar, ZZ
-from .sigma import SymbolicU, build_B, completion_witness, sigma_system
+from .sigma import SymbolicU, build_B, completion_witness, sigma_system, unit_block_mismatch
 from .symmetric import (
     build_curly_T,
     embed_S,
@@ -163,7 +163,7 @@ def cmd_reduce(args) -> int:
     t0 = time.monotonic()
     sigma = sigma_system(F)
     _report("sigma", len(sigma))
-    B = build_B(F, guard=guard)
+    B = build_B(F, guard=guard, sigma=sigma)
     _report("labels", B.nrows)
     _report("tau", B.tau)
     if args.stage == "completion":
@@ -186,7 +186,7 @@ def cmd_reduce(args) -> int:
                 raise GuardExceededError(size, guard, "symmetric indices")
             padded = pad_cubical(inst.tensor)
             curly = build_curly_T(embed_S(padded), m)
-            target = inst.target_rank + 9 * m * (m - 1) // 2 + 9 * m
+            target = inst.target_rank + _padding_terms(m)
             _report("symmetric_indices", size)
             _report("symmetric_target_rank", target)
             out_obj = jsonio.symmetric_instance_file(curly, target, m, inst, B)
@@ -219,7 +219,12 @@ def cmd_witness(args) -> int:
         field = _field_of(F.ring)
         point = _parse_solution(args.solution, field)
         W = completion_witness(F, point, B=B)
-        _report("rank", matrix_rank(W))
+        # W = U^T U with three rows in U, so rank(W) <= 3; the identity at
+        # the unit labels gives rank(W) >= 3 without an elimination
+        bad = unit_block_mismatch(W.raw_rows(), B)
+        if bad is not None:
+            raise StructureError(f"completion is not the identity at the unit labels, cell {bad}")
+        _report("rank", 3)
         _report("verification", "verified")
         out_obj = jsonio.completion_witness_file(point, W)
     elif kind == "tensor_instance":
@@ -234,7 +239,7 @@ def cmd_witness(args) -> int:
         _report("verification", "verified")
         out_obj = jsonio.tensor_witness_file(D)
     else:
-        S, target, m, inst, F = jsonio.symmetric_instance_parse(obj)
+        S, _, m, inst, F = jsonio.symmetric_instance_parse(obj)
         field = _field_of(F.ring)
         point = _parse_solution(args.solution, field)
         W = completion_witness(F, point, B=inst.source)
@@ -253,7 +258,7 @@ def cmd_witness(args) -> int:
             raise VerificationError("instance tensor disagrees with its system")
         WS = symmetric_witness(padded, Dp)
         _report("terms", len(WS.terms))
-        _report("target_rank", target)
+        _report("target_rank", inst.target_rank + _padding_terms(m))
         _report("verification", "verified")
         out_obj = jsonio.symmetric_witness_file(WS)
     _report("time_s", f"{time.monotonic() - t0:.3f}")
@@ -318,6 +323,54 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _padding_terms(m: int) -> int:
+    """Terms the unit-slice padding of a size-m payload adds: 4.5(m^2+m)."""
+    return 9 * m * (m - 1) // 2 + 9 * m
+
+
+def _tensor_instance(inst_obj: dict):
+    """The tensor of a tensor_instance file and its target rank tau+3.
+
+    The tensor must be the star-slice tensor of the file's own matrix, so
+    tau is its own star count and the target belongs to the tensor that
+    verify sums against.  The matrix is dropped on return, before the sum.
+    """
+    inst, _ = jsonio.tensor_instance_parse(inst_obj)
+    if build_derksen(inst.source).tensor != inst.tensor:
+        raise ParseError("instance tensor is not the star-slice tensor of its matrix", 0)
+    return inst.tensor, inst.target_rank
+
+
+def _symmetric_instance(inst_obj: dict):
+    """The padded tensor of a symmetric_instance file and its target rank.
+
+    As _tensor_instance for the payload, which must also pad to the stored
+    tensor; the padding adds 4.5(m^2+m) terms to the payload's tau+3.
+    """
+    S, _, m, inst, _ = jsonio.symmetric_instance_parse(inst_obj)
+    T = build_derksen(inst.source).tensor
+    if T != inst.tensor or build_curly_T(embed_S(pad_cubical(T)), m) != S:
+        raise ParseError("instance tensor is not the padded star-slice tensor of its matrix", 0)
+    return S, inst.target_rank + _padding_terms(m)
+
+
+def _over_target(inst_obj: dict, target: int, terms: int) -> bool:
+    """Whether a witness of this many terms exceeds the instance's target rank.
+
+    ``target`` is worked out from the instance, not read from it: a stored
+    target_rank that differs is an input error.  A witness longer than the
+    target proves nothing about the rank bound, however exactly it sums,
+    so verify rejects it.
+    """
+    stored = jsonio._need(inst_obj, "target_rank")
+    if type(stored) is not int or stored != target:
+        raise ParseError(f"target_rank {stored!r} differs from the instance's {target}", 0)
+    if terms > target:
+        print(f"{terms} terms exceed the target rank {target}")
+        return True
+    return False
+
+
 def cmd_verify(args) -> int:
     inst_obj = _load(args.instance)
     wit_obj = _load(args.witness)
@@ -353,7 +406,10 @@ def cmd_verify(args) -> int:
             print(f"completion rank is {r}, not 3")
             return EXIT_VERIFY
     elif ikind in ("tensor", "tensor_instance") and wkind == "tensor_witness":
-        T = jsonio.tensor_parse(inst_obj)
+        if ikind == "tensor_instance":
+            T, target = _tensor_instance(inst_obj)
+        else:
+            T, target = jsonio.tensor_parse(inst_obj), None
         D = jsonio.tensor_witness_parse(wit_obj)
         if tuple(D.dims) != T.dims:
             raise ParseError("witness dimensions differ from the instance", 0)
@@ -361,27 +417,30 @@ def cmd_verify(args) -> int:
             if T.ring != ZZ or not D.ring.is_field:
                 raise ParseError("witness ring incompatible with the instance", 0)
             T = T.change_ring(D.ring)
+        if target is not None and _over_target(inst_obj, target, len(D.terms)):
+            return EXIT_VERIFY
         ok, mismatch = verify_decomposition(T, D)
         if not ok:
             key, want, got = mismatch
             print(f"mismatch at {key}: instance has {want}, witness sums to {got}")
             return EXIT_VERIFY
-        if ikind == "tensor_instance" and len(D.terms) > inst_obj.get("target_rank", len(D.terms)):
-            _report("note", f"{len(D.terms)} terms exceed the target rank")
     elif ikind in ("symtensor", "symmetric_instance") and wkind == "symmetric_witness":
-        S = jsonio.symtensor_parse(inst_obj)
+        if ikind == "symmetric_instance":
+            S, target = _symmetric_instance(inst_obj)
+        else:
+            S, target = jsonio.symtensor_parse(inst_obj), None
         D = jsonio.symmetric_witness_parse(wit_obj)
         if D.dim != S.size:
             raise ParseError("witness dimension differs from the instance", 0)
         if S.ring != D.ring:
             raise ParseError("witness ring incompatible with the instance", 0)
+        if target is not None and _over_target(inst_obj, target, len(D.terms)):
+            return EXIT_VERIFY
         ok, mismatch = verify_symmetric_decomposition(S, D)
         if not ok:
             key, want, got = mismatch
             print(f"mismatch at {key}: instance has {want}, witness sums to {got}")
             return EXIT_VERIFY
-        if ikind == "symmetric_instance" and len(D.terms) > inst_obj.get("target_rank", len(D.terms)):
-            _report("note", f"{len(D.terms)} terms exceed the target rank")
     else:
         raise ParseError(
             f"cannot verify a {wkind!r} witness against a {ikind!r} instance", 0

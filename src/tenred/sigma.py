@@ -406,15 +406,17 @@ def _multiply_term_maps(fa: dict, fb: dict, kind: str, p: int | None) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def build_B(F: PolySystem, guard: int | None = 5000) -> IncompleteMatrix:
+def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = None) -> IncompleteMatrix:
     """The incomplete gadget matrix of a system.
 
     Entry (u, v) is the coordinatewise dot product delta = u . v: a
     constant delta gives that constant, delta equal (in canonical form) to
     a member of F gives 0, anything else is a star.  Symmetric because
-    delta is; the submatrix at the unit labels E is the identity.
+    delta is; the submatrix at the unit labels E is the identity.  A
+    caller that already holds sigma_system(F) passes it as ``sigma``.
     """
-    sigma = sigma_system(F)
+    if sigma is None:
+        sigma = sigma_system(F)
     labels = build_H(sigma, guard=guard)
     ring = F.ring
     kind, p = ring.kind, ring.modulus
@@ -460,20 +462,39 @@ def build_B(F: PolySystem, guard: int | None = 5000) -> IncompleteMatrix:
             if v != u:
                 grid[v][u] = cell
     B = IncompleteMatrix._from_raw(ring, grid, labels, labels, F)
-    unit = Polynomial.constant(ring, F.num_vars, one(ring))
-    z = Polynomial.zero(ring, F.num_vars)
-    e_cols = [
-        B.label_position((unit, z, z)),
-        B.label_position((z, unit, z)),
-        B.label_position((z, z, unit)),
-    ]
-    one_raw = one(ring).value
+    bad = unit_block_mismatch(B.raw_grid, B)
+    if bad is not None:
+        raise StructureError(f"unit-label submatrix broken at ({bad[0]},{bad[1]})")
+    return B
+
+
+def unit_label_positions(B: IncompleteMatrix) -> list[int]:
+    """Positions of the unit labels E = (1,0,0), (0,1,0), (0,0,1) in B."""
+    ring, num_vars = B.ring, B.system.num_vars
+    unit = Polynomial.constant(ring, num_vars, one(ring))
+    z = Polynomial.zero(ring, num_vars)
+    try:
+        return [
+            B.label_position((unit, z, z)),
+            B.label_position((z, unit, z)),
+            B.label_position((z, z, unit)),
+        ]
+    except KeyError:
+        raise StructureError("the labels lack a unit label") from None
+
+
+def unit_block_mismatch(raw_rows, B: IncompleteMatrix) -> tuple[int, int] | None:
+    """First cell where a raw |H| x |H| grid is not the identity at the unit labels.
+
+    For a completion W = U^T U with U of three rows, rank(W) <= 3 holds by
+    construction, so an identity block at E certifies rank(W) = 3.
+    """
+    e_cols = unit_label_positions(B)
     for a, i in enumerate(e_cols):
         for b, j in enumerate(e_cols):
-            expect = one_raw if a == b else zero_raw
-            if B.raw_grid[i][j] != expect:
-                raise StructureError(f"unit-label submatrix broken at ({i},{j})")
-    return B
+            if raw_rows[i][j] != (1 if a == b else 0):
+                return i, j
+    return None
 
 
 def _resolve_field(point: Assignment, F: PolySystem) -> RingDescriptor:
@@ -583,11 +604,7 @@ def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Ass
     F = B.system
     unit = Polynomial.constant(ring, F.num_vars, one(ring))
     z = Polynomial.zero(ring, F.num_vars)
-    e_cols = [
-        B.label_position((unit, z, z)),
-        B.label_position((z, unit, z)),
-        B.label_position((z, z, unit)),
-    ]
+    e_cols = unit_label_positions(B)
     c = DenseMatrix(ring, [[L.entry(r, c_) for c_ in e_cols] for r in range(3)])
     cinv = inverse_3x3(c)
     w0, w1, w2 = cinv.raw_rows()[2]

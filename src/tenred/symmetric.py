@@ -4,8 +4,13 @@ A cubical order-3 tensor T embeds into a symmetric tensor S(T) on the
 disjoint union H of three copies of its index set.  Padding S(T) with one
 unit slice per unordered index pair gives a tensor whose symmetric rank
 exceeds the rank of T by exactly 4.5(n^2+n); the constructions here build
-that padded tensor and produce matching symmetric decompositions, every
-one of which is verified by exact summation.
+that padded tensor and produce matching symmetric decompositions.  The
+certificate is one exact sum of the finished witness against the padded
+tensor, at the end of symmetric_witness and again in ``tenred verify``;
+the pieces assembled there are not re-checked one by one, while the
+public builders of those pieces check their own result (build_L_pi under
+check=True, its default).  All sums go through one raw-value kernel,
+sum_sym_decomposition_raw.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; constructing one from conflicting
@@ -15,7 +20,7 @@ permuted entries is an error, never a silent overwrite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -75,8 +80,16 @@ def pair_indices(n: int) -> tuple[PairIndex, ...]:
     )
 
 
+@lru_cache(maxsize=8)
 def padded_names(n: int) -> tuple[str, ...]:
+    # cached: every pair correction of one witness names the same indices
     return block_names(n) + tuple(pi.name for pi in pair_indices(n))
+
+
+def _pair_position(pi: PairIndex, n: int) -> int:
+    """Padded index of a pair: 3n plus its rank in pair_indices(n) order."""
+    before = (pi.p - 1) * n - (pi.p - 1) * (pi.p - 2) // 2
+    return 3 * n + LETTERS.index(pi.letter) * (n * (n + 1) // 2) + before + pi.q - pi.p
 
 
 def padded_size(n: int) -> int:
@@ -202,22 +215,40 @@ class SymDecomposition:
 
 
 def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
-    """Canonical-triple raw sum of all cube terms."""
-    kind = D.ring.kind
-    p = D.ring.modulus
-    acc: dict[Key, object] = {}
+    """Canonical-triple raw sum of all cube terms.
+
+    The one summation kernel behind every exact check here.  Each term's
+    support is sorted once and the partial products s*v_x and s*v_x*v_y
+    are hoisted out of the inner loop; sums accumulate unreduced under
+    the flat key (x*dim + y)*dim + z, are reduced once at the end, and
+    only the surviving entries are turned back into index triples.
+    """
+    size = D.dim
+    area = size * size
+    acc: dict[int, object] = {}
+    get = acc.get
     for t in D.terms:
         s = t.s.value
-        support = sorted(t.v.nz)
-        vals = {i: t.v.nz[i].value for i in support}
-        for x, y, z in combinations_with_replacement(support, 3):
-            val = s * vals[x] * vals[y] * vals[z]
-            key = (x, y, z)
-            cur = acc.get(key)
-            acc[key] = val if cur is None else cur + val
-    if kind == PRIME_FIELD:
-        return {k: v % p for k, v in acc.items() if v % p}
-    return {k: v for k, v in acc.items() if v}
+        items = sorted((i, x.value) for i, x in t.v.nz.items())
+        for a, (x, vx) in enumerate(items):
+            sx = s * vx
+            kx = x * area
+            for b in range(a, len(items)):
+                y, vy = items[b]
+                sxy = sx * vy
+                kxy = kx + y * size
+                for z, vz in items[b:]:
+                    key = kxy + z
+                    acc[key] = get(key, 0) + sxy * vz
+    p = D.ring.modulus if D.ring.kind == PRIME_FIELD else None
+    out: dict[Key, object] = {}
+    for key, v in acc.items():
+        if p is not None:
+            v %= p
+        if v:
+            x, yz = divmod(key, area)
+            out[(x, *divmod(yz, size))] = v
+    return out
 
 
 def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
@@ -289,7 +320,7 @@ def build_curly_T(S: SymTensor, n: int) -> SymTensor:
         raw[(ap, aq, pos)] = one_raw
         raw[(aq, aq, pos)] = one_raw
         pos += 1
-    return SymTensor._from_raw(S.ring, S.index_names + tuple(pi.name for pi in pair_indices(n)), raw)
+    return SymTensor._from_raw(S.ring, S.index_names + padded_names(n)[3 * n:], raw)
 
 
 def monomial_transform(T: SymTensor, rho: Sequence[int], f: Sequence[Scalar]) -> SymTensor:
@@ -448,6 +479,7 @@ def _solve_nodes(a: Scalar, q: Scalar):
     return s, nodes
 
 
+@lru_cache(maxsize=1024)
 def waring_gadget(a: Scalar) -> SymDecomposition:
     """Three cube terms summing exactly to the 2x2x2 pair target.
 
@@ -455,7 +487,9 @@ def waring_gadget(a: Scalar) -> SymDecomposition:
     the moment system exactly, and verifies the sum entrywise before
     returning, so the result is deterministic and certified.  The a=1
     target is handled by rescaling the first coordinate, which moves the
-    problem to a different cube value and back.
+    problem to a different cube value and back.  Results are cached by a
+    (ring included), so each distinct gadget is solved and checked once
+    per process; the result is immutable, so sharing it is safe.
     """
     ring = a.ring
     _require_big_field(ring)
@@ -545,8 +579,10 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     the pair's two positions and w the vector holding the pair's slice
     values (other-letter positions always, same-letter positions beyond q,
     and 1 at the pair's own padded position), the correction equals the
-    symmetrization of u (x) u (x) w; both the rule-by-rule tensor and the
-    decomposition are built independently and checked against each other.
+    symmetrization of u (x) u (x) w.  The rule-by-rule tensor and the
+    decomposition are built independently; with ``check`` set, U is
+    checked for mixed-block entries and the two are checked against each
+    other.
     """
     if not pi.is_strict:
         raise ValueError("corrections are built for strict pairs only")
@@ -556,14 +592,12 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     if pi.q > n:
         raise ValueError(f"pair {pi} outside 1..{n}")
     ring = U.ring
-    pairs = pair_indices(n)
-    pair_pos = {q.name: 3 * n + i for i, q in enumerate(pairs)}
+    names = padded_names(n)
     off = letter_offset(pi.letter, n)
     ap, aq = off + pi.p - 1, off + pi.q - 1
-    size = padded_size(n)
-    names = padded_names(n)
+    size = len(names)
 
-    w_nz: dict[int, Scalar] = {pair_pos[pi.name]: one(ring)}
+    w_nz: dict[int, Scalar] = {_pair_position(pi, n): one(ring)}
     for letter in LETTERS:
         boff = letter_offset(letter, n)
         start = pi.q + 1 if letter == pi.letter else 1
@@ -588,20 +622,18 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     u = Vec(ring, size, {ap: one(ring), aq: one(ring)})
     w = Vec(ring, size, w_nz)
     deco = sym_pair_decompose(u, w, zero(ring))
-    ok, mismatch = verify_symmetric_decomposition(tensor, deco)
-    if not ok:
-        raise StructureError(f"pair correction decomposition fails at {mismatch[0]}")
+    if check:
+        ok, mismatch = verify_symmetric_decomposition(tensor, deco)
+        if not ok:
+            raise StructureError(f"pair correction decomposition fails at {mismatch[0]}")
     return tensor, deco
 
 
-def symmetric_upper_witness(U: SymTensor, n: int) -> SymDecomposition:
-    """Decomposition of the padded tensor of U with at most 4.5(n^2+n) terms.
+def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
+    """The body of symmetric_upper_witness, without its final exact check.
 
-    Pair corrections peel off everything supported on pairwise distinct
-    indices; the remainder must be covered by the repeated-index
-    transversals of first-block indices (a structural fact about the
-    construction, asserted, never patched), and splits into per-index
-    pieces that the span gadget handles three terms at a time.
+    Callers that check a larger sum containing these terms use this
+    directly, so the certificate is checked once, at the boundary.
     """
     _require_big_field(U.ring)
     check_mixed_block_zero(U, n)
@@ -658,11 +690,24 @@ def symmetric_upper_witness(U: SymTensor, n: int) -> SymDecomposition:
         piece = sym_pair_decompose(Vec.unit(ring, size, u_idx), m, a)
         terms.extend(piece.terms)
 
-    deco = SymDecomposition(ring, size, terms)
     bound = 9 * n * (n - 1) // 2 + 9 * n
     if len(terms) > bound:
         raise StructureError(f"{len(terms)} terms exceed the bound {bound}")
-    ok, mismatch = verify_symmetric_decomposition(curly, deco)
+    return SymDecomposition(ring, size, terms)
+
+
+def symmetric_upper_witness(U: SymTensor, n: int) -> SymDecomposition:
+    """Decomposition of the padded tensor of U with at most 4.5(n^2+n) terms.
+
+    Pair corrections peel off everything supported on pairwise distinct
+    indices; the remainder must be covered by the repeated-index
+    transversals of first-block indices (a structural fact about the
+    construction, asserted, never patched), and splits into per-index
+    pieces that the span gadget handles three terms at a time.  The sum
+    is checked exactly against the padded tensor before return.
+    """
+    deco = _upper_terms(U, n)
+    ok, mismatch = verify_symmetric_decomposition(build_curly_T(U, n), deco)
     if not ok:
         raise StructureError(f"padded witness fails at {mismatch[0]}")
     return deco
@@ -673,9 +718,11 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
 
     Each rank-1 term of D becomes one cube on the concatenated index
     blocks; the deficit this leaves on the first blocks satisfies the
-    mixed-block hypothesis and is closed by symmetric_upper_witness.  The
-    total term count is exactly len(D) plus the padding witness size, and
-    the exact sum is verified against the padded tensor before return.
+    mixed-block hypothesis and is closed by the terms of
+    symmetric_upper_witness.  The total term count is exactly len(D) plus
+    the padding witness size.  The exact sum of all terms is checked
+    against the padded tensor once, before return; it is the only check
+    of the padding terms on this path.
     """
     n = T.dims[0]
     if T.dims != (n, n, n):
@@ -689,7 +736,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
     ring = T.ring
     kind, p = ring.kind, ring.modulus
     size = padded_size(n)
-    cubes: list[Vec] = []
+    terms: list[SymTerm] = []
     for t in D.terms:
         nz: dict[int, Scalar] = {}
         for i, v in t.a.items():
@@ -698,18 +745,11 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
             nz[n + j] = v
         for k, v in t.c.items():
             nz[2 * n + k] = v
-        cubes.append(Vec(ring, size, nz))
+        if nz:
+            terms.append(SymTerm(one(ring), Vec(ring, size, nz)))
 
     S = embed_S(T)
-    cube_sum: dict[Key, object] = {}
-    for w in cubes:
-        support = sorted(w.nz)
-        vals = {i: w.nz[i].value for i in support}
-        for x, y, z in combinations_with_replacement(support, 3):
-            key = (x, y, z)
-            val = vals[x] * vals[y] * vals[z]
-            cur = cube_sum.get(key)
-            cube_sum[key] = val if cur is None else cur + val
+    cube_sum = sum_sym_decomposition_raw(SymDecomposition(ring, size, terms))
     resid: dict[Key, object] = dict(S.entries)
     for key, v in cube_sum.items():
         cur = resid.get(key)
@@ -720,9 +760,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
         resid = {k: v for k, v in resid.items() if v}
     U = SymTensor._from_raw(ring, block_names(n), resid)
 
-    upper = symmetric_upper_witness(U, n)
-    terms = [SymTerm(one(ring), w) for w in cubes if not w.is_zero]
-    terms.extend(upper.terms)
+    terms.extend(_upper_terms(U, n).terms)
     deco = SymDecomposition(ring, size, terms)
     target = build_curly_T(S, n)
     ok, mismatch = verify_symmetric_decomposition(target, deco)

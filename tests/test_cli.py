@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from tenred import cli, sigma, symmetric
 from tenred.cli import main
 from tenred.jsonio import (
     canonical_dumps,
@@ -13,7 +15,7 @@ from tenred.jsonio import (
 from tenred.polysys import PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar
 from tenred.sigma import IncompleteMatrix, build_B
-from tenred.symmetric import SymTensor
+from tenred.symmetric import SymDecomposition, SymTensor, SymTerm
 from tenred.tensors import build_derksen
 
 
@@ -320,3 +322,144 @@ def test_thread_count_never_changes_bytes(tmp_path):
     assert main(["reduce", "tensor", sysf, "--threads", "1", "--out", str(a)]) == 0
     assert main(["reduce", "tensor", sysf, "--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of the symmetric witness of the empty system over GF(11); any
+# drift in the witness construction or its encoding changes it
+EMPTY_GF11_WITNESS_SHA256 = "42afb9c830dc1c2e607ee2855731d0dad015c287e4d9e7bc4e59b78d32b1656e"
+
+
+@pytest.fixture(scope="module")
+def empty_gf11_symmetric(tmp_path_factory):
+    """Instance and witness files of the empty formula, symmetric stage over GF(11)."""
+    d = tmp_path_factory.mktemp("empty_gf11")
+    cnf = _write(d / "f.cnf", "p cnf 0 0\n")
+    sysf, instf, witf = d / "sys.json", d / "inst.json", d / "wit.json"
+    assert main(["encode-3sat", cnf, "--ring", "gf:11", "--out", str(sysf)]) == 0
+    assert main(["reduce", "symmetric", str(sysf), "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "", "--out", str(witf)]) == 0
+    return instf, witf
+
+
+def _append_cancelling_pair(src, dst, negate):
+    """The witness with its last term and that term's negation appended."""
+    wit = json.loads(src.read_text())
+    last = wit["terms"][-1]
+    wit["terms"] += [last, negate(last)]
+    dst.write_text(canonical_dumps(wit))
+    return dst
+
+
+def test_symmetric_witness_bytes_pinned(empty_gf11_symmetric):
+    _, witf = empty_gf11_symmetric
+    assert hashlib.sha256(witf.read_bytes()).hexdigest() == EMPTY_GF11_WITNESS_SHA256
+
+
+def test_verify_rejects_oversized_symmetric_witness(empty_gf11_symmetric, tmp_path, capsys):
+    instf, witf = empty_gf11_symmetric
+    neg = lambda t: dict(t, s=str(-int(t["s"]) % 11))  # noqa: E731
+    bigger = _append_cancelling_pair(witf, tmp_path / "big.json", neg)
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(bigger)]) == 4
+    out = capsys.readouterr().out
+    assert "3164 terms exceed the target rank 3162" in out
+    assert "verified" not in out
+    # the target is worked out from the instance; a raised stored one is refused
+    inst = json.loads(instf.read_text())
+    raised = _write(tmp_path / "raised.json", canonical_dumps(dict(inst, target_rank=3164)))
+    assert main(["verify", raised, str(bigger)]) == 2
+    assert "target_rank 3164 differs from the instance's 3162" in capsys.readouterr().err
+
+
+def test_verify_rejects_oversized_tensor_witness(tmp_path, capsys):
+    sysf = _write_system(tmp_path / "sys.json", ["x1"], 1, GF(2))
+    instf, witf = tmp_path / "inst.json", tmp_path / "wit.json"
+    assert main(["reduce", "tensor", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(witf)]) == 0
+    neg = lambda t: dict(t, c=[[k, str(-int(v) % 2)] for k, v in t["c"]])  # noqa: E731
+    bigger = _append_cancelling_pair(witf, tmp_path / "big.json", neg)
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(bigger)]) == 4
+    out = capsys.readouterr().out
+    assert "134 terms exceed the target rank 132" in out
+    assert "verified" not in out
+    # a malformed target rank is an input error, not a pass
+    inst = json.loads(instf.read_text())
+    inst["target_rank"] = "many"
+    badf = _write(tmp_path / "bad.json", canonical_dumps(inst))
+    assert main(["verify", badf, str(witf)]) == 2
+    # a raised target rank is refused, alone or with tau and star_map raised to match
+    raised = _write(tmp_path / "raised.json", canonical_dumps(dict(inst, target_rank=134)))
+    capsys.readouterr()
+    assert main(["verify", raised, str(bigger)]) == 2
+    assert "target_rank 134 differs from the instance's 132" in capsys.readouterr().err
+    inst = json.loads(instf.read_text())
+    filled = {(i, j) for i, j, _, _ in inst["entries"]} | {tuple(x) for x in inst["star_map"]}
+    n1, n2, slices = inst["dims"]
+    spare = [[i, j] for i in range(n1) for j in range(n2) if (i, j) not in filled][:2]
+    forged = dict(
+        inst, dims=[n1, n2, slices + 2], tau=inst["tau"] + 2, target_rank=134,
+        star_map=inst["star_map"] + spare,
+    )
+    forgedf = _write(tmp_path / "forged.json", canonical_dumps(forged))
+    assert len(spare) == 2
+    assert main(["verify", forgedf, str(bigger)]) == 2
+    assert "not the star-slice tensor of its matrix" in capsys.readouterr().err
+
+
+def test_symmetric_witness_exits_4_on_corrupt_pieces(empty_gf11_symmetric, tmp_path, monkeypatch, capsys):
+    instf, _ = empty_gf11_symmetric
+    real = symmetric.sym_pair_decompose
+    calls = []
+
+    def corrupt_first(u, w, a):
+        D = real(u, w, a)
+        calls.append(1)
+        if len(calls) > 1 or not D.terms:
+            return D
+        bad = SymTerm(D.terms[0].s * Scalar(D.ring, 2), D.terms[0].v)
+        return SymDecomposition(D.ring, D.dim, (bad,) + D.terms[1:])
+
+    monkeypatch.setattr(symmetric, "sym_pair_decompose", corrupt_first)
+    out = tmp_path / "wit.json"
+    capsys.readouterr()
+    assert main(["witness", str(instf), "--solution", "", "--out", str(out)]) == 4
+    assert "symmetric witness fails" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
+    sysf = _write_system(tmp_path / "sys.json", ["x1"], 1, GF(11))
+    instf = tmp_path / "inst.json"
+    assert main(["reduce", "completion", sysf, "--out", str(instf)]) == 0
+    capsys.readouterr()
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(tmp_path / "w.json")]) == 0
+    assert "rank: 3" in capsys.readouterr().err
+
+    real = cli.completion_witness
+
+    def broken_unit_block(F, point, B=None):
+        W = real(F, point, B=B)
+        e = sigma.unit_label_positions(B)[0]
+        rows = [list(r) for r in W.rows]
+        rows[e][e] = Scalar(W.ring, 2)
+        return type(W)(W.ring, rows)
+
+    monkeypatch.setattr(cli, "completion_witness", broken_unit_block)
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(tmp_path / "x.json")]) == 4
+    assert "not the identity at the unit labels" in capsys.readouterr().err
+
+
+def test_reduce_computes_sigma_once(tmp_path, monkeypatch):
+    sysf = _write_system(tmp_path / "sys.json", ["x1"], 1, GF(2))
+    real = sigma.sigma_system
+    calls = []
+
+    def counting(F):
+        calls.append(F)
+        return real(F)
+
+    monkeypatch.setattr(sigma, "sigma_system", counting)
+    monkeypatch.setattr(cli, "sigma_system", counting)
+    assert main(["reduce", "completion", sysf, "--out", str(tmp_path / "inst.json")]) == 0
+    assert len(calls) == 1

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from tenred import symmetric
 from tenred.errors import (
     FieldTooSmallError,
     RingMismatchError,
+    StructureError,
     VerificationError,
 )
 from tenred.linalg import Vec
@@ -32,6 +34,7 @@ from tenred.symmetric import (
     remove_twin,
     scale_sym_decomposition,
     scale_tensor,
+    sum_sym_decomposition_raw,
     sym_pair_decompose,
     symmetric_upper_witness,
     symmetric_witness,
@@ -60,6 +63,10 @@ def test_index_layout():
     assert padded_size(1) == 6
     assert padded_size(2) == 15
     assert len(padded_names(2)) == 15
+    for n in (1, 2, 5):
+        names = padded_names(n)
+        for pi in pair_indices(n):
+            assert names[symmetric._pair_position(pi, n)] == pi.name
     pi = PairIndex("J", 1, 2)
     assert pi.name == "pair_J_1_2"
     assert pi.is_strict
@@ -579,3 +586,112 @@ def test_symmetric_witness_n1_minimal_in_family():
     assert res.exhausted
     assert res.value is None
     assert res.lower_bound == 10
+
+
+def _reference_sym_sum(D):
+    """Tuple-keyed cube sum, entry by entry, as a reference for the kernel."""
+    acc = {}
+    for t in D.terms:
+        support = sorted(t.v.nz)
+        for x, y, z in itertools.combinations_with_replacement(support, 3):
+            val = t.s.value * t.v.nz[x].value * t.v.nz[y].value * t.v.nz[z].value
+            acc[(x, y, z)] = acc.get((x, y, z), 0) + val
+    if D.ring.modulus is not None:
+        acc = {k: v % D.ring.modulus for k, v in acc.items()}
+    return {k: v for k, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("ring", [GF(11), QQ], ids=str)
+def test_sum_sym_decomposition_raw_matches_reference(ring):
+    rng = random.Random(41)
+
+    def value():
+        if ring == QQ:
+            return Scalar(ring, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        return Scalar(ring, rng.randrange(ring.modulus))
+
+    for trial in range(40):
+        dim = rng.randint(1, 9)
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            v = Vec(ring, dim, {i: value() for i in rng.sample(range(dim), rng.randint(1, dim))})
+            s = value()
+            if v.is_zero or s.is_zero:
+                continue
+            terms.append(SymTerm(s, v))
+            if rng.random() < 0.4:
+                # a cancelling twin: the pair sums to zero everywhere
+                terms.append(SymTerm(-s, v))
+        D = SymDecomposition(ring, dim, terms)
+        got = sum_sym_decomposition_raw(D)
+        assert got == _reference_sym_sum(D), trial
+        assert all(x <= y <= z for x, y, z in got)
+    v = _vec(ring, [1, 2, 0, 3])
+    s = Scalar(ring, 5)
+    assert sum_sym_decomposition_raw(SymDecomposition(ring, 4, [SymTerm(s, v), SymTerm(-s, v)])) == {}
+
+
+def _corrupt_pair_pieces(monkeypatch):
+    """Make every sym_pair_decompose result double its first coefficient."""
+    real = symmetric.sym_pair_decompose
+
+    def corrupt(u, w, a):
+        D = real(u, w, a)
+        if not D.terms:
+            return D
+        first = D.terms[0]
+        bad = SymTerm(first.s * Scalar(D.ring, 2), first.v)
+        return SymDecomposition(D.ring, D.dim, (bad,) + D.terms[1:])
+
+    monkeypatch.setattr(symmetric, "sym_pair_decompose", corrupt)
+
+
+def test_symmetric_witness_final_check_catches_corrupt_pieces(monkeypatch):
+    ring = GF(11)
+    T, D = _unit_cube_instance(ring)
+    _corrupt_pair_pieces(monkeypatch)
+    with pytest.raises(StructureError, match="symmetric witness fails"):
+        symmetric_witness(T, D)
+
+
+def test_public_entry_points_keep_their_checks(monkeypatch):
+    ring = GF(11)
+    _corrupt_pair_pieces(monkeypatch)
+    U = SymTensor.zeros(ring, block_names(2))
+    with pytest.raises(StructureError, match="padded witness fails"):
+        symmetric_upper_witness(U, 2)
+    with pytest.raises(StructureError, match="pair correction decomposition fails"):
+        build_L_pi(U, PairIndex("J", 1, 2))
+    # check=False skips the per-pair check; the caller checks the whole sum
+    build_L_pi(U, PairIndex("J", 1, 2), check=False)
+
+
+def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
+    """One exact check of the whole sum, plus each gadget's own check once."""
+    ring = GF(11)
+    rng = random.Random(3)
+    terms = [
+        Rank1Term(*(_vec(ring, [rng.randrange(11) for _ in range(2)]) for _ in range(3)))
+        for _ in range(2)
+    ]
+    D = Decomposition(ring, (2, 2, 2), terms)
+    from tenred.tensors import sum_decomposition_raw
+
+    T = Tensor3._from_raw(ring, (2, 2, 2), sum_decomposition_raw(D))
+    checks = []
+    real_verify = symmetric.verify_symmetric_decomposition
+
+    def counting_verify(S, W):
+        checks.append(W.dim)
+        return real_verify(S, W)
+
+    monkeypatch.setattr(symmetric, "verify_symmetric_decomposition", counting_verify)
+    symmetric.waring_gadget.cache_clear()
+    W = symmetric_witness(T, D)
+    info = symmetric.waring_gadget.cache_info()
+    # the three pair corrections share the a = 0 gadget: solved once, then reused
+    assert info.misses and info.hits >= 2
+    # every solved gadget checks its 2-dimensional target; the witness is checked once
+    assert checks.count(2) == info.misses
+    assert checks.count(W.dim) == 1
+    assert len(checks) == info.misses + 1
