@@ -39,6 +39,7 @@ from .symmetric import (
     embed_S,
     padded_size,
     symmetric_witness,
+    verify_symmetric_decomposition,
 )
 from .tensors import (
     Decomposition,
@@ -49,7 +50,6 @@ from .tensors import (
     pad_cubical,
     verify_decomposition,
 )
-from .symmetric import verify_symmetric_decomposition
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -378,7 +378,7 @@ def cmd_verify(args) -> int:
     wkind = wit_obj.get("kind")
     if ikind == "completion_instance" and wkind == "completion_witness":
         B = jsonio.completion_instance_parse(inst_obj)
-        wring = RingDescriptor.from_str(wit_obj["ring"])
+        wring = jsonio._ring_of(wit_obj)
         W = jsonio.matrix_from_json(wring, jsonio._need(wit_obj, "matrix"))
         point = jsonio.assignment_from_json(wring, jsonio._need(wit_obj, "assignment"))
         if W.nrows != B.nrows or W.ncols != B.ncols:
@@ -396,10 +396,7 @@ def cmd_verify(args) -> int:
             for j in range(B.ncols):
                 expect = B.raw_grid[i][j]
                 if expect is not None and wraw[i][j] != expect:
-                    print(
-                        f"mismatch at ({i},{j}): instance has "
-                        f"{Scalar(wring, expect)}, witness has {Scalar(wring, wraw[i][j])}"
-                    )
+                    print(f"mismatch at ({i},{j}): instance has {expect}, witness has {wraw[i][j]}")
                     return EXIT_VERIFY
         r = matrix_rank(W)
         if r != 3:

@@ -58,8 +58,11 @@ def _need(obj: dict, key: str):
 
 
 def _ring_of(obj: dict) -> RingDescriptor:
+    text = _need(obj, "ring")
+    if not isinstance(text, str):
+        raise ParseError(f"ring must be a string, got {type(text).__name__}", 0)
     try:
-        return RingDescriptor.from_str(_need(obj, "ring"))
+        return RingDescriptor.from_str(text)
     except ValueError as e:
         raise ParseError(str(e), 0) from e
 
@@ -91,14 +94,31 @@ def vec_from_json(ring: RingDescriptor, n: int, data) -> Vec:
         raise ParseError(str(e), 0) from e
 
 
+def _scalar_rows(ring: RingDescriptor, data, what: str, blanks: bool = False) -> list[list]:
+    """Cells of a nonempty list of equal-length row lists, null as None where
+    ``blanks`` allows; each distinct string is read once, by _scalar."""
+    if not isinstance(data, list) or not data or data[0] == []:
+        raise ParseError(f"{what} must be a nonempty list of nonempty rows", 0)
+    seen: dict = {None: None} if blanks else {}
+    rows = []
+    for row in data:
+        if not isinstance(row, list):
+            raise ParseError(f"{what} rows must be lists, got {type(row).__name__}", 0)
+        if len(row) != len(data[0]):
+            raise ParseError(f"ragged {what}: row {len(rows)} has {len(row)} cells, row 0 has {len(data[0])}", 0)
+        for v in row:
+            if (not isinstance(v, str) and v is not None) or v not in seen:
+                seen[v] = _scalar(ring, v)  # refuses all but strings
+        rows.append([seen[v] for v in row])
+    return rows
+
+
 def matrix_to_json(m: DenseMatrix) -> list:
-    return [[str(Scalar(m.ring, v)) for v in row] for row in m.raw_rows()]
+    return [[str(s.value) for s in row] for row in m.rows]
 
 
 def matrix_from_json(ring: RingDescriptor, data) -> DenseMatrix:
-    if not isinstance(data, list) or not data:
-        raise ParseError("matrix must be a nonempty list of rows", 0)
-    return DenseMatrix(ring, [[_scalar(ring, v) for v in row] for row in data])
+    return DenseMatrix(ring, _scalar_rows(ring, data, "matrix"))
 
 
 def system_to_json(F: PolySystem) -> dict:
@@ -116,8 +136,11 @@ def system_from_json(obj) -> PolySystem:
     num_vars = _need(obj, "num_vars")
     if not isinstance(num_vars, int) or num_vars < 0:
         raise ParseError("num_vars must be a nonnegative integer", 0)
+    texts = _need(obj, "polynomials")
+    if not isinstance(texts, list):
+        raise ParseError("polynomials must be a list of strings", 0)
     polys = []
-    for text in _need(obj, "polynomials"):
+    for text in texts:
         if not isinstance(text, str):
             raise ParseError("polynomials must be strings", 0)
         polys.append(parse_polynomial(text, num_vars, ring))
@@ -136,9 +159,11 @@ def _labels_to_json(labels) -> list:
 
 
 def _labels_from_json(ring: RingDescriptor, num_vars: int, data) -> list[Label]:
+    if not isinstance(data, list):
+        raise ParseError("labels must be a list of string triples", 0)
     labels = []
     for triple in data:
-        if not isinstance(triple, list) or len(triple) != 3:
+        if not isinstance(triple, list) or len(triple) != 3 or not all(isinstance(t, str) for t in triple):
             raise ParseError(f"label must be a string triple, got {triple!r}", 0)
         labels.append(
             Label(tuple(parse_polynomial(t, num_vars, ring) for t in triple))
@@ -149,10 +174,7 @@ def _labels_from_json(ring: RingDescriptor, num_vars: int, data) -> list[Label]:
 def completion_instance_file(B: IncompleteMatrix) -> dict:
     if B.system is None or B.row_labels is None:
         raise ValueError("instance files need the system and labels attached")
-    grid = [
-        [None if v is None else str(Scalar(B.ring, v)) for v in row]
-        for row in B.raw_grid
-    ]
+    grid = [[None if v is None else str(v) for v in row] for row in B.raw_grid]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "completion_instance",
@@ -170,9 +192,7 @@ def completion_instance_parse(obj: dict) -> IncompleteMatrix:
     if F.ring != ring:
         raise ParseError("instance ring differs from system ring", 0)
     labels = _labels_from_json(ring, F.num_vars, _need(obj, "labels"))
-    rows = []
-    for row in _need(obj, "grid"):
-        rows.append([None if v is None else _scalar(ring, v) for v in row])
+    rows = _scalar_rows(ring, _need(obj, "grid"), "grid", blanks=True)
     try:
         return IncompleteMatrix(ring, rows, labels, labels, F)
     except ValueError as e:
@@ -183,13 +203,18 @@ def tensor_entries_to_json(T: Tensor3) -> list:
     return [[i, j, k, str(v)] for (i, j, k), v in T.items()]
 
 
-def tensor_entries_from_json(ring: RingDescriptor, dims, data) -> Tensor3:
+def _entries_from_json(ring: RingDescriptor, data) -> dict:
     entries = {}
     for item in data:
         if not isinstance(item, list) or len(item) != 4:
             raise ParseError(f"tensor entry must be [i,j,k,value], got {item!r}", 0)
         i, j, k, v = item
         entries[(i, j, k)] = _scalar(ring, v)
+    return entries
+
+
+def tensor_entries_from_json(ring: RingDescriptor, dims, data) -> Tensor3:
+    entries = _entries_from_json(ring, data)
     try:
         return Tensor3(ring, tuple(dims), entries)
     except (ValueError, TypeError) as e:
@@ -264,12 +289,7 @@ def symtensor_parse(obj: dict) -> SymTensor:
     names = _need(obj, "index_names")
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise ParseError("index_names must be strings", 0)
-    entries = {}
-    for item in _need(obj, "entries"):
-        if not isinstance(item, list) or len(item) != 4:
-            raise ParseError(f"tensor entry must be [i,j,k,value], got {item!r}", 0)
-        i, j, k, v = item
-        entries[(i, j, k)] = _scalar(ring, v)
+    entries = _entries_from_json(ring, _need(obj, "entries"))
     try:
         return SymTensor(ring, names, entries)
     except (ValueError, TypeError) as e:

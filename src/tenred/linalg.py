@@ -1,18 +1,20 @@
 """Exact dense matrices, sparse vectors, and fraction-free elimination.
 
-Rank is always computed over the fraction field of the matrix ring:
-integer matrices are ranked over the rationals via Bareiss elimination,
-whose intermediate values stay integral, so no floating point or rounding
-ever enters.  Pivoting is deterministic (first nonzero entry in column
-order), which keeps every derived artifact byte-reproducible.
+Rank is always computed over the fraction field of the matrix ring, by
+Bareiss elimination, whose intermediate values stay integral, so no
+floating point or rounding ever enters.  Over Q the rank is taken on
+integer rows: each row is first scaled by the lcm of its denominators.
+Pivoting is deterministic (first nonzero entry in column order), which
+keeps every derived artifact byte-reproducible.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import RingMismatchError, SingularMatrixError
-from .rings import INTEGERS, PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one, zero
+from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one, zero
 
 
 class DenseMatrix:
@@ -101,29 +103,27 @@ def _dot(u: Sequence[Scalar], v: Sequence[Scalar], ring: RingDescriptor) -> Scal
 def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
     """Bareiss elimination on raw values; mutates ``rows``.
 
-    The Sylvester identity keeps every intermediate quotient exact, so the
-    same loop serves Z (pure integer arithmetic), Q, and GF(p).
+    Over Q each row is first scaled by the lcm of its denominators, which
+    leaves the rank unchanged, so Z and Q share one integer loop in which
+    the Sylvester identity keeps every quotient by the previous pivot
+    exact.  Over GF(p) that quotient is a product with its inverse.
     """
+    if ring.kind == RATIONALS:
+        for i, row in enumerate(rows):
+            d = lcm(*[v.denominator for v in row])
+            rows[i] = [v.numerator * (d // v.denominator) for v in row]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    kind = ring.kind
-    p = ring.modulus
+    p = ring.modulus if ring.kind == PRIME_FIELD else None
     prev = 1
     r = 0
     for c in range(nc):
-        if r == nr:
-            break
-        piv_row = None
-        for i in range(r, nr):
-            if rows[i][c] != 0:
-                piv_row = i
-                break
+        piv_row = next((i for i in range(r, nr) if rows[i][c] != 0), None)
         if piv_row is None:
             continue
-        if piv_row != r:
-            rows[r], rows[piv_row] = rows[piv_row], rows[r]
+        rows[r], rows[piv_row] = rows[piv_row], rows[r]
         piv = rows[r][c]
-        if kind == PRIME_FIELD:
+        if p is not None:
             inv_prev = pow(prev, -1, p)
             for i in range(r + 1, nr):
                 ric = rows[i][c]
@@ -131,7 +131,7 @@ def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
                 for j in range(c + 1, nc):
                     ri[j] = (piv * ri[j] - ric * rr[j]) * inv_prev % p
                 ri[c] = 0
-        elif kind == INTEGERS:
+        else:
             for i in range(r + 1, nr):
                 ric = rows[i][c]
                 ri, rr = rows[i], rows[r]
@@ -140,13 +140,6 @@ def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
                     if rem:
                         raise ArithmeticError("inexact Bareiss division")
                     ri[j] = q
-                ri[c] = 0
-        else:
-            for i in range(r + 1, nr):
-                ric = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                for j in range(c + 1, nc):
-                    ri[j] = (piv * ri[j] - ric * rr[j]) / prev
                 ri[c] = 0
         prev = piv
         r += 1

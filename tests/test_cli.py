@@ -1,5 +1,6 @@
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -463,3 +464,111 @@ def test_reduce_computes_sigma_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sigma_system", counting)
     assert main(["reduce", "completion", sysf, "--out", str(tmp_path / "inst.json")]) == 0
     assert len(calls) == 1
+
+
+# SHA-256 of the completion witness of {x1} over Q at x1 = 0; any drift in
+# the Gram construction or in the matrix encoding changes it
+X1_Q_COMPLETION_WITNESS_SHA256 = "cdd1287c8102ef9cf4acb757bcd33474e05f7ebe6d3c5c3b611700188e72ac0a"
+
+
+@pytest.fixture(scope="module")
+def x1_q_completion(tmp_path_factory):
+    """Instance and witness files of {x1} over Q, completion stage (98 labels)."""
+    d = tmp_path_factory.mktemp("x1_q")
+    sysf = _write_system(d / "sys.json", ["x1"], 1, QQ)
+    instf, witf = d / "inst.json", d / "wit.json"
+    assert main(["reduce", "completion", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(witf)]) == 0
+    return instf, witf
+
+
+def test_completion_witness_bytes_pinned(x1_q_completion):
+    _, witf = x1_q_completion
+    assert hashlib.sha256(witf.read_bytes()).hexdigest() == X1_Q_COMPLETION_WITNESS_SHA256
+
+
+def test_verify_reports_completion_rank(x1_q_completion, tmp_path, capsys):
+    instf, witf = x1_q_completion
+    grid = json.loads(instf.read_text())["grid"]
+    n = len(grid)
+    diag = next(i for i in range(n) if grid[i][i] is None)
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if grid[i][j] is None)
+
+    def bumped(cells, name):
+        wit = json.loads(witf.read_text())
+        for a, b in cells:
+            wit["matrix"][a][b] = str(Fraction(wit["matrix"][a][b]) + Fraction(1, 2))
+        return _write(tmp_path / name, canonical_dumps(wit))
+
+    # every specified cell still agrees, so only the exact rank can refuse:
+    # a star on the diagonal adds a rank-one form, a symmetric pair off it
+    # adds 2*x_i*x_j, a form of rank two
+    capsys.readouterr()
+    assert main(["verify", str(instf), bumped([(diag, diag)], "diag.json")]) == 4
+    assert capsys.readouterr().out.strip() == "completion rank is 4, not 3"
+    assert main(["verify", str(instf), bumped([(i, j), (j, i)], "pair.json")]) == 4
+    assert capsys.readouterr().out.strip() == "completion rank is 5, not 3"
+
+
+def _grid_not_a_list(inst, wit):
+    inst["grid"] = 5
+
+
+def _matrix_rows_not_lists(inst, wit):
+    wit["matrix"] = [5] * len(wit["matrix"])
+
+
+def _polynomials_not_a_list(inst, wit):
+    inst["system"]["polynomials"] = 5
+
+
+def _labels_not_a_list(inst, wit):
+    inst["labels"] = 5
+
+
+def _label_not_strings(inst, wit):
+    inst["labels"][0] = [5, "1", "1"]
+
+
+def _ragged_matrix(inst, wit):
+    wit["matrix"][3] = wit["matrix"][3][:-1]
+
+
+def _witness_ring_missing(inst, wit):
+    del wit["ring"]
+
+
+def _witness_ring_not_a_string(inst, wit):
+    wit["ring"] = 5
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_grid_not_a_list, "grid must be a nonempty list of nonempty rows", id="grid"),
+        pytest.param(_matrix_rows_not_lists, "matrix rows must be lists, got int", id="rows"),
+        pytest.param(_polynomials_not_a_list, "polynomials must be a list of strings", id="polynomials"),
+        pytest.param(_labels_not_a_list, "labels must be a list of string triples", id="labels"),
+        pytest.param(_label_not_strings, "label must be a string triple, got [5, '1', '1']", id="label"),
+        pytest.param(_ragged_matrix, "ragged matrix: row 3 has 97 cells, row 0 has 98", id="ragged"),
+        pytest.param(_witness_ring_missing, "missing field 'ring'", id="ring"),
+        pytest.param(_witness_ring_not_a_string, "ring must be a string, got int", id="ring-type"),
+    ],
+)
+def test_verify_malformed_completion_input_exits_2(x1_q_completion, tmp_path, capsys, corrupt, message):
+    instf, witf = x1_q_completion
+    inst, wit = json.loads(instf.read_text()), json.loads(witf.read_text())
+    corrupt(inst, wit)
+    badi = _write(tmp_path / "inst.json", canonical_dumps(inst))
+    badw = _write(tmp_path / "wit.json", canonical_dumps(wit))
+    capsys.readouterr()
+    assert main(["verify", badi, badw]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_ring_beyond_the_primality_bound_exits_2(tmp_path, capsys):
+    cnf = _write(tmp_path / "f.cnf", "p cnf 1 1\n1 0\n")
+    # 2**89 - 1 is prime, but above the bound where Miller-Rabin with the
+    # first 13 prime bases is a proof, so it is refused rather than guessed
+    assert main(["encode-3sat", cnf, "--ring", f"gf:{2**89 - 1}"]) == 2
+    assert "too large" in capsys.readouterr().err

@@ -99,6 +99,34 @@ def test_matrix_round_trip():
         matrix_from_json(GF(5), [])
 
 
+def test_matrix_json_over_q_reads_each_spelling_once():
+    vals = [[Fraction(-3, 4), Fraction(2)], [Fraction(0), Fraction(7, 5)]]
+    m = DenseMatrix(QQ, [[Scalar(QQ, v) for v in r] for r in vals])
+    data = matrix_to_json(m)
+    assert data == [["-3/4", "2"], ["0", "7/5"]]
+    assert data == [[str(s) for s in r] for r in m.rows]
+    assert matrix_from_json(QQ, data) == m
+    # equal spellings share one Scalar; different spellings of one value
+    # are each read, and both read to that value
+    back = matrix_from_json(QQ, [["1/2", "2/4"], [" 1/2", "1/2"]])
+    assert back.rows[0][0] is back.rows[1][1]
+    assert back.rows[0][0] is not back.rows[0][1]
+    assert {s.value for r in back.rows for s in r} == {Fraction(1, 2)}
+    for bad in (
+        [["1", 2]],
+        [["1", None]],
+        [["1", ["1"]]],
+        [["1", "1/0"]],
+        [["1", "x"]],
+        [["1"], ["1", "2"]],
+        [[]],
+        ["1"],
+        5,
+    ):
+        with pytest.raises(ParseError):
+            matrix_from_json(QQ, bad)
+
+
 def test_system_round_trip():
     F = _system(["x1^2 - x2", "2*x1 + 1"], 2, ZZ)
     data = system_to_json(F)

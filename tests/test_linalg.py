@@ -85,6 +85,64 @@ def test_rank_raw_agrees_with_matrix_rank():
             assert rank_raw(raw, ring) == matrix_rank(m)
 
 
+def _rational_rows(rng, nr, nc):
+    """Rows with denominators up to 50 and mixed signs, padded to nr rows
+    with zero rows and rational combinations of the first ones."""
+
+    def q():
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 50))
+
+    base = [[q() for _ in range(nc)] for _ in range(rng.randint(1, nr))]
+    rows = [list(r) for r in base]
+    while len(rows) < nr:
+        if rng.random() < 0.25:
+            rows.append([Fraction(0)] * nc)
+        else:
+            coeffs = [q() for _ in base]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(nc)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _fraction_rank(rows):
+    """Reference rank: Gauss-Jordan elimination on Fractions."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c] != 0:
+                f = rows[i][c] / rows[rank][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_raw_over_q_with_denominators():
+    rng = random.Random(5)
+    deficient = 0
+    for _ in range(150):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = _rational_rows(rng, nr, nc)
+        m = DenseMatrix(QQ, [[Scalar(QQ, v) for v in r] for r in rows])
+        want = minor_rank(m)
+        assert rank_raw([list(r) for r in rows], QQ) == want
+        assert matrix_rank(m) == want
+        deficient += want < min(nr, nc)
+    assert deficient > 30
+
+
+def test_rank_raw_over_q_larger_than_minors_reach():
+    rng = random.Random(6)
+    for _ in range(20):
+        nr, nc = rng.randint(6, 14), rng.randint(6, 14)
+        rows = _rational_rows(rng, nr, nc)
+        assert rank_raw([list(r) for r in rows], QQ) == _fraction_rank(rows)
+
+
 @given(st.integers(2, 4), st.integers(2, 4), st.randoms(use_true_random=False))
 def test_rank_invariances(nr, nc, rng):
     m = DenseMatrix.from_ints(QQ, [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)])

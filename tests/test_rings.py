@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tenred.rings import (
     ZZ,
     RingDescriptor,
     Scalar,
+    _is_prime,
     from_int,
     one,
     zero,
@@ -142,3 +144,64 @@ def test_from_int_embedding():
 def test_sort_key_total_order():
     vals = [Scalar(GF(7), n) for n in (4, 1, 6, 0)]
     assert [s.value for s in sorted(vals, key=Scalar.sort_key)] == [0, 1, 4, 6]
+
+
+def _trial_division_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-3, 100_000):
+        assert _is_prime(n) == _trial_division_prime(n), n
+
+
+# Each is composite and a strong pseudoprime to every one of the first k
+# prime bases, for k = 1, 2, 3, 4, 5, 6, 8, 9 and 12 in turn.
+STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+    318665857834031151167461,
+]
+
+
+def test_is_prime_refuses_strong_pseudoprimes():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not _is_prime(n), n
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert not _is_prime((2**61 - 1) * (2**19 - 1))
+    assert _is_prime(2**61 - 1) and _is_prime(2**31 - 1)
+    assert GF(2**61 - 1).modulus == 2**61 - 1
+
+
+def test_is_prime_never_guesses_above_its_bound():
+    # the least strong pseudoprime to all thirteen bases 2..41
+    psi13 = 1287836182261 * 2575672364521
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(psi13)
+    with pytest.raises(ValueError, match="too large"):
+        GF(2**89 - 1)  # a prime, but above the bound
+    assert not _is_prime(10**29 + 1)  # above it, but 11 divides it
+
+
+def test_thirty_digit_modulus_is_refused_fast():
+    # trial division would need about 10**14 steps on this 30-digit product
+    # of two 15-digit primes
+    p, q = 10**14 + 31, 10**15 + 37
+    assert _is_prime(p) and _is_prime(q)
+    t0 = time.perf_counter()
+    with pytest.raises(ParseError, match="too large"):
+        RingDescriptor.from_str(f"gf:{p * q}")
+    assert time.perf_counter() - t0 < 0.5
