@@ -28,6 +28,7 @@ class GuardExceededError(RuntimeError):
         super().__init__(f"size guard exceeded: {size} {what} > bound {bound}")
         self.size = size
         self.bound = bound
+        self.what = what
 
 
 class BudgetExceededError(RuntimeError):

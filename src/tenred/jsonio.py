@@ -15,19 +15,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .errors import ParseError, StructureError
+from .errors import ParseError
 from .linalg import DenseMatrix, Vec
-from .polysys import Assignment, Polynomial, PolySystem, parse_polynomial
+from .polysys import Assignment, PolySystem, parse_polynomial
 from .rings import RingDescriptor, Scalar
-from .sigma import IncompleteMatrix, Label
+from .sigma import IncompleteMatrix
 from .symmetric import SymDecomposition, SymTensor, SymTerm
-from .tensors import (
-    Decomposition,
-    DerksenInstance,
-    Rank1Term,
-    Tensor3,
-    instance_source,
-)
+from .tensors import Decomposition, DerksenInstance, Rank1Term, Tensor3
 
 FORMAT_VERSION = 1
 
@@ -94,31 +88,30 @@ def vec_from_json(ring: RingDescriptor, n: int, data) -> Vec:
         raise ParseError(str(e), 0) from e
 
 
-def _scalar_rows(ring: RingDescriptor, data, what: str, blanks: bool = False) -> list[list]:
-    """Cells of a nonempty list of equal-length row lists, null as None where
-    ``blanks`` allows; each distinct string is read once, by _scalar."""
+def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
+    """Raw values of a nonempty list of equal-length rows of scalar strings.
+
+    Each distinct string is read once, by _scalar; the rows are fresh
+    lists, so a caller may hand them to rank_raw, which mutates them.
+    """
     if not isinstance(data, list) or not data or data[0] == []:
-        raise ParseError(f"{what} must be a nonempty list of nonempty rows", 0)
-    seen: dict = {None: None} if blanks else {}
+        raise ParseError("matrix must be a nonempty list of nonempty rows", 0)
+    seen: dict = {}
     rows = []
     for row in data:
         if not isinstance(row, list):
-            raise ParseError(f"{what} rows must be lists, got {type(row).__name__}", 0)
+            raise ParseError(f"matrix rows must be lists, got {type(row).__name__}", 0)
         if len(row) != len(data[0]):
-            raise ParseError(f"ragged {what}: row {len(rows)} has {len(row)} cells, row 0 has {len(data[0])}", 0)
+            raise ParseError(f"ragged matrix: row {len(rows)} has {len(row)} cells, row 0 has {len(data[0])}", 0)
         for v in row:
-            if (not isinstance(v, str) and v is not None) or v not in seen:
-                seen[v] = _scalar(ring, v)  # refuses all but strings
+            if not isinstance(v, str) or v not in seen:
+                seen[v] = _scalar(ring, v).value  # refuses all but strings
         rows.append([seen[v] for v in row])
     return rows
 
 
 def matrix_to_json(m: DenseMatrix) -> list:
     return [[str(s.value) for s in row] for row in m.rows]
-
-
-def matrix_from_json(ring: RingDescriptor, data) -> DenseMatrix:
-    return DenseMatrix(ring, _scalar_rows(ring, data, "matrix"))
 
 
 def system_to_json(F: PolySystem) -> dict:
@@ -155,20 +148,8 @@ def polysystem_file(F: PolySystem) -> dict:
 
 
 def _labels_to_json(labels) -> list:
-    return [[str(f) for f in lab.coords] for lab in labels]
-
-
-def _labels_from_json(ring: RingDescriptor, num_vars: int, data) -> list[Label]:
-    if not isinstance(data, list):
-        raise ParseError("labels must be a list of string triples", 0)
-    labels = []
-    for triple in data:
-        if not isinstance(triple, list) or len(triple) != 3 or not all(isinstance(t, str) for t in triple):
-            raise ParseError(f"label must be a string triple, got {triple!r}", 0)
-        labels.append(
-            Label(tuple(parse_polynomial(t, num_vars, ring) for t in triple))
-        )
-    return labels
+    text: dict = {}  # labels share few coordinates; print each once
+    return [[text[f] if f in text else text.setdefault(f, str(f)) for f in lab.coords] for lab in labels]
 
 
 def completion_instance_file(B: IncompleteMatrix) -> dict:
@@ -186,24 +167,18 @@ def completion_instance_file(B: IncompleteMatrix) -> dict:
     }
 
 
-def completion_instance_parse(obj: dict) -> IncompleteMatrix:
-    ring = _ring_of(obj)
-    F = system_from_json(_need(obj, "system"))
-    if F.ring != ring:
-        raise ParseError("instance ring differs from system ring", 0)
-    labels = _labels_from_json(ring, F.num_vars, _need(obj, "labels"))
-    rows = _scalar_rows(ring, _need(obj, "grid"), "grid", blanks=True)
-    try:
-        return IncompleteMatrix(ring, rows, labels, labels, F)
-    except ValueError as e:
-        raise ParseError(str(e), 0) from e
-
-
-def tensor_entries_to_json(T: Tensor3) -> list:
-    return [[i, j, k, str(v)] for (i, j, k), v in T.items()]
+def entries_to_json(entries: dict) -> list:
+    """Sorted [i, j, k, "value"] quadruples of a sparse raw-value map."""
+    text: dict = {}
+    return [
+        [i, j, k, text[v] if v in text else text.setdefault(v, str(v))]
+        for (i, j, k), v in sorted(entries.items())
+    ]
 
 
 def _entries_from_json(ring: RingDescriptor, data) -> dict:
+    if not isinstance(data, list):
+        raise ParseError("entries must be a list of [i,j,k,value] quadruples", 0)
     entries = {}
     for item in data:
         if not isinstance(item, list) or len(item) != 4:
@@ -213,30 +188,31 @@ def _entries_from_json(ring: RingDescriptor, data) -> dict:
     return entries
 
 
-def tensor_entries_from_json(ring: RingDescriptor, dims, data) -> Tensor3:
-    entries = _entries_from_json(ring, data)
-    try:
-        return Tensor3(ring, tuple(dims), entries)
-    except (ValueError, TypeError) as e:
-        raise ParseError(str(e), 0) from e
-
-
 def tensor_file(T: Tensor3) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "tensor",
         "ring": str(T.ring),
         "dims": list(T.dims),
-        "entries": tensor_entries_to_json(T),
+        "entries": entries_to_json(T.entries),
     }
+
+
+def _dims_of(obj: dict) -> tuple[int, int, int]:
+    dims = _need(obj, "dims")
+    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) for d in dims)):
+        raise ParseError("dims must be three integers", 0)
+    return tuple(dims)
 
 
 def tensor_parse(obj: dict) -> Tensor3:
     ring = _ring_of(obj)
-    dims = _need(obj, "dims")
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) for d in dims)):
-        raise ParseError("dims must be three integers", 0)
-    return tensor_entries_from_json(ring, dims, _need(obj, "entries"))
+    dims = _dims_of(obj)
+    entries = _entries_from_json(ring, _need(obj, "entries"))
+    try:
+        return Tensor3(ring, dims, entries)
+    except (ValueError, TypeError) as e:
+        raise ParseError(str(e), 0) from e
 
 
 def tensor_instance_file(inst: DerksenInstance, B: IncompleteMatrix) -> dict:
@@ -247,7 +223,7 @@ def tensor_instance_file(inst: DerksenInstance, B: IncompleteMatrix) -> dict:
         "kind": "tensor_instance",
         "ring": str(inst.tensor.ring),
         "dims": list(inst.tensor.dims),
-        "entries": tensor_entries_to_json(inst.tensor),
+        "entries": entries_to_json(inst.tensor.entries),
         "tau": inst.tau,
         "star_map": [[i, j] for i, j in inst.star_map],
         "target_rank": inst.target_rank,
@@ -256,31 +232,13 @@ def tensor_instance_file(inst: DerksenInstance, B: IncompleteMatrix) -> dict:
     }
 
 
-def tensor_instance_parse(obj: dict) -> tuple[DerksenInstance, PolySystem]:
-    T = tensor_parse(obj)
-    tau = _need(obj, "tau")
-    star_map = [tuple(x) for x in _need(obj, "star_map")]
-    if len(star_map) != tau:
-        raise ParseError("star_map length differs from tau", 0)
-    F = system_from_json(_need(obj, "system"))
-    labels = _labels_from_json(F.ring, F.num_vars, _need(obj, "labels"))
-    if len(labels) != T.dims[0] or T.dims[0] != T.dims[1]:
-        raise ParseError("label count does not match the tensor dimensions", 0)
-    try:
-        source = instance_source(T, star_map, labels, labels, F)
-    except (ValueError, StructureError) as e:
-        raise ParseError(str(e), 0) from e
-    inst = DerksenInstance(T, tau, tuple(star_map), source)
-    return inst, F
-
-
 def symtensor_file(S: SymTensor) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "symtensor",
         "ring": str(S.ring),
         "index_names": list(S.index_names),
-        "entries": [[i, j, k, str(v)] for (i, j, k), v in S.items()],
+        "entries": entries_to_json(S.entries),
     }
 
 
@@ -312,45 +270,6 @@ def symmetric_instance_file(
     obj["system"] = system_to_json(B.system)
     obj["labels"] = _labels_to_json(B.row_labels)
     return obj
-
-
-def symmetric_instance_parse(obj: dict):
-    """Returns (padded tensor S, target rank, payload size m, instance, system).
-
-    The star-slice tensor is recovered from the embedded block of S: entry
-    (a, m+b, 2m+c) of S is entry (a, b, c) of the padded payload, and the
-    slices beyond tau were padding, so dropping them is exact.
-    """
-    S = symtensor_parse(obj)
-    target_rank = _need(obj, "target_rank")
-    m = _need(obj, "payload_size")
-    tau = _need(obj, "tau")
-    star_map = [tuple(x) for x in _need(obj, "star_map")]
-    if len(star_map) != tau:
-        raise ParseError("star_map length differs from tau", 0)
-    F = system_from_json(_need(obj, "system"))
-    labels = _labels_from_json(F.ring, F.num_vars, _need(obj, "labels"))
-    if not isinstance(m, int) or S.size != 3 * m + 3 * m * (m + 1) // 2:
-        raise ParseError("index count does not match payload_size", 0)
-    n = len(labels)
-    if m != max(n, tau + 1):
-        raise ParseError("payload_size does not match labels and tau", 0)
-    entries = {}
-    for (x, y, z), v in S.items():
-        if z < 3 * m:
-            if not (x < m <= y < 2 * m <= z):
-                raise ParseError(f"unexpected payload entry at {(x, y, z)}", 0)
-            a, b, c = x, y - m, z - 2 * m
-            if a >= n or b >= n or c > tau:
-                raise ParseError(f"payload entry {(a, b, c)} out of range", 0)
-            entries[(a, b, c)] = v
-    try:
-        T = Tensor3(S.ring, (n, n, tau + 1), entries)
-        source = instance_source(T, star_map, labels, labels, F)
-    except (ValueError, StructureError) as e:
-        raise ParseError(str(e), 0) from e
-    inst = DerksenInstance(T, tau, tuple(star_map), source)
-    return S, target_rank, m, inst, F
 
 
 def assignment_to_json(point: Assignment) -> list:
@@ -409,9 +328,7 @@ def tensor_witness_file(D: Decomposition) -> dict:
 
 
 def tensor_witness_parse(obj: dict) -> Decomposition:
-    ring = _ring_of(obj)
-    dims = _need(obj, "dims")
-    return decomposition_from_json(ring, dims, _need(obj, "terms"))
+    return decomposition_from_json(_ring_of(obj), _dims_of(obj), _need(obj, "terms"))
 
 
 def sym_decomposition_to_json(D: SymDecomposition) -> list:

@@ -423,44 +423,57 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
     elems = sigma.elements
     m = len(elems)
     tms = [_raw_term_map(f) for f in elems]
-    prod: dict[tuple[int, int], dict] = {}
+    # each distinct product of two elements gets an id k, written 4**k: a
+    # cell depends only on the multiset of the ids of its three coordinate
+    # products, and the sum of their weights is that multiset (2 bits, 0..3
+    # copies, per id), so each multiset is classified once
+    weights: dict[frozenset, int] = {}
+    product: dict[int, dict] = {}
+    pw = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            prod[(i, j)] = _multiply_term_maps(tms[i], tms[j], kind, p)
+            tm = _multiply_term_maps(tms[i], tms[j], kind, p)
+            w = weights.setdefault(frozenset(tm.items()), 1 << 2 * len(weights))
+            product[w] = tm
+            pw[i][j] = pw[j][i] = w
+    f_maps = [_raw_term_map(f) for f in F.polynomials]
+    zero_raw = zero(ring).value
+
+    def classify(*ws: int):
+        merged: dict = {}
+        for w in ws:
+            for key, val in product[w].items():
+                merged[key] = merged.get(key, 0) + val
+        if kind == PRIME_FIELD:
+            nz = {k: v % p for k, v in merged.items() if v % p}
+        else:
+            nz = {k: v for k, v in merged.items() if v}
+        if not nz:
+            return zero_raw
+        if len(nz) == 1 and () in nz:
+            return nz[()]
+        if any(nz == fm for fm in f_maps):
+            return zero_raw
+        return None
+
     coord_idx = [
         (sigma.position(lab.coords[0]), sigma.position(lab.coords[1]), sigma.position(lab.coords[2]))
         for lab in labels
     ]
-    f_maps = [_raw_term_map(f) for f in F.polynomials]
-    zero_raw = zero(ring).value
+    cells: dict[int, object] = {}
     n_lab = len(labels)
     grid: list[list] = [[None] * n_lab for _ in range(n_lab)]
     for u in range(n_lab):
         au, bu, cu = coord_idx[u]
+        pa, pb, pc = pw[au], pw[bu], pw[cu]
         row_u = grid[u]
         for v in range(u, n_lab):
             av, bv, cv = coord_idx[v]
-            merged: dict = {}
-            for x, y in ((au, av), (bu, bv), (cu, cv)):
-                tm = prod[(x, y)] if x <= y else prod[(y, x)]
-                for key, val in tm.items():
-                    cur = merged.get(key)
-                    merged[key] = val if cur is None else cur + val
-            if kind == PRIME_FIELD:
-                nz = {k: v % p for k, v in merged.items() if v % p}
-            else:
-                nz = {k: v for k, v in merged.items() if v}
-            if not nz:
-                cell = zero_raw
-            elif len(nz) == 1 and () in nz:
-                cell = nz[()]
-            elif any(nz == fm for fm in f_maps):
-                cell = zero_raw
-            else:
-                cell = None
+            wa, wb, wc = pa[av], pb[bv], pc[cv]
+            key = wa + wb + wc
+            cell = cells[key] if key in cells else cells.setdefault(key, classify(wa, wb, wc))
             row_u[v] = cell
-            if v != u:
-                grid[v][u] = cell
+            grid[v][u] = cell
     B = IncompleteMatrix._from_raw(ring, grid, labels, labels, F)
     bad = unit_block_mismatch(B.raw_grid, B)
     if bad is not None:

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import DenseMatrix, Vec, inverse_3x3
 from .rings import PRIME_FIELD, RingDescriptor, Scalar, one, zero
-from .tensors import Decomposition, Tensor3, verify_decomposition
+from .tensors import Decomposition, Tensor3, first_mismatch, verify_decomposition
 
 LETTERS = ("I", "J", "K")
 
@@ -94,6 +94,11 @@ def _pair_position(pi: PairIndex, n: int) -> int:
 
 def padded_size(n: int) -> int:
     return 3 * n + 3 * n * (n + 1) // 2
+
+
+def padding_terms(n: int) -> int:
+    """Terms the unit-slice padding of a size-n payload adds: 4.5(n^2+n)."""
+    return 9 * n * (n - 1) // 2 + 9 * n
 
 
 class SymTensor:
@@ -257,20 +262,7 @@ def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dim != T.size:
         raise ValueError(f"decomposition dimension {D.dim} != tensor size {T.size}")
-    total = sum_sym_decomposition_raw(D)
-    if total == T.entries:
-        return True, None
-    for key in sorted(set(total) | set(T.entries)):
-        want = T.entries.get(key)
-        got = total.get(key)
-        if want != got:
-            z = zero(T.ring)
-            return False, (
-                key,
-                z if want is None else Scalar(T.ring, want),
-                z if got is None else Scalar(T.ring, got),
-            )
-    return True, None
+    return first_mismatch(T.entries, sum_sym_decomposition_raw(D), T.ring)
 
 
 def embed_S(T: Tensor3) -> SymTensor:
@@ -411,7 +403,7 @@ def remove_twin(T: SymTensor, dup: int, orig: int) -> SymTensor:
     return SymTensor._from_raw(T.ring, tuple(names), raw)
 
 
-def _require_big_field(ring: RingDescriptor) -> None:
+def require_big_field(ring: RingDescriptor) -> None:
     if not ring.is_field:
         raise ValueError(f"cube decompositions are built over fields, not {ring}")
     size = ring.field_size
@@ -492,7 +484,7 @@ def waring_gadget(a: Scalar) -> SymDecomposition:
     per process; the result is immutable, so sharing it is safe.
     """
     ring = a.ring
-    _require_big_field(ring)
+    require_big_field(ring)
     if a.is_one:
         for c_int in range(2, 102):
             c = Scalar(ring, c_int)
@@ -635,7 +627,7 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
     Callers that check a larger sum containing these terms use this
     directly, so the certificate is checked once, at the boundary.
     """
-    _require_big_field(U.ring)
+    require_big_field(U.ring)
     check_mixed_block_zero(U, n)
     ring = U.ring
     kind, p = ring.kind, ring.modulus
@@ -690,7 +682,7 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
         piece = sym_pair_decompose(Vec.unit(ring, size, u_idx), m, a)
         terms.extend(piece.terms)
 
-    bound = 9 * n * (n - 1) // 2 + 9 * n
+    bound = padding_terms(n)
     if len(terms) > bound:
         raise StructureError(f"{len(terms)} terms exceed the bound {bound}")
     return SymDecomposition(ring, size, terms)
@@ -727,7 +719,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
     n = T.dims[0]
     if T.dims != (n, n, n):
         raise ValueError(f"symmetrization needs a cubical tensor, got {T.dims}")
-    _require_big_field(T.ring)
+    require_big_field(T.ring)
     ok, mismatch = verify_decomposition(T, D)
     if not ok:
         raise VerificationError(

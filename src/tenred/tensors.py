@@ -204,20 +204,20 @@ def verify_decomposition(T: Tensor3, D: Decomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dims != T.dims:
         raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
-    total = sum_decomposition_raw(D)
-    if total == T.entries:
+    return first_mismatch(T.entries, sum_decomposition_raw(D), T.ring)
+
+
+def first_mismatch(want: dict, got: dict, ring: RingDescriptor):
+    """(ok, first mismatch) of two sparse raw-value maps over ``ring``.
+
+    The mismatch, when present, is (key, expected, actual) at the smallest
+    key where the maps disagree, an absent key reading as zero.
+    """
+    if got == want:
         return True, None
-    for key in sorted(set(total) | set(T.entries)):
-        want = T.entries.get(key)
-        got = total.get(key)
-        if want != got:
-            z = zero(T.ring)
-            return False, (
-                key,
-                z if want is None else Scalar(T.ring, want),
-                z if got is None else Scalar(T.ring, got),
-            )
-    return True, None
+    key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    z = zero(ring).value
+    return False, (key, Scalar(ring, want.get(key, z)), Scalar(ring, got.get(key, z)))
 
 
 @dataclass(frozen=True)
@@ -259,31 +259,6 @@ def build_derksen(B: IncompleteMatrix) -> DerksenInstance:
         raw[(i, j, t)] = one_raw
     tensor = Tensor3._from_raw(B.ring, (B.nrows, B.ncols, tau + 1), raw)
     return DerksenInstance(tensor, tau, stars, B)
-
-
-def instance_source(
-    tensor: Tensor3,
-    star_map,
-    row_labels=None,
-    col_labels=None,
-    system=None,
-) -> IncompleteMatrix:
-    """Rebuild the incomplete matrix a star-slice tensor came from.
-
-    Slice 0 holds every specified value (stars were zeroed there), and
-    star_map says which positions were stars, so the reconstruction is
-    exact.
-    """
-    n1, n2, _ = tensor.dims
-    grid: list[list[object]] = [[0] * n2 for _ in range(n1)]
-    for (i, j, z), v in tensor.entries.items():
-        if z == 0:
-            grid[i][j] = v
-    for i, j in star_map:
-        if grid[i][j] != 0:
-            raise StructureError(f"star position ({i},{j}) holds a value in slice 0")
-        grid[i][j] = None
-    return IncompleteMatrix._from_raw(tensor.ring, grid, row_labels, col_labels, system)
 
 
 def derksen_witness(

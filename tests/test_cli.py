@@ -3,8 +3,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tenred import cli, sigma, symmetric
+from tenred import certify, sigma, symmetric
 from tenred.cli import main
 from tenred.jsonio import (
     canonical_dumps,
@@ -405,7 +407,7 @@ def test_verify_rejects_oversized_tensor_witness(tmp_path, capsys):
     forgedf = _write(tmp_path / "forged.json", canonical_dumps(forged))
     assert len(spare) == 2
     assert main(["verify", forgedf, str(bigger)]) == 2
-    assert "not the star-slice tensor of its matrix" in capsys.readouterr().err
+    assert "dims [19,19,132] differs from the instance's [19,19,130]" in capsys.readouterr().err
 
 
 def test_symmetric_witness_exits_4_on_corrupt_pieces(empty_gf11_symmetric, tmp_path, monkeypatch, capsys):
@@ -437,7 +439,7 @@ def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
     assert main(["witness", str(instf), "--solution", "0", "--out", str(tmp_path / "w.json")]) == 0
     assert "rank: 3" in capsys.readouterr().err
 
-    real = cli.completion_witness
+    real = certify.completion_witness
 
     def broken_unit_block(F, point, B=None):
         W = real(F, point, B=B)
@@ -446,13 +448,14 @@ def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
         rows[e][e] = Scalar(W.ring, 2)
         return type(W)(W.ring, rows)
 
-    monkeypatch.setattr(cli, "completion_witness", broken_unit_block)
+    monkeypatch.setattr(certify, "completion_witness", broken_unit_block)
     assert main(["witness", str(instf), "--solution", "0", "--out", str(tmp_path / "x.json")]) == 4
     assert "not the identity at the unit labels" in capsys.readouterr().err
 
 
 def test_reduce_computes_sigma_once(tmp_path, monkeypatch):
     sysf = _write_system(tmp_path / "sys.json", ["x1"], 1, GF(2))
+    instf, witf = str(tmp_path / "inst.json"), str(tmp_path / "wit.json")
     real = sigma.sigma_system
     calls = []
 
@@ -461,9 +464,17 @@ def test_reduce_computes_sigma_once(tmp_path, monkeypatch):
         return real(F)
 
     monkeypatch.setattr(sigma, "sigma_system", counting)
-    monkeypatch.setattr(cli, "sigma_system", counting)
-    assert main(["reduce", "completion", sysf, "--out", str(tmp_path / "inst.json")]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(certify, "sigma_system", counting)
+    # reduce builds sigma once; witness and verify each rebuild the
+    # instance from its system, once
+    for argv in (
+        ["reduce", "completion", sysf, "--out", instf],
+        ["witness", instf, "--solution", "0", "--out", witf],
+        ["verify", instf, witf],
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 # SHA-256 of the completion witness of {x1} over Q at x1 = 0; any drift in
@@ -545,11 +556,11 @@ def _witness_ring_not_a_string(inst, wit):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        pytest.param(_grid_not_a_list, "grid must be a nonempty list of nonempty rows", id="grid"),
+        pytest.param(_grid_not_a_list, "grid 5 differs from the instance's", id="grid"),
         pytest.param(_matrix_rows_not_lists, "matrix rows must be lists, got int", id="rows"),
         pytest.param(_polynomials_not_a_list, "polynomials must be a list of strings", id="polynomials"),
         pytest.param(_labels_not_a_list, "labels must be a list of string triples", id="labels"),
-        pytest.param(_label_not_strings, "label must be a string triple, got [5, '1', '1']", id="label"),
+        pytest.param(_label_not_strings, 'labels [[5,"1","1"],', id="label"),
         pytest.param(_ragged_matrix, "ragged matrix: row 3 has 97 cells, row 0 has 98", id="ragged"),
         pytest.param(_witness_ring_missing, "missing field 'ring'", id="ring"),
         pytest.param(_witness_ring_not_a_string, "ring must be a string, got int", id="ring-type"),
@@ -572,3 +583,116 @@ def test_ring_beyond_the_primality_bound_exits_2(tmp_path, capsys):
     # first 13 prime bases is a proof, so it is refused rather than guessed
     assert main(["encode-3sat", cnf, "--ring", f"gf:{2**89 - 1}"]) == 2
     assert "too large" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def x1_gf2_tensor(tmp_path_factory):
+    """Instance and witness files of {x1} over GF(2), tensor stage (19 labels)."""
+    d = tmp_path_factory.mktemp("x1_gf2")
+    sysf = _write_system(d / "sys.json", ["x1"], 1, GF(2))
+    instf, witf = d / "inst.json", d / "wit.json"
+    assert main(["reduce", "tensor", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(witf)]) == 0
+    return instf, witf
+
+
+def _edited(instf, path, edit):
+    inst = json.loads(instf.read_text())
+    edit(inst)
+    return _write(path, canonical_dumps(inst))
+
+
+def test_edited_system_is_refused(x1_q_completion, empty_gf11_symmetric, tmp_path, capsys):
+    # an instance is accepted only as the reduction of its own system, so a
+    # stored system that no longer matches the rest of the file is refused
+    # by witness and by verify, before any witness is built or summed
+    sysf = _write_system(tmp_path / "sys.json", ["x1", "x1^2 + x1"], 1, GF(2))
+    tinst, twit = tmp_path / "t.json", tmp_path / "tw.json"
+    assert main(["reduce", "tensor", sysf, "--out", str(tinst)]) == 0
+    assert main(["witness", str(tinst), "--solution", "0", "--out", str(twit)]) == 0
+    cases = [  # alter, drop, and add (a constant is no polynomial of a system)
+        (*x1_q_completion, "0", lambda system: system.update(polynomials=["x1 - 1"])),
+        (tinst, twit, "0", lambda system: system["polynomials"].pop()),
+        (*empty_gf11_symmetric, "", lambda system: system.update(num_vars=1, polynomials=["x1"])),
+    ]
+    for k, (instf, witf, solution, edit) in enumerate(cases):
+        badf = _edited(instf, tmp_path / f"edited{k}.json", lambda inst: edit(inst["system"]))
+        capsys.readouterr()
+        assert main(["verify", badf, str(witf)]) == 2
+        assert main(["witness", badf, "--solution", solution, "--out", str(tmp_path / "w.json")]) == 2
+        captured = capsys.readouterr()
+        assert "verified" not in captured.out
+        assert "reduction of its system" in captured.err
+        assert not (tmp_path / "w.json").exists()
+
+
+def _no_sigma(F):
+    raise AssertionError("sigma_system called")
+
+
+def test_reduce_guards_the_label_count_before_sigma(tmp_path, monkeypatch, capsys):
+    sysf = _write_system(tmp_path / "sys.json", ["x1^99999999"], 1, QQ)
+    monkeypatch.setattr(certify, "sigma_system", _no_sigma)
+    assert main(["reduce", "completion", sysf]) == 3
+    assert "label count (lower bound) > bound 5000" in capsys.readouterr().err
+
+
+def test_verify_guards_the_rebuild_before_sigma(x1_q_completion, tmp_path, monkeypatch, capsys):
+    instf, witf = x1_q_completion
+    badf = _edited(instf, tmp_path / "big.json", lambda inst: inst["system"].update(polynomials=["x1^99999999"]))
+    monkeypatch.setattr(certify, "sigma_system", _no_sigma)
+    capsys.readouterr()
+    assert main(["verify", badf, str(witf)]) == 2
+    assert "labels is not the reduction of its system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("star_map", [1, 2, 3]), ("entries", 5)], ids=["star_map", "entries"]
+)
+def test_verify_malformed_tensor_instance_exits_2(x1_gf2_tensor, tmp_path, capsys, field, value):
+    instf, witf = x1_gf2_tensor
+    badf = _edited(instf, tmp_path / "bad.json", lambda inst: inst.update({field: value}))
+    capsys.readouterr()
+    assert main(["verify", badf, str(witf)]) == 2
+    stored = canonical_dumps(value).strip()
+    assert f"{field} {stored} differs from the instance's" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_star_holding_a_slice_0_value(x1_gf2_tensor, tmp_path, capsys):
+    instf, witf = x1_gf2_tensor
+
+    def fill_star(inst):
+        i, j = inst["star_map"][0]
+        inst["entries"] = sorted(inst["entries"] + [[i, j, 0, "1"]])
+
+    badf = _edited(instf, tmp_path / "bad.json", fill_star)
+    capsys.readouterr()
+    assert main(["verify", badf, str(witf)]) == 2
+    assert "entries " in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 200) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=40, database=None)
+@given(data=st.data())
+def test_instance_field_mutations_exit_2(x1_gf2_tensor, empty_gf11_symmetric, data):
+    # any change to one top-level field but kind (a file relabelled as a
+    # bare tensor is another, legitimate input) is refused as input
+    instf, witf = data.draw(st.sampled_from([x1_gf2_tensor, empty_gf11_symmetric]))
+    inst = json.loads(instf.read_text())
+    action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "add":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in inst))
+        inst[key] = data.draw(_JSON)
+    else:
+        key = data.draw(st.sampled_from(sorted(k for k in inst if k != "kind")))
+        old = canonical_dumps(inst.pop(key))
+        if action == "replace":
+            inst[key] = data.draw(_JSON.filter(lambda v: canonical_dumps(v) != old))
+    mutated = _write(instf.parent / "mutated.json", canonical_dumps(inst))
+    assert main(["verify", mutated, str(witf)]) == 2

@@ -3,22 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from tenred.certify import read_instance
 from tenred.errors import ParseError
 from tenred.jsonio import (
     assignment_from_json,
     assignment_to_json,
     canonical_dumps,
     completion_instance_file,
-    completion_instance_parse,
     completion_witness_file,
     loads,
-    matrix_from_json,
     matrix_to_json,
     polysystem_file,
+    raw_matrix_from_json,
     sym_decomposition_from_json,
     sym_decomposition_to_json,
     symmetric_instance_file,
-    symmetric_instance_parse,
     symmetric_witness_file,
     symmetric_witness_parse,
     symtensor_file,
@@ -27,7 +26,6 @@ from tenred.jsonio import (
     system_to_json,
     tensor_file,
     tensor_instance_file,
-    tensor_instance_parse,
     tensor_parse,
     tensor_witness_file,
     tensor_witness_parse,
@@ -94,9 +92,9 @@ def test_matrix_round_trip():
     m = DenseMatrix.from_ints(GF(5), [[1, 7], [-1, 0]])
     data = matrix_to_json(m)
     assert data == [["1", "2"], ["4", "0"]]
-    assert matrix_from_json(GF(5), data) == m
+    assert raw_matrix_from_json(GF(5), data) == m.raw_rows()
     with pytest.raises(ParseError):
-        matrix_from_json(GF(5), [])
+        raw_matrix_from_json(GF(5), [])
 
 
 def test_matrix_json_over_q_reads_each_spelling_once():
@@ -105,13 +103,13 @@ def test_matrix_json_over_q_reads_each_spelling_once():
     data = matrix_to_json(m)
     assert data == [["-3/4", "2"], ["0", "7/5"]]
     assert data == [[str(s) for s in r] for r in m.rows]
-    assert matrix_from_json(QQ, data) == m
-    # equal spellings share one Scalar; different spellings of one value
+    assert raw_matrix_from_json(QQ, data) == m.raw_rows()
+    # equal spellings share one value; different spellings of one value
     # are each read, and both read to that value
-    back = matrix_from_json(QQ, [["1/2", "2/4"], [" 1/2", "1/2"]])
-    assert back.rows[0][0] is back.rows[1][1]
-    assert back.rows[0][0] is not back.rows[0][1]
-    assert {s.value for r in back.rows for s in r} == {Fraction(1, 2)}
+    back = raw_matrix_from_json(QQ, [["1/2", "2/4"], [" 1/2", "1/2"]])
+    assert back[0][0] is back[1][1]
+    assert back[0][0] is not back[0][1]
+    assert {v for r in back for v in r} == {Fraction(1, 2)}
     for bad in (
         [["1", 2]],
         [["1", None]],
@@ -124,7 +122,7 @@ def test_matrix_json_over_q_reads_each_spelling_once():
         5,
     ):
         with pytest.raises(ParseError):
-            matrix_from_json(QQ, bad)
+            raw_matrix_from_json(QQ, bad)
 
 
 def test_system_round_trip():
@@ -155,7 +153,7 @@ def test_completion_instance_round_trip():
     obj = completion_instance_file(B)
     assert obj["tau"] == B.tau
     text = canonical_dumps(obj)
-    back = completion_instance_parse(loads(text))
+    back = read_instance(loads(text)).B
     assert back.raw_grid == B.raw_grid
     assert back.row_labels == B.row_labels
     assert back.system == F
@@ -177,7 +175,7 @@ def test_completion_witness_file_shape():
     obj = completion_witness_file(pt, W)
     assert obj["kind"] == "completion_witness"
     assert obj["assignment"] == ["0"]
-    assert matrix_from_json(GF(11), obj["matrix"]) == W
+    assert raw_matrix_from_json(GF(11), obj["matrix"]) == W.raw_rows()
 
 
 def test_tensor_round_trip():
@@ -203,7 +201,10 @@ def test_tensor_instance_round_trip():
     obj = tensor_instance_file(inst, B)
     assert obj["target_rank"] == inst.tau + 3
     text = canonical_dumps(obj)
-    back, F2 = tensor_instance_parse(loads(text))
+    red = read_instance(loads(text))
+    back, F2 = red.inst, red.B.system
+    assert red.tensor == inst.tensor
+    assert red.target_rank == inst.target_rank
     assert back.tensor == inst.tensor
     assert back.tau == inst.tau
     assert back.star_map == inst.star_map
@@ -222,10 +223,10 @@ def test_tensor_instance_rejects_inconsistency():
     obj = tensor_instance_file(inst, B)
     bad = dict(obj, tau=obj["tau"] + 1)
     with pytest.raises(ParseError):
-        tensor_instance_parse(bad)
+        read_instance(bad)
     bad2 = dict(obj, labels=obj["labels"][:-1])
     with pytest.raises(ParseError):
-        tensor_instance_parse(bad2)
+        read_instance(bad2)
 
 
 def test_tensor_witness_round_trip():
@@ -275,7 +276,7 @@ def test_symmetric_witness_round_trip():
 
 
 def _symmetric_instance(ring):
-    F = _system(["x1"], 1, ring)
+    F = _system([], 0, ring)
     B = build_B(F, guard=None)
     inst = build_derksen(B)
     m = max(inst.tensor.dims)
@@ -286,11 +287,13 @@ def _symmetric_instance(ring):
 
 
 def test_symmetric_instance_round_trip():
-    ring = GF(2)
+    ring = GF(11)
     F, B, inst, m, S, target = _symmetric_instance(ring)
     obj = symmetric_instance_file(S, target, m, inst, B)
     text = canonical_dumps(obj)
-    S2, target2, m2, inst2, F2 = symmetric_instance_parse(loads(text))
+    red = read_instance(loads(text))
+    S2, target2, inst2, F2 = red.tensor, red.target_rank, red.inst, red.B.system
+    m2 = max(inst2.tensor.dims)
     assert S2 == S
     assert target2 == target
     assert m2 == m
@@ -303,13 +306,13 @@ def test_symmetric_instance_round_trip():
 
 
 def test_symmetric_instance_rejects_bad_sizes():
-    ring = GF(2)
+    ring = GF(11)
     F, B, inst, m, S, target = _symmetric_instance(ring)
     obj = symmetric_instance_file(S, target, m, inst, B)
     with pytest.raises(ParseError):
-        symmetric_instance_parse(dict(obj, payload_size=m + 1))
+        read_instance(dict(obj, payload_size=m + 1))
     with pytest.raises(ParseError):
-        symmetric_instance_parse(dict(obj, tau=inst.tau + 1))
+        read_instance(dict(obj, tau=inst.tau + 1))
 
 
 def test_scalar_strings_reject_floats():

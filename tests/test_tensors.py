@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tenred.errors import RingMismatchError, StructureError, VerificationError
+from tenred.errors import RingMismatchError, VerificationError
 from tenred.linalg import DenseMatrix, Vec
 from tenred.polysys import Assignment, PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar, one
@@ -13,7 +13,6 @@ from tenred.tensors import (
     Tensor3,
     build_derksen,
     derksen_witness,
-    instance_source,
     pad_cubical,
     slice_matrix,
     slice_reduce,
@@ -152,29 +151,6 @@ def test_build_derksen_star_order_row_major():
     assert inst.tensor.entry(0, 0, 1).is_one
     assert inst.tensor.entry(1, 1, 2).is_one
     assert inst.tensor.dims == (2, 2, 3)
-
-
-def test_instance_source_round_trip():
-    ring = GF(7)
-    B = IncompleteMatrix(
-        ring,
-        [[Scalar(ring, 4), None, Scalar(ring, 0)], [None, Scalar(ring, 1), Scalar(ring, 6)]],
-    )
-    inst = build_derksen(B)
-    back = instance_source(inst.tensor, inst.star_map)
-    assert back.raw_grid == B.raw_grid
-    assert back.star_positions == B.star_positions
-
-    broken = Tensor3(
-        ring,
-        inst.tensor.dims,
-        dict(
-            list({k: Scalar(ring, v) for k, v in inst.tensor.entries.items()}.items())
-            + [((0, 1, 0), Scalar(ring, 5))]
-        ),
-    )
-    with pytest.raises(StructureError):
-        instance_source(broken, inst.star_map)
 
 
 def _gadget_pipeline(ring, poly, solution):
