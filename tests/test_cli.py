@@ -596,6 +596,32 @@ def x1_gf2_tensor(tmp_path_factory):
     return instf, witf
 
 
+# SHA-256 of the tensor witnesses of {x1} at x1 = 0, over GF(2) and over Q;
+# the Q one spells its values as Fractions and negates the completed value
+# of every star, so drift in either changes it
+X1_TENSOR_WITNESS_SHA256 = {
+    "x1_gf2_tensor": "d4ffeb250b9992968ea61e255ec283a449c29d8e1f71fd507482c55455114fe0",
+    "x1_q_tensor": "6f0269d5785aecd31ef5114e26ffb3eea6dda09325bd7c7966e7a46a1f7397f6",
+}
+
+
+@pytest.fixture(scope="module")
+def x1_q_tensor(tmp_path_factory):
+    """Instance and witness files of {x1} over Q, tensor stage (98 labels)."""
+    d = tmp_path_factory.mktemp("x1_q_tensor")
+    sysf = _write_system(d / "sys.json", ["x1"], 1, QQ)
+    instf, witf = d / "inst.json", d / "wit.json"
+    assert main(["reduce", "tensor", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(witf)]) == 0
+    return instf, witf
+
+
+@pytest.mark.parametrize("fixture", sorted(X1_TENSOR_WITNESS_SHA256))
+def test_tensor_witness_bytes_pinned(fixture, request):
+    _, witf = request.getfixturevalue(fixture)
+    assert hashlib.sha256(witf.read_bytes()).hexdigest() == X1_TENSOR_WITNESS_SHA256[fixture]
+
+
 def _edited(instf, path, edit):
     inst = json.loads(instf.read_text())
     edit(inst)
