@@ -71,21 +71,29 @@ def _scalar(ring: RingDescriptor, text) -> Scalar:
 
 
 def vec_to_json(v: Vec) -> list:
-    return [[i, str(s)] for i, s in v.items()]
+    return [[i, str(x)] for i, x in sorted(v.nz.items())]
 
 
-def vec_from_json(ring: RingDescriptor, n: int, data) -> Vec:
+def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) -> Vec:
+    """A length-n vector from [index, "value"] pairs; a caller reading many
+    vectors passes one ``seen`` map, so each distinct spelling is parsed once."""
     if not isinstance(data, list):
         raise ParseError("sparse vector must be a list of [index, value] pairs", 0)
+    if n < 0:
+        raise ParseError("negative length", 0)
+    if seen is None:
+        seen = {}
     nz = {}
     for pair in data:
         if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], int):
             raise ParseError(f"bad sparse vector entry {pair!r}", 0)
-        nz[pair[0]] = _scalar(ring, pair[1])
-    try:
-        return Vec(ring, n, nz)
-    except ValueError as e:
-        raise ParseError(str(e), 0) from e
+        i, v = pair
+        if not isinstance(v, str) or v not in seen:
+            seen[v] = _scalar(ring, v).value  # refuses all but strings
+        if not 0 <= i < n:
+            raise ParseError(f"index {i} out of range for length {n}", 0)
+        nz[i] = seen[v]
+    return Vec._from_raw(ring, n, {i: v for i, v in nz.items() if v})
 
 
 def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
@@ -299,18 +307,25 @@ def decomposition_to_json(D: Decomposition) -> list:
     ]
 
 
-def decomposition_from_json(ring: RingDescriptor, dims, data) -> Decomposition:
-    terms = []
+def _terms_of(data) -> list:
+    if not isinstance(data, list):
+        raise ParseError("terms must be a list of objects", 0)
     for item in data:
         if not isinstance(item, dict):
             raise ParseError("decomposition terms must be objects", 0)
-        terms.append(
-            Rank1Term(
-                vec_from_json(ring, dims[0], _need(item, "a")),
-                vec_from_json(ring, dims[1], _need(item, "b")),
-                vec_from_json(ring, dims[2], _need(item, "c")),
-            )
+    return data
+
+
+def decomposition_from_json(ring: RingDescriptor, dims, data) -> Decomposition:
+    seen: dict = {}
+    terms = [
+        Rank1Term(
+            vec_from_json(ring, dims[0], _need(item, "a"), seen),
+            vec_from_json(ring, dims[1], _need(item, "b"), seen),
+            vec_from_json(ring, dims[2], _need(item, "c"), seen),
         )
+        for item in _terms_of(data)
+    ]
     try:
         return Decomposition(ring, tuple(dims), terms)
     except ValueError as e:
@@ -336,13 +351,11 @@ def sym_decomposition_to_json(D: SymDecomposition) -> list:
 
 
 def sym_decomposition_from_json(ring: RingDescriptor, dim: int, data) -> SymDecomposition:
-    terms = []
-    for item in data:
-        if not isinstance(item, dict):
-            raise ParseError("decomposition terms must be objects", 0)
-        terms.append(
-            SymTerm(_scalar(ring, _need(item, "s")), vec_from_json(ring, dim, _need(item, "v")))
-        )
+    seen: dict = {}
+    terms = [
+        SymTerm(_scalar(ring, _need(item, "s")), vec_from_json(ring, dim, _need(item, "v"), seen))
+        for item in _terms_of(data)
+    ]
     try:
         return SymDecomposition(ring, dim, terms)
     except ValueError as e:

@@ -173,24 +173,38 @@ def inverse_3x3(m: DenseMatrix) -> DenseMatrix:
 
 
 class Vec:
-    """An immutable sparse vector of scalars; absent indices are zero."""
+    """An immutable sparse vector over one ring; absent indices are zero.
+
+    ``nz`` maps each index holding a nonzero entry to its canonical raw
+    value, as ``Tensor3.entries`` does; ``get``, ``items`` and ``dense``
+    wrap the values in ``Scalar``.
+    """
 
     __slots__ = ("ring", "n", "nz")
 
     def __init__(self, ring: RingDescriptor, n: int, nz: dict[int, Scalar] | None = None):
         if n < 0:
             raise ValueError("negative length")
-        cleaned: dict[int, Scalar] = {}
+        raw: dict[int, object] = {}
         for i, s in (nz or {}).items():
             if not 0 <= i < n:
                 raise ValueError(f"index {i} out of range for length {n}")
             if s.ring != ring:
                 raise RingMismatchError("vector entry over a different ring")
             if not s.is_zero:
-                cleaned[i] = s
+                raw[i] = s.value
         self.ring = ring
         self.n = n
-        self.nz = cleaned
+        self.nz = raw
+
+    @classmethod
+    def _from_raw(cls, ring: RingDescriptor, n: int, raw: dict[int, object]) -> "Vec":
+        """A vector on trusted input: indices in range, values canonical and nonzero."""
+        obj = cls.__new__(cls)
+        obj.ring = ring
+        obj.n = n
+        obj.nz = raw
+        return obj
 
     @classmethod
     def from_dense(cls, ring: RingDescriptor, values: Iterable[Scalar]) -> "Vec":
@@ -202,35 +216,33 @@ class Vec:
         return cls(ring, n, {i: value if value is not None else one(ring)})
 
     def get(self, i: int) -> Scalar:
-        return self.nz.get(i, zero(self.ring))
+        return Scalar(self.ring, self.nz.get(i, 0))
 
     def items(self) -> list[tuple[int, Scalar]]:
-        return sorted(self.nz.items())
+        return [(i, Scalar(self.ring, v)) for i, v in sorted(self.nz.items())]
 
     def dense(self) -> list[Scalar]:
-        z = zero(self.ring)
-        out = [z] * self.n
-        for i, v in self.nz.items():
-            out[i] = v
-        return out
+        return [self.get(i) for i in range(self.n)]
 
     def scale(self, s: Scalar) -> "Vec":
-        return Vec(self.ring, self.n, {i: v * s for i, v in self.nz.items()})
+        if s.ring != self.ring:
+            raise RingMismatchError(f"ring mismatch: {self.ring} vs {s.ring}")
+        sv = s.value
+        return Vec._from_raw(self.ring, self.n, self.ring.canon_map({i: v * sv for i, v in self.nz.items()}))
 
     def add(self, other: "Vec") -> "Vec":
         if self.ring != other.ring or self.n != other.n:
             raise ValueError("vector shape or ring mismatch")
         out = dict(self.nz)
         for i, v in other.nz.items():
-            w = out.get(i)
-            out[i] = v if w is None else w + v
-        return Vec(self.ring, self.n, out)
+            out[i] = out.get(i, 0) + v
+        return Vec._from_raw(self.ring, self.n, self.ring.canon_map(out))
 
     def pad(self, n: int) -> "Vec":
         """The same vector viewed in a longer ambient space."""
         if n < self.n:
             raise ValueError("cannot shrink a vector")
-        return Vec(self.ring, n, dict(self.nz))
+        return Vec._from_raw(self.ring, n, self.nz)
 
     @property
     def is_zero(self) -> bool:

@@ -42,11 +42,10 @@ class Monomial:
         return sum(e for _, e in self.exponents)
 
 
-def _grlex_key(exponents: Exponents, num_vars: int) -> tuple:
-    dense = [0] * num_vars
-    for var, exp in exponents:
-        dense[var] = exp
-    return (sum(dense), tuple(dense))
+def _grlex_key(exponents: Exponents) -> tuple:
+    """Total degree, then the exponent vector with x1 heaviest, compared on
+    the sparse list (sorted by variable, exponents >= 1) without building it."""
+    return (sum(e for _, e in exponents), tuple((-var, exp) for var, exp in exponents))
 
 
 class Polynomial:
@@ -63,7 +62,7 @@ class Polynomial:
                 raise RingMismatchError("monomial over a different ring")
             if t.exponents and t.exponents[-1][0] >= num_vars:
                 raise ValueError("variable index out of range")
-            key = _grlex_key(t.exponents, num_vars)
+            key = _grlex_key(t.exponents)
             if prev_key is not None and key >= prev_key:
                 raise ValueError("terms not in graded-lex descending order")
             prev_key = key
@@ -82,7 +81,7 @@ class Polynomial:
             for exps, coeff in term_map.items()
             if not coeff.is_zero
         ]
-        items.sort(key=lambda it: _grlex_key(it[0], num_vars), reverse=True)
+        items.sort(key=lambda it: _grlex_key(it[0]), reverse=True)
         return cls(ring, num_vars, [Monomial(c, e) for e, c in items])
 
     @classmethod
@@ -195,7 +194,7 @@ class Polynomial:
         """
         if self._sort_key is None:
             self._sort_key = tuple(
-                (_grlex_key(t.exponents, self.num_vars), t.coefficient.sort_key())
+                (_grlex_key(t.exponents), t.coefficient.sort_key())
                 for t in self.terms
             )
         return self._sort_key

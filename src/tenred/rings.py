@@ -1,10 +1,17 @@
 """Exact scalars over the integers, the rationals, and prime fields GF(p).
 
-Values are kept canonical at all times: rationals in lowest terms with a
-positive denominator (as ``fractions.Fraction`` guarantees), prime-field
-residues in ``[0, p)``.  Ranks and inverses elsewhere in the package are
-always taken over the fraction field of the ring, so exactness is preserved
-end to end.
+Values are kept canonical at all times: integers as ``int``, rationals as
+``fractions.Fraction`` (lowest terms, positive denominator), prime-field
+residues as ``int`` in ``[0, p)``.  Ranks and inverses elsewhere in the
+package are always taken over the fraction field of the ring, so exactness
+is preserved end to end.
+
+Containers (``Vec``, ``Tensor3``, ``SymTensor``, ``IncompleteMatrix``) hold
+canonical raw values, the zeros of sparse ones omitted, and wrap them in a
+``Scalar`` only at their accessors.  Arithmetic inside the package works on
+raw values and makes them canonical through ``RingDescriptor.canon`` (one
+value) or ``RingDescriptor.canon_map`` (a sparse map); those two methods
+are the only place a value is reduced.
 """
 
 from __future__ import annotations
@@ -65,6 +72,25 @@ class RingDescriptor:
         """Number of elements for finite fields, None for infinite rings."""
         return self.modulus if self.kind == PRIME_FIELD else None
 
+    def canon(self, v):
+        """The canonical raw value of v, a ring element written as an int or
+        Fraction: v mod p over GF(p), a Fraction over Q."""
+        if self.kind == PRIME_FIELD:
+            return v % self.modulus
+        if self.kind == RATIONALS:
+            return v if isinstance(v, Fraction) else Fraction(v)
+        if not isinstance(v, int):
+            raise ValueError(f"integer ring cannot hold {v!r}")
+        return v
+
+    def canon_map(self, acc: dict) -> dict:
+        """A sparse map of raw values made canonical, its zeros dropped."""
+        if self.kind == PRIME_FIELD:
+            p = self.modulus
+            return {k: r for k, v in acc.items() if (r := v % p)}
+        canon = self.canon
+        return {k: r for k, v in acc.items() if (r := canon(v))}
+
     def __str__(self) -> str:
         if self.kind == INTEGERS:
             return "Z"
@@ -108,15 +134,7 @@ class Scalar:
     value: int | Fraction
 
     def __post_init__(self) -> None:
-        kind = self.ring.kind
-        if kind == PRIME_FIELD:
-            object.__setattr__(self, "value", int(self.value) % self.ring.modulus)
-        elif kind == RATIONALS:
-            if not isinstance(self.value, Fraction):
-                object.__setattr__(self, "value", Fraction(self.value))
-        else:
-            if not isinstance(self.value, int):
-                raise ValueError(f"integer ring cannot hold {self.value!r}")
+        object.__setattr__(self, "value", self.ring.canon(self.value))
 
     def _check(self, other: "Scalar") -> None:
         if self.ring != other.ring:

@@ -11,7 +11,6 @@ whose rank-3 completions correspond exactly to solutions of F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .linalg import DenseMatrix, inverse_3x3
 from .polysys import Assignment, Monomial, Polynomial, PolySystem, prefix_sums
-from .rings import PRIME_FIELD, QQ, RingDescriptor, Scalar, ZZ, one, zero
+from .rings import QQ, RingDescriptor, Scalar, ZZ, one
 
 
 def is_plus_minus_one(f: Polynomial) -> bool:
@@ -214,16 +213,14 @@ def build_H(sigma: SigmaSet, guard: int | None = 5000) -> list[Label]:
     return labels
 
 
-def _eval_raw(f: Polynomial, values, kind: str, p: int | None):
-    acc = None
+def _eval_raw(f: Polynomial, values, canon):
+    acc = 0
     for t in f.terms:
         term = t.coefficient.value
         for var, exp in t.exponents:
             term = term * values[var] ** exp
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return zero(f.ring).value
-    return acc % p if kind == PRIME_FIELD else acc
+        acc += term
+    return canon(acc)
 
 
 @dataclass(frozen=True)
@@ -240,7 +237,6 @@ class SymbolicU:
         for v in point.values:
             if v.ring != ring:
                 raise RingMismatchError("point over a different ring")
-        kind, p = ring.kind, ring.modulus
         cache: dict[Polynomial, object] = {}
         rows: list[list[Scalar]] = [[], [], []]
         for lab in self.labels:
@@ -248,7 +244,7 @@ class SymbolicU:
                 f = lab.coords[axis]
                 raw = cache.get(f)
                 if raw is None:
-                    raw = _eval_raw(f, values, kind, p)
+                    raw = _eval_raw(f, values, ring.canon)
                     cache[f] = raw
                 rows[axis].append(Scalar(ring, raw))
         return DenseMatrix(ring, rows)
@@ -356,9 +352,9 @@ class IncompleteMatrix:
             return self
         if self.ring != ZZ:
             raise ValueError(f"no entry map from {self.ring} to {ring}")
-        conv = (lambda v: v % ring.modulus) if ring.kind == PRIME_FIELD else Fraction
+        canon = ring.canon
         grid = [
-            [None if cell is None else conv(cell) for cell in row] for row in self.raw_grid
+            [None if cell is None else canon(cell) for cell in row] for row in self.raw_grid
         ]
         labels = None
         system = self.system.change_ring(ring) if self.system is not None else None
@@ -387,7 +383,7 @@ def _raw_term_map(f: Polynomial) -> dict:
     return {t.exponents: t.coefficient.value for t in f.terms}
 
 
-def _multiply_term_maps(fa: dict, fb: dict, kind: str, p: int | None) -> dict:
+def _multiply_term_maps(fa: dict, fb: dict, ring: RingDescriptor) -> dict:
     out: dict = {}
     for ea, va in fa.items():
         for eb, vb in fb.items():
@@ -401,9 +397,7 @@ def _multiply_term_maps(fa: dict, fb: dict, kind: str, p: int | None) -> dict:
             prod = va * vb
             cur = out.get(key)
             out[key] = prod if cur is None else cur + prod
-    if kind == PRIME_FIELD:
-        return {k: v % p for k, v in out.items() if v % p}
-    return {k: v for k, v in out.items() if v}
+    return ring.canon_map(out)
 
 
 def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = None) -> IncompleteMatrix:
@@ -419,7 +413,6 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
         sigma = sigma_system(F)
     labels = build_H(sigma, guard=guard)
     ring = F.ring
-    kind, p = ring.kind, ring.modulus
     elems = sigma.elements
     m = len(elems)
     tms = [_raw_term_map(f) for f in elems]
@@ -432,22 +425,19 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
     pw = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            tm = _multiply_term_maps(tms[i], tms[j], kind, p)
+            tm = _multiply_term_maps(tms[i], tms[j], ring)
             w = weights.setdefault(frozenset(tm.items()), 1 << 2 * len(weights))
             product[w] = tm
             pw[i][j] = pw[j][i] = w
     f_maps = [_raw_term_map(f) for f in F.polynomials]
-    zero_raw = zero(ring).value
+    zero_raw = ring.canon(0)
 
     def classify(*ws: int):
         merged: dict = {}
         for w in ws:
             for key, val in product[w].items():
                 merged[key] = merged.get(key, 0) + val
-        if kind == PRIME_FIELD:
-            nz = {k: v % p for k, v in merged.items() if v % p}
-        else:
-            nz = {k: v for k, v in merged.items() if v}
+        nz = ring.canon_map(merged)
         if not nz:
             return zero_raw
         if len(nz) == 1 and () in nz:
@@ -552,18 +542,13 @@ def completion_witness(
     ur = u.raw_rows()
     r0, r1, r2 = ur[0], ur[1], ur[2]
     n = B.ncols
-    kind, p = field.kind, field.modulus
+    canon = field.canon
     grid: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
         a0, a1, a2 = r0[i], r1[i], r2[i]
         row = grid[i]
         for j in range(i, n):
-            val = a0 * r0[j] + a1 * r1[j] + a2 * r2[j]
-            if kind == PRIME_FIELD:
-                val %= p
-            row[j] = val
-            if j != i:
-                grid[j][i] = val
+            row[j] = grid[j][i] = canon(a0 * r0[j] + a1 * r1[j] + a2 * r2[j])
     braw = B.raw_grid
     for i in range(n):
         gi, bi = grid[i], braw[i]
@@ -595,7 +580,7 @@ def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Ass
         raise RingMismatchError("factors over a different ring")
     if P.nrows != 3 or L.nrows != 3 or P.ncols != B.nrows or L.ncols != B.ncols:
         raise ValueError("factors must be 3 x |H|")
-    kind, p = ring.kind, ring.modulus
+    canon = ring.canon
     p0, p1, p2 = P.raw_rows()
     l0, l1, l2 = L.raw_rows()
     braw = B.raw_grid
@@ -606,9 +591,7 @@ def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Ass
             expect = bi[j]
             if expect is None:
                 continue
-            val = a0 * l0[j] + a1 * l1[j] + a2 * l2[j]
-            if kind == PRIME_FIELD:
-                val %= p
+            val = canon(a0 * l0[j] + a1 * l1[j] + a2 * l2[j])
             if val != expect:
                 raise VerificationError(
                     f"factors do not complete the matrix at ({i},{j}): "
@@ -624,10 +607,7 @@ def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Ass
     values = []
     for i in range(F.num_vars):
         col = B.label_position((unit, z, Polynomial.variable(ring, F.num_vars, i)))
-        y = w0 * l0[col] + w1 * l1[col] + w2 * l2[col]
-        if kind == PRIME_FIELD:
-            y %= p
-        values.append(Scalar(ring, y))
+        values.append(Scalar(ring, w0 * l0[col] + w1 * l1[col] + w2 * l2[col]))
     point = tuple(values)
     bad = F.first_violation(point)
     if bad is not None:

@@ -145,8 +145,7 @@ class SymTensor:
         return len(self.index_names)
 
     def entry(self, i: int, j: int, k: int) -> Scalar:
-        raw = self.entries.get(tuple(sorted((i, j, k))))
-        return zero(self.ring) if raw is None else Scalar(self.ring, raw)
+        return Scalar(self.ring, self.entries.get(tuple(sorted((i, j, k))), 0))
 
     def items(self) -> list[tuple[Key, Scalar]]:
         return [(key, Scalar(self.ring, v)) for key, v in sorted(self.entries.items())]
@@ -234,7 +233,7 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
     get = acc.get
     for t in D.terms:
         s = t.s.value
-        items = sorted((i, x.value) for i, x in t.v.nz.items())
+        items = sorted(t.v.nz.items())
         for a, (x, vx) in enumerate(items):
             sx = s * vx
             kx = x * area
@@ -245,14 +244,10 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
                 for z, vz in items[b:]:
                     key = kxy + z
                     acc[key] = get(key, 0) + sxy * vz
-    p = D.ring.modulus if D.ring.kind == PRIME_FIELD else None
     out: dict[Key, object] = {}
-    for key, v in acc.items():
-        if p is not None:
-            v %= p
-        if v:
-            x, yz = divmod(key, area)
-            out[(x, *divmod(yz, size))] = v
+    for key, v in D.ring.canon_map(acc).items():
+        x, yz = divmod(key, area)
+        out[(x, *divmod(yz, size))] = v
     return out
 
 
@@ -279,20 +274,6 @@ def embed_S(T: Tensor3) -> SymTensor:
     return SymTensor._from_raw(T.ring, block_names(n), raw)
 
 
-def pq_unit(pi: PairIndex, n: int, ring: RingDescriptor) -> DenseMatrix:
-    """Symmetric 0/1 matrix supported on the pair's block, 3n x 3n."""
-    if pi.q > n:
-        raise ValueError(f"pair {pi} outside 1..{n}")
-    ap = letter_offset(pi.letter, n) + pi.p - 1
-    aq = letter_offset(pi.letter, n) + pi.q - 1
-    z, o = zero(ring), one(ring)
-    rows = [[z] * (3 * n) for _ in range(3 * n)]
-    for r in (ap, aq):
-        for c in (ap, aq):
-            rows[r][c] = o
-    return DenseMatrix(ring, rows)
-
-
 def build_curly_T(S: SymTensor, n: int) -> SymTensor:
     """Adjoin one pair-unit slice per unordered index pair.
 
@@ -313,94 +294,6 @@ def build_curly_T(S: SymTensor, n: int) -> SymTensor:
         raw[(aq, aq, pos)] = one_raw
         pos += 1
     return SymTensor._from_raw(S.ring, S.index_names + padded_names(n)[3 * n:], raw)
-
-
-def monomial_transform(T: SymTensor, rho: Sequence[int], f: Sequence[Scalar]) -> SymTensor:
-    """Relabel indices by a permutation and rescale by a nonzero weight.
-
-    The image has entries f_i f_j f_k T(rho(i)|rho(j)|rho(k)); symmetric
-    ranks are preserved, and decompositions map through
-    transform_sym_decomposition with the same term count.
-    """
-    size = T.size
-    if sorted(rho) != list(range(size)):
-        raise ValueError("rho is not a permutation of the index positions")
-    if len(f) != size:
-        raise ValueError("weight vector length mismatch")
-    for s in f:
-        if s.ring != T.ring:
-            raise RingMismatchError("weight over a different ring")
-        if s.is_zero:
-            raise ValueError("weights must be nonzero")
-    inv = [0] * size
-    for i, target in enumerate(rho):
-        inv[target] = i
-    kind, p = T.ring.kind, T.ring.modulus
-    fraw = [s.value for s in f]
-    raw: dict[Key, object] = {}
-    for (a, b, c), v in T.entries.items():
-        x, y, z = sorted((inv[a], inv[b], inv[c]))
-        val = fraw[x] * fraw[y] * fraw[z] * v
-        raw[(x, y, z)] = val % p if kind == PRIME_FIELD else val
-    names = tuple(T.index_names[rho[i]] for i in range(size))
-    return SymTensor._from_raw(T.ring, names, raw)
-
-
-def transform_sym_decomposition(D: SymDecomposition, rho: Sequence[int], f: Sequence[Scalar]) -> SymDecomposition:
-    """Image of a decomposition under monomial_transform, term for term."""
-    terms = []
-    for t in D.terms:
-        nz = {i: f[i] * t.v.get(rho[i]) for i in range(D.dim)}
-        terms.append(SymTerm(t.s, Vec(D.ring, D.dim, nz)))
-    return SymDecomposition(D.ring, D.dim, terms)
-
-
-def scale_tensor(T: SymTensor, s: Scalar) -> SymTensor:
-    if s.ring != T.ring:
-        raise RingMismatchError("scale factor over a different ring")
-    if s.is_zero:
-        raise ValueError("scale factor must be nonzero")
-    kind, p = T.ring.kind, T.ring.modulus
-    sv = s.value
-    raw = {
-        k: (v * sv % p if kind == PRIME_FIELD else v * sv) for k, v in T.entries.items()
-    }
-    return SymTensor._from_raw(T.ring, T.index_names, raw)
-
-
-def scale_sym_decomposition(D: SymDecomposition, s: Scalar) -> SymDecomposition:
-    return SymDecomposition(D.ring, D.dim, [SymTerm(t.s * s, t.v) for t in D.terms])
-
-
-def is_twin(T: SymTensor, dup: int, orig: int) -> bool:
-    """Whether the slices at the two indices coincide entrywise."""
-    size = T.size
-    for y in range(size):
-        for z in range(y, size):
-            if T.entry(dup, y, z) != T.entry(orig, y, z):
-                return False
-    return True
-
-
-def remove_twin(T: SymTensor, dup: int, orig: int) -> SymTensor:
-    """Drop a duplicate index whose slices equal those of another index."""
-    if dup == orig:
-        raise ValueError("an index cannot be its own twin")
-    if not is_twin(T, dup, orig):
-        raise ValueError(f"index {dup} is not a twin of {orig}")
-    remap = {}
-    names = []
-    for i, name in enumerate(T.index_names):
-        if i == dup:
-            continue
-        remap[i] = len(names)
-        names.append(name)
-    raw = {}
-    for (a, b, c), v in T.entries.items():
-        if dup in (a, b, c):
-            continue
-        raw[(remap[a], remap[b], remap[c])] = v
-    return SymTensor._from_raw(T.ring, tuple(names), raw)
 
 
 def require_big_field(ring: RingDescriptor) -> None:
@@ -543,8 +436,7 @@ def sym_pair_decompose(u: Vec, w: Vec, a: Scalar) -> SymDecomposition:
     if u.is_zero:
         raise ValueError("u and w are linearly dependent (u = 0)")
     pivot = min(u.nz)
-    scale = w.get(pivot) * u.nz[pivot].inverse()
-    if w == u.scale(scale):
+    if w == u.scale(w.get(pivot) * u.get(pivot).inverse()):
         raise ValueError("u and w are linearly dependent")
     gadget = waring_gadget(a)
     terms = [
@@ -589,14 +481,15 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     ap, aq = off + pi.p - 1, off + pi.q - 1
     size = len(names)
 
-    w_nz: dict[int, Scalar] = {_pair_position(pi, n): one(ring)}
+    one_raw = one(ring).value
+    w_nz: dict[int, object] = {_pair_position(pi, n): one_raw}
     for letter in LETTERS:
         boff = letter_offset(letter, n)
         start = pi.q + 1 if letter == pi.letter else 1
-        for t in range(start, n + 1):
-            val = U.entry(ap, aq, boff + t - 1)
-            if not val.is_zero:
-                w_nz[boff + t - 1] = val
+        for z in range(boff + start - 1, boff + n):
+            val = U.entries.get(tuple(sorted((ap, aq, z))))
+            if val is not None:
+                w_nz[z] = val
 
     raw: dict[Key, object] = {}
     for r in (ap, aq):
@@ -605,14 +498,13 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
             for z, val in w_nz.items():
                 key = tuple(sorted((lo, hi, z)))
                 prev = raw.get(key)
-                if prev is not None and prev != val.value:
+                if prev is not None and prev != val:
                     raise StructureError(f"inconsistent correction entry at {key}")
-                if not val.is_zero:
-                    raw[key] = val.value
+                raw[key] = val
     tensor = SymTensor._from_raw(ring, names, raw)
 
-    u = Vec(ring, size, {ap: one(ring), aq: one(ring)})
-    w = Vec(ring, size, w_nz)
+    u = Vec._from_raw(ring, size, {ap: one_raw, aq: one_raw})
+    w = Vec._from_raw(ring, size, w_nz)
     deco = sym_pair_decompose(u, w, zero(ring))
     if check:
         ok, mismatch = verify_symmetric_decomposition(tensor, deco)
@@ -630,7 +522,6 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
     require_big_field(U.ring)
     check_mixed_block_zero(U, n)
     ring = U.ring
-    kind, p = ring.kind, ring.modulus
     size = padded_size(n)
     terms: list[SymTerm] = []
     l_total: dict[Key, object] = {}
@@ -647,14 +538,10 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
     for key, v in l_total.items():
         cur = phi.get(key)
         phi[key] = -v if cur is None else cur - v
-    if kind == PRIME_FIELD:
-        phi = {k: v % p for k, v in phi.items() if v % p}
-    else:
-        phi = {k: v for k, v in phi.items() if v}
 
     diag: dict[int, object] = {}
-    off_diag: dict[int, dict[int, Scalar]] = {}
-    for (x, y, z), v in phi.items():
+    off_diag: dict[int, dict[int, object]] = {}
+    for (x, y, z), v in ring.canon_map(phi).items():
         if x == y == z:
             u_idx, other = x, None
         elif x == y:
@@ -672,11 +559,11 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
         if other is None:
             diag[u_idx] = v
         else:
-            off_diag.setdefault(u_idx, {})[other] = Scalar(ring, v)
+            off_diag.setdefault(u_idx, {})[other] = v
 
     for u_idx in range(3 * n):
-        a = Scalar(ring, diag[u_idx]) if u_idx in diag else zero(ring)
-        m = Vec(ring, size, off_diag.get(u_idx, {}))
+        a = Scalar(ring, diag.get(u_idx, 0))
+        m = Vec._from_raw(ring, size, off_diag.get(u_idx, {}))
         if a.is_zero and m.is_zero:
             continue
         piece = sym_pair_decompose(Vec.unit(ring, size, u_idx), m, a)
@@ -726,19 +613,14 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
             f"decomposition does not sum to the tensor at {mismatch[0]}"
         )
     ring = T.ring
-    kind, p = ring.kind, ring.modulus
     size = padded_size(n)
     terms: list[SymTerm] = []
     for t in D.terms:
-        nz: dict[int, Scalar] = {}
-        for i, v in t.a.items():
-            nz[i] = v
-        for j, v in t.b.items():
-            nz[n + j] = v
-        for k, v in t.c.items():
-            nz[2 * n + k] = v
+        nz = dict(t.a.nz)
+        nz.update((n + j, v) for j, v in t.b.nz.items())
+        nz.update((2 * n + k, v) for k, v in t.c.nz.items())
         if nz:
-            terms.append(SymTerm(one(ring), Vec(ring, size, nz)))
+            terms.append(SymTerm(one(ring), Vec._from_raw(ring, size, nz)))
 
     S = embed_S(T)
     cube_sum = sum_sym_decomposition_raw(SymDecomposition(ring, size, terms))
@@ -746,11 +628,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
     for key, v in cube_sum.items():
         cur = resid.get(key)
         resid[key] = -v if cur is None else cur - v
-    if kind == PRIME_FIELD:
-        resid = {k: v % p for k, v in resid.items() if v % p}
-    else:
-        resid = {k: v for k, v in resid.items() if v}
-    U = SymTensor._from_raw(ring, block_names(n), resid)
+    U = SymTensor._from_raw(ring, block_names(n), ring.canon_map(resid))
 
     terms.extend(_upper_terms(U, n).terms)
     deco = SymDecomposition(ring, size, terms)

@@ -10,12 +10,11 @@ arithmetic is exact; verification means literal entrywise equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RingMismatchError, StructureError, VerificationError
 from .linalg import DenseMatrix, Vec
-from .rings import PRIME_FIELD, RingDescriptor, Scalar, ZZ, one, zero
+from .rings import RingDescriptor, Scalar, ZZ, one
 from .sigma import IncompleteMatrix
 
 Key = tuple[int, int, int]
@@ -65,8 +64,7 @@ class Tensor3:
         return cls(ring, dims, entries)
 
     def entry(self, i: int, j: int, k: int) -> Scalar:
-        raw = self.entries.get((i, j, k))
-        return zero(self.ring) if raw is None else Scalar(self.ring, raw)
+        return Scalar(self.ring, self.entries.get((i, j, k), 0))
 
     @property
     def nnz(self) -> int:
@@ -85,12 +83,7 @@ class Tensor3:
             return self
         if self.ring != ZZ:
             raise ValueError(f"no entry map from {self.ring} to {ring}")
-        if ring.kind == PRIME_FIELD:
-            p = ring.modulus
-            raw = {k: v % p for k, v in self.entries.items() if v % p}
-        else:
-            raw = {k: Fraction(v) for k, v in self.entries.items()}
-        return Tensor3._from_raw(ring, self.dims, raw)
+        return Tensor3._from_raw(ring, self.dims, ring.canon_map(self.entries))
 
     def __eq__(self, other) -> bool:
         return (
@@ -111,8 +104,7 @@ def slice_matrix(T: Tensor3, axis: int, index: int) -> DenseMatrix:
     if not 0 <= index < T.dims[axis - 1]:
         raise ValueError(f"index {index} outside axis of size {T.dims[axis - 1]}")
     keep = [d for a, d in enumerate(T.dims) if a != axis - 1]
-    z = zero(T.ring).value
-    grid = [[z] * keep[1] for _ in range(keep[0])]
+    grid = [[0] * keep[1] for _ in range(keep[0])]
     for (i, j, k), v in T.entries.items():
         if axis == 1 and i == index:
             grid[j][k] = v
@@ -176,22 +168,17 @@ class Decomposition:
 
 def sum_decomposition_raw(D: Decomposition) -> dict[Key, object]:
     """Exact entrywise sum of all terms, as a sparse raw-value map."""
-    kind = D.ring.kind
-    p = D.ring.modulus
     acc: dict[Key, object] = {}
+    get = acc.get
     for t in D.terms:
-        for i, va in t.a.items():
-            ra = va.value
-            for j, vb in t.b.items():
-                rab = ra * vb.value
-                for k, vc in t.c.items():
+        c_items = t.c.nz.items()
+        for i, va in t.a.nz.items():
+            for j, vb in t.b.nz.items():
+                vab = va * vb
+                for k, vc in c_items:
                     key = (i, j, k)
-                    cur = acc.get(key)
-                    val = rab * vc.value
-                    acc[key] = val if cur is None else cur + val
-    if kind == PRIME_FIELD:
-        return {k: v % p for k, v in acc.items() if v % p}
-    return {k: v for k, v in acc.items() if v}
+                    acc[key] = get(key, 0) + vab * vc
+    return D.ring.canon_map(acc)
 
 
 def verify_decomposition(T: Tensor3, D: Decomposition):
@@ -216,8 +203,7 @@ def first_mismatch(want: dict, got: dict, ring: RingDescriptor):
     if got == want:
         return True, None
     key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    z = zero(ring).value
-    return False, (key, Scalar(ring, want.get(key, z)), Scalar(ring, got.get(key, z)))
+    return False, (key, Scalar(ring, want.get(key, 0)), Scalar(ring, got.get(key, 0)))
 
 
 @dataclass(frozen=True)
@@ -282,7 +268,7 @@ def derksen_witness(
         raise ValueError("factors must be 3 x |H|")
     if completion.nrows != B.nrows or completion.ncols != B.ncols:
         raise ValueError("completion shape differs from the matrix")
-    kind, p = ring.kind, ring.modulus
+    canon = ring.canon
     p0, p1, p2 = P.raw_rows()
     l0, l1, l2 = L.raw_rows()
     craw = completion.raw_rows()
@@ -291,10 +277,7 @@ def derksen_witness(
         ci, bi = craw[i], braw[i]
         a0, a1, a2 = p0[i], p1[i], p2[i]
         for j in range(B.ncols):
-            val = a0 * l0[j] + a1 * l1[j] + a2 * l2[j]
-            if kind == PRIME_FIELD:
-                val %= p
-            if val != ci[j]:
+            if canon(a0 * l0[j] + a1 * l1[j] + a2 * l2[j]) != ci[j]:
                 raise VerificationError(
                     f"factors do not reproduce the completion at ({i},{j})"
                 )
@@ -304,28 +287,21 @@ def derksen_witness(
                     f"{ci[j]} != {bi[j]}"
                 )
     width = inst.tau + 1
-    e0 = Vec.unit(ring, width, 0)
+    one_raw = one(ring).value
     terms = [
         Rank1Term(
-            Vec.from_dense(ring, P.row(m)),
-            Vec.from_dense(ring, L.row(m)),
-            e0,
+            Vec._from_raw(ring, B.nrows, {i: v for i, v in enumerate(pm) if v}),
+            Vec._from_raw(ring, B.ncols, {j: v for j, v in enumerate(lm) if v}),
+            Vec._from_raw(ring, width, {0: one_raw}),
         )
-        for m in range(3)
+        for pm, lm in ((p0, l0), (p1, l1), (p2, l2))
     ]
+    # a star term is e_i (x) e_j (x) (e_t - W(i,j) e_0); the units are shared
+    rows = [Vec._from_raw(ring, B.nrows, {i: one_raw}) for i in range(B.nrows)]
+    cols = [Vec._from_raw(ring, B.ncols, {j: one_raw}) for j in range(B.ncols)]
     for t, (i, j) in enumerate(inst.star_map, start=1):
-        c = Vec(
-            ring,
-            width,
-            {0: -Scalar(ring, craw[i][j]), t: one(ring)},
-        )
-        terms.append(
-            Rank1Term(
-                Vec.unit(ring, B.nrows, i),
-                Vec.unit(ring, B.ncols, j),
-                c,
-            )
-        )
+        c = ring.canon_map({0: -craw[i][j], t: one_raw})
+        terms.append(Rank1Term(rows[i], cols[j], Vec._from_raw(ring, width, c)))
     D = Decomposition(ring, inst.tensor.dims, terms)
     ok, mismatch = verify_decomposition(inst.tensor, D)
     if not ok:
@@ -346,7 +322,6 @@ def slice_reduce(T: Tensor3, k: int, lam: DenseMatrix) -> Tensor3:
         raise ValueError(f"coefficient matrix must be {k}x{tau2}")
     if lam.ring != T.ring:
         raise RingMismatchError("coefficients over a different ring")
-    kind, p = T.ring.kind, T.ring.modulus
     lraw = lam.raw_rows()
     acc: dict[Key, object] = {}
     for (i, j, z), v in T.entries.items():
@@ -364,11 +339,7 @@ def slice_reduce(T: Tensor3, k: int, lam: DenseMatrix) -> Tensor3:
                 cur = acc.get(key)
                 delta = c * v
                 acc[key] = -delta if cur is None else cur - delta
-    if kind == PRIME_FIELD:
-        acc = {key: v % p for key, v in acc.items() if v % p}
-    else:
-        acc = {key: v for key, v in acc.items() if v}
-    return Tensor3._from_raw(T.ring, (T.dims[0], T.dims[1], k), acc)
+    return Tensor3._from_raw(T.ring, (T.dims[0], T.dims[1], k), T.ring.canon_map(acc))
 
 
 def pad_cubical(T: Tensor3) -> Tensor3:

@@ -697,6 +697,25 @@ def test_verify_refuses_a_star_holding_a_slice_0_value(x1_gf2_tensor, tmp_path, 
     assert "entries " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["tensor", "symmetric"])
+def test_verify_witness_terms_not_a_list_exits_2(stage, x1_gf2_tensor, empty_gf11_symmetric, tmp_path, capsys):
+    instf, witf = x1_gf2_tensor if stage == "tensor" else empty_gf11_symmetric
+    badf = _edited(witf, tmp_path / "bad.json", lambda wit: wit.update(terms=5))
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 2
+    assert "terms must be a list" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_huge_variable_count(x1_gf2_tensor, tmp_path, capsys):
+    # the system is parsed without any num_vars-long allocation, then the
+    # rebuild's guard refuses it before sigma is built
+    instf, witf = x1_gf2_tensor
+    badf = _edited(instf, tmp_path / "big.json", lambda inst: inst["system"].update(num_vars=4_000_000))
+    capsys.readouterr()
+    assert main(["verify", badf, str(witf)]) == 2
+    assert "labels is not the reduction of its system" in capsys.readouterr().err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 200) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -11,6 +11,7 @@ from tenred.jsonio import (
     canonical_dumps,
     completion_instance_file,
     completion_witness_file,
+    decomposition_from_json,
     loads,
     matrix_to_json,
     polysystem_file,
@@ -95,6 +96,19 @@ def test_matrix_round_trip():
     assert raw_matrix_from_json(GF(5), data) == m.raw_rows()
     with pytest.raises(ParseError):
         raw_matrix_from_json(GF(5), [])
+
+
+def test_decomposition_json_reads_each_spelling_once():
+    vec = [[0, "1/2"], [1, "0"]]
+    D = decomposition_from_json(QQ, (2, 2, 2), [{"a": vec, "b": vec, "c": [[1, "1/2"]]}])
+    (t,) = D.terms
+    # vectors store raw values, zeros omitted, and box them at the accessors
+    assert t.a.nz == {0: Fraction(1, 2)}
+    assert t.a.nz[0] is t.b.nz[0] is t.c.nz[1]
+    assert t.a.get(0) == Scalar(QQ, Fraction(1, 2)) and t.a.get(1).is_zero
+    for bad in ([[0, "1"], [2, "1"]], [[-1, "1"]], [[0, 1]], [[0, "x"]], [["0", "1"]], 5):
+        with pytest.raises(ParseError):
+            decomposition_from_json(QQ, (2, 2, 2), [{"a": bad, "b": vec, "c": vec}])
 
 
 def test_matrix_json_over_q_reads_each_spelling_once():

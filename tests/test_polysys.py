@@ -1,4 +1,6 @@
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tenred.errors import ParseError, RingMismatchError
+from tenred.jsonio import system_from_json
 from tenred.polysys import (
     Assignment,
     CnfFormula,
@@ -15,6 +18,7 @@ from tenred.polysys import (
     encode_3sat,
     parse_dimacs,
     parse_polynomial,
+    _grlex_key,
     prefix_sums,
 )
 from tenred.rings import GF, QQ, ZZ, Scalar, one, zero
@@ -278,3 +282,37 @@ def test_encode_3sat_booleanity_excludes_non_binary():
     system = encode_3sat(formula).change_ring(GF(5))
     roots = [a for a in range(5) if system.first_violation([Scalar(GF(5), a)]) is None]
     assert roots == [0, 1]
+
+
+def _dense_grlex_key(exponents, num_vars):
+    dense = [0] * num_vars
+    for var, exp in exponents:
+        dense[var] = exp
+    return (sum(dense), tuple(dense))
+
+
+def _cmp(x, y):
+    return (x > y) - (x < y)
+
+
+def test_grlex_key_orders_like_the_dense_exponent_vector():
+    rng = random.Random(8)
+    for _ in range(5000):
+        n = rng.randint(1, 6)
+        a, b = (
+            tuple((v, rng.randint(1, 3)) for v in sorted(rng.sample(range(n), rng.randint(0, n))))
+            for _ in range(2)
+        )
+        assert _cmp(_grlex_key(a), _grlex_key(b)) == _cmp(_dense_grlex_key(a, n), _dense_grlex_key(b, n)), (a, b)
+
+
+def test_parse_memory_does_not_grow_with_num_vars():
+    obj = {"ring": "gf:2", "num_vars": 4_000_000, "polynomials": ["x1^2 + x1", "x1^3 + x1^2 + x1 + 1"]}
+    tracemalloc.start()
+    try:
+        F = system_from_json(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.num_vars == 4_000_000 and len(F.polynomials) == 2
+    assert peak < 1_000_000
