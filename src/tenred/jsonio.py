@@ -92,8 +92,11 @@ def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) 
             seen[v] = _scalar(ring, v).value  # refuses all but strings
         if not 0 <= i < n:
             raise ParseError(f"index {i} out of range for length {n}", 0)
-        nz[i] = seen[v]
-    return Vec._from_raw(ring, n, {i: v for i, v in nz.items() if v})
+        if seen[v]:
+            nz[i] = seen[v]
+        else:  # a later pair for the same index wins, a zero included
+            nz.pop(i, None)
+    return Vec._from_raw(ring, n, nz)
 
 
 def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:

@@ -300,7 +300,8 @@ def derksen_witness(
     rows = [Vec._from_raw(ring, B.nrows, {i: one_raw}) for i in range(B.nrows)]
     cols = [Vec._from_raw(ring, B.ncols, {j: one_raw}) for j in range(B.ncols)]
     for t, (i, j) in enumerate(inst.star_map, start=1):
-        c = ring.canon_map({0: -craw[i][j], t: one_raw})
+        w = canon(-craw[i][j])
+        c = {0: w, t: one_raw} if w else {t: one_raw}
         terms.append(Rank1Term(rows[i], cols[j], Vec._from_raw(ring, width, c)))
     D = Decomposition(ring, inst.tensor.dims, terms)
     ok, mismatch = verify_decomposition(inst.tensor, D)

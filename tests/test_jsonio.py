@@ -81,6 +81,9 @@ def test_vec_round_trip():
     data = vec_to_json(v)
     assert data == [[1, "-3/7"], [3, "2"]]
     assert vec_from_json(QQ, 4, data) == v
+    # a repeated index takes its last value, and a zero is not stored
+    assert vec_from_json(QQ, 2, [[0, "1"], [0, "0"]]).is_zero
+    assert vec_from_json(QQ, 2, [[0, "0"], [0, "2"]]).get(0) == Scalar(QQ, 2)
     with pytest.raises(ParseError):
         vec_from_json(QQ, 4, [[1, 2]])
     with pytest.raises(ParseError):
