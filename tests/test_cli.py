@@ -498,6 +498,20 @@ def test_completion_witness_bytes_pinned(x1_q_completion):
     assert hashlib.sha256(witf.read_bytes()).hexdigest() == X1_Q_COMPLETION_WITNESS_SHA256
 
 
+# SHA-256 of the completion witness of {2*x1 - 1} over Q at x1 = 1/2; the
+# solution has a denominator, so the witness cells are proper fractions
+HALF_Q_COMPLETION_WITNESS_SHA256 = "9b28db2f225ce9eded8a768cadf02a93e6499bda71c4a87be464ba6ddc341346"
+
+
+def test_completion_witness_with_denominators_pinned(tmp_path):
+    sysf = _write_system(tmp_path / "sys.json", ["2*x1 - 1"], 1, QQ)
+    instf, witf = tmp_path / "inst.json", tmp_path / "wit.json"
+    assert main(["reduce", "completion", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "1/2", "--out", str(witf)]) == 0
+    assert len(json.loads(instf.read_text())["labels"]) == 602
+    assert hashlib.sha256(witf.read_bytes()).hexdigest() == HALF_Q_COMPLETION_WITNESS_SHA256
+
+
 def test_verify_reports_completion_rank(x1_q_completion, tmp_path, capsys):
     instf, witf = x1_q_completion
     grid = json.loads(instf.read_text())["grid"]
