@@ -64,6 +64,7 @@ from .tensors import (
 )
 
 STAGES = {"completion_instance": "completion", "tensor_instance": "tensor", "symmetric_instance": "symmetric"}
+WITNESS_FIELDS = {"completion": ("assignment", "matrix"), "tensor": ("dims", "terms"), "symmetric": ("dim", "terms")}
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     if red.stage == "completion":
         # W = U^T U with three rows in U, so rank(W) <= 3; the identity at
         # the unit labels gives rank(W) >= 3 without an elimination
-        bad = unit_block_mismatch(W.raw_rows(), B)
+        bad = unit_block_mismatch(W.raw_grid, B)
         if bad is not None:
             raise StructureError(f"completion is not the identity at the unit labels, cell {bad}")
         report("rank", 3)
@@ -247,6 +248,9 @@ def failure(red: Reduction, wit: dict) -> str | None:
     """Why a witness file does not prove what the module docstring says, or None."""
     if wit.get("kind") != f"{red.stage}_witness":
         raise ParseError(f"cannot verify a {wit.get('kind')!r} witness against a {red.stage} instance", 0)
+    extra = sorted(wit.keys() - {"format_version", "kind", "ring", *WITNESS_FIELDS[red.stage]})
+    if extra:
+        raise ParseError(f"unexpected field {extra[0]!r} in a {red.stage} witness", 0)
     if red.stage == "completion":
         return _completion_failure(red.B, wit)
     T = red.tensor

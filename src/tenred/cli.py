@@ -133,6 +133,8 @@ def cmd_reduce(args) -> int:
 
 def cmd_witness(args) -> int:
     _threads_ok(args.threads)
+    if not isinstance(args.solution, str):  # argparse reads "--solution=--" as []
+        raise ParseError("--solution needs comma-separated values, got '--'", 0)
     obj = _load(args.instance)
     _expect_kind(obj, *certify.STAGES)
     t0 = time.monotonic()

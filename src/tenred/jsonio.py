@@ -38,7 +38,7 @@ def loads(text: str) -> dict:
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object", 0)
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}", 0)
     if "kind" not in obj:
         raise ParseError("missing kind field", 0)
@@ -122,7 +122,7 @@ def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
 
 
 def matrix_to_json(m: DenseMatrix) -> list:
-    return [[str(s.value) for s in row] for row in m.rows]
+    return [[str(v) for v in row] for row in m.raw_grid]
 
 
 def system_to_json(F: PolySystem) -> dict:

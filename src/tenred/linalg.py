@@ -14,90 +14,98 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import RingMismatchError, SingularMatrixError
-from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one, zero
+from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one
 
 
 class DenseMatrix:
-    """An immutable rectangular matrix of scalars over a single ring."""
+    """An immutable rectangular matrix over a single ring.
 
-    __slots__ = ("ring", "nrows", "ncols", "rows")
+    ``raw_grid`` holds the canonical raw values row by row, as
+    ``IncompleteMatrix.raw_grid`` does; ``rows``, ``entry``, ``row`` and
+    ``column`` wrap them in ``Scalar``.
+    """
+
+    __slots__ = ("ring", "nrows", "ncols", "raw_grid")
 
     def __init__(self, ring: RingDescriptor, rows: Sequence[Sequence[Scalar]]):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
+        other = next((s.ring for r in rows for s in r if s.ring != ring), None)
+        if other is not None:
+            raise RingMismatchError(f"entry over {other}, matrix over {ring}")
+        self._init_from_raw(ring, [[s.value for s in r] for r in rows])
+
+    @classmethod
+    def _from_raw(cls, ring: RingDescriptor, rows: Sequence[Sequence]) -> "DenseMatrix":
+        """A matrix on trusted input: every value canonical."""
+        obj = cls.__new__(cls)
+        obj._init_from_raw(ring, rows)
+        return obj
+
+    def _init_from_raw(self, ring: RingDescriptor, rows: Sequence[Sequence]) -> None:
+        grid = tuple(tuple(r) for r in rows)
+        if not grid or not grid[0]:
             raise ValueError("matrix dimensions must be positive")
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged rows")
-            for s in r:
-                if s.ring != ring:
-                    raise RingMismatchError(f"entry over {s.ring}, matrix over {ring}")
+        width = len(grid[0])
+        if any(len(r) != width for r in grid):
+            raise ValueError("ragged rows")
         self.ring = ring
-        self.nrows = len(rows)
+        self.nrows = len(grid)
         self.ncols = width
-        self.rows = rows
+        self.raw_grid = grid
 
     @classmethod
     def identity(cls, ring: RingDescriptor, n: int) -> "DenseMatrix":
-        z, o = zero(ring), one(ring)
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_ints(ring, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, ring: RingDescriptor, nrows: int, ncols: int) -> "DenseMatrix":
-        z = zero(ring)
-        return cls(ring, [[z] * ncols for _ in range(nrows)])
+        return cls.from_ints(ring, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def from_ints(cls, ring: RingDescriptor, rows: Sequence[Sequence[int]]) -> "DenseMatrix":
-        return cls(ring, [[Scalar(ring, v) for v in r] for r in rows])
+        return cls._from_raw(ring, [[ring.canon(v) for v in r] for r in rows])
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        return tuple(self.row(i) for i in range(self.nrows))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
+        return Scalar(self.ring, self.raw_grid[i][j])
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.rows[i]
+        return tuple(Scalar(self.ring, v) for v in self.raw_grid[i])
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(r[j] for r in self.rows)
+        return tuple(Scalar(self.ring, r[j]) for r in self.raw_grid)
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.ring, list(zip(*self.rows)))
+        return DenseMatrix._from_raw(self.ring, list(zip(*self.raw_grid)))
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
         if self.ring != other.ring:
             raise RingMismatchError("matrix product across rings")
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions differ")
-        cols = other.transpose().rows
-        out = []
-        for r in self.rows:
-            out.append([_dot(r, c, self.ring) for c in cols])
-        return DenseMatrix(self.ring, out)
+        canon = self.ring.canon
+        cols = list(zip(*other.raw_grid))
+        out = [[canon(sum(a * b for a, b in zip(r, c))) for c in cols] for r in self.raw_grid]
+        return DenseMatrix._from_raw(self.ring, out)
 
     def raw_rows(self) -> list[list]:
         """Mutable copy of the underlying canonical values."""
-        return [[s.value for s in r] for r in self.rows]
+        return [list(r) for r in self.raw_grid]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, DenseMatrix)
             and self.ring == other.ring
-            and self.rows == other.rows
+            and self.raw_grid == other.raw_grid
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash((self.ring, self.raw_grid))
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.ring}, {self.nrows}x{self.ncols})"
-
-
-def _dot(u: Sequence[Scalar], v: Sequence[Scalar], ring: RingDescriptor) -> Scalar:
-    total = zero(ring)
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
 
 
 def rank_raw(rows: list[list], ring: RingDescriptor) -> int:

@@ -131,9 +131,7 @@ def min_completion_rank(M: IncompleteMatrix, budget: SearchBudget | None = None)
             best_grid = [row[:] for row in grid]
             if best_rank == 0:
                 break
-    witness = DenseMatrix(
-        M.ring, [[Scalar(M.ring, v) for v in row] for row in best_grid]
-    )
+    witness = DenseMatrix._from_raw(M.ring, best_grid)
     return OracleResult(best_rank, witness, exhausted=True, lower_bound=best_rank)
 
 
@@ -387,7 +385,7 @@ def slice_lemma_check(T: Tensor3, k: int, budget: SearchBudget | None = None) ->
         g = slice_matrix(T, 3, z)
         if matrix_rank(g) != 1:
             raise ValueError(f"gadget slice {z} must have rank one")
-        flat.append([g.raw_rows()[i][j] for i in range(g.nrows) for j in range(g.ncols)])
+        flat.append([v for row in g.raw_grid for v in row])
     if flat and rank_raw(flat, ring) != tau2:
         raise ValueError("gadget slices are linearly dependent")
 
@@ -403,13 +401,7 @@ def slice_lemma_check(T: Tensor3, k: int, budget: SearchBudget | None = None) ->
         )
     best = None
     for values in product(range(p), repeat=k * tau2):
-        lam = DenseMatrix(
-            ring,
-            [
-                [Scalar(ring, values[i * tau2 + j]) for j in range(tau2)]
-                for i in range(k)
-            ],
-        )
+        lam = DenseMatrix._from_raw(ring, [values[i * tau2 : (i + 1) * tau2] for i in range(k)])
         reduced = tensor_rank_bruteforce(slice_reduce(T, k, lam), budget)
         if not reduced.exhausted:
             raise BudgetExceededError("rank search on a reduced tensor did not finish")

@@ -11,6 +11,8 @@ whose rank-3 completions correspond exactly to solutions of F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -21,7 +23,7 @@ from .errors import (
 )
 from .linalg import DenseMatrix, inverse_3x3
 from .polysys import Assignment, Monomial, Polynomial, PolySystem, prefix_sums
-from .rings import QQ, RingDescriptor, Scalar, ZZ, one
+from .rings import QQ, RATIONALS, RingDescriptor, Scalar, ZZ, one
 
 
 def is_plus_minus_one(f: Polynomial) -> bool:
@@ -238,7 +240,7 @@ class SymbolicU:
             if v.ring != ring:
                 raise RingMismatchError("point over a different ring")
         cache: dict[Polynomial, object] = {}
-        rows: list[list[Scalar]] = [[], [], []]
+        rows: list[list] = [[], [], []]
         for lab in self.labels:
             for axis in range(3):
                 f = lab.coords[axis]
@@ -246,8 +248,8 @@ class SymbolicU:
                 if raw is None:
                     raw = _eval_raw(f, values, ring.canon)
                     cache[f] = raw
-                rows[axis].append(Scalar(ring, raw))
-        return DenseMatrix(ring, rows)
+                rows[axis].append(raw)
+        return DenseMatrix._from_raw(ring, rows)
 
 
 class IncompleteMatrix:
@@ -522,7 +524,9 @@ def completion_witness(
     Evaluates the label coordinates at the point and returns the Gram
     matrix W = U(point)^T U(point).  Rejects non-solutions up front; the
     output is checked against every specified entry of B(F) before return.
-    Integer inputs are certified over Q.
+    Integer inputs are certified over Q.  V = dU is integral for the lcm
+    d of U's denominators (1 over GF(p)), so each cell of W = V^T V / d^2
+    is an integer dot product, and equal products share one value.
     """
     field = _resolve_field(point, F)
     if len(point) != F.num_vars:
@@ -538,17 +542,23 @@ def completion_witness(
         B = B.change_ring(field)
     if B.row_labels is None:
         raise ValueError("matrix carries no labels")
-    u = SymbolicU(B.row_labels).evaluate(Assignment(vals), field)
-    ur = u.raw_rows()
-    r0, r1, r2 = ur[0], ur[1], ur[2]
+    u = SymbolicU(B.row_labels).evaluate(Assignment(vals), field).raw_grid
+    d = lcm(*(v.denominator for row in u for v in row))
+    r0, r1, r2 = ([v.numerator * (d // v.denominator) for v in row] for row in u)
+    dd = d * d
+    cell = (lambda g: Fraction(g, dd)) if field.kind == RATIONALS else field.canon
     n = B.ncols
-    canon = field.canon
+    values: dict[int, object] = {}
     grid: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
         a0, a1, a2 = r0[i], r1[i], r2[i]
         row = grid[i]
         for j in range(i, n):
-            row[j] = grid[j][i] = canon(a0 * r0[j] + a1 * r1[j] + a2 * r2[j])
+            g = a0 * r0[j] + a1 * r1[j] + a2 * r2[j]
+            w = values.get(g)
+            if w is None:
+                w = values[g] = cell(g)
+            row[j] = grid[j][i] = w
     braw = B.raw_grid
     for i in range(n):
         gi, bi = grid[i], braw[i]
@@ -559,8 +569,7 @@ def completion_witness(
                     f"completion disagrees with the gadget matrix at ({i},{j}): "
                     f"{gi[j]} != {expect}"
                 )
-    rows = [[Scalar(field, v) for v in row] for row in grid]
-    return DenseMatrix(field, rows)
+    return DenseMatrix._from_raw(field, grid)
 
 
 def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Assignment:
@@ -581,8 +590,8 @@ def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Ass
     if P.nrows != 3 or L.nrows != 3 or P.ncols != B.nrows or L.ncols != B.ncols:
         raise ValueError("factors must be 3 x |H|")
     canon = ring.canon
-    p0, p1, p2 = P.raw_rows()
-    l0, l1, l2 = L.raw_rows()
+    p0, p1, p2 = P.raw_grid
+    l0, l1, l2 = L.raw_grid
     braw = B.raw_grid
     for i in range(B.nrows):
         a0, a1, a2 = p0[i], p1[i], p2[i]
@@ -603,7 +612,7 @@ def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Ass
     e_cols = unit_label_positions(B)
     c = DenseMatrix(ring, [[L.entry(r, c_) for c_ in e_cols] for r in range(3)])
     cinv = inverse_3x3(c)
-    w0, w1, w2 = cinv.raw_rows()[2]
+    w0, w1, w2 = cinv.raw_grid[2]
     values = []
     for i in range(F.num_vars):
         col = B.label_position((unit, z, Polynomial.variable(ring, F.num_vars, i)))

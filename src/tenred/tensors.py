@@ -112,7 +112,7 @@ def slice_matrix(T: Tensor3, axis: int, index: int) -> DenseMatrix:
             grid[i][k] = v
         elif axis == 3 and k == index:
             grid[i][j] = v
-    return DenseMatrix(T.ring, [[Scalar(T.ring, v) for v in row] for row in grid])
+    return DenseMatrix._from_raw(T.ring, grid)
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,9 @@ def derksen_witness(
     if completion.nrows != B.nrows or completion.ncols != B.ncols:
         raise ValueError("completion shape differs from the matrix")
     canon = ring.canon
-    p0, p1, p2 = P.raw_rows()
-    l0, l1, l2 = L.raw_rows()
-    craw = completion.raw_rows()
+    p0, p1, p2 = P.raw_grid
+    l0, l1, l2 = L.raw_grid
+    craw = completion.raw_grid
     braw = B.raw_grid
     for i in range(B.nrows):
         ci, bi = craw[i], braw[i]
@@ -323,7 +323,7 @@ def slice_reduce(T: Tensor3, k: int, lam: DenseMatrix) -> Tensor3:
         raise ValueError(f"coefficient matrix must be {k}x{tau2}")
     if lam.ring != T.ring:
         raise RingMismatchError("coefficients over a different ring")
-    lraw = lam.raw_rows()
+    lraw = lam.raw_grid
     acc: dict[Key, object] = {}
     for (i, j, z), v in T.entries.items():
         if z < k:

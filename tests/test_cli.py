@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenred import certify, sigma, symmetric
+from tenred import certify, jsonio, sigma, symmetric
 from tenred.cli import main
 from tenred.jsonio import (
     canonical_dumps,
@@ -636,6 +636,17 @@ def test_tensor_witness_bytes_pinned(fixture, request):
     assert hashlib.sha256(witf.read_bytes()).hexdigest() == X1_TENSOR_WITNESS_SHA256[fixture]
 
 
+@pytest.mark.parametrize("fixture", ["x1_q_completion", "x1_gf2_tensor"])
+def test_witness_solution_dashdash_exits_2(fixture, request, tmp_path, capsys):
+    # argparse hands "--solution=--" over as an empty list, not a string
+    instf, _ = request.getfixturevalue(fixture)
+    out = tmp_path / "wit.json"
+    capsys.readouterr()
+    assert main(["witness", str(instf), "--solution=--", "--out", str(out)]) == 2
+    assert "--solution needs comma-separated values" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _edited(instf, path, edit):
     inst = json.loads(instf.read_text())
     edit(inst)
@@ -755,3 +766,65 @@ def test_instance_field_mutations_exit_2(x1_gf2_tensor, empty_gf11_symmetric, da
             inst[key] = data.draw(_JSON.filter(lambda v: canonical_dumps(v) != old))
     mutated = _write(instf.parent / "mutated.json", canonical_dumps(inst))
     assert main(["verify", mutated, str(witf)]) == 2
+
+
+@pytest.fixture(scope="module")
+def x1_gf2_completion(tmp_path_factory):
+    """Instance and witness files of {x1} over GF(2), completion stage (19 labels)."""
+    d = tmp_path_factory.mktemp("x1_gf2_completion")
+    sysf = _write_system(d / "sys.json", ["x1"], 1, GF(2))
+    instf, witf = d / "inst.json", d / "wit.json"
+    assert main(["reduce", "completion", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(witf)]) == 0
+    return instf, witf
+
+
+def _witness_meaning(wit):
+    """The fields of a witness file and what its values say, read back
+    through the parsers."""
+    head = sorted(wit), type(wit["format_version"]), wit["kind"]
+    if wit["kind"] == "completion_witness":
+        ring = jsonio._ring_of(wit)
+        matrix = jsonio.raw_matrix_from_json(ring, wit["matrix"])
+        return head, ring, matrix, jsonio.assignment_from_json(ring, wit["assignment"])
+    if wit["kind"] == "tensor_witness":
+        return head, jsonio.tensor_witness_parse(wit)
+    return head, jsonio.symmetric_witness_parse(wit)
+
+
+@settings(derandomize=True, max_examples=100, database=None)
+@given(data=st.data())
+def test_witness_mutations_exit_2_or_4(x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric, data):
+    # one top-level field replaced, deleted or added, or one matrix cell or
+    # one term replaced: verify refuses the file as input (2) or as a proof
+    # (4), and accepts it only where it still says the same witness (a
+    # value respelled, say "3" for "1" over GF(2))
+    instf, witf = data.draw(st.sampled_from([x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric]))
+    wit = json.loads(witf.read_text())
+    action = data.draw(st.sampled_from(["replace", "delete", "add", "item"]))
+    if action == "add":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in wit))
+        wit[key] = data.draw(_JSON)
+    elif action == "item":
+        # a well-formed symmetric term would cost a full sum of 3,162
+        # terms, so the symmetric file gets arbitrary JSON only
+        if "matrix" in wit:
+            items = wit["matrix"][data.draw(st.integers(0, len(wit["matrix"]) - 1))]
+            pool = st.integers(-3, 3).map(str)
+        else:
+            items = wit["terms"]
+            pool = st.sampled_from(items) if wit["kind"] == "tensor_witness" else st.nothing()
+        k = data.draw(st.integers(0, len(items) - 1))
+        old = canonical_dumps(items[k])
+        items[k] = data.draw((_JSON | pool).filter(lambda v: canonical_dumps(v) != old))
+    else:
+        key = data.draw(st.sampled_from(sorted(wit)))
+        old = canonical_dumps(wit.pop(key))
+        if action == "replace":
+            wit[key] = data.draw(_JSON.filter(lambda v: canonical_dumps(v) != old))
+    mutated = _write(witf.parent / "mutated.json", canonical_dumps(wit))
+    code = main(["verify", str(instf), mutated])
+    if code == 0:
+        assert _witness_meaning(wit) == _witness_meaning(json.loads(witf.read_text()))
+    else:
+        assert code in (2, 4)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -224,6 +225,45 @@ def test_completion_witness_integer_system_over_q():
     W = completion_witness(F, Assignment.from_ints(ZZ, [1]), guard=None)
     assert W.ring == QQ
     assert matrix_rank(W) == 3
+
+
+def _reference_gram(U):
+    """Raw values of U^T U, each cell a Scalar dot product of two columns
+    (taken once per pair of distinct columns)."""
+    ids: dict = {}
+    col_ids = [ids.setdefault(U.column(j), len(ids)) for j in range(U.ncols)]
+    cols = list(ids)
+    gram = [[sum((x * y for x, y in zip(a, b)), Scalar(U.ring, 0)).value for b in cols] for a in cols]
+    return [[gram[a][b] for b in col_ids] for a in col_ids]
+
+
+@pytest.mark.parametrize(
+    "texts, ring, point",
+    [
+        pytest.param(["x1 - 1/2"], QQ, [Fraction(1, 2)], id="q-denominators"),
+        pytest.param(["x1 - 3"], GF(11), [3], id="gf11"),
+        pytest.param(["x1^2 - x1"], ZZ, [1], id="z-over-q"),
+    ],
+)
+def test_completion_witness_matches_scalar_gram(texts, ring, point):
+    F = _system(texts, 1, ring)
+    pt = Assignment(tuple(Scalar(ring, v) for v in point))
+    W = completion_witness(F, pt, guard=None)
+    field = QQ if ring == ZZ else ring
+    assert W.ring == field and W.nrows == W.ncols == 386
+    before = W.raw_rows()
+    assert matrix_rank(W) == 3
+    # raw_rows() is a copy: the elimination mutated its own rows, not W
+    assert W.raw_rows() == before
+    U = SymbolicU(build_B(F.change_ring(field), guard=None).row_labels).evaluate(
+        Assignment(tuple(Scalar(field, v) for v in point)), field
+    )
+    ref = _reference_gram(U)
+    bad = [(i, j) for i, row in enumerate(ref) for j, v in enumerate(row) if W.raw_grid[i][j] != v]
+    assert bad == []
+    assert W.row(5) == tuple(Scalar(field, v) for v in ref[5])
+    if ring == QQ:
+        assert any(v.denominator > 1 for row in W.raw_grid for v in row)
 
 
 def _random_invertible(ring, rng):
