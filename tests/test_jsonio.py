@@ -76,6 +76,12 @@ def test_loads_validation():
         loads('{"format_version":1}')
 
 
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_loads_refuses_a_format_version_that_only_equals_1(version):
+    with pytest.raises(ParseError, match="unsupported format_version"):
+        loads('{"format_version":%s,"kind":"tensor"}' % version)
+
+
 def test_vec_round_trip():
     v = Vec(QQ, 4, {1: Scalar(QQ, Fraction(-3, 7)), 3: Scalar(QQ, 2)})
     data = vec_to_json(v)
