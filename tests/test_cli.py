@@ -636,6 +636,36 @@ def test_tensor_witness_bytes_pinned(fixture, request):
     assert hashlib.sha256(witf.read_bytes()).hexdigest() == X1_TENSOR_WITNESS_SHA256[fixture]
 
 
+# SHA-256 of the instance files of the fixtures; sigma's order and the
+# printed polynomials reach the labels and the system, so drift in the
+# polynomial arithmetic or its printing changes them
+INSTANCE_SHA256 = {
+    "empty_gf11_symmetric": "ed657580f246d365ecaa356cf97b591ee350ac265a083ff0d1c79ba7d904ae59",
+    "x1_gf2_tensor": "91390fb3103ba25083750c54b51bb7d3e3eb436957e20ebf2f71c19d658c8c08",
+    "x1_q_completion": "aba0b8aa8d8436904d1a19864b852d070521cfb9c9e9701ea4bbacf80d7116df",
+    "x1_q_tensor": "288a4b68d5423a85598d1d52177878c7842946841fe46caf0b3d1b3b24ff6885",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(INSTANCE_SHA256))
+def test_instance_bytes_pinned(fixture, request):
+    instf, _ = request.getfixturevalue(fixture)
+    assert hashlib.sha256(instf.read_bytes()).hexdigest() == INSTANCE_SHA256[fixture]
+
+
+# SHA-256 of the completion instance of {x1*x2 - 1/3} over Q: two variables,
+# and negative and fractional coefficients among the sigma elements
+X1X2_Q_COMPLETION_INSTANCE_SHA256 = "35361c4ebd684be734414989902c7ebce8dd9ef17e15eb069b6bbcb5c77b0896"
+
+
+def test_two_variable_completion_instance_pinned(tmp_path):
+    sysf = _write_system(tmp_path / "sys.json", ["x1*x2 - 1/3"], 2, QQ)
+    instf = tmp_path / "inst.json"
+    assert main(["reduce", "completion", sysf, "--out", str(instf)]) == 0
+    assert len(json.loads(instf.read_text())["labels"]) == 866
+    assert hashlib.sha256(instf.read_bytes()).hexdigest() == X1X2_Q_COMPLETION_INSTANCE_SHA256
+
+
 @pytest.mark.parametrize("fixture", ["x1_q_completion", "x1_gf2_tensor"])
 def test_witness_solution_dashdash_exits_2(fixture, request, tmp_path, capsys):
     # argparse hands "--solution=--" over as an empty list, not a string
