@@ -4,7 +4,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenred.errors import ParseError, RingMismatchError
@@ -316,3 +316,111 @@ def test_parse_memory_does_not_grow_with_num_vars():
         tracemalloc.stop()
     assert F.num_vars == 4_000_000 and len(F.polynomials) == 2
     assert peak < 1_000_000
+
+
+# A reference for the polynomial arithmetic: term maps {exponents: Scalar},
+# zeros dropped, computed with Scalar operations only.
+_RINGS = [ZZ, QQ, GF(11)]
+
+
+def _ref_canon(tm):
+    return {e: c for e, c in tm.items() if not c.is_zero}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out[e] + c if e in out else c
+    return _ref_canon(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            merged = dict(ea)
+            for var, exp in eb:
+                merged[var] = merged.get(var, 0) + exp
+            e = tuple(sorted(merged.items()))
+            out[e] = out[e] + ca * cb if e in out else ca * cb
+    return _ref_canon(out)
+
+
+def _ref_eval(tm, point):
+    total = Scalar(point[0].ring, 0) if point else None
+    for e, c in tm.items():
+        acc = c
+        for var, exp in e:
+            for _ in range(exp):
+                acc = acc * point[var]
+        total = acc if total is None else total + acc
+    return total
+
+
+def _ref_sort_key(tm, n):
+    return tuple(
+        (_dense_grlex_key(e, n), tm[e].value)
+        for e in sorted(tm, key=lambda e: _dense_grlex_key(e, n), reverse=True)
+    )
+
+
+def _ref_terms(f):
+    """The term map of a polynomial, after checking its terms are in
+    strictly descending graded-lex order."""
+    keys = [_dense_grlex_key(t.exponents, f.num_vars) for t in f.terms]
+    assert keys == sorted(set(keys), reverse=True)
+    return {t.exponents: t.coefficient for t in f.terms}
+
+
+def _values(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.integers(-12, 12)
+
+
+def _term_maps(draw, ring, n):
+    spec = draw(
+        st.lists(
+            st.tuples(_values(ring), st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+            max_size=4,
+        )
+    )
+    tm = {}
+    for value, dense in spec:
+        e = tuple((v, x) for v, x in enumerate(dense) if x)
+        s = Scalar(ring, value)
+        tm[e] = tm[e] + s if e in tm else s
+    return _ref_canon(tm)
+
+
+@settings(derandomize=True, max_examples=300, database=None)
+@given(data=st.data())
+def test_arithmetic_matches_a_scalar_reference(data):
+    ring = data.draw(st.sampled_from(_RINGS))
+    n = data.draw(st.integers(0, 3))
+    a, b = _term_maps(data.draw, ring, n), _term_maps(data.draw, ring, n)
+    f, g = Polynomial.from_term_map(ring, n, a), Polynomial.from_term_map(ring, n, b)
+    assert _ref_terms(f) == a and _ref_terms(g) == b
+    neg_b = {e: -c for e, c in b.items()}
+    assert _ref_terms(f + g) == _ref_add(a, b)
+    assert _ref_terms(f - g) == _ref_add(a, neg_b)
+    assert _ref_terms(-g) == neg_b
+    assert _ref_terms(f * g) == _ref_mul(a, b)
+    s = Scalar(ring, data.draw(_values(ring)))
+    assert _ref_terms(f.scale(s)) == _ref_canon({e: c * s for e, c in a.items()})
+    point = [Scalar(ring, data.draw(_values(ring))) for _ in range(n)]
+    expect = _ref_eval(a, point)
+    got = f.evaluate(point)
+    assert got.ring == ring
+    assert got == (expect if expect is not None else Scalar(ring, 0))
+    assert _cmp(f.sort_key(), g.sort_key()) == _cmp(_ref_sort_key(a, n), _ref_sort_key(b, n))
+    assert (f == g) == (a == b)
+    assert parse_polynomial(str(f), n, ring) == f
+    assert (f.is_constant, f.is_zero) == (all(not e for e in a), not a)
+    if f.is_constant:
+        assert f.constant_value() == a.get((), Scalar(ring, 0))
+    if ring == ZZ:
+        for target in (QQ, GF(11)):
+            h = f.change_ring(target)
+            assert h.ring == target
+            assert _ref_terms(h) == _ref_canon({e: Scalar(target, c.value) for e, c in a.items()})
