@@ -118,7 +118,7 @@ def cmd_reduce(args) -> int:
     _threads_ok(args.threads)
     obj = _load(args.system)
     _expect_kind(obj, "polysystem")
-    F = jsonio.system_from_json(obj)
+    F = jsonio.polysystem_parse(obj)
     if args.ring is not None:
         target = RingDescriptor.from_str(args.ring)
         if target != F.ring:
@@ -152,7 +152,7 @@ def cmd_oracle(args) -> int:
     t0 = time.monotonic()
     if args.which == "solve":
         _expect_kind(obj, "polysystem")
-        F = jsonio.system_from_json(obj)
+        F = jsonio.polysystem_parse(obj)
         sols = solve_system_bruteforce(F, budget)
         _report("solutions", len(sols))
         out_obj = jsonio.oracle_result_file(
@@ -175,7 +175,7 @@ def cmd_oracle(args) -> int:
         )
     elif args.which == "rank":
         _expect_kind(obj, "tensor", "tensor_instance")
-        T = jsonio.tensor_parse(obj)
+        T = certify.read_instance(obj).tensor
         res = tensor_rank_bruteforce(T, budget)
         _report("rank", res.value)
         out_obj = jsonio.oracle_result_file(
@@ -187,7 +187,7 @@ def cmd_oracle(args) -> int:
         )
     else:
         _expect_kind(obj, "symtensor", "symmetric_instance")
-        S = jsonio.symtensor_parse(obj)
+        S = certify.read_instance(obj).tensor
         res = symmetric_rank_bruteforce(S, budget)
         _report("srank", res.value)
         out_obj = jsonio.oracle_result_file(

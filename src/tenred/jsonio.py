@@ -121,8 +121,19 @@ def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
     return rows
 
 
+def _spelled(rows) -> list:
+    """Rows of raw values as strings, None kept.  Cells holding one value
+    share one object, so each is printed once, keyed by id (alive in the
+    rows): hashing a Fraction by value costs more than printing it."""
+    text: dict = {}
+    return [
+        [None if v is None else text[k] if (k := id(v)) in text else text.setdefault(k, str(v)) for v in row]
+        for row in rows
+    ]
+
+
 def matrix_to_json(m: DenseMatrix) -> list:
-    return [[str(v) for v in row] for row in m.raw_grid]
+    return _spelled(m.raw_grid)
 
 
 def system_to_json(F: PolySystem) -> dict:
@@ -138,7 +149,7 @@ def system_from_json(obj) -> PolySystem:
         raise ParseError("system must be an object", 0)
     ring = _ring_of(obj)
     num_vars = _need(obj, "num_vars")
-    if not isinstance(num_vars, int) or num_vars < 0:
+    if type(num_vars) is not int or num_vars < 0:
         raise ParseError("num_vars must be a nonnegative integer", 0)
     texts = _need(obj, "polynomials")
     if not isinstance(texts, list):
@@ -158,6 +169,13 @@ def polysystem_file(F: PolySystem) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "polysystem", **system_to_json(F)}
 
 
+def polysystem_parse(obj: dict) -> PolySystem:
+    extra = sorted(obj.keys() - {"format_version", "kind", "ring", "num_vars", "polynomials"})
+    if extra:
+        raise ParseError(f"unexpected field {extra[0]!r} in a polysystem file", 0)
+    return system_from_json(obj)
+
+
 def _labels_to_json(labels) -> list:
     text: dict = {}  # labels share few coordinates; print each once
     return [[text[f] if f in text else text.setdefault(f, str(f)) for f in lab.coords] for lab in labels]
@@ -166,14 +184,13 @@ def _labels_to_json(labels) -> list:
 def completion_instance_file(B: IncompleteMatrix) -> dict:
     if B.system is None or B.row_labels is None:
         raise ValueError("instance files need the system and labels attached")
-    grid = [[None if v is None else str(v) for v in row] for row in B.raw_grid]
     return {
         "format_version": FORMAT_VERSION,
         "kind": "completion_instance",
         "ring": str(B.ring),
         "system": system_to_json(B.system),
         "labels": _labels_to_json(B.row_labels),
-        "grid": grid,
+        "grid": _spelled(B.raw_grid),
         "tau": B.tau,
     }
 

@@ -1,6 +1,7 @@
 """Multivariate polynomials in canonical form, plus the 3-SAT encoder.
 
-Polynomials are kept as tuples of monomials sorted in graded-lexicographic
+Polynomials are kept as tuples of (exponents, raw coefficient) pairs, the
+coefficients canonical as in ``rings``, sorted in graded-lexicographic
 descending order (higher total degree first; ties broken by the exponent
 vector with x1 heaviest).  Canonical form makes equality, hashing, and the
 printed representation all agree, and printing round-trips through the
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatchError
-from .rings import INTEGERS, PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, ZZ, one, zero
+from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, ZZ, one
 
 Exponents = tuple[tuple[int, int], ...]
 
@@ -49,9 +51,15 @@ def _grlex_key(exponents: Exponents) -> tuple:
 
 
 class Polynomial:
-    """A canonical multivariate polynomial over Z, Q, or GF(p)."""
+    """A canonical multivariate polynomial over Z, Q, or GF(p).
 
-    __slots__ = ("ring", "num_vars", "terms", "_hash", "_sort_key")
+    ``raw_terms`` holds ``(exponents, value)`` pairs in graded-lex
+    descending order, each value canonical and nonzero; the arithmetic
+    works on these, and ``Scalar``/``Monomial`` appear only at the public
+    constructors and accessors.
+    """
+
+    __slots__ = ("ring", "num_vars", "raw_terms", "_hash", "_sort_key")
 
     def __init__(self, ring: RingDescriptor, num_vars: int, terms: Sequence[Monomial]):
         if num_vars < 0:
@@ -66,23 +74,34 @@ class Polynomial:
             if prev_key is not None and key >= prev_key:
                 raise ValueError("terms not in graded-lex descending order")
             prev_key = key
+        self._init_raw(ring, num_vars, tuple((t.exponents, t.coefficient.value) for t in terms))
+
+    def _init_raw(self, ring, num_vars, raw_terms) -> None:
         self.ring = ring
         self.num_vars = num_vars
-        self.terms = tuple(terms)
+        self.raw_terms = raw_terms
         self._hash = None
         self._sort_key = None
+
+    @classmethod
+    def _from_raw(cls, ring: RingDescriptor, num_vars: int, raw_terms: tuple) -> "Polynomial":
+        """Trusted: raw_terms already canonical, nonzero and in order."""
+        obj = cls.__new__(cls)
+        obj._init_raw(ring, num_vars, raw_terms)
+        return obj
+
+    @classmethod
+    def _from_map(cls, ring: RingDescriptor, num_vars: int, acc: dict) -> "Polynomial":
+        """A polynomial from a map of exponents to raw values, not yet canonical."""
+        items = sorted(ring.canon_map(acc).items(), key=lambda it: _grlex_key(it[0]), reverse=True)
+        return cls._from_raw(ring, num_vars, tuple(items))
 
     @classmethod
     def from_term_map(
         cls, ring: RingDescriptor, num_vars: int, term_map: dict[Exponents, Scalar]
     ) -> "Polynomial":
-        items = [
-            (exps, coeff)
-            for exps, coeff in term_map.items()
-            if not coeff.is_zero
-        ]
-        items.sort(key=lambda it: _grlex_key(it[0]), reverse=True)
-        return cls(ring, num_vars, [Monomial(c, e) for e, c in items])
+        items = sorted(term_map.items(), key=lambda it: _grlex_key(it[0]), reverse=True)
+        return cls(ring, num_vars, [Monomial(c, e) for e, c in items if not c.is_zero])
 
     @classmethod
     def zero(cls, ring: RingDescriptor, num_vars: int) -> "Polynomial":
@@ -90,16 +109,15 @@ class Polynomial:
 
     @classmethod
     def constant(cls, ring: RingDescriptor, num_vars: int, value: Scalar) -> "Polynomial":
-        if value.is_zero:
-            return cls.zero(ring, num_vars)
-        return cls(ring, num_vars, [Monomial(value, ())])
+        return cls(ring, num_vars, [] if value.is_zero else [Monomial(value, ())])
 
     @classmethod
     def variable(cls, ring: RingDescriptor, num_vars: int, var: int) -> "Polynomial":
         return cls(ring, num_vars, [Monomial(one(ring), ((var, 1),))])
 
-    def _term_map(self) -> dict[Exponents, Scalar]:
-        return {t.exponents: t.coefficient for t in self.terms}
+    @property
+    def terms(self) -> tuple[Monomial, ...]:
+        return tuple(Monomial(Scalar(self.ring, v), e) for e, v in self.raw_terms)
 
     def _compatible(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -108,60 +126,53 @@ class Polynomial:
             raise ValueError("polynomials over different variable counts")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._compatible(other)
-        out = self._term_map()
-        for t in other.terms:
-            cur = out.get(t.exponents)
-            out[t.exponents] = t.coefficient if cur is None else cur + t.coefficient
-        return Polynomial.from_term_map(self.ring, self.num_vars, out)
+        return poly_sum((self, other))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(
-            self.ring,
-            self.num_vars,
-            [Monomial(-t.coefficient, t.exponents) for t in self.terms],
-        )
+        canon = self.ring.canon
+        return Polynomial._from_raw(self.ring, self.num_vars, tuple((e, canon(-v)) for e, v in self.raw_terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._compatible(other)
-        out: dict[Exponents, Scalar] = {}
-        for s in self.terms:
-            for t in other.terms:
-                merged = dict(s.exponents)
-                for var, exp in t.exponents:
-                    merged[var] = merged.get(var, 0) + exp
-                key = tuple(sorted(merged.items()))
-                coeff = s.coefficient * t.coefficient
-                cur = out.get(key)
-                out[key] = coeff if cur is None else cur + coeff
-        return Polynomial.from_term_map(self.ring, self.num_vars, out)
+        out: dict = {}
+        for ea, va in self.raw_terms:
+            for eb, vb in other.raw_terms:
+                if eb:
+                    merged = dict(ea)
+                    for var, exp in eb:
+                        merged[var] = merged.get(var, 0) + exp
+                    key = tuple(sorted(merged.items()))
+                else:
+                    key = ea
+                out[key] = out.get(key, 0) + va * vb
+        return Polynomial._from_map(self.ring, self.num_vars, out)
 
     def scale(self, s: Scalar) -> "Polynomial":
         if s.ring != self.ring:
             raise RingMismatchError("scalar over a different ring")
-        out = {t.exponents: t.coefficient * s for t in self.terms}
-        return Polynomial.from_term_map(self.ring, self.num_vars, out)
+        sv = s.value
+        return Polynomial._from_map(self.ring, self.num_vars, {e: v * sv for e, v in self.raw_terms})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.raw_terms
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and not self.terms[0].exponents)
+        return not self.raw_terms or (len(self.raw_terms) == 1 and not self.raw_terms[0][0])
 
     def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms[0].coefficient if self.terms else zero(self.ring)
+        return Scalar(self.ring, self.raw_terms[0][1] if self.raw_terms else 0)
 
     @property
     def degree(self) -> int:
         """Total degree; zero polynomial reports 0."""
-        return self.terms[0].degree if self.terms else 0
+        return sum(e for _, e in self.raw_terms[0][0]) if self.raw_terms else 0
 
     def evaluate(self, values: Sequence[Scalar]) -> Scalar:
         if len(values) != self.num_vars:
@@ -169,13 +180,17 @@ class Polynomial:
         for v in values:
             if v.ring != self.ring:
                 raise RingMismatchError("assignment over a different ring")
-        total = zero(self.ring)
-        for t in self.terms:
-            acc = t.coefficient
-            for var, exp in t.exponents:
-                acc = acc * values[var].power(exp)
-            total = total + acc
-        return total
+        return Scalar(self.ring, self.evaluate_raw([v.value for v in values]))
+
+    def evaluate_raw(self, values: Sequence) -> object:
+        """The canonical raw value at a point given as raw values, one per variable."""
+        mod = self.ring.field_size
+        total = 0
+        for exps, term in self.raw_terms:
+            for var, exp in exps:
+                term = term * pow(values[var], exp, mod)
+            total += term
+        return self.ring.canon(total)
 
     def change_ring(self, ring: RingDescriptor) -> "Polynomial":
         """Map coefficients through Z -> Q or Z -> GF(p); identity otherwise."""
@@ -183,8 +198,10 @@ class Polynomial:
             return self
         if self.ring != ZZ:
             raise ValueError(f"no coefficient map from {self.ring} to {ring}")
-        out = {t.exponents: Scalar(ring, t.coefficient.value) for t in self.terms}
-        return Polynomial.from_term_map(ring, self.num_vars, out)
+        canon = ring.canon
+        return Polynomial._from_raw(
+            ring, self.num_vars, tuple((e, r) for e, v in self.raw_terms if (r := canon(v)))
+        )
 
     def sort_key(self):
         """Deterministic total order on canonical polynomials.
@@ -193,10 +210,7 @@ class Polynomial:
         coefficient; the zero polynomial sorts first.
         """
         if self._sort_key is None:
-            self._sort_key = tuple(
-                (_grlex_key(t.exponents), t.coefficient.sort_key())
-                for t in self.terms
-            )
+            self._sort_key = tuple((_grlex_key(e), v) for e, v in self.raw_terms)
         return self._sort_key
 
     def __eq__(self, other) -> bool:
@@ -204,29 +218,26 @@ class Polynomial:
             isinstance(other, Polynomial)
             and self.ring == other.ring
             and self.num_vars == other.num_vars
-            and self.terms == other.terms
+            and self.raw_terms == other.raw_terms
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.num_vars, self.terms))
+            self._hash = hash(self.raw_terms)
         return self._hash
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.raw_terms:
             return "0"
+        signed = self.ring.kind != PRIME_FIELD
         parts: list[str] = []
-        for idx, t in enumerate(self.terms):
-            coeff = t.coefficient
-            negative = self.ring.kind != PRIME_FIELD and coeff.sort_key() < 0
-            mag = -coeff if negative else coeff
-            body = "*".join(
-                f"x{var + 1}" + (f"^{exp}" if exp > 1 else "")
-                for var, exp in t.exponents
-            )
+        for idx, (exps, v) in enumerate(self.raw_terms):
+            negative = signed and v < 0
+            mag = -v if negative else v
+            body = "*".join(f"x{var + 1}" + (f"^{exp}" if exp > 1 else "") for var, exp in exps)
             if not body:
                 text = str(mag)
-            elif mag.is_one:
+            elif mag == 1:
                 text = body
             else:
                 text = f"{mag}*{body}"
@@ -240,7 +251,24 @@ class Polynomial:
         return f"Polynomial({self.ring}, {self})"
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<var>x\d+)|(?P<int>\d+)|(?P<op>[-+*/^]))")
+def poly_sum(polys: Sequence[Polynomial]) -> Polynomial:
+    """The sum of one or more polynomials over one ring, in one merge; terms
+    add up under the graded-lex keys the summands' sort keys already hold."""
+    first = polys[0]
+    acc: dict = {}
+    exps: dict = {}
+    for g in polys:
+        first._compatible(g)
+        for (e, _), (k, v) in zip(g.raw_terms, g.sort_key()):
+            acc[k] = acc.get(k, 0) + v
+            exps[k] = e
+    nz = first.ring.canon_map(acc)
+    return Polynomial._from_raw(
+        first.ring, first.num_vars, tuple([(exps[k], nz[k]) for k in sorted(nz, reverse=True)])
+    )
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(?P<var>x[0-9]+)|(?P<int>[0-9]+)|(?P<op>[-+*/^]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -272,12 +300,12 @@ def parse_polynomial(text: str, num_vars: int, ring: RingDescriptor) -> Polynomi
     tokens = _tokenize(text)
     n = len(tokens)
     i = 0
-    terms: dict[Exponents, Scalar] = {}
+    terms: dict = {}  # exponents -> raw value, made canonical at the end
 
     def peek() -> tuple[str, str, int] | None:
         return tokens[i] if i < n else None
 
-    def parse_coefficient() -> Scalar:
+    def parse_coefficient():
         nonlocal i
         kind, val, pos = tokens[i]
         i += 1
@@ -293,10 +321,8 @@ def parse_polynomial(text: str, num_vars: int, ring: RingDescriptor) -> Polynomi
             i += 1
             if int(d[1]) == 0:
                 raise ParseError("zero denominator", d[2])
-            from fractions import Fraction
-
-            return Scalar(ring, Fraction(num, int(d[1])))
-        return Scalar(ring, num)
+            return Fraction(num, int(d[1]))
+        return num
 
     def parse_var_power() -> tuple[int, int]:
         nonlocal i
@@ -323,7 +349,7 @@ def parse_polynomial(text: str, num_vars: int, ring: RingDescriptor) -> Polynomi
         tok = peek()
         if tok is None:
             raise ParseError("expected a term", len(text))
-        coeff = one(ring)
+        coeff = 1
         exps: dict[int, int] = {}
         if tok[0] == "int":
             coeff = parse_coefficient()
@@ -356,12 +382,9 @@ def parse_polynomial(text: str, num_vars: int, ring: RingDescriptor) -> Polynomi
             exps[var] = exps.get(var, 0) + exp
         _accumulate(sign, coeff, exps)
 
-    def _accumulate(sign: int, coeff: Scalar, exps: dict[int, int]) -> None:
-        if sign < 0:
-            coeff = -coeff
+    def _accumulate(sign: int, coeff, exps: dict[int, int]) -> None:
         key = tuple(sorted(exps.items()))
-        cur = terms.get(key)
-        terms[key] = coeff if cur is None else cur + coeff
+        terms[key] = terms.get(key, 0) + sign * coeff
 
     sign = 1
     tok = peek()
@@ -378,15 +401,12 @@ def parse_polynomial(text: str, num_vars: int, ring: RingDescriptor) -> Polynomi
         sign = 1 if tok[0] == "+" else -1
         i += 1
         parse_term(sign)
-    return Polynomial.from_term_map(ring, num_vars, terms)
+    return Polynomial._from_map(ring, num_vars, terms)
 
 
 def prefix_sums(f: Polynomial) -> list[Polynomial]:
     """Partial sums p1, p1+p2, ..., f of the canonical term sequence."""
-    out = []
-    for k in range(1, len(f.terms) + 1):
-        out.append(Polynomial(f.ring, f.num_vars, f.terms[:k]))
-    return out
+    return [Polynomial._from_raw(f.ring, f.num_vars, f.raw_terms[:k]) for k in range(1, len(f.raw_terms) + 1)]
 
 
 class PolySystem:

@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import DenseMatrix, inverse_3x3
-from .polysys import Assignment, Monomial, Polynomial, PolySystem, prefix_sums
+from .polysys import Assignment, Monomial, Polynomial, PolySystem, poly_sum, prefix_sums
 from .rings import QQ, RATIONALS, RingDescriptor, Scalar, ZZ, one
 
 
@@ -149,14 +149,10 @@ def verify_reachability(sigma: SigmaSet) -> tuple[Polynomial, ...]:
     non-derivable elements (empty when the closure property holds).
     """
 
-    def in_base(f: Polynomial) -> bool:
-        if f.is_constant:
-            return True
-        if len(f.terms) == 1:
-            t = f.terms[0]
-            return t.degree == 1 and (t.coefficient.is_one or (-t.coefficient).is_one)
-        return False
+    def in_base(f: Polynomial) -> bool:  # a constant, or +-x_i
+        return f.is_constant or (f.degree == 1 and len(f.raw_terms) == 1 and f.raw_terms[0][1] in units)
 
+    units = (1, sigma.ring.canon(-1))
     members = set(sigma.elements)
     reached = {f for f in sigma.elements if in_base(f)}
     grew = True
@@ -215,16 +211,6 @@ def build_H(sigma: SigmaSet, guard: int | None = 5000) -> list[Label]:
     return labels
 
 
-def _eval_raw(f: Polynomial, values, canon):
-    acc = 0
-    for t in f.terms:
-        term = t.coefficient.value
-        for var, exp in t.exponents:
-            term = term * values[var] ** exp
-        acc += term
-    return canon(acc)
-
-
 @dataclass(frozen=True)
 class SymbolicU:
     """3 x |H| matrix of polynomials; column u holds u's own coordinates."""
@@ -239,17 +225,8 @@ class SymbolicU:
         for v in point.values:
             if v.ring != ring:
                 raise RingMismatchError("point over a different ring")
-        cache: dict[Polynomial, object] = {}
-        rows: list[list] = [[], [], []]
-        for lab in self.labels:
-            for axis in range(3):
-                f = lab.coords[axis]
-                raw = cache.get(f)
-                if raw is None:
-                    raw = _eval_raw(f, values, ring.canon)
-                    cache[f] = raw
-                rows[axis].append(raw)
-        return DenseMatrix._from_raw(ring, rows)
+        at = {f: f.evaluate_raw(values) for f in {f for lab in self.labels for f in lab.coords}}
+        return DenseMatrix._from_raw(ring, [[at[lab.coords[axis]] for lab in self.labels] for axis in range(3)])
 
 
 class IncompleteMatrix:
@@ -317,7 +294,7 @@ class IncompleteMatrix:
         self.ncols = ncols
         self.raw_grid = tuple(grid)
         self.star_positions = tuple(
-            (i, j) for i in range(self.nrows) for j in range(ncols) if grid[i][j] is None
+            [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v is None]
         )
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
@@ -381,27 +358,6 @@ class IncompleteMatrix:
         )
 
 
-def _raw_term_map(f: Polynomial) -> dict:
-    return {t.exponents: t.coefficient.value for t in f.terms}
-
-
-def _multiply_term_maps(fa: dict, fb: dict, ring: RingDescriptor) -> dict:
-    out: dict = {}
-    for ea, va in fa.items():
-        for eb, vb in fb.items():
-            if eb:
-                merged = dict(ea)
-                for var, exp in eb:
-                    merged[var] = merged.get(var, 0) + exp
-                key = tuple(sorted(merged.items()))
-            else:
-                key = ea
-            prod = va * vb
-            cur = out.get(key)
-            out[key] = prod if cur is None else cur + prod
-    return ring.canon_map(out)
-
-
 def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = None) -> IncompleteMatrix:
     """The incomplete gadget matrix of a system.
 
@@ -417,36 +373,27 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
     ring = F.ring
     elems = sigma.elements
     m = len(elems)
-    tms = [_raw_term_map(f) for f in elems]
     # each distinct product of two elements gets an id k, written 4**k: a
     # cell depends only on the multiset of the ids of its three coordinate
     # products, and the sum of their weights is that multiset (2 bits, 0..3
     # copies, per id), so each multiset is classified once
-    weights: dict[frozenset, int] = {}
-    product: dict[int, dict] = {}
+    weights: dict[Polynomial, int] = {}
+    product: dict[int, Polynomial] = {}
     pw = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            tm = _multiply_term_maps(tms[i], tms[j], ring)
-            w = weights.setdefault(frozenset(tm.items()), 1 << 2 * len(weights))
-            product[w] = tm
+            p = elems[i] * elems[j]
+            w = weights.setdefault(p, 1 << 2 * len(weights))
+            product[w] = p
             pw[i][j] = pw[j][i] = w
-    f_maps = [_raw_term_map(f) for f in F.polynomials]
+    members = set(F.polynomials)
     zero_raw = ring.canon(0)
 
     def classify(*ws: int):
-        merged: dict = {}
-        for w in ws:
-            for key, val in product[w].items():
-                merged[key] = merged.get(key, 0) + val
-        nz = ring.canon_map(merged)
-        if not nz:
-            return zero_raw
-        if len(nz) == 1 and () in nz:
-            return nz[()]
-        if any(nz == fm for fm in f_maps):
-            return zero_raw
-        return None
+        delta = poly_sum([product[w] for w in ws])
+        if delta.is_constant:
+            return delta.raw_terms[0][1] if delta.raw_terms else zero_raw
+        return zero_raw if delta in members else None
 
     coord_idx = [
         (sigma.position(lab.coords[0]), sigma.position(lab.coords[1]), sigma.position(lab.coords[2]))

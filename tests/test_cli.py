@@ -858,3 +858,80 @@ def test_witness_mutations_exit_2_or_4(x1_gf2_completion, x1_gf2_tensor, empty_g
         assert _witness_meaning(wit) == _witness_meaning(json.loads(witf.read_text()))
     else:
         assert code in (2, 4)
+
+
+@pytest.fixture(scope="module")
+def empty_gf2_tensor(tmp_path_factory):
+    """Instance file of the empty system over GF(2), tensor stage (7 x 7 x 1)."""
+    d = tmp_path_factory.mktemp("empty_gf2")
+    sysf = _write_system(d / "sys.json", [], 0, GF(2))
+    instf = d / "inst.json"
+    assert main(["reduce", "tensor", sysf, "--out", str(instf)]) == 0
+    return instf
+
+
+def _drop_first_entry(inst):
+    inst["entries"].pop(0)
+
+
+@pytest.mark.parametrize("edit", ["system", "entry"])
+@pytest.mark.parametrize("which", ["rank", "srank"])
+def test_oracle_rank_refuses_an_edited_instance(which, edit, empty_gf2_tensor, empty_gf11_symmetric, tmp_path, capsys):
+    # rank and srank read an instance as certify does: as the reduction of
+    # its own system, so a file that is not is refused before any search
+    instf = empty_gf2_tensor if which == "rank" else empty_gf11_symmetric[0]
+    if which == "rank":
+        assert main(["oracle", "rank", str(instf), "--budget", "max_rank=1"]) == 0
+    change = (lambda inst: inst["system"].update(num_vars=1, polynomials=["x1"])) if edit == "system" else _drop_first_entry
+    badf = _edited(instf, tmp_path / "bad.json", change)
+    capsys.readouterr()
+    assert main(["oracle", which, badf, "--budget", "max_rank=1"]) == 2
+    assert "reduction of its system" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(num_vars=True),
+        lambda obj: obj.update(comment="x"),
+        lambda obj: obj.update(polynomials=["x١"]),  # an Arabic-Indic digit one
+    ],
+    ids=["num_vars-true", "unknown-field", "non-ascii-digit"],
+)
+def test_malformed_polysystem_exits_2(edit, tmp_path):
+    obj = polysystem_file(_system(["x1"], 1, GF(2)))
+    edit(obj)
+    badf = _write(tmp_path / "bad.json", canonical_dumps(obj))
+    assert main(["reduce", "completion", badf]) == 2
+    assert main(["oracle", "solve", badf]) == 2
+
+
+_POLY_CHARS = st.sampled_from(list("x0123456789^*+-/ ") + ["١", "²", "\t", "y"])
+
+
+@settings(derandomize=True, max_examples=60, database=None)
+@given(data=st.data())
+def test_polysystem_mutations_never_trace_back(tmp_path_factory, data):
+    # one top-level field replaced, deleted or added, or one polynomial
+    # string edited at one character: reduce and oracle solve read the file
+    # or refuse it (2), or stop at a guard (3) or a budget (5), never exit 1
+    obj = polysystem_file(_system(["x1^2 + x1", "x1*x2 - 1"], 2, GF(3)))
+    action = data.draw(st.sampled_from(["replace", "delete", "add", "polynomial"]))
+    if action == "add":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in obj))
+        obj[key] = data.draw(_JSON)
+    elif action == "polynomial":
+        texts = obj["polynomials"]
+        k = data.draw(st.integers(0, len(texts) - 1))
+        text = texts[k]
+        at = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 1))
+        texts[k] = text[:at] + data.draw(st.text(_POLY_CHARS, max_size=2)) + text[at + cut :]
+    else:
+        key = data.draw(st.sampled_from(sorted(obj)))
+        old = canonical_dumps(obj.pop(key))
+        if action == "replace":
+            obj[key] = data.draw(_JSON.filter(lambda v: canonical_dumps(v) != old))
+    sysf = _write(tmp_path_factory.mktemp("mutated") / "sys.json", canonical_dumps(obj))
+    assert main(["reduce", "completion", sysf, "--guard", "300"]) in (0, 2, 3)
+    assert main(["oracle", "solve", sysf, "--budget", "max_candidates=100"]) in (0, 2, 5)
