@@ -6,9 +6,9 @@ residues as ``int`` in ``[0, p)``.  Ranks and inverses elsewhere in the
 package are always taken over the fraction field of the ring, so exactness
 is preserved end to end.
 
-Containers (``Vec``, ``Tensor3``, ``SymTensor``, ``IncompleteMatrix``) hold
-canonical raw values, the zeros of sparse ones omitted, and wrap them in a
-``Scalar`` only at their accessors.  Arithmetic inside the package works on
+Containers (``Vec``, ``DenseMatrix``, ``Tensor3``, ``SymTensor``,
+``IncompleteMatrix``, ``Polynomial``) hold canonical raw values, the zeros
+of sparse ones omitted, and wrap them in a ``Scalar`` only at their accessors.  Arithmetic inside the package works on
 raw values and makes them canonical through ``RingDescriptor.canon`` (one
 value) or ``RingDescriptor.canon_map`` (a sparse map); those two methods
 are the only place a value is reduced.

@@ -364,12 +364,16 @@ def _ref_sort_key(tm, n):
     )
 
 
-def _ref_terms(f):
-    """The term map of a polynomial, after checking its terms are in
-    strictly descending graded-lex order."""
+def _matches(f, tm):
+    """f has the terms of the reference term map tm, in strictly descending
+    graded-lex order, and equals the polynomial built from tm, so that its
+    stored coefficients are canonical too."""
     keys = [_dense_grlex_key(t.exponents, f.num_vars) for t in f.terms]
     assert keys == sorted(set(keys), reverse=True)
-    return {t.exponents: t.coefficient for t in f.terms}
+    assert {t.exponents: t.coefficient for t in f.terms} == tm
+    assert f == Polynomial.from_term_map(f.ring, f.num_vars, tm)
+    assert hash(f) == hash(Polynomial.from_term_map(f.ring, f.num_vars, tm))
+    return True
 
 
 def _values(ring):
@@ -400,14 +404,14 @@ def test_arithmetic_matches_a_scalar_reference(data):
     n = data.draw(st.integers(0, 3))
     a, b = _term_maps(data.draw, ring, n), _term_maps(data.draw, ring, n)
     f, g = Polynomial.from_term_map(ring, n, a), Polynomial.from_term_map(ring, n, b)
-    assert _ref_terms(f) == a and _ref_terms(g) == b
+    assert _matches(f, a) and _matches(g, b)
     neg_b = {e: -c for e, c in b.items()}
-    assert _ref_terms(f + g) == _ref_add(a, b)
-    assert _ref_terms(f - g) == _ref_add(a, neg_b)
-    assert _ref_terms(-g) == neg_b
-    assert _ref_terms(f * g) == _ref_mul(a, b)
+    assert _matches(f + g, _ref_add(a, b))
+    assert _matches(f - g, _ref_add(a, neg_b))
+    assert _matches(-g, neg_b)
+    assert _matches(f * g, _ref_mul(a, b))
     s = Scalar(ring, data.draw(_values(ring)))
-    assert _ref_terms(f.scale(s)) == _ref_canon({e: c * s for e, c in a.items()})
+    assert _matches(f.scale(s), _ref_canon({e: c * s for e, c in a.items()}))
     point = [Scalar(ring, data.draw(_values(ring))) for _ in range(n)]
     expect = _ref_eval(a, point)
     got = f.evaluate(point)
@@ -423,4 +427,4 @@ def test_arithmetic_matches_a_scalar_reference(data):
         for target in (QQ, GF(11)):
             h = f.change_ring(target)
             assert h.ring == target
-            assert _ref_terms(h) == _ref_canon({e: Scalar(target, c.value) for e, c in a.items()})
+            assert _matches(h, _ref_canon({e: Scalar(target, c.value) for e, c in a.items()}))
