@@ -935,3 +935,53 @@ def test_polysystem_mutations_never_trace_back(tmp_path_factory, data):
     sysf = _write(tmp_path_factory.mktemp("mutated") / "sys.json", canonical_dumps(obj))
     assert main(["reduce", "completion", sysf, "--guard", "300"]) in (0, 2, 3)
     assert main(["oracle", "solve", sysf, "--budget", "max_candidates=100"]) in (0, 2, 5)
+
+
+def _derksen_2x2_tensor():
+    ring = GF(2)
+    B = IncompleteMatrix(ring, [[Scalar(ring, 1), None], [Scalar(ring, 0), Scalar(ring, 1)]])
+    return tensor_file(build_derksen(B).tensor)
+
+
+# stdout of oracle rank and srank on four small inputs: the least witness,
+# value, exhausted and lower_bound, byte for byte
+ORACLE_PINS = {
+    "rank-readme-w": (
+        "rank",
+        lambda: json.loads(
+            '{"format_version":1,"kind":"tensor","ring":"gf:2","dims":[2,2,2],'
+            '"entries":[[0,0,1,"1"],[0,1,0,"1"],[1,0,0,"1"]]}'
+        ),
+        '{"exhausted":true,"format_version":1,"kind":"oracle_result","lower_bound":3,"oracle":"rank","value":3,'
+        '"witness":[{"a":[[0,"1"]],"b":[[0,"1"]],"c":[[1,"1"]]},{"a":[[0,"1"]],"b":[[0,"1"],[1,"1"]],"c":[[0,"1"]]},'
+        '{"a":[[0,"1"],[1,"1"]],"b":[[0,"1"]],"c":[[0,"1"]]}]}\n',
+    ),
+    "rank-derksen-2x2-gf2": (
+        "rank",
+        _derksen_2x2_tensor,
+        '{"exhausted":true,"format_version":1,"kind":"oracle_result","lower_bound":3,"oracle":"rank","value":3,'
+        '"witness":[{"a":[[0,"1"]],"b":[[0,"1"]],"c":[[1,"1"]]},{"a":[[0,"1"]],"b":[[0,"1"],[1,"1"]],"c":[[0,"1"],[1,"1"]]},'
+        '{"a":[[0,"1"],[1,"1"]],"b":[[1,"1"]],"c":[[0,"1"]]}]}\n',
+    ),
+    "srank-cube-gf11": (
+        "srank",
+        lambda: symtensor_file(SymTensor(GF(11), ("a", "b"), {(1, 1, 1): Scalar(GF(11), 2)})),
+        '{"exhausted":true,"format_version":1,"kind":"oracle_result","lower_bound":1,"oracle":"srank","value":1,'
+        '"witness":[{"s":"2","v":[[1,"1"]]}]}\n',
+    ),
+    "srank-pair-target-gf11": (
+        "srank",
+        lambda: symtensor_file(symmetric.pair_target(Scalar(GF(11), 0))),
+        '{"exhausted":true,"format_version":1,"kind":"oracle_result","lower_bound":3,"oracle":"srank","value":3,'
+        '"witness":[{"s":"3","v":[[0,"1"],[1,"1"]]},{"s":"4","v":[[0,"1"],[1,"2"]]},{"s":"4","v":[[0,"1"],[1,"3"]]}]}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_PINS))
+def test_oracle_result_bytes_pinned(case, tmp_path, capsys):
+    which, make, expected = ORACLE_PINS[case]
+    f = _write(tmp_path / "in.json", canonical_dumps(make()))
+    capsys.readouterr()
+    assert main(["oracle", which, f]) == 0
+    assert capsys.readouterr().out == expected
