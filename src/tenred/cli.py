@@ -146,6 +146,13 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+# the files each rank search reads, the search, and its witness encoder
+_RANK_SEARCHES = {
+    "rank": (("tensor", "tensor_instance"), tensor_rank_bruteforce, jsonio.decomposition_to_json),
+    "srank": (("symtensor", "symmetric_instance"), symmetric_rank_bruteforce, jsonio.sym_decomposition_to_json),
+}
+
+
 def cmd_oracle(args) -> int:
     budget = _parse_budget(args.budget)
     obj = _load(args.file)
@@ -173,27 +180,15 @@ def cmd_oracle(args) -> int:
             res.exhausted,
             res.lower_bound,
         )
-    elif args.which == "rank":
-        _expect_kind(obj, "tensor", "tensor_instance")
-        T = certify.read_instance(obj).tensor
-        res = tensor_rank_bruteforce(T, budget)
-        _report("rank", res.value)
-        out_obj = jsonio.oracle_result_file(
-            "rank",
-            res.value,
-            None if res.witness is None else jsonio.decomposition_to_json(res.witness),
-            res.exhausted,
-            res.lower_bound,
-        )
     else:
-        _expect_kind(obj, "symtensor", "symmetric_instance")
-        S = certify.read_instance(obj).tensor
-        res = symmetric_rank_bruteforce(S, budget)
-        _report("srank", res.value)
+        kinds, search, to_json = _RANK_SEARCHES[args.which]
+        _expect_kind(obj, *kinds)
+        res = search(certify.read_instance(obj).tensor, budget)
+        _report(args.which, res.value)
         out_obj = jsonio.oracle_result_file(
-            "srank",
+            args.which,
             res.value,
-            None if res.witness is None else jsonio.sym_decomposition_to_json(res.witness),
+            None if res.witness is None else to_json(res.witness),
             res.exhausted,
             res.lower_bound,
         )

@@ -169,10 +169,15 @@ def polysystem_file(F: PolySystem) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "polysystem", **system_to_json(F)}
 
 
-def polysystem_parse(obj: dict) -> PolySystem:
-    extra = sorted(obj.keys() - {"format_version", "kind", "ring", "num_vars", "polynomials"})
+def _only_fields(obj: dict, what: str, *fields: str) -> None:
+    """Refuse a file holding a top-level field beyond the header and fields."""
+    extra = sorted(obj.keys() - {"format_version", "kind", "ring", *fields})
     if extra:
-        raise ParseError(f"unexpected field {extra[0]!r} in a polysystem file", 0)
+        raise ParseError(f"unexpected field {extra[0]!r} in a {what}", 0)
+
+
+def polysystem_parse(obj: dict) -> PolySystem:
+    _only_fields(obj, "polysystem file", "num_vars", "polynomials")
     return system_from_json(obj)
 
 
@@ -209,10 +214,11 @@ def _entries_from_json(ring: RingDescriptor, data) -> dict:
         raise ParseError("entries must be a list of [i,j,k,value] quadruples", 0)
     entries = {}
     for item in data:
-        if not isinstance(item, list) or len(item) != 4:
-            raise ParseError(f"tensor entry must be [i,j,k,value], got {item!r}", 0)
-        i, j, k, v = item
-        entries[(i, j, k)] = _scalar(ring, v)
+        if not isinstance(item, list) or len(item) != 4 or any(type(i) is not int for i in item[:3]):
+            raise ParseError(f"tensor entry must be [i,j,k,value] with integer indices, got {item!r}", 0)
+        if tuple(item[:3]) in entries:
+            raise ParseError(f"entry {item[:3]} is listed twice", 0)
+        entries[tuple(item[:3])] = _scalar(ring, item[3])
     return entries
 
 
@@ -228,12 +234,13 @@ def tensor_file(T: Tensor3) -> dict:
 
 def _dims_of(obj: dict) -> tuple[int, int, int]:
     dims = _need(obj, "dims")
-    if not (isinstance(dims, list) and len(dims) == 3 and all(isinstance(d, int) for d in dims)):
+    if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)):
         raise ParseError("dims must be three integers", 0)
     return tuple(dims)
 
 
 def tensor_parse(obj: dict) -> Tensor3:
+    _only_fields(obj, "tensor file", "dims", "entries")
     ring = _ring_of(obj)
     dims = _dims_of(obj)
     entries = _entries_from_json(ring, _need(obj, "entries"))
@@ -271,6 +278,7 @@ def symtensor_file(S: SymTensor) -> dict:
 
 
 def symtensor_parse(obj: dict) -> SymTensor:
+    _only_fields(obj, "symtensor file", "index_names", "entries")
     ring = _ring_of(obj)
     names = _need(obj, "index_names")
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):

@@ -8,18 +8,21 @@ therefore minimal) or is explicitly flagged as not exhausted.
 
 Candidate rank-1 factors are enumerated projectively: the first nonzero
 coordinate of a vector is normalized to 1, which removes scalar redundancy
-without losing any decomposition.  Candidate lists and subset enumeration
-are in a fixed lexicographic order, so the returned witness is the least
-one and independent of any execution schedule.
+without losing any decomposition.  All three decomposition searches run
+one subset walk, ``_least_subset``, in a fixed lexicographic order, so the
+returned witness is the least one and independent of any execution
+schedule; candidate directions are counted, never listed, before the
+budget admits them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, StructureError
 from .linalg import DenseMatrix, Vec, matrix_rank, rank_raw
@@ -46,11 +49,15 @@ from .tensors import (
 class SearchBudget:
     """Caps for exhaustive searches.
 
-    max_rank bounds the number of terms tried; max_candidates bounds the
-    total number of candidate subsets examined; max_seconds is a soft
-    wall-clock hint checked between batches (a timed-out search is
-    reported as not exhausted, and where the cut falls may vary run to
-    run, unlike the candidate caps which are deterministic).
+    The decomposition searches walk candidate subsets by size, up to
+    max_rank terms.  Before a level runs, its subset count, added to the
+    levels before it, is checked against max_candidates; max_seconds, a
+    soft wall-clock cap, is checked every 1,024 subsets.  A search that
+    either stops reports exhausted=False with the size it reached as
+    lower_bound; where a deadline cuts may vary run to run, unlike the
+    candidate cap.  The solution and completion searches, and the
+    restricted symmetric search, count their whole search up front and
+    raise BudgetExceededError (exit 5) when it exceeds max_candidates.
     """
 
     max_rank: int = 4
@@ -135,6 +142,12 @@ def min_completion_rank(M: IncompleteMatrix, budget: SearchBudget | None = None)
     return OracleResult(best_rank, witness, exhausted=True, lower_bound=best_rank)
 
 
+def _direction_count(p: int, n: int, cap: int) -> int:
+    """(p^n - 1)/(p - 1), the number of directions in GF(p)^n, or cap + 1 if larger."""
+    n = min(n, cap.bit_length() + 1)  # beyond that the count exceeds 2^(n-1) > cap
+    return min((p**n - 1) // (p - 1), cap + 1)
+
+
 def projective_vectors(ring: RingDescriptor, n: int) -> list[tuple[int, ...]]:
     """All directions in GF(p)^n with first nonzero coordinate 1.
 
@@ -150,8 +163,13 @@ def projective_vectors(ring: RingDescriptor, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _raw_vec(ring: RingDescriptor, n: int, values: Sequence[int]) -> Vec:
+    return Vec._from_raw(ring, n, {i: v for i, v in enumerate(values) if v})
+
+
 def _rref_solve(p: int, rows: list[list[int]], ncols_a: int, ncols_b: int):
-    """Solve A X = B over GF(p) from the augmented rows [A | B].
+    """Solve A X = B over GF(p) from the augmented rows [A | B], whose
+    entries lie in [0, p), as every row operation keeps them.
 
     Returns the canonical solution with zero rows at non-pivot columns,
     or None when the system is inconsistent.  Mutates `rows`.
@@ -162,28 +180,51 @@ def _rref_solve(p: int, rows: list[list[int]], ncols_a: int, ncols_b: int):
     for col in range(ncols_a):
         sel = None
         for i in range(rr, m):
-            if rows[i][col] % p:
+            if rows[i][col]:
                 sel = i
                 break
         if sel is None:
             continue
         rows[rr], rows[sel] = rows[sel], rows[rr]
-        inv = pow(rows[rr][col] % p, p - 2, p)
-        rows[rr] = [(x * inv) % p for x in rows[rr]]
-        lead = rows[rr]
+        inv = pow(rows[rr][col], p - 2, p)
+        lead = rows[rr] = [x * inv % p for x in rows[rr]]
         for i in range(m):
-            if i != rr and rows[i][col] % p:
-                f = rows[i][col] % p
+            f = rows[i][col]
+            if f and i != rr:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], lead)]
         pivots.append((rr, col))
         rr += 1
-    for i in range(rr, m):
-        if any(x % p for x in rows[i][ncols_a:]):
-            return None
+    if any(any(row[ncols_a:]) for row in rows[rr:]):
+        return None
     sol = [[0] * ncols_b for _ in range(ncols_a)]
     for row_idx, col in pivots:
-        sol[col] = [x % p for x in rows[row_idx][ncols_a:]]
+        sol[col] = rows[row_idx][ncols_a:]
     return sol
+
+
+def _least_subset(
+    p: int, n: int, max_size: int, budget: SearchBudget, width: int, rows: Callable[[tuple], list[list[int]]]
+):
+    """The least subset of range(n), by size and then lexicographically,
+    whose augmented rows ``rows(combo)`` = [A | B], B ``width`` wide, have
+    a solution A X = B over GF(p): (r, combo, X), else (r, None, None) with
+    r the size at which the search stopped, max_size + 1 once every level
+    ran.  Each level's comb(n, r) subsets count against max_candidates
+    before it runs; max_seconds is checked every 1,024 subsets.
+    """
+    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
+    spent = 0
+    for r in range(1, max_size + 1):
+        spent += comb(n, r)
+        if spent > budget.max_candidates:
+            return r, None, None
+        for count, combo in enumerate(combinations(range(n), r)):
+            if deadline is not None and count % 1024 == 0 and time.monotonic() > deadline:
+                return r, None, None
+            sol = _rref_solve(p, rows(combo), r, width)
+            if sol is not None:
+                return r, combo, sol
+    return max_size + 1, None, None
 
 
 def tensor_rank_bruteforce(T: Tensor3, budget: SearchBudget | None = None) -> OracleResult:
@@ -201,60 +242,63 @@ def tensor_rank_bruteforce(T: Tensor3, budget: SearchBudget | None = None) -> Or
     n1, n2, n3 = T.dims
     if T.is_zero:
         return OracleResult(0, Decomposition(ring, T.dims, []), True, 0)
+    nb = _direction_count(p, n2, budget.max_candidates)
+    n = _direction_count(p, n1, budget.max_candidates) * nb
+    # only the slices T holds get a column of B
+    column = {k: m for m, k in enumerate(sorted({k for _, _, k in T.entries}))}
 
-    pairs = [
-        (a, b)
-        for a in projective_vectors(ring, n1)
-        for b in projective_vectors(ring, n2)
-    ]
-    unfold = [[0] * n3 for _ in range(n1 * n2)]
-    for (i, j, k), v in T.entries.items():
-        unfold[i * n2 + j][k] = v
+    @cache
+    def tables():
+        # the direction lists and B, one row per (i, j), are built on
+        # first use, once a level fits the budget
+        unfold = [[0] * len(column) for _ in range(n1 * n2)]
+        for (i, j, k), v in T.entries.items():
+            unfold[i * n2 + j][column[k]] = v
+        return projective_vectors(ring, n1), projective_vectors(ring, n2), unfold
 
-    deadline = None if budget.max_seconds is None else time.monotonic() + budget.max_seconds
-    spent = 0
-    for r in range(1, budget.max_rank + 1):
-        level = comb(len(pairs), r)
-        if spent + level > budget.max_candidates:
-            return OracleResult(None, None, False, r)
-        for combo_idx, combo in enumerate(combinations(range(len(pairs)), r)):
-            if deadline is not None and combo_idx % 1024 == 0 and time.monotonic() > deadline:
-                return OracleResult(None, None, False, r)
-            rows = []
-            for i in range(n1):
-                for j in range(n2):
-                    row = [pairs[t][0][i] * pairs[t][1][j] % p for t in combo]
-                    row.extend(unfold[i * n2 + j])
-                    rows.append(row)
-            sol = _rref_solve(p, rows, r, n3)
-            if sol is None:
-                continue
-            terms = []
-            for t, c_row in zip(combo, sol):
-                a_raw, b_raw = pairs[t]
-                terms.append(
-                    Rank1Term(
-                        Vec(ring, n1, {i: Scalar(ring, v) for i, v in enumerate(a_raw)}),
-                        Vec(ring, n2, {i: Scalar(ring, v) for i, v in enumerate(b_raw)}),
-                        Vec(ring, n3, {i: Scalar(ring, v) for i, v in enumerate(c_row)}),
-                    )
-                )
-            D = Decomposition(ring, T.dims, terms)
-            ok, mismatch = verify_decomposition(T, D)
-            if not ok:
-                raise StructureError(f"solver produced a bad witness at {mismatch[0]}")
-            return OracleResult(r, D, True, r)
-        spent += level
-    return OracleResult(None, None, False, budget.max_rank + 1)
+    def rows(combo):
+        da, db, unfold = tables()
+        cols = [[x * y % p for x in da[t // nb] for y in db[t % nb]] for t in combo]
+        return [[*col, *b] for col, b in zip(zip(*cols), unfold)]
+
+    r, combo, sol = _least_subset(p, n, budget.max_rank, budget, len(column), rows)
+    if combo is None:
+        return OracleResult(None, None, False, r)
+    da, db, _ = tables()
+    terms = []
+    for t, c_row in zip(combo, sol):
+        c = Vec._from_raw(ring, n3, {k: v for k, v in zip(column, c_row) if v})
+        terms.append(Rank1Term(_raw_vec(ring, n1, da[t // nb]), _raw_vec(ring, n2, db[t % nb]), c))
+    D = Decomposition(ring, T.dims, terms)
+    ok, mismatch = verify_decomposition(T, D)
+    if not ok:
+        raise StructureError(f"solver produced a bad witness at {mismatch[0]}")
+    return OracleResult(r, D, True, r)
 
 
-def _sym_capability(size: int) -> int:
-    # documented budget: exhaustive triples need <= 2 indices, pairs <= 3
-    if size <= 2:
-        return 3
-    if size <= 3:
-        return 2
-    return 0
+def _cube_search(T: SymTensor, keys: list, n: int, directions, max_size: int, budget: SearchBudget):
+    """(r, D): the least decomposition D of T into r cubes s * d^3 over n
+    candidate directions, with one equation per canonical key (x, y, z).
+    ``directions()`` lists the raw coordinates of the candidates; it is
+    first called once a level fits the budget.  D is None when the search
+    stopped at size r."""
+    ring, size, p = T.ring, T.size, T.ring.modulus
+    rhs = [[T.entries.get(key, 0)] for key in keys]
+    columns = cache(lambda: [[d[x] * d[y] * d[z] % p for x, y, z in keys] for d in directions()])
+
+    def rows(combo):
+        cols = columns()
+        return [[*col, *b] for col, b in zip(zip(*[cols[t] for t in combo]), rhs)]
+
+    r, combo, sol = _least_subset(p, n, max_size, budget, 1, rows)
+    if combo is None:
+        return r, None
+    terms = [SymTerm(Scalar(ring, s), _raw_vec(ring, size, directions()[t])) for t, (s,) in zip(combo, sol)]
+    D = SymDecomposition(ring, size, terms)
+    ok, mismatch = verify_symmetric_decomposition(T, D)
+    if not ok:
+        raise StructureError(f"solver produced a bad witness at {mismatch[0]}")
+    return r, D
 
 
 def symmetric_rank_bruteforce(T: SymTensor, budget: SearchBudget | None = None) -> OracleResult:
@@ -267,41 +311,17 @@ def symmetric_rank_bruteforce(T: SymTensor, budget: SearchBudget | None = None) 
     budget = budget or SearchBudget()
     _require_prime_field(T.ring, "symmetric rank search")
     ring = T.ring
-    p = ring.modulus
     size = T.size
     if T.is_zero:
         return OracleResult(0, SymDecomposition(ring, size, []), True, 0)
-    cap = min(_sym_capability(size), budget.max_rank)
+    # documented budget: exhaustive triples need <= 2 indices, pairs <= 3
+    cap = min(3 if size <= 2 else 2 if size == 3 else 0, budget.max_rank)
     if cap == 0:
-        raise BudgetExceededError(
-            f"{size} indices is beyond the exhaustive symmetric search budget"
-        )
-    dirs = projective_vectors(ring, size)
+        raise BudgetExceededError(f"{size} indices is beyond the exhaustive symmetric search budget")
     keys = list(combinations_with_replacement(range(size), 3))
-    rhs = [T.entries.get(key, 0) for key in keys]
-    for r in range(1, cap + 1):
-        for combo in combinations(range(len(dirs)), r):
-            rows = []
-            for key, target in zip(keys, rhs):
-                x, y, z = key
-                row = [dirs[t][x] * dirs[t][y] * dirs[t][z] % p for t in combo]
-                row.append(target)
-                rows.append(row)
-            sol = _rref_solve(p, rows, r, 1)
-            if sol is None:
-                continue
-            terms = []
-            for t, (s_raw,) in zip(combo, sol):
-                if s_raw % p == 0:
-                    continue
-                v = Vec(ring, size, {i: Scalar(ring, c) for i, c in enumerate(dirs[t])})
-                terms.append(SymTerm(Scalar(ring, s_raw), v))
-            D = SymDecomposition(ring, size, terms)
-            ok, mismatch = verify_symmetric_decomposition(T, D)
-            if not ok:
-                raise StructureError(f"solver produced a bad witness at {mismatch[0]}")
-            return OracleResult(r, D, True, r)
-    return OracleResult(None, None, False, cap + 1)
+    n = _direction_count(ring.modulus, size, budget.max_candidates)
+    r, D = _cube_search(T, keys, n, cache(lambda: projective_vectors(ring, size)), cap, budget)
+    return OracleResult(None if D is None else r, D, D is not None, r)
 
 
 def restricted_symmetric_search(
@@ -315,12 +335,12 @@ def restricted_symmetric_search(
     exhausting all subsets of at most max_terms certifies that no shorter
     decomposition exists within that family (value None, exhausted True).
     Coefficients are solved for exactly, so membership of a subset is
-    decided, never sampled.
+    decided, never sampled.  The whole search is counted against
+    max_candidates up front.
     """
     budget = budget or SearchBudget()
     _require_prime_field(T.ring, "restricted symmetric search")
     ring = T.ring
-    p = ring.modulus
     size = T.size
     for v in candidates:
         if v.ring != ring or v.n != size:
@@ -332,37 +352,12 @@ def restricted_symmetric_search(
         raise BudgetExceededError(
             f"{total} subsets exceed the candidate budget {budget.max_candidates}"
         )
-    cand_raw = [
-        tuple(v.get(i).value for i in range(size)) for v in candidates
-    ]
+    cand_raw = [tuple(v.nz.get(i, 0) for i in range(size)) for v in candidates]
     key_set = set(T.entries)
-    for raw in cand_raw:
-        support = [i for i, c in enumerate(raw) if c]
-        key_set.update(combinations_with_replacement(support, 3))
-    keys = sorted(key_set)
-    rhs = [T.entries.get(key, 0) for key in keys]
-    for r in range(1, max_terms + 1):
-        for combo in combinations(range(len(candidates)), r):
-            rows = []
-            for key, target in zip(keys, rhs):
-                x, y, z = key
-                row = [cand_raw[t][x] * cand_raw[t][y] * cand_raw[t][z] % p for t in combo]
-                row.append(target)
-                rows.append(row)
-            sol = _rref_solve(p, rows, r, 1)
-            if sol is None:
-                continue
-            terms = [
-                SymTerm(Scalar(ring, s_raw), candidates[t])
-                for t, (s_raw,) in zip(combo, sol)
-                if s_raw % p
-            ]
-            D = SymDecomposition(ring, size, terms)
-            ok, mismatch = verify_symmetric_decomposition(T, D)
-            if not ok:
-                raise StructureError(f"solver produced a bad witness at {mismatch[0]}")
-            return OracleResult(len(terms), D, True, len(terms))
-    return OracleResult(None, None, True, max_terms + 1)
+    for v in candidates:
+        key_set.update(combinations_with_replacement(sorted(v.nz), 3))
+    r, D = _cube_search(T, sorted(key_set), len(candidates), lambda: cand_raw, max_terms, budget)
+    return OracleResult(None if D is None else r, D, D is not None or r > max_terms, r)
 
 
 def slice_lemma_check(T: Tensor3, k: int, budget: SearchBudget | None = None) -> bool:

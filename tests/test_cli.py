@@ -15,6 +15,7 @@ from tenred.jsonio import (
     symtensor_file,
     tensor_file,
 )
+from tenred.oracle import symmetric_rank_bruteforce, tensor_rank_bruteforce
 from tenred.polysys import PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar
 from tenred.sigma import IncompleteMatrix, build_B
@@ -985,3 +986,121 @@ def test_oracle_result_bytes_pinned(case, tmp_path, capsys):
     capsys.readouterr()
     assert main(["oracle", which, f]) == 0
     assert capsys.readouterr().out == expected
+
+
+def _cubes_gf101():
+    """x^3 + y^3 + z^3 over GF(101): 10,303 directions, no decomposition of
+    one or two cubes."""
+    r = GF(101)
+    return symtensor_file(SymTensor(r, ("x", "y", "z"), {(i, i, i): Scalar(r, 1) for i in range(3)}))
+
+
+def _bare_40x1x1_gf2():
+    return {"format_version": 1, "kind": "tensor", "ring": "gf:2", "dims": [40, 1, 1], "entries": [[0, 0, 0, "1"]]}
+
+
+@pytest.mark.parametrize(
+    "which, make, budget, lower_bounds",
+    [
+        ("srank", _cubes_gf101, "max_candidates=1000", {1}),
+        # only the deadline can stop this one; where it falls may vary
+        ("srank", _cubes_gf101, "max_candidates=100000000,max_seconds=1", {1, 2}),
+        ("rank", _bare_40x1x1_gf2, "max_candidates=10", {1}),
+        # 19 labels: 524,287 directions per factor, 2.7e11 pairs
+        ("rank", "x1_gf2_tensor", None, {1}),
+    ],
+    ids=["srank-candidates", "srank-deadline", "rank-40x1x1", "rank-x1-gf2-instance"],
+)
+def test_oracle_stops_at_its_budget(which, make, budget, lower_bounds, run_tenred, request, tmp_path):
+    # a search over budget reports how far it got, within the child's
+    # memory and time limits, and allocates no candidate beyond the budget
+    if isinstance(make, str):
+        f = request.getfixturevalue(make)[0]
+    else:
+        f = _write(tmp_path / "in.json", canonical_dumps(make()))
+    proc = run_tenred("oracle", which, f, *(["--budget", budget] if budget else []))
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)
+    assert res["exhausted"] is False and res["value"] is None
+    assert res["lower_bound"] in lower_bounds
+
+
+def _tensor_w():
+    return {
+        "format_version": 1,
+        "kind": "tensor",
+        "ring": "gf:2",
+        "dims": [2, 2, 2],
+        "entries": [[0, 0, 1, "1"], [0, 1, 0, "1"], [1, 0, 0, "1"]],
+    }
+
+
+def _symtensor_pair_target():
+    return symtensor_file(symmetric.pair_target(Scalar(GF(11), 0)))
+
+
+def _set_index(value):
+    def edit(obj):
+        obj["entries"][0][0] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_index(True),
+        _set_index(1.0),
+        _set_index(0.5),
+        lambda obj: obj["entries"].append([*obj["entries"][0][:3], "0"]),
+        lambda obj: obj.update(comment="x"),
+    ],
+    ids=["index-true", "index-float", "index-half", "repeated-key", "unknown-field"],
+)
+@pytest.mark.parametrize("which, make", [("rank", _tensor_w), ("srank", _symtensor_pair_target)], ids=["tensor", "symtensor"])
+def test_malformed_bare_file_exits_2(which, make, edit, tmp_path, capsys):
+    obj = make()
+    edit(obj)
+    badf = _write(tmp_path / "bad.json", canonical_dumps(obj))
+    capsys.readouterr()
+    assert main(["oracle", which, badf]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+_INDEX = st.integers(-1, 3) | st.booleans() | st.floats(-1, 3) | st.text(max_size=2) | st.none()
+
+
+@settings(derandomize=True, max_examples=60, database=None)
+@given(data=st.data())
+def test_bare_file_mutations_never_trace_back(tmp_path_factory, data):
+    # one top-level field replaced, deleted or added, or one entry index or
+    # value replaced: oracle rank and srank under a small budget, and verify
+    # against the file's own least witness, read the file or refuse it (2),
+    # reject the witness (4) or stop at a budget (5), never exit 1
+    which, make, search, witness_file = data.draw(
+        st.sampled_from(
+            [
+                ("rank", _tensor_w, tensor_rank_bruteforce, jsonio.tensor_witness_file),
+                ("srank", _symtensor_pair_target, symmetric_rank_bruteforce, jsonio.symmetric_witness_file),
+            ]
+        )
+    )
+    d = tmp_path_factory.mktemp("bare")
+    obj = make()
+    witness = search(certify.read_instance(obj).tensor).witness
+    witf = _write(d / "wit.json", canonical_dumps(witness_file(witness)))
+    action = data.draw(st.sampled_from(["replace", "delete", "add", "entry"]))
+    if action == "add":
+        key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in obj))
+        obj[key] = data.draw(_JSON)
+    elif action == "entry":
+        entry = obj["entries"][data.draw(st.integers(0, len(obj["entries"]) - 1))]
+        at = data.draw(st.integers(0, 3))
+        entry[at] = data.draw(_INDEX if at < 3 else st.integers(-3, 3).map(str) | _JSON)
+    else:
+        key = data.draw(st.sampled_from(sorted(obj)))
+        old = canonical_dumps(obj.pop(key))
+        if action == "replace":
+            obj[key] = data.draw(_JSON.filter(lambda v: canonical_dumps(v) != old))
+    f = _write(d / "in.json", canonical_dumps(obj))
+    assert main(["oracle", which, f, "--budget", "max_candidates=500"]) in (0, 2, 4, 5)
+    assert main(["verify", f, witf]) in (0, 2, 4, 5)
