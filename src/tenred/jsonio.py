@@ -216,9 +216,10 @@ def _entries_from_json(ring: RingDescriptor, data) -> dict:
     for item in data:
         if not isinstance(item, list) or len(item) != 4 or any(type(i) is not int for i in item[:3]):
             raise ParseError(f"tensor entry must be [i,j,k,value] with integer indices, got {item!r}", 0)
-        if tuple(item[:3]) in entries:
+        key = tuple(item[:3])
+        if key in entries:
             raise ParseError(f"entry {item[:3]} is listed twice", 0)
-        entries[tuple(item[:3])] = _scalar(ring, item[3])
+        entries[key] = _scalar(ring, item[3])
     return entries
 
 
