@@ -1025,18 +1025,9 @@ def test_oracle_stops_at_its_budget(which, make, budget, lower_bounds, run_tenre
     assert res["lower_bound"] in lower_bounds
 
 
-def _tensor_w():
-    return {
-        "format_version": 1,
-        "kind": "tensor",
-        "ring": "gf:2",
-        "dims": [2, 2, 2],
-        "entries": [[0, 0, 1, "1"], [0, 1, 0, "1"], [1, 0, 0, "1"]],
-    }
-
-
-def _symtensor_pair_target():
-    return symtensor_file(symmetric.pair_target(Scalar(GF(11), 0)))
+# README's w.json and pair_target(0) over GF(11), as the pins build them
+_tensor_w = ORACLE_PINS["rank-readme-w"][1]
+_symtensor_pair_target = ORACLE_PINS["srank-pair-target-gf11"][1]
 
 
 def _set_index(value):
