@@ -85,7 +85,7 @@ def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) 
         seen = {}
     nz = {}
     for pair in data:
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], int):
+        if not isinstance(pair, list) or len(pair) != 2 or type(pair[0]) is not int:
             raise ParseError(f"bad sparse vector entry {pair!r}", 0)
         i, v = pair
         if not isinstance(v, str) or v not in seen:
@@ -404,7 +404,7 @@ def symmetric_witness_file(D: SymDecomposition) -> dict:
 def symmetric_witness_parse(obj: dict) -> SymDecomposition:
     ring = _ring_of(obj)
     dim = _need(obj, "dim")
-    if not isinstance(dim, int) or dim <= 0:
+    if type(dim) is not int or dim <= 0:
         raise ParseError("dim must be a positive integer", 0)
     return sym_decomposition_from_json(ring, dim, _need(obj, "terms"))
 

@@ -19,8 +19,12 @@ permuted entries is an error, never a silent overwrite.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,7 +35,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import DenseMatrix, Vec, inverse_3x3
-from .rings import PRIME_FIELD, RingDescriptor, Scalar, one, zero
+from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one, zero
 from .tensors import Decomposition, Tensor3, first_mismatch, verify_decomposition
 
 LETTERS = ("I", "J", "K")
@@ -218,32 +222,131 @@ class SymDecomposition:
         return f"SymDecomposition({self.ring}, dim={self.dim}, {len(self.terms)} terms)"
 
 
+# Placements of e factors d among three, the others u: the ordered tensors
+# that carry a^e in the expansion of (u + a*d)^3.
+_PLACEMENTS = tuple(
+    tuple(sorted(set(permutations((0,) * (3 - e) + (1,) * e)))) for e in range(4)
+)
+
+
+def _unit_inverse(ring: RingDescriptor, x):
+    """The exact inverse of a nonzero raw value, or None if it is no unit
+    (over Z everything but 1 and -1)."""
+    if ring.kind == PRIME_FIELD:
+        return pow(x, -1, ring.modulus)
+    if ring.kind == RATIONALS:
+        return Fraction(x.denominator, x.numerator)
+    return x if x in (1, -1) else None
+
+
+def _collinear_run(terms: Sequence[SymTerm], i: int, ring: RingDescriptor):
+    """The longest run terms[i:j] of cubes s_k (u + a_k d)^3 on one support.
+
+    With d = v_2 - v_1 and the pivot p = min supp(d), u = v_1 -
+    (v_1[p]/d[p]) d and a_k = v_k[p]/d[p], all exact; a term joins only
+    if it has the support of v_1 and v_k equals u + a_k d entrywise.
+    Returns (j, u, d, mu), mu_e = sum of s_k a_k^e reduced, or None where
+    terms i and i+1 start no run: different supports, equal vectors, or
+    over Z a pivot other than 1 or -1.
+    """
+    if i + 1 >= len(terms):
+        return None
+    v1, v2 = terms[i].v.nz, terms[i + 1].v.nz
+    support = v1.keys()
+    if v2.keys() != support:
+        return None
+    canon, canon_map = ring.canon, ring.canon_map
+    d = canon_map({x: v2[x] - v for x, v in v1.items()})
+    if not d:
+        return None
+    p = min(d)
+    inv = _unit_inverse(ring, d[p])
+    if inv is None:
+        return None
+    a1 = canon(v1[p] * inv)
+    u = canon_map({x: v - a1 * d.get(x, 0) for x, v in v1.items()})
+    mu = [0, 0, 0, 0]
+    j = i
+    while j < len(terms):
+        t = terms[j]
+        v = t.v.nz
+        if v.keys() != support:
+            break
+        a = canon(v[p] * inv)
+        if canon_map({x: u.get(x, 0) + a * d.get(x, 0) for x in v}) != v:
+            break
+        w = t.s.value
+        for e in range(4):
+            mu[e] += w
+            w *= a
+        j += 1
+    return j, u, d, [canon(m) for m in mu]
+
+
+def _add_product(acc: dict[int, object], c, A, B, C, size: int) -> None:
+    """Add c * A (x) B (x) C on its nondecreasing index triples.
+
+    A, B and C are sorted (index, value) lists.  The partial products are
+    hoisted out of the inner loop, and a triple x <= y <= z accumulates,
+    unreduced, under the flat key (x*size + y)*size + z.
+    """
+    area = size * size
+    get = acc.get
+    b_at = [y for y, _ in B]
+    c_at = [z for z, _ in C]
+    for x, ax in A:
+        cx = c * ax
+        kx = x * area
+        for y, by in B[bisect_left(b_at, x):]:
+            cxy = cx * by
+            kxy = kx + y * size
+            for z, cz in C[bisect_left(c_at, y):]:
+                key = kxy + z
+                acc[key] = get(key, 0) + cxy * cz
+
+
 def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
     """Canonical-triple raw sum of all cube terms.
 
-    The one summation kernel behind every exact check here.  Each term's
-    support is sorted once and the partial products s*v_x and s*v_x*v_y
-    are hoisted out of the inner loop; sums accumulate unreduced under
-    the flat key (x*dim + y)*dim + z, are reduced once at the end, and
-    only the surviving entries are turned back into index triples.
+    The one summation kernel behind every exact check here.  It walks the
+    terms in order and sums each run of consecutive terms s_k (u + a_k
+    d)^3 (_collinear_run; the three terms of one Waring gadget are such a
+    run) through the identity, exact over any commutative ring,
+
+        sum_k s_k (u + a_k d)^3 = mu_0 u^3 + mu_1 Sym(u,u,d)
+                                  + mu_2 Sym(u,d,d) + mu_3 d^3,
+
+    mu_e = sum_k s_k a_k^e, Sym summing the distinct placements of its
+    factors; a piece whose moment is zero is skipped.  Membership in a
+    run is checked entrywise, so no structure of the witness is trusted.
+    A run is summed so only when its nonzero pieces span fewer ordered
+    index triples than its cubes; otherwise, and for a term that starts
+    no run, the term is a group of one and its cube is expanded alone.
+    Sums accumulate unreduced under flat integer keys, are reduced once
+    at the end, and only the surviving entries become index triples.
     """
     size = D.dim
-    area = size * size
     acc: dict[int, object] = {}
-    get = acc.get
-    for t in D.terms:
-        s = t.s.value
-        items = sorted(t.v.nz.items())
-        for a, (x, vx) in enumerate(items):
-            sx = s * vx
-            kx = x * area
-            for b in range(a, len(items)):
-                y, vy = items[b]
-                sxy = sx * vy
-                kxy = kx + y * size
-                for z, vz in items[b:]:
-                    key = kxy + z
-                    acc[key] = get(key, 0) + sxy * vz
+    terms = D.terms
+    i = 0
+    while i < len(terms):
+        run = _collinear_run(terms, i, D.ring)
+        if run is not None:
+            j, u, d, mu = run
+            nu, nd = len(u), len(d)
+            spanned = sum(comb(3, e) * nu ** (3 - e) * nd ** e for e in range(4) if mu[e])
+            if spanned < (j - i) * terms[i].v.nnz ** 3:
+                factors = (sorted(u.items()), sorted(d.items()))
+                for e in range(4):
+                    if mu[e]:
+                        for placement in _PLACEMENTS[e]:
+                            _add_product(acc, mu[e], *(factors[f] for f in placement), size)
+                i = j
+                continue
+        items = sorted(terms[i].v.nz.items())
+        _add_product(acc, terms[i].s.value, items, items, items, size)
+        i += 1
+    area = size * size
     out: dict[Key, object] = {}
     for key, v in D.ring.canon_map(acc).items():
         x, yz = divmod(key, area)

@@ -432,6 +432,58 @@ def test_symmetric_witness_exits_4_on_corrupt_pieces(empty_gf11_symmetric, tmp_p
     assert not out.exists()
 
 
+def _scale_coordinate(terms, x, c):
+    """Multiply coordinate x of each term's vector by c, over GF(11)."""
+    for t in terms:
+        t["v"] = [[i, str(int(v) * c % 11) if i == x else v] for i, v in t["v"]]
+
+
+@pytest.mark.parametrize(
+    "corrupt, still_grouped",
+    [
+        (lambda g: g[1].update(s="5"), True),  # one coefficient s_k
+        (lambda g: _scale_coordinate(g[1:2], 3, 2), False),  # one w-coordinate of one term
+        (lambda g: _scale_coordinate(g, 3, 2), True),  # that w-coordinate in all three
+    ],
+    ids=["s", "one-term-w", "all-terms-w"],
+)
+def test_verify_rejects_a_corrupted_gadget_group(corrupt, still_grouped, empty_gf11_symmetric, tmp_path, capsys):
+    # terms 3..5 are the first pair correction, s_k (u + r_k w)^3 with
+    # u = e_0 + e_1 and w[3] = 1; the grouped sum must see each change
+    instf, witf = empty_gf11_symmetric
+    wit = json.loads(witf.read_text())
+    group = wit["terms"][3:6]
+    assert [t["v"][:3] for t in group] == [[[0, "1"], [1, "1"], [3, r]] for r in ("3", "2", "1")]
+    corrupt(group)
+    D = jsonio.symmetric_witness_parse(wit)
+    run = symmetric._collinear_run(D.terms, 3, D.ring)
+    assert (run is not None and run[0] == 6) == still_grouped
+    badf = _write(tmp_path / "bad.json", canonical_dumps(wit))
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 4
+    assert "verified" not in capsys.readouterr().out
+
+
+def test_verify_refuses_boolean_indices_and_dim(x1_gf2_tensor, empty_gf11_symmetric, tmp_path, capsys):
+    # JSON true is no integer, though Python reads it as 1
+    instf, witf = x1_gf2_tensor
+
+    def respell_ones(wit):
+        for t in wit["terms"]:
+            for key in "abc":
+                t[key] = [[True if i == 1 else i, v] for i, v in t[key]]
+
+    badf = _edited(witf, tmp_path / "bad.json", respell_ones)
+    assert "[true," in (tmp_path / "bad.json").read_text()
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 2
+    assert "bad sparse vector entry" in capsys.readouterr().err
+    instf, witf = empty_gf11_symmetric
+    badf = _edited(witf, tmp_path / "dim.json", lambda wit: wit.update(dim=True))
+    assert main(["verify", str(instf), badf]) == 2
+    assert "dim must be a positive integer" in capsys.readouterr().err
+
+
 def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
     sysf = _write_system(tmp_path / "sys.json", ["x1"], 1, GF(11))
     instf = tmp_path / "inst.json"

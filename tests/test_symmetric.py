@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenred import symmetric
 from tenred.errors import (
@@ -723,6 +725,91 @@ def test_sum_sym_decomposition_raw_matches_reference(ring):
     v = _vec(ring, [1, 2, 0, 3])
     s = Scalar(ring, 5)
     assert sum_sym_decomposition_raw(SymDecomposition(ring, 4, [SymTerm(s, v), SymTerm(-s, v)])) == {}
+
+
+def _nonzero(ring):
+    if ring == QQ:
+        return st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    if ring == ZZ:
+        return st.integers(-3, 3).filter(bool)
+    return st.integers(1, ring.modulus - 1)
+
+
+def _line_terms(data, ring, dim, u_support, w_support):
+    """Terms s_k (u + r_k w)^3, u on u_support and w on w_support."""
+    value = _nonzero(ring)
+    # over Z a run needs d = (r_2 - r_1) w to be 1 or -1 at its pivot
+    pivot_value = st.sampled_from([-1, 1]) if ring == ZZ else value
+    r_value = st.integers(1, 3) if ring == ZZ else value
+    u = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in u_support})
+    w = Vec(ring, dim, {
+        i: Scalar(ring, data.draw(pivot_value if i == min(w_support) else value)) for i in w_support
+    })
+    if ring in (GF(11), QQ) and data.draw(st.booleans()):
+        # a real Waring gadget: its moments make mu_2 = mu_3 = 0
+        gadget = waring_gadget(Scalar(ring, data.draw(st.integers(0, 10))))
+        coeffs = [(t.s, t.v.get(1)) for t in gadget.terms]
+    else:
+        k = data.draw(st.integers(2, 8))
+        coeffs = [(Scalar(ring, data.draw(value)), Scalar(ring, data.draw(r_value))) for _ in range(k)]
+    return [SymTerm(s, u.add(w.scale(r))) for s, r in coeffs]
+
+
+@settings(derandomize=True, database=None, max_examples=120)
+@given(ring=st.sampled_from([GF(11), GF(2), QQ, ZZ]), data=st.data())
+def test_grouped_sum_matches_per_term_expansion(ring, data):
+    dim = data.draw(st.integers(2, 7))
+    indices = st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)
+    value = _nonzero(ring)
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["gadget", "support", "repeat", "overlap", "lone"]))
+        if kind == "gadget":
+            # u and w on disjoint supports, as in every padding piece
+            support = data.draw(indices.filter(lambda s: len(s) >= 2))
+            cut = data.draw(st.integers(1, len(support) - 1))
+            terms += _line_terms(data, ring, dim, support[:cut], support[cut:])
+        elif kind == "overlap":
+            # u inside the support of w, so the run's u and d overlap and
+            # mu_2, mu_3 are nonzero for most coefficients
+            w_support = sorted(data.draw(indices))
+            x = data.draw(st.sampled_from(w_support[1:] or w_support))
+            terms += _line_terms(data, ring, dim, [x], w_support)
+        elif kind == "support":
+            # one support, values drawn independently: rarely collinear
+            support = data.draw(indices)
+            for _ in range(data.draw(st.integers(2, 4))):
+                v = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in support})
+                terms.append(SymTerm(Scalar(ring, data.draw(value)), v))
+        else:
+            v = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in data.draw(indices)})
+            for _ in range(data.draw(st.integers(2, 3)) if kind == "repeat" else 1):
+                terms.append(SymTerm(Scalar(ring, data.draw(value)), v))
+    D = SymDecomposition(ring, dim, [t for t in terms if not t.s.is_zero])
+    assert sum_sym_decomposition_raw(D) == _reference_sym_sum(D)
+
+
+def test_collinear_run_groups_a_gadget_exactly():
+    ring = GF(11)
+    u, w = _vec(ring, [1, 1, 0, 0, 0]), _vec(ring, [0, 0, 3, 0, 7])
+    piece = sym_pair_decompose(u, w, Scalar(ring, 4))
+    lone = SymTerm(one(ring), _vec(ring, [0, 0, 1, 1, 1]))
+    terms = (lone,) + piece.terms + (lone,)
+    # the lone term shares no support with the gadget; the gadget's three
+    # terms form one run with the moments (a, 1, 0, 0) it was solved for
+    assert symmetric._collinear_run(terms, 0, ring) is None
+    j, ru, rd, mu = symmetric._collinear_run(terms, 1, ring)
+    assert j == 4 and mu[2] == mu[3] == 0
+    assert set(ru) == {0, 1} and set(rd) == {2, 4}
+    assert symmetric._collinear_run(terms, 4, ring) is None
+    D = SymDecomposition(ring, 5, terms)
+    assert sum_sym_decomposition_raw(D) == _reference_sym_sum(D)
+    # over Z a run needs a pivot of d equal to 1 or -1
+    v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 3, 5))
+    s = one(ZZ)
+    assert symmetric._collinear_run([SymTerm(s, v1), SymTerm(s, v2), SymTerm(s, v3)], 0, ZZ) is None
+    v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 2, 3))
+    assert symmetric._collinear_run([SymTerm(s, v1), SymTerm(s, v2), SymTerm(s, v3)], 0, ZZ)[0] == 3
 
 
 def _corrupt_pair_pieces(monkeypatch):
