@@ -10,7 +10,9 @@ tensor, at the end of symmetric_witness and again in ``tenred verify``;
 the pieces assembled there are not re-checked one by one, while the
 public builders of those pieces check their own result (build_L_pi under
 check=True, its default).  All sums go through one raw-value kernel,
-sum_sym_decomposition_raw.
+sum_sym_decomposition_raw, which sums the three cubes of each Waring
+gadget together through their moments, after checking entrywise that
+they lie on one line u + a*d, and expands every other cube term alone.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; constructing one from conflicting
@@ -21,10 +23,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import comb
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -35,7 +35,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import DenseMatrix, Vec, inverse_3x3
-from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one, zero
+from .rings import PRIME_FIELD, RingDescriptor, Scalar, one, zero
 from .tensors import Decomposition, Tensor3, first_mismatch, verify_decomposition
 
 LETTERS = ("I", "J", "K")
@@ -229,16 +229,6 @@ _PLACEMENTS = tuple(
 )
 
 
-def _unit_inverse(ring: RingDescriptor, x):
-    """The exact inverse of a nonzero raw value, or None if it is no unit
-    (over Z everything but 1 and -1)."""
-    if ring.kind == PRIME_FIELD:
-        return pow(x, -1, ring.modulus)
-    if ring.kind == RATIONALS:
-        return Fraction(x.denominator, x.numerator)
-    return x if x in (1, -1) else None
-
-
 def _collinear_run(terms: Sequence[SymTerm], i: int, ring: RingDescriptor):
     """The longest run terms[i:j] of cubes s_k (u + a_k d)^3 on one support.
 
@@ -260,8 +250,11 @@ def _collinear_run(terms: Sequence[SymTerm], i: int, ring: RingDescriptor):
     if not d:
         return None
     p = min(d)
-    inv = _unit_inverse(ring, d[p])
-    if inv is None:
+    if ring.is_field:
+        inv = Scalar(ring, d[p]).inverse().value
+    elif d[p] in (1, -1):
+        inv = d[p]
+    else:
         return None
     a1 = canon(v1[p] * inv)
     u = canon_map({x: v - a1 * d.get(x, 0) for x, v in v1.items()})
@@ -334,7 +327,7 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
         if run is not None:
             j, u, d, mu = run
             nu, nd = len(u), len(d)
-            spanned = sum(comb(3, e) * nu ** (3 - e) * nd ** e for e in range(4) if mu[e])
+            spanned = sum(len(_PLACEMENTS[e]) * nu ** (3 - e) * nd ** e for e in range(4) if mu[e])
             if spanned < (j - i) * terms[i].v.nnz ** 3:
                 factors = (sorted(u.items()), sorted(d.items()))
                 for e in range(4):
