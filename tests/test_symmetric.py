@@ -785,7 +785,7 @@ def test_grouped_sum_matches_per_term_expansion(ring, data):
             v = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in data.draw(indices)})
             for _ in range(data.draw(st.integers(2, 3)) if kind == "repeat" else 1):
                 terms.append(SymTerm(Scalar(ring, data.draw(value)), v))
-    D = SymDecomposition(ring, dim, [t for t in terms if not t.s.is_zero])
+    D = SymDecomposition(ring, dim, terms)
     assert sum_sym_decomposition_raw(D) == _reference_sym_sum(D)
 
 
@@ -796,10 +796,10 @@ def test_collinear_run_groups_a_gadget_exactly():
     lone = SymTerm(one(ring), _vec(ring, [0, 0, 1, 1, 1]))
     terms = (lone,) + piece.terms + (lone,)
     # the lone term shares no support with the gadget; the gadget's three
-    # terms form one run with the moments (a, 1, 0, 0) it was solved for
+    # terms form one run, with mu_0 = a and mu_2 = mu_3 = 0 as it was solved
     assert symmetric._collinear_run(terms, 0, ring) is None
     j, ru, rd, mu = symmetric._collinear_run(terms, 1, ring)
-    assert j == 4 and mu[2] == mu[3] == 0
+    assert j == 4 and mu[0] == 4 and mu[2] == mu[3] == 0
     assert set(ru) == {0, 1} and set(rd) == {2, 4}
     assert symmetric._collinear_run(terms, 4, ring) is None
     D = SymDecomposition(ring, 5, terms)
