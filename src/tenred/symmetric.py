@@ -10,9 +10,7 @@ tensor, at the end of symmetric_witness and again in ``tenred verify``;
 the pieces assembled there are not re-checked one by one, while the
 public builders of those pieces check their own result (build_L_pi under
 check=True, its default).  All sums go through one raw-value kernel,
-sum_sym_decomposition_raw, which sums the three cubes of each Waring
-gadget together through their moments, after checking entrywise that
-they lie on one line u + a*d, and expands every other cube term alone.
+sum_sym_decomposition_raw.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; constructing one from conflicting
@@ -301,22 +299,12 @@ def _add_product(acc: dict[int, object], c, A, B, C, size: int) -> None:
 def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
     """Canonical-triple raw sum of all cube terms.
 
-    The one summation kernel behind every exact check here.  It walks the
-    terms in order and sums each run of consecutive terms s_k (u + a_k
-    d)^3 (_collinear_run; the three terms of one Waring gadget are such a
-    run) through the identity, exact over any commutative ring,
-
-        sum_k s_k (u + a_k d)^3 = mu_0 u^3 + mu_1 Sym(u,u,d)
-                                  + mu_2 Sym(u,d,d) + mu_3 d^3,
-
-    mu_e = sum_k s_k a_k^e, Sym summing the distinct placements of its
-    factors; a piece whose moment is zero is skipped.  Membership in a
-    run is checked entrywise, so no structure of the witness is trusted.
-    A run is summed so only when its nonzero pieces span fewer ordered
-    index triples than its cubes; otherwise, and for a term that starts
-    no run, the term is a group of one and its cube is expanded alone.
-    Sums accumulate unreduced under flat integer keys, are reduced once
-    at the end, and only the surviving entries become index triples.
+    The one summation kernel behind every exact check here.  Each run of
+    consecutive cubes s_k (u + a_k d)^3 that _collinear_run finds (the
+    three terms of a Waring gadget are one) is summed as mu_0 u^3 +
+    mu_1 Sym(u,u,d) + mu_2 Sym(u,d,d) + mu_3 d^3, mu_e = sum_k s_k a_k^e,
+    skipping zero moments; any other term is expanded alone.  Sums
+    accumulate unreduced under flat integer keys and are reduced once.
     """
     size = D.dim
     acc: dict[int, object] = {}
@@ -325,17 +313,13 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
     while i < len(terms):
         run = _collinear_run(terms, i, D.ring)
         if run is not None:
-            j, u, d, mu = run
-            nu, nd = len(u), len(d)
-            spanned = sum(len(_PLACEMENTS[e]) * nu ** (3 - e) * nd ** e for e in range(4) if mu[e])
-            if spanned < (j - i) * terms[i].v.nnz ** 3:
-                factors = (sorted(u.items()), sorted(d.items()))
-                for e in range(4):
-                    if mu[e]:
-                        for placement in _PLACEMENTS[e]:
-                            _add_product(acc, mu[e], *(factors[f] for f in placement), size)
-                i = j
-                continue
+            i, u, d, mu = run
+            factors = (sorted(u.items()), sorted(d.items()))
+            for e in range(4):
+                if mu[e]:
+                    for placement in _PLACEMENTS[e]:
+                        _add_product(acc, mu[e], *(factors[f] for f in placement), size)
+            continue
         items = sorted(terms[i].v.nz.items())
         _add_product(acc, terms[i].s.value, items, items, items, size)
         i += 1
