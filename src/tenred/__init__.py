@@ -9,158 +9,4 @@ with a verifiable witness, and brute-force oracles certify the reductions
 on small instances.
 """
 
-from .errors import (
-    BudgetExceededError,
-    FieldTooSmallError,
-    GuardExceededError,
-    ParseError,
-    RingMismatchError,
-    SingularMatrixError,
-    StructureError,
-    VerificationError,
-)
-from .rings import GF, QQ, RingDescriptor, Scalar, ZZ, from_int, one, zero
-from .linalg import DenseMatrix, Vec, inverse_3x3, matrix_rank
-from .polysys import (
-    Assignment,
-    CnfFormula,
-    Monomial,
-    Polynomial,
-    PolySystem,
-    encode_3sat,
-    parse_dimacs,
-    parse_polynomial,
-    prefix_sums,
-)
-from .sigma import (
-    IncompleteMatrix,
-    Label,
-    SigmaSet,
-    SymbolicU,
-    build_B,
-    build_H,
-    completion_witness,
-    count_labels,
-    extract_solution,
-    sigma_monomial,
-    sigma_system,
-    verify_reachability,
-)
-from .tensors import (
-    Decomposition,
-    DerksenInstance,
-    Rank1Term,
-    Tensor3,
-    build_derksen,
-    derksen_witness,
-    pad_cubical,
-    slice_matrix,
-    slice_reduce,
-    verify_decomposition,
-)
-from .symmetric import (
-    PairIndex,
-    SymDecomposition,
-    SymTensor,
-    SymTerm,
-    build_curly_T,
-    build_L_pi,
-    embed_S,
-    pair_indices,
-    pair_target,
-    padded_size,
-    sym_pair_decompose,
-    symmetric_upper_witness,
-    symmetric_witness,
-    verify_symmetric_decomposition,
-    waring_gadget,
-)
-from .oracle import (
-    OracleResult,
-    SearchBudget,
-    min_completion_rank,
-    restricted_symmetric_search,
-    slice_lemma_check,
-    solve_system_bruteforce,
-    symmetric_rank_bruteforce,
-    tensor_rank_bruteforce,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Assignment",
-    "BudgetExceededError",
-    "CnfFormula",
-    "Decomposition",
-    "DenseMatrix",
-    "DerksenInstance",
-    "FieldTooSmallError",
-    "GF",
-    "GuardExceededError",
-    "IncompleteMatrix",
-    "Label",
-    "Monomial",
-    "OracleResult",
-    "PairIndex",
-    "ParseError",
-    "PolySystem",
-    "Polynomial",
-    "QQ",
-    "Rank1Term",
-    "RingDescriptor",
-    "RingMismatchError",
-    "Scalar",
-    "SearchBudget",
-    "SigmaSet",
-    "SingularMatrixError",
-    "StructureError",
-    "SymDecomposition",
-    "SymTensor",
-    "SymTerm",
-    "SymbolicU",
-    "Tensor3",
-    "Vec",
-    "VerificationError",
-    "ZZ",
-    "build_B",
-    "build_H",
-    "build_L_pi",
-    "build_curly_T",
-    "build_derksen",
-    "completion_witness",
-    "count_labels",
-    "derksen_witness",
-    "embed_S",
-    "encode_3sat",
-    "extract_solution",
-    "from_int",
-    "inverse_3x3",
-    "matrix_rank",
-    "min_completion_rank",
-    "one",
-    "pad_cubical",
-    "padded_size",
-    "pair_indices",
-    "pair_target",
-    "parse_dimacs",
-    "parse_polynomial",
-    "prefix_sums",
-    "restricted_symmetric_search",
-    "sigma_monomial",
-    "sigma_system",
-    "slice_lemma_check",
-    "slice_matrix",
-    "slice_reduce",
-    "solve_system_bruteforce",
-    "sym_pair_decompose",
-    "symmetric_rank_bruteforce",
-    "symmetric_upper_witness",
-    "symmetric_witness",
-    "tensor_rank_bruteforce",
-    "verify_decomposition",
-    "verify_reachability",
-    "verify_symmetric_decomposition",
-    "waring_gadget",
-    "zero",
-]

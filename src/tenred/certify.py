@@ -59,8 +59,9 @@ from .tensors import (
     Tensor3,
     build_derksen,
     derksen_witness,
+    first_mismatch,
     pad_cubical,
-    verify_decomposition,
+    sum_terms_raw,
 )
 
 STAGES = {"completion_instance": "completion", "tensor_instance": "tensor", "symmetric_instance": "symmetric"}
@@ -253,26 +254,36 @@ def failure(red: Reduction, wit: dict) -> str | None:
         return _completion_failure(red.B, wit)
     T = red.tensor
     if red.stage == "tensor":
-        D = jsonio.tensor_witness_parse(wit)
-        if D.dims != T.dims:
+        # one pass reads the terms into the exact sum, with no term objects;
+        # where the checks below must refuse, it only reads them, because a
+        # malformed term is refused first
+        ring, dims, count, terms = jsonio.tensor_witness_terms(wit)
+        if dims == T.dims and (red.target_rank is None or count <= red.target_rank):
+            total = sum_terms_raw(terms, ring)
+        else:
+            for _ in terms:
+                pass
+        if dims != T.dims:
             raise ParseError("witness dimensions differ from the instance", 0)
-        if T.ring != D.ring:
-            if T.ring != ZZ or not D.ring.is_field:
+        if T.ring != ring:
+            if T.ring != ZZ or not ring.is_field:
                 raise ParseError("witness ring incompatible with the instance", 0)
-            T = T.change_ring(D.ring)
-        exact = verify_decomposition
+            T = T.change_ring(ring)
     else:
         D = jsonio.symmetric_witness_parse(wit)
         if D.dim != T.size:
             raise ParseError("witness dimension differs from the instance", 0)
         if T.ring != D.ring:
             raise ParseError("witness ring incompatible with the instance", 0)
-        exact = verify_symmetric_decomposition
+        count = len(D.terms)
     # a witness longer than the target proves nothing about the rank
     # bound, however exactly it sums
-    if red.target_rank is not None and len(D.terms) > red.target_rank:
-        return f"{len(D.terms)} terms exceed the target rank {red.target_rank}"
-    ok, mismatch = exact(T, D)
+    if red.target_rank is not None and count > red.target_rank:
+        return f"{count} terms exceed the target rank {red.target_rank}"
+    if red.stage == "tensor":
+        ok, mismatch = first_mismatch(T.entries, total, T.ring)
+    else:
+        ok, mismatch = verify_symmetric_decomposition(T, D)
     if ok:
         return None
     key, want, got = mismatch

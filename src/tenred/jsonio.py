@@ -21,7 +21,7 @@ from .polysys import Assignment, PolySystem, parse_polynomial
 from .rings import RingDescriptor, Scalar
 from .sigma import IncompleteMatrix
 from .symmetric import SymDecomposition, SymTensor, SymTerm
-from .tensors import Decomposition, DerksenInstance, Rank1Term, Tensor3
+from .tensors import Decomposition, DerksenInstance, Tensor3
 
 FORMAT_VERSION = 1
 
@@ -74,9 +74,10 @@ def vec_to_json(v: Vec) -> list:
     return [[i, str(x)] for i, x in sorted(v.nz.items())]
 
 
-def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) -> Vec:
-    """A length-n vector from [index, "value"] pairs; a caller reading many
-    vectors passes one ``seen`` map, so each distinct spelling is parsed once."""
+def raw_vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) -> dict:
+    """The {index: value} map, zeros left out, of a length-n vector from
+    [index, "value"] pairs; a caller reading many vectors passes one
+    ``seen`` map, so each distinct spelling is parsed once."""
     if not isinstance(data, list):
         raise ParseError("sparse vector must be a list of [index, value] pairs", 0)
     if n < 0:
@@ -96,7 +97,11 @@ def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) 
             nz[i] = seen[v]
         else:  # a later pair for the same index wins, a zero included
             nz.pop(i, None)
-    return Vec._from_raw(ring, n, nz)
+    return nz
+
+
+def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) -> Vec:
+    return Vec._from_raw(ring, n, raw_vec_from_json(ring, n, data, seen))
 
 
 def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
@@ -345,20 +350,21 @@ def _terms_of(data) -> list:
     return data
 
 
-def decomposition_from_json(ring: RingDescriptor, dims, data) -> Decomposition:
+def tensor_witness_terms(obj: dict):
+    """The ring, dims and term count of a tensor witness file, and its terms
+    as raw (a, b, c) maps, each read only when the iterator reaches it."""
+    ring, dims = _ring_of(obj), _dims_of(obj)
+    data = _terms_of(_need(obj, "terms"))
     seen: dict = {}
-    terms = [
-        Rank1Term(
-            vec_from_json(ring, dims[0], _need(item, "a"), seen),
-            vec_from_json(ring, dims[1], _need(item, "b"), seen),
-            vec_from_json(ring, dims[2], _need(item, "c"), seen),
+    terms = (
+        (
+            raw_vec_from_json(ring, dims[0], _need(item, "a"), seen),
+            raw_vec_from_json(ring, dims[1], _need(item, "b"), seen),
+            raw_vec_from_json(ring, dims[2], _need(item, "c"), seen),
         )
-        for item in _terms_of(data)
-    ]
-    try:
-        return Decomposition(ring, tuple(dims), terms)
-    except ValueError as e:
-        raise ParseError(str(e), 0) from e
+        for item in data
+    )
+    return ring, dims, len(data), terms
 
 
 def tensor_witness_file(D: Decomposition) -> dict:
@@ -369,10 +375,6 @@ def tensor_witness_file(D: Decomposition) -> dict:
         "dims": list(D.dims),
         "terms": decomposition_to_json(D),
     }
-
-
-def tensor_witness_parse(obj: dict) -> Decomposition:
-    return decomposition_from_json(_ring_of(obj), _dims_of(obj), _need(obj, "terms"))
 
 
 def sym_decomposition_to_json(D: SymDecomposition) -> list:

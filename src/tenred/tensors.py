@@ -166,19 +166,25 @@ class Decomposition:
         return f"Decomposition({self.ring}, dims={self.dims}, {len(self.terms)} terms)"
 
 
-def sum_decomposition_raw(D: Decomposition) -> dict[Key, object]:
-    """Exact entrywise sum of all terms, as a sparse raw-value map."""
+def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], ring: RingDescriptor) -> dict[Key, object]:
+    """Exact entrywise sum of rank-1 terms given as raw (a, b, c) value
+    maps, as a sparse raw-value map; the terms are walked once, in order."""
     acc: dict[Key, object] = {}
     get = acc.get
-    for t in D.terms:
-        c_items = t.c.nz.items()
-        for i, va in t.a.nz.items():
-            for j, vb in t.b.nz.items():
+    for a, b, c in terms:
+        c_items = c.items()
+        for i, va in a.items():
+            for j, vb in b.items():
                 vab = va * vb
                 for k, vc in c_items:
                     key = (i, j, k)
                     acc[key] = get(key, 0) + vab * vc
-    return D.ring.canon_map(acc)
+    return ring.canon_map(acc)
+
+
+def sum_decomposition_raw(D: Decomposition) -> dict[Key, object]:
+    """Exact entrywise sum of all terms, as a sparse raw-value map."""
+    return sum_terms_raw(((t.a.nz, t.b.nz, t.c.nz) for t in D.terms), D.ring)
 
 
 def verify_decomposition(T: Tensor3, D: Decomposition):

@@ -21,6 +21,7 @@ from tenred.rings import GF, QQ, ZZ, Scalar
 from tenred.sigma import IncompleteMatrix, build_B
 from tenred.symmetric import SymDecomposition, SymTensor, SymTerm
 from tenred.tensors import build_derksen
+from test_jsonio import tensor_witness_parse
 
 
 def _system(texts, num_vars, ring):
@@ -871,7 +872,7 @@ def _witness_meaning(wit):
         matrix = jsonio.raw_matrix_from_json(ring, wit["matrix"])
         return head, ring, matrix, jsonio.assignment_from_json(ring, wit["assignment"])
     if wit["kind"] == "tensor_witness":
-        return head, jsonio.tensor_witness_parse(wit)
+        return head, tensor_witness_parse(wit)
     return head, jsonio.symmetric_witness_parse(wit)
 
 

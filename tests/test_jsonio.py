@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tenred import jsonio
 from tenred.certify import read_instance
 from tenred.errors import ParseError
 from tenred.jsonio import (
@@ -11,7 +12,6 @@ from tenred.jsonio import (
     canonical_dumps,
     completion_instance_file,
     completion_witness_file,
-    decomposition_from_json,
     loads,
     matrix_to_json,
     polysystem_file,
@@ -29,7 +29,6 @@ from tenred.jsonio import (
     tensor_instance_file,
     tensor_parse,
     tensor_witness_file,
-    tensor_witness_parse,
     vec_from_json,
     vec_to_json,
 )
@@ -55,6 +54,28 @@ from tenred.tensors import (
 
 def _system(texts, num_vars, ring):
     return PolySystem(ring, num_vars, [parse_polynomial(t, num_vars, ring) for t in texts])
+
+
+def decomposition_from_json(ring, dims, data):
+    """The terms of a tensor witness as a Decomposition of Vec triples;
+    verify reads the same terms as raw maps, straight into the exact sum."""
+    seen = {}
+    terms = [
+        Rank1Term(
+            vec_from_json(ring, dims[0], jsonio._need(item, "a"), seen),
+            vec_from_json(ring, dims[1], jsonio._need(item, "b"), seen),
+            vec_from_json(ring, dims[2], jsonio._need(item, "c"), seen),
+        )
+        for item in jsonio._terms_of(data)
+    ]
+    try:
+        return Decomposition(ring, tuple(dims), terms)
+    except ValueError as e:
+        raise ParseError(str(e), 0) from e
+
+
+def tensor_witness_parse(obj):
+    return decomposition_from_json(jsonio._ring_of(obj), jsonio._dims_of(obj), jsonio._need(obj, "terms"))
 
 
 def test_canonical_dumps_is_byte_stable():
