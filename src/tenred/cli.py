@@ -65,9 +65,9 @@ def _expect_kind(obj: dict, *kinds: str) -> None:
         raise ParseError(f"expected a {' or '.join(kinds)} file, got {kind!r}", 0)
 
 
-def _parse_budget(spec: str | None, SearchBudget):
+def _parse_budget(spec: str | None, budget_type):
     if not spec:
-        return SearchBudget()
+        return budget_type()
     fields = {}
     for part in spec.split(","):
         part = part.strip()
@@ -85,7 +85,7 @@ def _parse_budget(spec: str | None, SearchBudget):
         except ValueError as e:
             raise ParseError(f"bad budget spec: {e}", 0) from e
     try:
-        return SearchBudget(**fields)
+        return budget_type(**fields)
     except ValueError as e:
         raise ParseError(f"bad budget spec: {e}", 0) from e
 
@@ -140,13 +140,6 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-# the files each rank search reads, the search in oracle, and its witness encoder
-_RANK_SEARCHES = {
-    "rank": (("tensor", "tensor_instance"), "tensor_rank_bruteforce", jsonio.decomposition_to_json),
-    "srank": (("symtensor", "symmetric_instance"), "symmetric_rank_bruteforce", jsonio.sym_decomposition_to_json),
-}
-
-
 def cmd_oracle(args) -> int:
     from . import oracle  # the one command that searches; the others never load it
 
@@ -177,9 +170,15 @@ def cmd_oracle(args) -> int:
             res.lower_bound,
         )
     else:
-        kinds, search, to_json = _RANK_SEARCHES[args.which]
+        # the files each rank search reads, the search, and its witness encoder
+        kinds, search, to_json = {
+            "rank": (("tensor", "tensor_instance"), oracle.tensor_rank_bruteforce, jsonio.decomposition_to_json),
+            "srank": (
+                ("symtensor", "symmetric_instance"), oracle.symmetric_rank_bruteforce, jsonio.sym_decomposition_to_json
+            ),
+        }[args.which]
         _expect_kind(obj, *kinds)
-        res = getattr(oracle, search)(certify.read_instance(obj).tensor, budget)
+        res = search(certify.read_instance(obj).tensor, budget)
         _report(args.which, res.value)
         out_obj = jsonio.oracle_result_file(
             args.which,

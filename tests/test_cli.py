@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tenred import certify, jsonio, sigma, symmetric
-from tenred.cli import main
+from tenred.cli import build_parser, main
 from tenred.jsonio import (
     canonical_dumps,
     completion_instance_file,
@@ -815,6 +816,45 @@ def test_verify_witness_terms_not_a_list_exits_2(stage, x1_gf2_tensor, empty_gf1
     assert "terms must be a list" in capsys.readouterr().err
 
 
+def _over_target(wit):
+    wit["terms"] += [dict(wit["terms"][-1]) for _ in range(2)]
+
+
+def _bad_last_term(wit):
+    wit["terms"][-1]["c"] = [["1", "1"]]  # a string index
+
+
+def _other_dims(wit):
+    wit["dims"] = [19, 19, 131]
+
+
+def _other_ring(wit):
+    wit["ring"] = "gf:3"
+
+
+@pytest.mark.parametrize(
+    "edits, code, message",
+    [
+        ([_over_target, _bad_last_term], 2, "bad sparse vector entry"),
+        ([_other_dims, _bad_last_term], 2, "bad sparse vector entry"),
+        ([_other_dims], 2, "witness dimensions differ"),
+        ([_other_ring], 2, "witness ring incompatible"),
+        ([_over_target], 4, "134 terms exceed the target rank 132"),
+    ],
+    ids=["malformed-over-target", "malformed-other-dims", "other-dims", "other-ring", "over-target"],
+)
+def test_verify_checks_a_tensor_witness_in_order(edits, code, message, x1_gf2_tensor, tmp_path, capsys):
+    # verify reads the terms on one pass into the sum, and still refuses in
+    # the order parse, dims, ring, term count, sum: a malformed last term is
+    # an input error whatever else is wrong
+    instf, witf = x1_gf2_tensor
+    badf = _edited(witf, tmp_path / "bad.json", lambda wit: [edit(wit) for edit in edits])
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
+
+
 def test_verify_refuses_a_huge_variable_count(x1_gf2_tensor, tmp_path, capsys):
     # the system is parsed without any num_vars-long allocation, then the
     # rebuild's guard refuses it before sigma is built
@@ -890,17 +930,18 @@ def test_witness_mutations_exit_2_or_4(x1_gf2_completion, x1_gf2_tensor, empty_g
         key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in wit))
         wit[key] = data.draw(_JSON)
     elif action == "item":
-        # a well-formed symmetric term would cost a full sum of 3,162
-        # terms, so the symmetric file gets arbitrary JSON only
+        # a cell gets a small value, a term another term of the same file,
+        # which is well formed and so reaches the exact sum; either may get
+        # arbitrary JSON instead
         if "matrix" in wit:
             items = wit["matrix"][data.draw(st.integers(0, len(wit["matrix"]) - 1))]
             pool = st.integers(-3, 3).map(str)
         else:
             items = wit["terms"]
-            pool = st.sampled_from(items) if wit["kind"] == "tensor_witness" else st.nothing()
+            pool = st.sampled_from(items)
         k = data.draw(st.integers(0, len(items) - 1))
         old = canonical_dumps(items[k])
-        items[k] = data.draw((_JSON | pool).filter(lambda v: canonical_dumps(v) != old))
+        items[k] = data.draw((pool | _JSON).filter(lambda v: canonical_dumps(v) != old))
     else:
         key = data.draw(st.sampled_from(sorted(wit)))
         old = canonical_dumps(wit.pop(key))
@@ -1148,3 +1189,62 @@ def test_bare_file_mutations_never_trace_back(tmp_path_factory, data):
     f = _write(d / "in.json", canonical_dumps(obj))
     assert main(["oracle", which, f, "--budget", "max_candidates=500"]) in (0, 2, 4, 5)
     assert main(["verify", f, witf]) in (0, 2, 4, 5)
+
+
+def _tensor_verify_with_last_term(fx, d, **fields):
+    """verify of the tensor fixture against its witness with fields of the last term replaced."""
+    instf, witf = fx["tensor"]
+    return ["verify", str(instf), _edited(witf, d / "w.json", lambda wit: wit["terms"][-1].update(fields))]
+
+
+def _system_file(d, texts, ring):
+    return _write_system(d / "s.json", texts, 1, ring)
+
+
+# exit code and argv of one command per case, given the fixture files and a
+# scratch directory
+GC_CASES = {
+    "encode-3sat": (0, lambda fx, d: ["encode-3sat", _write(d / "f.cnf", "p cnf 1 1\n1 0\n"), "--ring", "gf:2"]),
+    "reduce-tensor": (0, lambda fx, d: ["reduce", "tensor", _system_file(d, ["x1"], GF(2))]),
+    "witness-symmetric": (0, lambda fx, d: ["witness", str(fx["sym"][0]), "--solution", ""]),
+    "verify-completion": (0, lambda fx, d: ["verify", *map(str, fx["comp"])]),
+    "verify-tensor": (0, lambda fx, d: ["verify", *map(str, fx["tensor"])]),
+    "verify-symmetric": (0, lambda fx, d: ["verify", *map(str, fx["sym"])]),
+    # a malformed index, met inside the streamed sum
+    "verify-malformed-term": (2, lambda fx, d: _tensor_verify_with_last_term(fx, d, a=[["0", "1"]])),
+    "reduce-guard": (3, lambda fx, d: ["reduce", "completion", _system_file(d, ["x1"], GF(2)), "--guard", "10"]),
+    "verify-mismatch": (4, lambda fx, d: _tensor_verify_with_last_term(fx, d, c=[[1, "1"]])),
+    "oracle-solve": (0, lambda fx, d: ["oracle", "solve", _system_file(d, ["x1^2 - x1 - 1"], GF(11))]),
+    "oracle-minrank": (5, lambda fx, d: ["oracle", "minrank", str(fx["comp"][0]), "--budget", "max_candidates=2"]),
+    "oracle-rank": (0, lambda fx, d: ["oracle", "rank", str(fx["tensor"][0]), "--budget", "max_candidates=10"]),
+    "oracle-srank": (
+        0,
+        lambda fx, d: [
+            "oracle", "srank", _write(d / "s.json", canonical_dumps(ORACLE_PINS["srank-cube-gf11"][1]())),
+            "--budget", "max_rank=1",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GC_CASES))
+def test_commands_leave_the_collector_as_found_and_no_cycles(
+    case, x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric, tmp_path, capsys
+):
+    # main switches the cyclic collector off for the command alone, which is
+    # sound only if the command leaves no cyclic garbage beyond what parsing
+    # its arguments leaves
+    code, make = GC_CASES[case]
+    argv = make({"comp": x1_gf2_completion, "tensor": x1_gf2_tensor, "sym": empty_gf11_symmetric}, tmp_path)
+    gc.collect()
+    build_parser().parse_args(argv)
+    parsed = gc.collect()
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() == enabled
+            assert gc.collect() <= parsed
+        finally:
+            gc.enable()
+        capsys.readouterr()

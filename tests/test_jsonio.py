@@ -1,7 +1,10 @@
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tenred import jsonio
 from tenred.certify import read_instance
@@ -49,6 +52,8 @@ from tenred.tensors import (
     Tensor3,
     build_derksen,
     pad_cubical,
+    sum_decomposition_raw,
+    sum_terms_raw,
 )
 
 
@@ -366,3 +371,60 @@ def test_scalar_strings_reject_floats():
     obj["entries"] = [[0, 0, 0, "0.5"]]
     with pytest.raises(ParseError):
         tensor_parse(obj)
+
+
+# spellings of small values; Q also gets fractions and a decimal
+_SPELLINGS = ["0", "-0", "1", "2", "3", "-1", "-2", "007", " 4 ", "+5", "12"]
+_Q_SPELLINGS = _SPELLINGS + ["1/2", "-2/4", "3/3", "0.5", "0/7"]
+
+
+def _witness_of(ring, terms, dims=(2, 2, 2)):
+    return {"format_version": 1, "kind": "tensor_witness", "ring": ring, "dims": list(dims), "terms": terms}
+
+
+@st.composite
+def _tensor_witness(draw):
+    ring = draw(st.sampled_from([GF(2), GF(11), QQ, ZZ]))
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    spelling = st.sampled_from(_Q_SPELLINGS if ring == QQ else _SPELLINGS)
+
+    def vec(n):
+        return st.lists(st.tuples(st.integers(0, n - 1), spelling).map(list), max_size=5)
+
+    term = st.fixed_dictionaries({"a": vec(dims[0]), "b": vec(dims[1]), "c": vec(dims[2])})
+    return _witness_of(str(ring), draw(st.lists(term, max_size=5)), dims)
+
+
+def _reference_sum(obj):
+    """The sum of a tensor witness file's terms by the textbook loop over
+    Python ints and Fractions; a later pair for an index wins."""
+    ring = obj["ring"]
+    exact = Fraction if ring == "Q" else int
+    acc = {}
+    for t in obj["terms"]:
+        a, b, c = ({i: exact(v.strip()) for i, v in t[f]} for f in "abc")
+        for i, j, k in itertools.product(a, b, c):
+            acc[i, j, k] = acc.get((i, j, k), 0) + a[i] * b[j] * c[k]
+    if ring.startswith("gf:"):
+        acc = {key: v % int(ring[3:]) for key, v in acc.items()}
+    return {key: v for key, v in acc.items() if v}
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(obj=_tensor_witness())
+# a repeated index, whose later "0" wins; "3" respelling 1 over GF(2)
+@example(obj=_witness_of("gf:2", [{"a": [[0, "1"], [1, "3"]], "b": [[1, "1"], [1, "0"], [0, "3"]], "c": [[0, "1"]]}]))
+@example(obj=_witness_of("gf:11", [{"a": [[0, "12"]], "b": [[0, "-10"]], "c": [[1, "5"], [1, "0"]]}] * 2))
+@example(obj=_witness_of("Q", [{"a": [[1, "2/4"], [1, "1/2"]], "b": [[0, "1"]], "c": [[0, "0"], [0, "-1/2"]]}]))
+@example(
+    obj=_witness_of(
+        "Z",
+        [{"a": [[0, "2"], [0, "0"]], "b": [[0, "1"]], "c": [[0, "1"]]}, {"a": [[1, "-0"]], "b": [[1, "1"]], "c": [[1, "1"]]}],
+    )
+)
+def test_streamed_witness_sum_matches_the_decomposition_sum(obj):
+    # verify sums the raw maps as it reads them; the same file read into a
+    # Decomposition of Vec triples must sum to the same map
+    ring, dims, count, terms = jsonio.tensor_witness_terms(obj)
+    assert (str(ring), list(dims), count) == (obj["ring"], obj["dims"], len(obj["terms"]))
+    assert sum_terms_raw(terms, ring) == sum_decomposition_raw(tensor_witness_parse(obj)) == _reference_sum(obj)
