@@ -17,8 +17,9 @@ for a completion); the term count may not exceed the target rank worked
 out from the rebuilt instance; then one exact check.  A ``verified`` line
 means, over the witness ring:
 
-* completion: the witness assignment solves F, the witness matrix agrees
-  with B(F) at every specified cell, and its exact rank is 3;
+* completion: the witness assignment solves F, the witness matrix W agrees
+  with B(F) at every specified cell, and its exact rank is 3: those cells
+  make W the identity at the unit labels E, and W = W[:,E] W[E,:] holds;
 * tensor: at most tau+3 rank-1 terms sum exactly to the star-slice tensor
   of B(F), so that tensor has rank at most tau+3;
 * symmetric: at most (tau+3) + 4.5(m^2+m) cube terms sum exactly to the
@@ -38,10 +39,18 @@ from typing import Callable
 
 from . import jsonio
 from .errors import GuardExceededError, ParseError, StructureError
-from .linalg import rank_raw
+from .linalg import factors_through_units, rank_raw
 from .polysys import Assignment, PolySystem
 from .rings import QQ, Scalar, ZZ
-from .sigma import IncompleteMatrix, SymbolicU, build_B, completion_witness, sigma_system, unit_block_mismatch
+from .sigma import (
+    IncompleteMatrix,
+    SymbolicU,
+    build_B,
+    completion_witness,
+    sigma_system,
+    unit_block_mismatch,
+    unit_label_positions,
+)
 from .symmetric import (
     SymTensor,
     build_curly_T,
@@ -55,7 +64,6 @@ from .symmetric import (
 from .tensors import (
     Decomposition,
     DerksenInstance,
-    Rank1Term,
     Tensor3,
     build_derksen,
     derksen_witness,
@@ -211,13 +219,12 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     U = SymbolicU(inst.source.row_labels).evaluate(point, field)
     D = derksen_witness(inst, W, U, U)
     if red.stage == "tensor":
-        report("terms", len(D.terms))
+        report("terms", len(D))
         report("verification", "verified")
         return jsonio.tensor_witness_file(D)
     padded = pad_cubical(inst.tensor)
-    m = padded.dims[0]
-    Dp = Decomposition(field, padded.dims, [Rank1Term(t.a.pad(m), t.b.pad(m), t.c.pad(m)) for t in D.terms])
-    WS = symmetric_witness(padded, Dp)
+    # padding leaves every raw map as it is
+    WS = symmetric_witness(padded, Decomposition._from_raw(field, padded.dims, D.raw))
     report("terms", len(WS.terms))
     report("target_rank", red.target_rank)
     report("verification", "verified")
@@ -241,8 +248,11 @@ def _completion_failure(B: IncompleteMatrix, wit: dict) -> str | None:
         for j, expect in enumerate(expect_row):
             if expect is not None and row[j] != expect:
                 return f"mismatch at ({i},{j}): instance has {expect}, witness has {row[j]}"
-    r = rank_raw(rows, ring)  # last: it mutates the rows
-    return None if r == 3 else f"completion rank is {r}, not 3"
+    # the specified cells make W the identity at the unit labels, so W has
+    # rank 3 exactly when it factors through them; only a refusal eliminates
+    if factors_through_units(rows, unit_label_positions(B), ring):
+        return None
+    return f"completion rank is {rank_raw(rows, ring)}, not 3"
 
 
 def failure(red: Reduction, wit: dict) -> str | None:

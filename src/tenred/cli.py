@@ -135,6 +135,7 @@ def cmd_witness(args) -> int:
     red = certify.read_instance(obj)
     del obj
     out_obj = certify.witness_file(red, args.solution, _report)
+    del red  # the instance is not needed to print the witness
     _report("time_s", f"{time.monotonic() - t0:.3f}")
     _emit(out_obj, args.out)
     return EXIT_OK

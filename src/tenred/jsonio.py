@@ -335,10 +335,18 @@ def completion_witness_file(point: Assignment, W: DenseMatrix) -> dict:
 
 
 def decomposition_to_json(D: Decomposition) -> list:
-    return [
-        {"a": vec_to_json(t.a), "b": vec_to_json(t.b), "c": vec_to_json(t.c)}
-        for t in D.terms
-    ]
+    """The terms as {"a", "b", "c"} sparse vectors, written from D's raw
+    maps.  Each distinct value is spelled once, and a map shared by many
+    terms is written once, keyed by id (alive in D), as in _spelled."""
+    text: dict = {}
+    written: dict = {}
+
+    def pairs(nz: dict) -> list:
+        if (k := id(nz)) not in written:
+            written[k] = [[i, text[v] if v in text else text.setdefault(v, str(v))] for i, v in sorted(nz.items())]
+        return written[k]
+
+    return [{"a": pairs(a), "b": pairs(b), "c": pairs(c)} for a, b, c in D.raw]
 
 
 def _terms_of(data) -> list:

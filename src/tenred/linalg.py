@@ -154,6 +154,29 @@ def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
     return r
 
 
+def factors_through_units(rows: list[list], units: Sequence[int], ring: RingDescriptor) -> bool:
+    """Whether a raw square grid W is W[:,E] W[E,:] at every cell, E the three
+    positions ``units``.  Where W is the identity at E, that holds exactly
+    when rank(W) = 3, as the Schur complement of the block is zero.  The test
+    runs in integers: each distinct value object is scaled once into
+    Z = d*W, d the lcm of the denominators, and d*Z is compared with
+    Z[:,E] Z[E,:], modulo p over GF(p), one row of Z at a time.
+    """
+    distinct = {id(v): v for row in rows for v in row}
+    d = lcm(*[v.denominator for v in distinct.values()])
+    scaled = {k: v.numerator * (d // v.denominator) for k, v in distinct.items()}
+    p = ring.modulus
+    e0, e1, e2 = units
+    r0, r1, r2 = ([scaled[id(v)] for v in rows[e]] for e in units)
+    for row in rows:
+        z = [scaled[id(v)] for v in row]
+        c0, c1, c2 = z[e0], z[e1], z[e2]
+        for v, a0, a1, a2 in zip(z, r0, r1, r2):
+            if (s := c0 * a0 + c1 * a1 + c2 * a2 - d * v) and (p is None or s % p):
+                return False
+    return True
+
+
 def matrix_rank(m: DenseMatrix) -> int:
     """Rank of ``m`` over the fraction field of its ring."""
     return rank_raw(m.raw_rows(), m.ring)
@@ -245,12 +268,6 @@ class Vec:
         for i, v in other.nz.items():
             out[i] = out.get(i, 0) + v
         return Vec._from_raw(self.ring, self.n, self.ring.canon_map(out))
-
-    def pad(self, n: int) -> "Vec":
-        """The same vector viewed in a longer ambient space."""
-        if n < self.n:
-            raise ValueError("cannot shrink a vector")
-        return Vec._from_raw(self.ring, n, self.nz)
 
     @property
     def is_zero(self) -> bool:

@@ -695,10 +695,10 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
     ring = T.ring
     size = padded_size(n)
     terms: list[SymTerm] = []
-    for t in D.terms:
-        nz = dict(t.a.nz)
-        nz.update((n + j, v) for j, v in t.b.nz.items())
-        nz.update((2 * n + k, v) for k, v in t.c.nz.items())
+    for a, b, c in D.raw:
+        nz = dict(a)
+        nz.update((n + j, v) for j, v in b.items())
+        nz.update((2 * n + k, v) for k, v in c.items())
         if nz:
             terms.append(SymTerm(one(ring), Vec._from_raw(ring, size, nz)))
 

@@ -133,9 +133,11 @@ class Rank1Term:
 
 
 class Decomposition:
-    """An ordered list of rank-1 terms with uniform shape."""
+    """An ordered list of rank-1 terms with uniform shape, held in ``raw``
+    as (a, b, c) raw value maps like ``Vec.nz``, which terms may share;
+    ``terms`` wraps them in ``Rank1Term``."""
 
-    __slots__ = ("ring", "dims", "terms")
+    __slots__ = ("ring", "dims", "raw")
 
     def __init__(self, ring: RingDescriptor, dims: tuple[int, int, int], terms: Iterable[Rank1Term]):
         terms = tuple(terms)
@@ -146,10 +148,25 @@ class Decomposition:
                 raise ValueError(f"term shape {t.dims} != {tuple(dims)}")
         self.ring = ring
         self.dims = (dims[0], dims[1], dims[2])
-        self.terms = terms
+        self.raw = [(t.a.nz, t.b.nz, t.c.nz) for t in terms]
+
+    @classmethod
+    def _from_raw(cls, ring: RingDescriptor, dims: tuple[int, int, int], raw: list) -> "Decomposition":
+        """On trusted input: (a, b, c) maps within dims, values canonical and nonzero."""
+        obj = cls.__new__(cls)
+        obj.ring, obj.dims, obj.raw = ring, dims, raw
+        return obj
+
+    @property
+    def terms(self) -> tuple[Rank1Term, ...]:
+        ring, (n1, n2, n3) = self.ring, self.dims
+        return tuple(
+            Rank1Term(Vec._from_raw(ring, n1, a), Vec._from_raw(ring, n2, b), Vec._from_raw(ring, n3, c))
+            for a, b, c in self.raw
+        )
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.raw)
 
     def __iter__(self):
         return iter(self.terms)
@@ -159,11 +176,11 @@ class Decomposition:
             isinstance(other, Decomposition)
             and self.ring == other.ring
             and self.dims == other.dims
-            and self.terms == other.terms
+            and self.raw == other.raw
         )
 
     def __repr__(self) -> str:
-        return f"Decomposition({self.ring}, dims={self.dims}, {len(self.terms)} terms)"
+        return f"Decomposition({self.ring}, dims={self.dims}, {len(self)} terms)"
 
 
 def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], ring: RingDescriptor) -> dict[Key, object]:
@@ -184,7 +201,7 @@ def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], ring: RingDescriptor
 
 def sum_decomposition_raw(D: Decomposition) -> dict[Key, object]:
     """Exact entrywise sum of all terms, as a sparse raw-value map."""
-    return sum_terms_raw(((t.a.nz, t.b.nz, t.c.nz) for t in D.terms), D.ring)
+    return sum_terms_raw(D.raw, D.ring)
 
 
 def verify_decomposition(T: Tensor3, D: Decomposition):
@@ -292,24 +309,19 @@ def derksen_witness(
                     f"completion disagrees with the matrix at ({i},{j}): "
                     f"{ci[j]} != {bi[j]}"
                 )
-    width = inst.tau + 1
     one_raw = one(ring).value
-    terms = [
-        Rank1Term(
-            Vec._from_raw(ring, B.nrows, {i: v for i, v in enumerate(pm) if v}),
-            Vec._from_raw(ring, B.ncols, {j: v for j, v in enumerate(lm) if v}),
-            Vec._from_raw(ring, width, {0: one_raw}),
-        )
+    slice0 = {0: one_raw}
+    raw = [
+        ({i: v for i, v in enumerate(pm) if v}, {j: v for j, v in enumerate(lm) if v}, slice0)
         for pm, lm in ((p0, l0), (p1, l1), (p2, l2))
     ]
-    # a star term is e_i (x) e_j (x) (e_t - W(i,j) e_0); the units are shared
-    rows = [Vec._from_raw(ring, B.nrows, {i: one_raw}) for i in range(B.nrows)]
-    cols = [Vec._from_raw(ring, B.ncols, {j: one_raw}) for j in range(B.ncols)]
+    # a star term is e_i (x) e_j (x) (e_t - W(i,j) e_0); the unit maps are shared
+    rows = [{i: one_raw} for i in range(B.nrows)]
+    cols = [{j: one_raw} for j in range(B.ncols)]
     for t, (i, j) in enumerate(inst.star_map, start=1):
         w = canon(-craw[i][j])
-        c = {0: w, t: one_raw} if w else {t: one_raw}
-        terms.append(Rank1Term(rows[i], cols[j], Vec._from_raw(ring, width, c)))
-    D = Decomposition(ring, inst.tensor.dims, terms)
+        raw.append((rows[i], cols[j], {0: w, t: one_raw} if w else {t: one_raw}))
+    D = Decomposition._from_raw(ring, inst.tensor.dims, raw)
     ok, mismatch = verify_decomposition(inst.tensor, D)
     if not ok:
         raise StructureError(f"witness fails to sum to the tensor at {mismatch[0]}")

@@ -590,6 +590,19 @@ def test_verify_reports_completion_rank(x1_q_completion, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "completion rank is 5, not 3"
 
 
+def test_verify_accepts_a_completion_with_no_elimination(x1_q_completion, monkeypatch, capsys):
+    # the identity at the unit labels and W = W[:,E] W[E,:] prove rank 3;
+    # an elimination only words a refusal
+    def no_rank(rows, ring):
+        raise AssertionError("rank_raw called on an accepted completion")
+
+    monkeypatch.setattr(certify, "rank_raw", no_rank)
+    instf, witf = x1_q_completion
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(witf)]) == 0
+    assert capsys.readouterr().out.strip() == "verified"
+
+
 def _grid_not_a_list(inst, wit):
     inst["grid"] = 5
 

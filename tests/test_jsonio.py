@@ -15,6 +15,7 @@ from tenred.jsonio import (
     canonical_dumps,
     completion_instance_file,
     completion_witness_file,
+    decomposition_to_json,
     loads,
     matrix_to_json,
     polysystem_file,
@@ -428,3 +429,36 @@ def test_streamed_witness_sum_matches_the_decomposition_sum(obj):
     ring, dims, count, terms = jsonio.tensor_witness_terms(obj)
     assert (str(ring), list(dims), count) == (obj["ring"], obj["dims"], len(obj["terms"]))
     assert sum_terms_raw(terms, ring) == sum_decomposition_raw(tensor_witness_parse(obj)) == _reference_sum(obj)
+
+
+@st.composite
+def _shared_raw_terms(draw):
+    """A ring, dims and raw (a, b, c) terms drawn from a few maps per axis,
+    so that terms share map objects as the star terms of a witness do."""
+    ring = draw(st.sampled_from([GF(2), GF(11), QQ, ZZ]))
+    dims = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)))
+    spelling = st.sampled_from(_Q_SPELLINGS if ring == QQ else _SPELLINGS)
+    value = spelling.map(lambda text: Scalar.from_str(ring, text).value)
+
+    def raw_map(n):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=4))
+        return {i: v for i, v in pairs if v}
+
+    pools = [[raw_map(n) for _ in range(draw(st.integers(1, 3)))] for n in dims]
+    terms = draw(st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), max_size=6))
+    return ring, dims, terms
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(case=_shared_raw_terms())
+def test_raw_decomposition_matches_its_boxed_terms(case):
+    # a Decomposition holds raw maps; boxing them into Rank1Terms, reading
+    # them back and writing them term by term must all agree with the maps
+    ring, dims, raw = case
+    boxed = [Rank1Term(*(Vec._from_raw(ring, n, m) for n, m in zip(dims, term))) for term in raw]
+    D = Decomposition._from_raw(ring, dims, raw)
+    assert Decomposition(ring, dims, boxed) == D and len(D) == len(raw)
+    assert D.terms == tuple(boxed)
+    assert Decomposition(ring, dims, D.terms) == D
+    reference = [{"a": vec_to_json(t.a), "b": vec_to_json(t.b), "c": vec_to_json(t.c)} for t in boxed]
+    assert decomposition_to_json(D) == reference

@@ -3,11 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tenred.errors import RingMismatchError, SingularMatrixError
-from tenred.linalg import DenseMatrix, Vec, inverse_3x3, matrix_rank, rank_raw
+from tenred.linalg import DenseMatrix, Vec, factors_through_units, inverse_3x3, matrix_rank, rank_raw
 from tenred.rings import GF, QQ, ZZ, Scalar, one, zero
 
 
@@ -227,13 +227,47 @@ def test_vec_algebra():
         a.add(Vec(ZZ, 4))
 
 
-def test_vec_pad_and_errors():
-    v = Vec(QQ, 2, {1: Scalar(QQ, 3)})
-    w = v.pad(5)
-    assert w.n == 5 and w.get(1).value == 3
-    with pytest.raises(ValueError):
-        w.pad(2)
+def test_vec_errors():
     with pytest.raises(ValueError):
         Vec(QQ, 2, {5: Scalar(QQ, 1)})
     with pytest.raises(RingMismatchError):
         Vec(QQ, 2, {0: Scalar(ZZ, 1)})
+
+
+@st.composite
+def _unit_block_grid(draw):
+    """A square grid that is the identity at three positions E, over GF(2),
+    GF(11), Q or Z: either W[:,E] W[E,:] itself, then perhaps one cell
+    bumped, or free everywhere else."""
+    ring = draw(st.sampled_from([GF(2), GF(11), QQ, ZZ]))
+    n = draw(st.integers(3, 6))
+    units = tuple(draw(st.permutations(range(n)))[:3])
+    if ring == QQ:
+        value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    else:
+        value = st.integers(-3, 12).map(ring.canon)
+    rows = [[draw(value) for _ in range(n)] for _ in range(n)]
+    for a, i in enumerate(units):
+        for b, j in enumerate(units):
+            rows[i][j] = ring.canon(int(a == b))
+    if draw(st.booleans()):
+        rows = [[ring.canon(sum(row[e] * rows[e][j] for e in units)) for j in range(n)] for row in rows]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()) and i not in units and j not in units:
+            rows[i][j] = ring.canon(rows[i][j] + 1)
+    return ring, units, rows
+
+
+# the identity at E = (2, 0, 3), and the cell (1, 1) set to row 1 at E times column 1 at E
+_Q_FACTORED = [["1", "1/3", "0", "0"], ["-2/3", "-187/72", "1/2", "3"], ["0", "5/4", "1", "0"], ["0", "-1", "0", "1"]]
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(case=_unit_block_grid())
+@example(case=(GF(11), (0, 1, 2), [[1, 0, 0, 4], [0, 1, 0, 5], [0, 0, 1, 6], [1, 2, 3, 10]]))
+@example(case=(GF(11), (0, 1, 2), [[1, 0, 0, 4], [0, 1, 0, 5], [0, 0, 1, 6], [1, 2, 3, 0]]))
+@example(case=(QQ, (2, 0, 3), [[Fraction(v) for v in row] for row in _Q_FACTORED]))
+def test_factoring_through_the_unit_block_is_rank_3(case):
+    # with the identity at E, W = W[:,E] W[E,:] is the whole rank-3 test
+    ring, units, rows = case
+    assert factors_through_units(rows, units, ring) == (rank_raw([list(r) for r in rows], ring) == 3)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
-from tenred.errors import RingMismatchError, VerificationError
+from tenred.errors import RingMismatchError, StructureError, VerificationError
 from tenred.linalg import DenseMatrix, Vec
 from tenred.polysys import Assignment, PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar, one
@@ -182,6 +184,18 @@ def test_derksen_witness_rejects_bad_completion():
     badU = DenseMatrix(ring, [[v * two for v in row] for row in U.rows])
     with pytest.raises(VerificationError):
         derksen_witness(inst, W, badU, U)
+
+
+def test_derksen_witness_refuses_terms_that_miss_the_tensor():
+    # the completion and its factors agree with B, so only the closing sum
+    # can see that one star unit of the instance tensor was changed
+    inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
+    key = (*inst.star_map[0], 1)
+    entries = dict(inst.tensor.entries)
+    entries[key] = 2
+    changed = dataclasses.replace(inst, tensor=Tensor3._from_raw(GF(11), inst.tensor.dims, entries))
+    with pytest.raises(StructureError, match=re.escape(f"witness fails to sum to the tensor at {key}")):
+        derksen_witness(changed, W, U, U)
 
 
 def test_slice_reduce_algebra():
