@@ -118,8 +118,7 @@ def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
     """
     if ring.kind == RATIONALS:
         for i, row in enumerate(rows):
-            d = lcm(*[v.denominator for v in row])
-            rows[i] = [v.numerator * (d // v.denominator) for v in row]
+            rows[i] = _integral(row)[1]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
     p = ring.modulus if ring.kind == PRIME_FIELD else None
@@ -154,26 +153,36 @@ def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
     return r
 
 
+def _integral(row: list) -> tuple[int, list[int]]:
+    """The lcm d of the denominators of raw values, and the values times d."""
+    d = lcm(*[v.denominator for v in row])
+    return d, [v.numerator * (d // v.denominator) for v in row]
+
+
 def factors_through_units(rows: list[list], units: Sequence[int], ring: RingDescriptor) -> bool:
     """Whether a raw square grid W is W[:,E] W[E,:] at every cell, E the three
-    positions ``units``.  Where W is the identity at E, that holds exactly
-    when rank(W) = 3, as the Schur complement of the block is zero.  The test
-    runs in integers: each distinct value object is scaled once into
-    Z = d*W, d the lcm of the denominators, and d*Z is compared with
-    Z[:,E] Z[E,:], modulo p over GF(p), one row of Z at a time.
-    """
-    distinct = {id(v): v for row in rows for v in row}
-    d = lcm(*[v.denominator for v in distinct.values()])
-    scaled = {k: v.numerator * (d // v.denominator) for k, v in distinct.items()}
-    p = ring.modulus
+    positions ``units``; with the identity at E, exactly when rank(W) = 3
+    (the Schur complement of that block is zero).  The identity fixes a row
+    by its entries at E: the first row with each triple is checked in
+    integers, scaled with W[E,:] by the lcm of their denominators (modulo p
+    over GF(p)), and every later one must equal it."""
     e0, e1, e2 = units
-    r0, r1, r2 = ([scaled[id(v)] for v in rows[e]] for e in units)
+    n, p = len(rows), ring.modulus
+    d_units, flat = _integral(rows[e0] + rows[e1] + rows[e2])
+    r0, r1, r2 = flat[:n], flat[n : 2 * n], flat[2 * n :]
+    checked: dict[tuple, list] = {}
     for row in rows:
-        z = [scaled[id(v)] for v in row]
+        key = (row[e0], row[e1], row[e2])
+        if key in checked:
+            if row != checked[key]:
+                return False
+            continue
+        _, z = _integral(row)
         c0, c1, c2 = z[e0], z[e1], z[e2]
         for v, a0, a1, a2 in zip(z, r0, r1, r2):
-            if (s := c0 * a0 + c1 * a1 + c2 * a2 - d * v) and (p is None or s % p):
+            if (s := c0 * a0 + c1 * a1 + c2 * a2 - d_units * v) and (p is None or s % p):
                 return False
+        checked[key] = row
     return True
 
 

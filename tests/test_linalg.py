@@ -267,6 +267,8 @@ _Q_FACTORED = [["1", "1/3", "0", "0"], ["-2/3", "-187/72", "1/2", "3"], ["0", "5
 @example(case=(GF(11), (0, 1, 2), [[1, 0, 0, 4], [0, 1, 0, 5], [0, 0, 1, 6], [1, 2, 3, 10]]))
 @example(case=(GF(11), (0, 1, 2), [[1, 0, 0, 4], [0, 1, 0, 5], [0, 0, 1, 6], [1, 2, 3, 0]]))
 @example(case=(QQ, (2, 0, 3), [[Fraction(v) for v in row] for row in _Q_FACTORED]))
+# rows 3 and 4 agree at E, and only row 3 is the factor row
+@example(case=(GF(11), (0, 1, 2), [[1, 0, 0, 4, 7], [0, 1, 0, 5, 8], [0, 0, 1, 6, 9], [1, 2, 3, 10, 6], [1, 2, 3, 10, 7]]))
 def test_factoring_through_the_unit_block_is_rank_3(case):
     # with the identity at E, W = W[:,E] W[E,:] is the whole rank-3 test
     ring, units, rows = case
