@@ -5,7 +5,11 @@ a polynomial system F into an instance file, and ``read_instance`` accepts
 a completion, tensor or symmetric instance file only if it *is* that
 reduction: it rebuilds the instance from the file's own ``system`` and
 refuses (exit 2) a file whose canonical JSON differs from the rebuilt one
-in any top-level field, a missing or an extra field included.  The
+in any top-level field, a missing or an extra field included.  It keeps
+only the system and two counts of the parsed file through the rebuild,
+then compares the file's text with the rebuilt canonical text; only text
+that differs is parsed again and compared field by field, so a file
+spelled otherwise (indented, keys reordered) is still accepted.  The
 rebuild's guards are the file's own label count and, on the symmetric
 stage, its index count, so reading never builds more than the file
 already lists.  Every claim below is therefore about the reduction of the
@@ -35,7 +39,7 @@ stored tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import jsonio
 from .errors import GuardExceededError, ParseError, StructureError
@@ -168,9 +172,13 @@ def _difference(stored: dict, rebuilt: dict) -> str:
             return f"{shown}, the reduction of its system"
 
 
-def read_instance(obj: dict) -> Reduction:
-    """The reduction an instance file is, as the module docstring says; a
-    bare tensor or symtensor file is read as it stands."""
+def read_instance(text: str, *kinds: str) -> Reduction:
+    """The reduction an instance file's text is, as the module docstring
+    says; a bare tensor or symtensor file is read as it stands.  Given
+    ``kinds``, a file of any other kind is refused first."""
+    obj = jsonio.loads(text)
+    if kinds:
+        jsonio.expect_kind(obj, *kinds)
     kind = obj.get("kind")
     if kind == "tensor":
         return Reduction("tensor", None, tensor=jsonio.tensor_parse(obj))
@@ -182,18 +190,24 @@ def read_instance(obj: dict) -> Reduction:
     F = jsonio.system_from_json(jsonio._need(obj, "system"))
     labels = _listed(obj, "labels")
     indices = _listed(obj, "index_names") if stage == "symmetric" else None
+    del obj  # the rebuild is compared with the text, not with this tree
     try:
         rebuilt, red = reduce_system(F, stage, labels, indices, lambda key, value: None)
     except GuardExceededError as e:
         field = "index_names" if e.what == "symmetric indices" else "labels"
         raise ParseError(f"{field} is not the reduction of its system ({e})", 0) from e
-    if jsonio.canonical_dumps(rebuilt) != jsonio.canonical_dumps(obj):
-        raise ParseError(_difference(obj, rebuilt), 0)
+    if jsonio.canonical_dumps(rebuilt) != text:
+        # the bytes differ: the file may still be the rebuilt one spelled
+        # otherwise (indented, keys reordered), or differ in some field
+        reason = _difference(jsonio.loads(text), rebuilt)
+        if reason is not None:
+            raise ParseError(reason, 0)
     return red
 
 
-def witness_file(red: Reduction, solution: str, report: Callable[[str, object], None]) -> dict:
-    """The witness file a solution, comma-separated values, induces.
+def witness_file(red: Reduction, solution: str, report: Callable[[str, object], None]) -> dict | Iterator[str]:
+    """The witness file a solution, comma-separated values, induces: a
+    dict, or for a tensor its canonical text in pieces, made as it is read.
 
     Witnesses live over Q for an integer instance, else over its ring.
     Each stage's witness is checked by its builder before it is returned.
@@ -221,7 +235,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     if red.stage == "tensor":
         report("terms", len(D))
         report("verification", "verified")
-        return jsonio.tensor_witness_file(D)
+        return jsonio.tensor_witness_text(D)
     padded = pad_cubical(inst.tensor)
     # padding leaves every raw map as it is
     WS = symmetric_witness(padded, Decomposition._from_raw(field, padded.dims, D.raw))

@@ -38,13 +38,15 @@ def _report(key: str, value) -> None:
     print(f"{key}: {value}", file=sys.stderr)
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = jsonio.canonical_dumps(obj)
+def _emit(obj, out: str | None) -> None:
+    """Write a file given as a dict, in canonical JSON, or as its canonical
+    text in pieces."""
+    pieces = [jsonio.canonical_dumps(obj)] if isinstance(obj, dict) else obj
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _read_text(path: str) -> str:
@@ -57,12 +59,6 @@ def _read_text(path: str) -> str:
 
 def _load(path: str) -> dict:
     return jsonio.loads(_read_text(path))
-
-
-def _expect_kind(obj: dict, *kinds: str) -> None:
-    kind = obj.get("kind")
-    if kind not in kinds:
-        raise ParseError(f"expected a {' or '.join(kinds)} file, got {kind!r}", 0)
 
 
 def _parse_budget(spec: str | None, budget_type):
@@ -111,7 +107,7 @@ def _threads_ok(n: int) -> None:
 def cmd_reduce(args) -> int:
     _threads_ok(args.threads)
     obj = _load(args.system)
-    _expect_kind(obj, "polysystem")
+    jsonio.expect_kind(obj, "polysystem")
     F = jsonio.polysystem_parse(obj)
     if args.ring is not None:
         target = RingDescriptor.from_str(args.ring)
@@ -129,13 +125,12 @@ def cmd_witness(args) -> int:
     _threads_ok(args.threads)
     if not isinstance(args.solution, str):  # argparse reads "--solution=--" as []
         raise ParseError("--solution needs comma-separated values, got '--'", 0)
-    obj = _load(args.instance)
-    _expect_kind(obj, *certify.STAGES)
+    text = _read_text(args.instance)
     t0 = time.monotonic()
-    red = certify.read_instance(obj)
-    del obj
+    red = certify.read_instance(text, *certify.STAGES)
+    del text
     out_obj = certify.witness_file(red, args.solution, _report)
-    del red  # the instance is not needed to print the witness
+    del red  # the witness text is made from W and the stars, not the instance tensor
     _report("time_s", f"{time.monotonic() - t0:.3f}")
     _emit(out_obj, args.out)
     return EXIT_OK
@@ -145,14 +140,15 @@ def cmd_oracle(args) -> int:
     from . import oracle  # the one command that searches; the others never load it
 
     budget = _parse_budget(args.budget, oracle.SearchBudget)
-    obj = _load(args.file)
+    text = _read_text(args.file)
     t0 = time.monotonic()
     if args.which == "solve":
-        _expect_kind(obj, "polysystem")
+        obj = jsonio.loads(text)
+        jsonio.expect_kind(obj, "polysystem")
         F = jsonio.polysystem_parse(obj)
         sols = oracle.solve_system_bruteforce(F, budget)
         _report("solutions", len(sols))
-        out_obj = jsonio.oracle_result_file(
+        out_obj = jsonio.oracle_result_text(
             "solve",
             [jsonio.assignment_to_json(s) for s in sols],
             None,
@@ -160,10 +156,9 @@ def cmd_oracle(args) -> int:
             None,
         )
     elif args.which == "minrank":
-        _expect_kind(obj, "completion_instance")
-        res = oracle.min_completion_rank(certify.read_instance(obj).B, budget)
+        res = oracle.min_completion_rank(certify.read_instance(text, "completion_instance").B, budget)
         _report("min_rank", res.value)
-        out_obj = jsonio.oracle_result_file(
+        out_obj = jsonio.oracle_result_text(
             "minrank",
             res.value,
             jsonio.matrix_to_json(res.witness),
@@ -172,16 +167,16 @@ def cmd_oracle(args) -> int:
         )
     else:
         # the files each rank search reads, the search, and its witness encoder
+        # (a Decomposition goes to oracle_result_text as it is)
         kinds, search, to_json = {
-            "rank": (("tensor", "tensor_instance"), oracle.tensor_rank_bruteforce, jsonio.decomposition_to_json),
+            "rank": (("tensor", "tensor_instance"), oracle.tensor_rank_bruteforce, lambda D: D),
             "srank": (
                 ("symtensor", "symmetric_instance"), oracle.symmetric_rank_bruteforce, jsonio.sym_decomposition_to_json
             ),
         }[args.which]
-        _expect_kind(obj, *kinds)
-        res = search(certify.read_instance(obj).tensor, budget)
+        res = search(certify.read_instance(text, *kinds).tensor, budget)
         _report(args.which, res.value)
-        out_obj = jsonio.oracle_result_file(
+        out_obj = jsonio.oracle_result_text(
             args.which,
             res.value,
             None if res.witness is None else to_json(res.witness),
@@ -194,9 +189,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the witness is loaded after the instance is read, and the loaded and
-    # rebuilt instance files are gone by then
-    red = certify.read_instance(_load(args.instance))
+    # the witness is loaded after the instance is read, and the instance's
+    # text and its rebuilt file are gone by then
+    red = certify.read_instance(_read_text(args.instance))
     reason = certify.failure(red, _load(args.witness))
     print(reason or "verified")
     return EXIT_OK if reason is None else EXIT_VERIFY

@@ -7,13 +7,16 @@ bytes, which is what the determinism checks hash.
 
 Scalars are encoded as strings (exact; no floats anywhere), sparse
 vectors as [[index, "value"], ...] pairs, tensors as sorted
-[[i, j, k, "value"], ...] quadruples.
+[[i, j, k, "value"], ...] quadruples.  A decomposition is the one thing
+written as text, not as a tree: ``decomposition_text`` makes the same
+canonical bytes term by term, so a witness of many terms is never held
+whole.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .errors import ParseError
 from .linalg import DenseMatrix, Vec
@@ -43,6 +46,12 @@ def loads(text: str) -> dict:
     if "kind" not in obj:
         raise ParseError("missing kind field", 0)
     return obj
+
+
+def expect_kind(obj: dict, *kinds: str) -> None:
+    kind = obj.get("kind")
+    if kind not in kinds:
+        raise ParseError(f"expected a {' or '.join(kinds)} file, got {kind!r}", 0)
 
 
 def _need(obj: dict, key: str):
@@ -228,16 +237,6 @@ def _entries_from_json(ring: RingDescriptor, data) -> dict:
     return entries
 
 
-def tensor_file(T: Tensor3) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "tensor",
-        "ring": str(T.ring),
-        "dims": list(T.dims),
-        "entries": entries_to_json(T.entries),
-    }
-
-
 def _dims_of(obj: dict) -> tuple[int, int, int]:
     dims = _need(obj, "dims")
     if not (isinstance(dims, list) and len(dims) == 3 and all(type(d) is int for d in dims)):
@@ -266,7 +265,7 @@ def tensor_instance_file(inst: DerksenInstance, B: IncompleteMatrix) -> dict:
         "dims": list(inst.tensor.dims),
         "entries": entries_to_json(inst.tensor.entries),
         "tau": inst.tau,
-        "star_map": [[i, j] for i, j in inst.star_map],
+        "star_map": [[i, j] for i, j in B.stars()],
         "target_rank": inst.target_rank,
         "system": system_to_json(B.system),
         "labels": _labels_to_json(B.row_labels),
@@ -308,7 +307,7 @@ def symmetric_instance_file(
     obj["target_rank"] = target_rank
     obj["payload_size"] = payload_size
     obj["tau"] = inst.tau
-    obj["star_map"] = [[i, j] for i, j in inst.star_map]
+    obj["star_map"] = [[i, j] for i, j in B.stars()]
     obj["system"] = system_to_json(B.system)
     obj["labels"] = _labels_to_json(B.row_labels)
     return obj
@@ -334,19 +333,41 @@ def completion_witness_file(point: Assignment, W: DenseMatrix) -> dict:
     }
 
 
-def decomposition_to_json(D: Decomposition) -> list:
-    """The terms as {"a", "b", "c"} sparse vectors, written from D's raw
-    maps.  Each distinct value is spelled once, and a map shared by many
-    terms is written once, keyed by id (alive in D), as in _spelled."""
-    text: dict = {}
-    written: dict = {}
+class _Spelled(dict):
+    """Each value's JSON string, made on its first lookup."""
 
-    def pairs(nz: dict) -> list:
-        if (k := id(nz)) not in written:
-            written[k] = [[i, text[v] if v in text else text.setdefault(v, str(v))] for i, v in sorted(nz.items())]
-        return written[k]
+    def __missing__(self, v) -> str:
+        self[v] = text = f'"{v}"'
+        return text
 
-    return [{"a": pairs(a), "b": pairs(b), "c": pairs(c)} for a, b, c in D.raw]
+
+def decomposition_text(D: Decomposition) -> Iterator[str]:
+    """The canonical JSON text of D's terms, a list of {"a", "b", "c"}
+    sparse vectors, made term by term from the raw maps.  Each distinct
+    value is spelled once; a map is spelled each time a term holds it, as
+    maps made during the walk are freed and their ids reused."""
+    spelled = _Spelled()
+
+    def vec(nz: dict) -> str:
+        if len(nz) == 1:  # most maps of a star term
+            ((i, v),) = nz.items()
+            return f"[{i},{spelled[v]}]"
+        return ",".join([f"[{i},{spelled[v]}]" for i, v in sorted(nz.items())])
+
+    sep = "["
+    for a, b, c in D.raw:
+        yield f'{sep}{{"a":[{vec(a)}],"b":[{vec(b)}],"c":[{vec(c)}]}}'
+        sep = ","
+    yield "[]" if sep == "[" else "]"
+
+
+def _ending_with(head: dict, key: str, value: Iterable[str]) -> Iterator[str]:
+    """The canonical text of ``head`` with one more field, given as the
+    canonical text of its value in pieces; ``key`` sorts after every key of
+    ``head``, so the field comes last."""
+    yield f'{canonical_dumps(head)[:-2]},"{key}":'
+    yield from value
+    yield "}\n"
 
 
 def _terms_of(data) -> list:
@@ -375,14 +396,9 @@ def tensor_witness_terms(obj: dict):
     return ring, dims, len(data), terms
 
 
-def tensor_witness_file(D: Decomposition) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "tensor_witness",
-        "ring": str(D.ring),
-        "dims": list(D.dims),
-        "terms": decomposition_to_json(D),
-    }
+def tensor_witness_text(D: Decomposition) -> Iterator[str]:
+    head = {"format_version": FORMAT_VERSION, "kind": "tensor_witness", "ring": str(D.ring), "dims": list(D.dims)}
+    return _ending_with(head, "terms", decomposition_text(D))
 
 
 def sym_decomposition_to_json(D: SymDecomposition) -> list:
@@ -419,13 +435,17 @@ def symmetric_witness_parse(obj: dict) -> SymDecomposition:
     return sym_decomposition_from_json(ring, dim, _need(obj, "terms"))
 
 
-def oracle_result_file(which: str, value, witness_obj, exhausted: bool, lower_bound) -> dict:
-    return {
+def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound) -> Iterable[str]:
+    """An oracle's result in pieces of canonical text; a Decomposition
+    witness is written by decomposition_text, any other as a JSON value."""
+    head = {
         "format_version": FORMAT_VERSION,
         "kind": "oracle_result",
         "oracle": which,
         "value": value,
-        "witness": witness_obj,
         "exhausted": exhausted,
         "lower_bound": lower_bound,
     }
+    if isinstance(witness, Decomposition):
+        return _ending_with(head, "witness", decomposition_text(witness))
+    return [canonical_dumps(dict(head, witness=witness))]

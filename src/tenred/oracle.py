@@ -127,10 +127,11 @@ def min_completion_rank(M: IncompleteMatrix, budget: SearchBudget | None = None)
             f"{p}^{M.tau} completions exceed the candidate budget {budget.max_candidates}"
         )
     grid = [list(row) for row in M.raw_grid]
+    stars = list(M.stars())
     best_rank: int | None = None
     best_grid = None
     for values in product(range(p), repeat=M.tau):
-        for (i, j), v in zip(M.star_positions, values):
+        for (i, j), v in zip(stars, values):
             grid[i][j] = v
         r = rank_raw([list(row) for row in grid], M.ring)
         if best_rank is None or r < best_rank:

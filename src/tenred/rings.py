@@ -205,8 +205,3 @@ def zero(ring: RingDescriptor) -> Scalar:
 
 def one(ring: RingDescriptor) -> Scalar:
     return Scalar(ring, 1)
-
-
-def from_int(ring: RingDescriptor, n: int) -> Scalar:
-    """Image of the integer n in the ring."""
-    return Scalar(ring, n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GuardExceededError,
@@ -21,7 +21,7 @@ from .errors import (
     StructureError,
     VerificationError,
 )
-from .linalg import DenseMatrix, inverse_3x3
+from .linalg import DenseMatrix
 from .polysys import Assignment, Monomial, Polynomial, PolySystem, poly_sum, prefix_sums
 from .rings import QQ, RATIONALS, RingDescriptor, Scalar, ZZ, one
 
@@ -232,8 +232,9 @@ class SymbolicU:
 class IncompleteMatrix:
     """A matrix over a ring with unspecified (star) entries.
 
-    Stars are represented as None.  star_positions lists them in row-major
-    order; this ordering is what downstream constructions enumerate by.
+    Stars are represented as None and counted by ``tau``; ``stars()`` walks
+    them in row-major order, the order downstream constructions enumerate
+    them by, without storing them.
     Gadget matrices built from a system carry their labels and the system
     itself so solutions can be extracted later; pass-through matrices may
     omit both.
@@ -244,7 +245,7 @@ class IncompleteMatrix:
         "nrows",
         "ncols",
         "raw_grid",
-        "star_positions",
+        "tau",
         "row_labels",
         "col_labels",
         "system",
@@ -293,17 +294,18 @@ class IncompleteMatrix:
         self.nrows = len(grid)
         self.ncols = ncols
         self.raw_grid = tuple(grid)
-        self.star_positions = tuple(
-            [(i, j) for i, row in enumerate(grid) for j, v in enumerate(row) if v is None]
-        )
+        self.tau = sum(row.count(None) for row in grid)
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.col_labels = tuple(col_labels) if col_labels is not None else None
         self.system = system
         self._label_pos = None
 
-    @property
-    def tau(self) -> int:
-        return len(self.star_positions)
+    def stars(self) -> Iterator[tuple[int, int]]:
+        """The star cells (i, j) in row-major order, made as they are walked."""
+        for i, row in enumerate(self.raw_grid):
+            for j, v in enumerate(row):
+                if v is None:
+                    yield i, j
 
     def is_star(self, i: int, j: int) -> bool:
         return self.raw_grid[i][j] is None
@@ -518,56 +520,3 @@ def completion_witness(
                 )
     return DenseMatrix._from_raw(field, grid)
 
-
-def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Assignment:
-    """Recover the solution encoded by a rank-3 factorization.
-
-    P and L are 3 x |H| factors whose product P^T L completes B.  The
-    unit-label columns of L form an invertible 3x3 matrix C, and the third
-    coordinates of C^{-1} L at the (1, 0, x_i) columns are the solution.
-    The extracted point is checked against the system before return.
-    """
-    if B.row_labels is None or B.system is None:
-        raise ValueError("extraction needs the gadget's labels and system")
-    ring = B.ring
-    if not ring.is_field:
-        raise ValueError(f"extraction runs over fields, not {ring}")
-    if P.ring != ring or L.ring != ring:
-        raise RingMismatchError("factors over a different ring")
-    if P.nrows != 3 or L.nrows != 3 or P.ncols != B.nrows or L.ncols != B.ncols:
-        raise ValueError("factors must be 3 x |H|")
-    canon = ring.canon
-    p0, p1, p2 = P.raw_grid
-    l0, l1, l2 = L.raw_grid
-    braw = B.raw_grid
-    for i in range(B.nrows):
-        a0, a1, a2 = p0[i], p1[i], p2[i]
-        bi = braw[i]
-        for j in range(B.ncols):
-            expect = bi[j]
-            if expect is None:
-                continue
-            val = canon(a0 * l0[j] + a1 * l1[j] + a2 * l2[j])
-            if val != expect:
-                raise VerificationError(
-                    f"factors do not complete the matrix at ({i},{j}): "
-                    f"{val} != {expect}"
-                )
-    F = B.system
-    unit = Polynomial.constant(ring, F.num_vars, one(ring))
-    z = Polynomial.zero(ring, F.num_vars)
-    e_cols = unit_label_positions(B)
-    c = DenseMatrix(ring, [[L.entry(r, c_) for c_ in e_cols] for r in range(3)])
-    cinv = inverse_3x3(c)
-    w0, w1, w2 = cinv.raw_grid[2]
-    values = []
-    for i in range(F.num_vars):
-        col = B.label_position((unit, z, Polynomial.variable(ring, F.num_vars, i)))
-        values.append(Scalar(ring, w0 * l0[col] + w1 * l1[col] + w2 * l2[col]))
-    point = tuple(values)
-    bad = F.first_violation(point)
-    if bad is not None:
-        raise VerificationError(
-            f"extracted point is not a solution: {bad[0]} evaluates to {bad[1]}"
-        )
-    return Assignment(point)

@@ -10,7 +10,7 @@ arithmetic is exact; verification means literal entrywise equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RingMismatchError, StructureError, VerificationError
 from .linalg import DenseMatrix, Vec
@@ -135,7 +135,8 @@ class Rank1Term:
 class Decomposition:
     """An ordered list of rank-1 terms with uniform shape, held in ``raw``
     as (a, b, c) raw value maps like ``Vec.nz``, which terms may share;
-    ``terms`` wraps them in ``Rank1Term``."""
+    ``raw`` is a list, or a ``Walk`` that makes the maps each time it is
+    walked.  ``terms`` wraps them in ``Rank1Term``."""
 
     __slots__ = ("ring", "dims", "raw")
 
@@ -151,7 +152,7 @@ class Decomposition:
         self.raw = [(t.a.nz, t.b.nz, t.c.nz) for t in terms]
 
     @classmethod
-    def _from_raw(cls, ring: RingDescriptor, dims: tuple[int, int, int], raw: list) -> "Decomposition":
+    def _from_raw(cls, ring: RingDescriptor, dims: tuple[int, int, int], raw) -> "Decomposition":
         """On trusted input: (a, b, c) maps within dims, values canonical and nonzero."""
         obj = cls.__new__(cls)
         obj.ring, obj.dims, obj.raw = ring, dims, raw
@@ -176,11 +177,27 @@ class Decomposition:
             isinstance(other, Decomposition)
             and self.ring == other.ring
             and self.dims == other.dims
-            and self.raw == other.raw
+            and list(self.raw) == list(other.raw)
         )
 
     def __repr__(self) -> str:
         return f"Decomposition({self.ring}, dims={self.dims}, {len(self)} terms)"
+
+
+class Walk:
+    """A sized sequence whose items ``walk()``, a generator function, makes
+    anew on each pass, so that they never all exist at once."""
+
+    __slots__ = ("count", "walk")
+
+    def __init__(self, count: int, walk: Callable[[], Iterator]):
+        self.count, self.walk = count, walk
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator:
+        return self.walk()
 
 
 def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], ring: RingDescriptor) -> dict[Key, object]:
@@ -240,8 +257,12 @@ class DerksenInstance:
 
     tensor: Tensor3
     tau: int
-    star_map: tuple[tuple[int, int], ...]
-    source: IncompleteMatrix | None
+    source: IncompleteMatrix
+
+    @property
+    def star_map(self) -> tuple[tuple[int, int], ...]:
+        """The star of each slice t >= 1, in slice order."""
+        return tuple(self.source.stars())
 
     @property
     def target_rank(self) -> int:
@@ -254,20 +275,16 @@ def build_derksen(B: IncompleteMatrix) -> DerksenInstance:
     The sizes in play are bounded by the label-count guard applied when B
     was built, so no separate guard is needed here.
     """
-    stars = B.star_positions
-    if len(set(stars)) != len(stars):
-        raise StructureError("duplicate star positions")
-    tau = len(stars)
     raw: dict[Key, object] = {}
     for i, row in enumerate(B.raw_grid):
         for j, v in enumerate(row):
             if v is not None and v != 0:
                 raw[(i, j, 0)] = v
     one_raw = one(B.ring).value
-    for t, (i, j) in enumerate(stars, start=1):
+    for t, (i, j) in enumerate(B.stars(), start=1):
         raw[(i, j, t)] = one_raw
-    tensor = Tensor3._from_raw(B.ring, (B.nrows, B.ncols, tau + 1), raw)
-    return DerksenInstance(tensor, tau, stars, B)
+    tensor = Tensor3._from_raw(B.ring, (B.nrows, B.ncols, B.tau + 1), raw)
+    return DerksenInstance(tensor, B.tau, B)
 
 
 def derksen_witness(
@@ -281,7 +298,11 @@ def derksen_witness(
     Three terms carry the Gram factorization of the completion into slice
     0; each star then gets one term that cancels the completed value at
     its position in slice 0 and plants the unit in its own slice.  The
-    result is checked entrywise against the instance tensor.
+    terms are a ``Walk``: they are made from P, L, the completion and the
+    stars of the source matrix each time they are walked, and never held
+    all at once.  The factors are checked against the completion and the
+    matrix cell by cell, and the terms entrywise against the instance
+    tensor, by one exact sum.
     """
     ring = inst.tensor.ring
     B = inst.source
@@ -311,17 +332,21 @@ def derksen_witness(
                 )
     one_raw = one(ring).value
     slice0 = {0: one_raw}
-    raw = [
+    gram = [
         ({i: v for i, v in enumerate(pm) if v}, {j: v for j, v in enumerate(lm) if v}, slice0)
         for pm, lm in ((p0, l0), (p1, l1), (p2, l2))
     ]
     # a star term is e_i (x) e_j (x) (e_t - W(i,j) e_0); the unit maps are shared
     rows = [{i: one_raw} for i in range(B.nrows)]
     cols = [{j: one_raw} for j in range(B.ncols)]
-    for t, (i, j) in enumerate(inst.star_map, start=1):
-        w = canon(-craw[i][j])
-        raw.append((rows[i], cols[j], {0: w, t: one_raw} if w else {t: one_raw}))
-    D = Decomposition._from_raw(ring, inst.tensor.dims, raw)
+
+    def walk():
+        yield from gram
+        for t, (i, j) in enumerate(B.stars(), start=1):
+            w = canon(-craw[i][j])
+            yield rows[i], cols[j], {0: w, t: one_raw} if w else {t: one_raw}
+
+    D = Decomposition._from_raw(ring, inst.tensor.dims, Walk(B.tau + 3, walk))
     ok, mismatch = verify_decomposition(inst.tensor, D)
     if not ok:
         raise StructureError(f"witness fails to sum to the tensor at {mismatch[0]}")

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import tenred
-from tenred.jsonio import canonical_dumps, polysystem_file, symtensor_file, tensor_file
+from tenred.jsonio import canonical_dumps, polysystem_file, symtensor_file
 from tenred.linalg import DenseMatrix, Vec, inverse_3x3, matrix_rank
 from tenred.oracle import (
     SearchBudget,
@@ -37,7 +37,6 @@ from tenred.sigma import (
     build_B,
     completion_witness,
     count_labels,
-    extract_solution,
     sigma_system,
 )
 from tenred.symmetric import (
@@ -57,6 +56,8 @@ from tenred.tensors import (
     sum_decomposition_raw,
     verify_decomposition,
 )
+from test_jsonio import tensor_file
+from test_sigma import extract_solution
 
 
 @contextlib.contextmanager

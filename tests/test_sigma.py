@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tenred.errors import GuardExceededError, VerificationError
+from tenred.errors import GuardExceededError, RingMismatchError, VerificationError
 from tenred.linalg import DenseMatrix, inverse_3x3, matrix_rank
 from tenred.polysys import Assignment, Polynomial, PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar, one
@@ -16,10 +16,10 @@ from tenred.sigma import (
     build_H,
     completion_witness,
     count_labels,
-    extract_solution,
     is_plus_minus_one,
     sigma_monomial,
     sigma_system,
+    unit_label_positions,
     verify_reachability,
 )
 
@@ -148,7 +148,7 @@ def test_build_B_deterministic():
     b = build_B(F)
     assert a.raw_grid == b.raw_grid
     assert a.row_labels == b.row_labels
-    assert a.star_positions == b.star_positions
+    assert list(a.stars()) == list(b.stars())
 
 
 def test_build_B_guard():
@@ -159,7 +159,7 @@ def test_build_B_guard():
 def test_incomplete_matrix_basics():
     m = IncompleteMatrix(ZZ, [[Scalar(ZZ, 1), None], [None, Scalar(ZZ, 2)]])
     assert m.tau == 2
-    assert m.star_positions == ((0, 1), (1, 0))
+    assert list(m.stars()) == [(0, 1), (1, 0)]
     assert m.is_star(0, 1)
     assert not m.is_star(0, 0)
     assert m.entry(0, 1) is None
@@ -273,6 +273,61 @@ def _random_invertible(ring, rng):
         )
         if matrix_rank(g) == 3:
             return g
+
+
+def extract_solution(P: DenseMatrix, L: DenseMatrix, B: IncompleteMatrix) -> Assignment:
+    """Recover the solution encoded by a rank-3 factorization (the
+    converse half of the completion lemma, which only tests need).
+
+    P and L are 3 x |H| factors whose product P^T L completes B.  The
+    unit-label columns of L form an invertible 3x3 matrix C, and the third
+    coordinates of C^{-1} L at the (1, 0, x_i) columns are the solution.
+    The extracted point is checked against the system before return.
+    """
+    if B.row_labels is None or B.system is None:
+        raise ValueError("extraction needs the gadget's labels and system")
+    ring = B.ring
+    if not ring.is_field:
+        raise ValueError(f"extraction runs over fields, not {ring}")
+    if P.ring != ring or L.ring != ring:
+        raise RingMismatchError("factors over a different ring")
+    if P.nrows != 3 or L.nrows != 3 or P.ncols != B.nrows or L.ncols != B.ncols:
+        raise ValueError("factors must be 3 x |H|")
+    canon = ring.canon
+    p0, p1, p2 = P.raw_grid
+    l0, l1, l2 = L.raw_grid
+    braw = B.raw_grid
+    for i in range(B.nrows):
+        a0, a1, a2 = p0[i], p1[i], p2[i]
+        bi = braw[i]
+        for j in range(B.ncols):
+            expect = bi[j]
+            if expect is None:
+                continue
+            val = canon(a0 * l0[j] + a1 * l1[j] + a2 * l2[j])
+            if val != expect:
+                raise VerificationError(
+                    f"factors do not complete the matrix at ({i},{j}): "
+                    f"{val} != {expect}"
+                )
+    F = B.system
+    unit = Polynomial.constant(ring, F.num_vars, one(ring))
+    z = Polynomial.zero(ring, F.num_vars)
+    e_cols = unit_label_positions(B)
+    c = DenseMatrix(ring, [[L.entry(r, c_) for c_ in e_cols] for r in range(3)])
+    cinv = inverse_3x3(c)
+    w0, w1, w2 = cinv.raw_grid[2]
+    values = []
+    for i in range(F.num_vars):
+        col = B.label_position((unit, z, Polynomial.variable(ring, F.num_vars, i)))
+        values.append(Scalar(ring, w0 * l0[col] + w1 * l1[col] + w2 * l2[col]))
+    point = tuple(values)
+    bad = F.first_violation(point)
+    if bad is not None:
+        raise VerificationError(
+            f"extracted point is not a solution: {bad[0]} evaluates to {bad[1]}"
+        )
+    return Assignment(point)
 
 
 def test_extract_solution_round_trip():

@@ -13,6 +13,7 @@ from tenred.tensors import (
     Decomposition,
     Rank1Term,
     Tensor3,
+    Walk,
     build_derksen,
     derksen_witness,
     pad_cubical,
@@ -153,6 +154,47 @@ def test_build_derksen_star_order_row_major():
     assert inst.tensor.entry(0, 0, 1).is_one
     assert inst.tensor.entry(1, 1, 2).is_one
     assert inst.tensor.dims == (2, 2, 3)
+
+
+_ = None  # a star
+_GRIDS = {
+    "no stars": [[1, 2], [3, 4]],
+    "all stars": [[_, _], [_, _], [_, _]],
+    "one row": [[_, 0, _, 4, _]],
+    "one column": [[0], [_], [_], [1]],
+    "scattered": [[_, 1, 0, _], [2, _, _, 3], [0, 0, 0, 0], [_, 4, 1, _]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GRIDS))
+def test_stars_are_counted_and_walked_in_row_major_order(name):
+    # tau is a count kept with the grid, and stars() and star_map walk the
+    # grid; the t-th star in row-major order gets slice t
+    grid = _GRIDS[name]
+    ring = GF(5)
+    B = IncompleteMatrix._from_raw(ring, grid)
+    row_major = [(i, j) for i in range(len(grid)) for j in range(len(grid[0])) if grid[i][j] is None]
+    assert B.tau == len(row_major)
+    assert list(B.stars()) == row_major
+    inst = build_derksen(B)
+    assert inst.tau == B.tau and inst.tensor.dims[2] == B.tau + 1
+    assert inst.star_map == tuple(row_major)
+    assert {k: v for k, v in inst.tensor.entries.items() if k[2]} == {
+        (i, j, t): 1 for t, (i, j) in enumerate(row_major, start=1)
+    }
+
+
+def test_derksen_witness_terms_are_made_on_each_walk():
+    # the tau+3 terms are no list: each walk makes them again, the same
+    inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
+    D = derksen_witness(inst, W, U, U)
+    assert isinstance(D.raw, Walk) and len(D.raw) == inst.tau + 3
+    first, second = list(D.raw), list(D.raw)
+    assert first == second and len(first) == inst.tau + 3
+    assert [c for _, _, c in first[:3]] == [{0: 1}] * 3
+    for t, ((i, j), (a, b, c)) in enumerate(zip(inst.star_map, first[3:]), start=1):
+        w = (-W.raw_grid[i][j]) % 11
+        assert (a, b, c) == ({i: 1}, {j: 1}, {0: w, t: 1} if w else {t: 1})
 
 
 def _gadget_pipeline(ring, poly, solution):
