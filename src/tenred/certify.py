@@ -7,9 +7,10 @@ reduction: it rebuilds the instance from the file's own ``system`` and
 refuses (exit 2) a file whose canonical JSON differs from the rebuilt one
 in any top-level field, a missing or an extra field included.  It keeps
 only the system and two counts of the parsed file through the rebuild,
-then compares the file's text with the rebuilt canonical text; only text
-that differs is parsed again and compared field by field, so a file
-spelled otherwise (indented, keys reordered) is still accepted.  The
+then compares the file's text with the rebuilt canonical text, piece by
+piece as the rebuild writes it; only text that differs is parsed again
+and compared field by field, so a file spelled otherwise (indented, keys
+reordered) is still accepted.  The
 rebuild's guards are the file's own label count and, on the symmetric
 stage, its index count, so reading never builds more than the file
 already lists.  Every claim below is therefore about the reduction of the
@@ -30,6 +31,10 @@ means, over the witness ring:
   padded symmetrization of the size-m payload, so its symmetric rank is
   at most that.
 
+A tensor witness is read from its text one term at a time, straight into
+the exact sum, and the verdict comes only once the whole text has been
+read, so a fault anywhere in the file is refused as input first.
+
 By the reduction, each bound can be met exactly when F has a solution in
 that field.  A bare ``tensor`` or ``symtensor`` file carries no system and
 no target: ``verified`` then says only that the terms sum exactly to the
@@ -38,8 +43,10 @@ stored tensor.
 
 from __future__ import annotations
 
+import json
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import jsonio
 from .errors import GuardExceededError, ParseError, StructureError
@@ -73,7 +80,6 @@ from .tensors import (
     derksen_witness,
     first_mismatch,
     pad_cubical,
-    sum_terms_raw,
 )
 
 STAGES = {"completion_instance": "completion", "tensor_instance": "tensor", "symmetric_instance": "symmetric"}
@@ -115,8 +121,9 @@ def reduce_system(
     guard: int | None,
     index_guard: int | None,
     report: Callable[[str, object], None],
-) -> tuple[dict, Reduction]:
-    """The instance file of a stage built from F, and the reduction itself.
+) -> tuple[Iterable[str], Reduction]:
+    """The canonical text of the instance file of a stage built from F, in
+    pieces, and the reduction itself.
 
     ``guard`` bounds the label count and ``index_guard`` the symmetric
     index count; None disables either.  Sizes are reported to ``report``
@@ -131,19 +138,20 @@ def reduce_system(
     report("labels", B.nrows)
     report("tau", B.tau)
     if stage == "completion":
-        return jsonio.completion_instance_file(B), Reduction(stage, B)
+        return [jsonio.canonical_dumps(jsonio.completion_instance_file(B))], Reduction(stage, B)
     m = max(B.nrows, B.tau + 1)
     if stage == "symmetric" and index_guard is not None and padded_size(m) > index_guard:
         raise GuardExceededError(padded_size(m), index_guard, "symmetric indices")
     inst = build_derksen(B)
     report("target_rank", inst.target_rank)
     if stage == "tensor":
-        return jsonio.tensor_instance_file(inst, B), Reduction(stage, B, inst, inst.tensor, inst.target_rank)
+        return jsonio.tensor_instance_text(inst, B), Reduction(stage, B, inst, inst.tensor, inst.target_rank)
     S = build_curly_T(embed_S(pad_cubical(inst.tensor)), m)
     target = inst.target_rank + padding_terms(m)
     report("symmetric_indices", S.size)
     report("symmetric_target_rank", target)
-    return jsonio.symmetric_instance_file(S, target, m, inst, B), Reduction(stage, B, inst, S, target)
+    text = jsonio.canonical_dumps(jsonio.symmetric_instance_file(S, target, m, inst, B))
+    return [text], Reduction(stage, B, inst, S, target)
 
 
 def _listed(obj: dict, field: str) -> int:
@@ -159,7 +167,7 @@ def _brief(value) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-def _difference(stored: dict, rebuilt: dict) -> str:
+def _difference(stored: dict, rebuilt: dict) -> str | None:
     """The first top-level field, in sorted key order, where two files differ."""
     dump = jsonio.canonical_dumps
     for key in sorted(stored.keys() | rebuilt.keys()):
@@ -196,13 +204,30 @@ def read_instance(text: str, *kinds: str) -> Reduction:
     except GuardExceededError as e:
         field = "index_names" if e.what == "symmetric indices" else "labels"
         raise ParseError(f"{field} is not the reduction of its system ({e})", 0) from e
-    if jsonio.canonical_dumps(rebuilt) != text:
-        # the bytes differ: the file may still be the rebuilt one spelled
-        # otherwise (indented, keys reordered), or differ in some field
-        reason = _difference(jsonio.loads(text), rebuilt)
-        if reason is not None:
-            raise ParseError(reason, 0)
+    reason = _text_difference(text, rebuilt)
+    if reason is not None:
+        raise ParseError(reason, 0)
     return red
+
+
+def _text_difference(text: str, pieces: Iterable[str]) -> str | None:
+    """Where a file's text differs from the canonical text given in pieces,
+    as ``_difference`` says it, or None.  Each piece is compared with the
+    text where the one before it ended; only when the bytes differ are both
+    parsed, the rebuilt text made of the text that matched and the pieces
+    not yet compared, as the file may be the same one spelled otherwise
+    (indented, keys reordered), or differ in some field."""
+    pos = 0
+    pieces = iter(pieces)
+    for piece in pieces:
+        if not text.startswith(piece, pos):
+            break
+        pos += len(piece)
+    else:
+        if pos == len(text):
+            return None
+        piece = ""
+    return _difference(jsonio.loads(text), json.loads("".join([text[:pos], piece, *pieces])))
 
 
 def witness_file(red: Reduction, solution: str, report: Callable[[str, object], None]) -> dict | Iterator[str]:
@@ -269,31 +294,43 @@ def _completion_failure(B: IncompleteMatrix, wit: dict) -> str | None:
     return f"completion rank is {rank_raw(rows, ring)}, not 3"
 
 
-def failure(red: Reduction, wit: dict) -> str | None:
-    """Why a witness file does not prove what the module docstring says, or None."""
+def _check_header(red: Reduction, wit: dict) -> None:
+    """Refuse a witness of another stage, or with a field its stage has not."""
     if wit.get("kind") != f"{red.stage}_witness":
         raise ParseError(f"cannot verify a {wit.get('kind')!r} witness against a {red.stage} instance", 0)
     jsonio._only_fields(wit, f"{red.stage} witness", *WITNESS_FIELDS[red.stage])
-    if red.stage == "completion":
-        return _completion_failure(red.B, wit)
+
+
+def _embeds(instance_ring, ring) -> bool:
+    """Whether a witness over ``ring`` may prove a claim over ``instance_ring``."""
+    return ring == instance_ring or instance_ring == ZZ and ring.is_field
+
+
+def failure(red: Reduction, text: str) -> str | None:
+    """Why a witness file's text does not prove what the module docstring
+    says, or None."""
     T = red.tensor
     if red.stage == "tensor":
-        # one pass reads the terms into the exact sum, with no term objects;
-        # where the checks below must refuse, it only reads them, because a
-        # malformed term is refused first
-        ring, dims, count, terms = jsonio.tensor_witness_terms(wit)
-        if dims == T.dims and (red.target_rank is None or count <= red.target_rank):
-            total = sum_terms_raw(terms, ring)
-        else:
-            for _ in terms:
-                pass
+
+        def plan(wit: dict) -> tuple:
+            # the terms go into the sum only where the checks below can pass
+            _check_header(red, wit)
+            ring, dims = jsonio._ring_of(wit), jsonio._dims_of(wit)
+            if dims != T.dims or not _embeds(T.ring, ring):
+                return ring, dims, -1
+            return ring, dims, sys.maxsize if red.target_rank is None else red.target_rank
+
+        ring, dims, count, total = jsonio.tensor_witness_sum(text, plan)
         if dims != T.dims:
             raise ParseError("witness dimensions differ from the instance", 0)
-        if T.ring != ring:
-            if T.ring != ZZ or not ring.is_field:
-                raise ParseError("witness ring incompatible with the instance", 0)
-            T = T.change_ring(ring)
+        if not _embeds(T.ring, ring):
+            raise ParseError("witness ring incompatible with the instance", 0)
+        T = T.change_ring(ring)
     else:
+        wit = jsonio.loads(text)
+        _check_header(red, wit)
+        if red.stage == "completion":
+            return _completion_failure(red.B, wit)
         D = jsonio.symmetric_witness_parse(wit)
         if D.dim != T.size:
             raise ParseError("witness dimension differs from the instance", 0)

@@ -189,10 +189,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the witness is loaded after the instance is read, and the instance's
-    # text and its rebuilt file are gone by then
+    # the witness is read after the instance, whose text and rebuild are
+    # gone by then; a tensor witness's text is summed as it is read
     red = certify.read_instance(_read_text(args.instance))
-    reason = certify.failure(red, _load(args.witness))
+    reason = certify.failure(red, _read_text(args.witness))
     print(reason or "verified")
     return EXIT_OK if reason is None else EXIT_VERIFY
 

@@ -7,16 +7,19 @@ bytes, which is what the determinism checks hash.
 
 Scalars are encoded as strings (exact; no floats anywhere), sparse
 vectors as [[index, "value"], ...] pairs, tensors as sorted
-[[i, j, k, "value"], ...] quadruples.  A decomposition is the one thing
-written as text, not as a tree: ``decomposition_text`` makes the same
-canonical bytes term by term, so a witness of many terms is never held
-whole.
+[[i, j, k, "value"], ...] quadruples.  The files of the tensor path are
+text at both ends, never a tree: a decomposition is written term by term
+(``decomposition_text``) and a tensor instance in pieces of entries and
+stars (``tensor_instance_text``), with the canonical bytes of the tree;
+``tensor_witness_sum`` reads a tensor witness from its text, one term at
+a time, straight into the exact sum.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable, Iterator
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ParseError
 from .linalg import DenseMatrix, Vec
@@ -24,7 +27,7 @@ from .polysys import Assignment, PolySystem, parse_polynomial
 from .rings import RingDescriptor, Scalar
 from .sigma import IncompleteMatrix
 from .symmetric import SymDecomposition, SymTensor, SymTerm
-from .tensors import Decomposition, DerksenInstance, Tensor3
+from .tensors import Decomposition, DerksenInstance, Tensor3, sum_terms_raw
 
 FORMAT_VERSION = 1
 
@@ -40,6 +43,12 @@ def loads(text: str) -> dict:
         raise ParseError(f"invalid JSON: {e}", e.pos) from e
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object", 0)
+    return _checked(obj)
+
+
+def _checked(obj: dict) -> dict:
+    """The top-level members of a file, refused without a supported
+    format_version or a kind."""
     version = obj.get("format_version")
     if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {version!r}", 0)
@@ -95,15 +104,16 @@ def raw_vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = No
         seen = {}
     nz = {}
     for pair in data:
-        if not isinstance(pair, list) or len(pair) != 2 or type(pair[0]) is not int:
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not int:
             raise ParseError(f"bad sparse vector entry {pair!r}", 0)
         i, v = pair
-        if not isinstance(v, str) or v not in seen:
-            seen[v] = _scalar(ring, v).value  # refuses all but strings
+        x = seen.get(v) if type(v) is str else None
+        if x is None:
+            x = seen[v] = _scalar(ring, v).value  # refuses all but strings
         if not 0 <= i < n:
             raise ParseError(f"index {i} out of range for length {n}", 0)
-        if seen[v]:
-            nz[i] = seen[v]
+        if x:
+            nz[i] = x
         else:  # a later pair for the same index wins, a zero included
             nz.pop(i, None)
     return nz
@@ -255,21 +265,41 @@ def tensor_parse(obj: dict) -> Tensor3:
         raise ParseError(str(e), 0) from e
 
 
-def tensor_instance_file(inst: DerksenInstance, B: IncompleteMatrix) -> dict:
+_CHUNK = 4096  # list items per piece of text
+
+
+def _list_text(items: Iterable[str]) -> Iterator[str]:
+    """The canonical text of a JSON list, given its items' texts, in pieces
+    of up to _CHUNK items."""
+    items = iter(items)
+    sep = "["
+    while chunk := list(islice(items, _CHUNK)):
+        yield sep + ",".join(chunk)
+        sep = ","
+    yield "[]" if sep == "[" else "]"
+
+
+def _members_text(**fields) -> str:
+    """The canonical text of some top-level members, without the braces."""
+    return canonical_dumps(fields)[1:-2]
+
+
+def tensor_instance_text(inst: DerksenInstance, B: IncompleteMatrix) -> Iterator[str]:
+    """The canonical text of a tensor instance file in pieces: the entries
+    and the stars are spelled a chunk at a time, in key order."""
     if B.system is None or B.row_labels is None:
         raise ValueError("instance files need the system and labels attached")
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "tensor_instance",
-        "ring": str(inst.tensor.ring),
-        "dims": list(inst.tensor.dims),
-        "entries": entries_to_json(inst.tensor.entries),
-        "tau": inst.tau,
-        "star_map": [[i, j] for i, j in B.stars()],
-        "target_rank": inst.target_rank,
-        "system": system_to_json(B.system),
-        "labels": _labels_to_json(B.row_labels),
-    }
+    entries = inst.tensor.entries
+    spelled = _Spelled()
+    return chain(
+        [f'{{{_members_text(dims=list(inst.tensor.dims))},"entries":'],
+        _list_text(f"[{i},{j},{k},{spelled[entries[i, j, k]]}]" for i, j, k in sorted(entries)),
+        [
+            f',{_members_text(format_version=FORMAT_VERSION, kind="tensor_instance", labels=_labels_to_json(B.row_labels), ring=str(inst.tensor.ring))},"star_map":'
+        ],
+        _list_text(f"[{i},{j}]" for i, j in B.stars()),
+        [f",{_members_text(system=system_to_json(B.system), target_rank=inst.target_rank, tau=inst.tau)}}}\n"],
+    )
 
 
 def symtensor_file(S: SymTensor) -> dict:
@@ -379,21 +409,156 @@ def _terms_of(data) -> list:
     return data
 
 
-def tensor_witness_terms(obj: dict):
-    """The ring, dims and term count of a tensor witness file, and its terms
-    as raw (a, b, c) maps, each read only when the iterator reaches it."""
-    ring, dims = _ring_of(obj), _dims_of(obj)
-    data = _terms_of(_need(obj, "terms"))
+_skip_space = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once
+
+
+def _past_space(text: str, pos: int) -> int:
+    # canonical text has no whitespace: look at one character before a match
+    return _skip_space(text, pos).end() if text[pos : pos + 1] in " \t\n\r" else pos
+
+
+def _value(text: str, pos: int) -> tuple[Any, int]:
+    """The JSON value at ``pos`` of ``text``, whitespace skipped, and the
+    position after it."""
+    try:
+        return _scan(text, _past_space(text, pos))
+    except StopIteration as e:
+        raise json.JSONDecodeError("Expecting value", text, e.value) from None
+
+
+def _after_item(text: str, pos: int, close: str) -> tuple[int, bool]:
+    """The position after the ',' or the ``close`` that follows ``pos``,
+    whitespace skipped, and whether it was ``close``."""
+    pos = _past_space(text, pos)
+    c = text[pos : pos + 1]
+    if c != "," and c != close:
+        raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
+    return pos + 1, c == close
+
+
+class _Items:
+    """The items of the JSON list whose '[' is at ``pos`` of ``text``,
+    decoded one at a time as they are iterated; ``end`` is the position
+    after the list once every item has been."""
+
+    def __init__(self, text: str, pos: int):
+        self.text, self.pos, self.end = text, pos, None
+
+    def __iter__(self) -> Iterator:
+        text = self.text
+        pos = _past_space(text, self.pos + 1)
+        done = text.startswith("]", pos)
+        pos += done
+        while not done:
+            item, pos = _value(text, pos)
+            yield item
+            pos, done = _after_item(text, pos, "]")
+        self.end = pos
+
+
+def _walk_object(text: str, member: Callable[[str, int], int]) -> None:
+    """Walk the one top-level object of ``text``: ``member(key, pos)`` reads
+    the value of each member, which starts at ``pos``, and returns the
+    position after it.  A text that is not one object is refused as
+    ``loads`` refuses it, and so is a key that comes twice."""
+    pos = _past_space(text, 0)
+    if not text.startswith("{", pos):
+        loads(text)  # raises: the text is not JSON, or not an object
+    keys = set()
+    try:
+        pos = _past_space(text, pos + 1)
+        done = text.startswith("}", pos)
+        pos += done
+        while not done:
+            pos = _past_space(text, pos)
+            if not text.startswith('"', pos):
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
+            key, pos = json.decoder.scanstring(text, pos + 1)
+            pos = _past_space(text, pos)
+            if not text.startswith(":", pos):
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
+            if key in keys:
+                raise ParseError(f"field {key!r} is repeated", 0)
+            keys.add(key)
+            pos, done = _after_item(text, member(key, pos + 1), "}")
+        pos = _past_space(text, pos)
+        if pos != len(text):
+            raise json.JSONDecodeError("Extra data", text, pos)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e}", e.pos) from e
+
+
+def _sum_terms(text: str, pos: int, planned: tuple | None) -> tuple[int, dict | None, int]:
+    """The count and the exact sum of the terms whose list starts at
+    ``pos``, and the position after it.  Given ``planned``, the witness's
+    (ring, dims, limit), each term is read into raw (a, b, c) maps, refused
+    if malformed, and the first ``limit`` go into the sum, which is None if
+    there are more; with None, the terms are only walked."""
+    pos = _past_space(text, pos)
+    if not text.startswith("[", pos):
+        raise ParseError("terms must be a list of objects", 0)
+    items = _Items(text, pos)
+    if planned is None:
+        return sum(1 for _ in items), None, items.end
+    ring, (n1, n2, n3), limit = planned
     seen: dict = {}
-    terms = (
-        (
-            raw_vec_from_json(ring, dims[0], _need(item, "a"), seen),
-            raw_vec_from_json(ring, dims[1], _need(item, "b"), seen),
-            raw_vec_from_json(ring, dims[2], _need(item, "c"), seen),
-        )
-        for item in data
-    )
-    return ring, dims, len(data), terms
+    count = 0
+
+    def terms():
+        nonlocal count
+        for item in items:
+            count += 1
+            if not isinstance(item, dict):
+                raise ParseError("decomposition terms must be objects", 0)
+            term = (
+                raw_vec_from_json(ring, n1, _need(item, "a"), seen),
+                raw_vec_from_json(ring, n2, _need(item, "b"), seen),
+                raw_vec_from_json(ring, n3, _need(item, "c"), seen),
+            )
+            if count <= limit:
+                yield term
+
+    total = sum_terms_raw(terms(), ring)
+    return count, total if count <= limit else None, items.end
+
+
+def tensor_witness_sum(text: str, plan: Callable[[dict], tuple]) -> tuple:
+    """The ring, dims and term count of a tensor witness, and the exact sum
+    of its terms, read from its text with no tree of it.
+
+    The top-level object is walked member by member: each member but
+    ``terms`` is decoded whole, and the terms one at a time, each read into
+    raw maps and added to the sum as it is.  ``plan`` checks the other
+    members and returns the witness's (ring, dims, limit): how many terms
+    to sum at most, -1 for none.  It is called first on the members before
+    the terms; where those fail it, the terms are only walked, and read
+    once the whole text has been.  Every refusal of the text comes before
+    the result; the sum is None where more terms than ``limit`` are listed.
+    """
+    header: dict = {}
+    found = None  # where the terms start, the plan they were read by, and what they gave
+
+    def member(key: str, pos: int) -> int:
+        nonlocal found
+        if key != "terms":
+            header[key], end = _value(text, pos)
+            return end
+        try:
+            planned = plan(_checked(header))
+        except ParseError:  # refused below, or passed once every member is known
+            planned = None
+        found = (pos, planned, *_sum_terms(text, pos, planned))
+        return found[-1]
+
+    _walk_object(text, member)
+    planned = plan(_checked(header))
+    if found is None:
+        raise ParseError("missing field 'terms'", 0)
+    pos, reached, count, total, _ = found
+    if reached is None:
+        count, total, _ = _sum_terms(text, pos, planned)
+    return planned[0], planned[1], count, total
 
 
 def tensor_witness_text(D: Decomposition) -> Iterator[str]:

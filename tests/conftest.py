@@ -22,23 +22,22 @@ CHILD_MEMORY_BYTES = 1 << 30
 CHILD_TIMEOUT_S = 20.0
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
-
-
-@pytest.fixture
-def run_tenred():
-    """Run ``python -m tenred ARGS`` in a child process capped at 1 GiB of
-    address space and 20 s, so that a command which outgrows its budget
-    fails the test quickly instead of exhausting the host.
+def tenred_runner(memory_bytes: int = CHILD_MEMORY_BYTES, timeout_s: float = CHILD_TIMEOUT_S):
+    """A function that runs ``python -m tenred ARGS`` in a child process
+    capped at ``memory_bytes`` of address space and ``timeout_s``, so that
+    a command which outgrows its budget fails the test quickly instead of
+    exhausting the host.
 
     The directory holding the imported ``tenred`` goes first on PYTHONPATH,
-    so the child runs the code under test.  Returns the CompletedProcess;
+    so the child runs the code under test.  It returns the CompletedProcess;
     a timeout raises ``subprocess.TimeoutExpired``.
     """
     env = dict(os.environ)
     root = str(Path(tenred.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory_bytes, memory_bytes))
 
     def run(*args):
         return subprocess.run(
@@ -46,8 +45,14 @@ def run_tenred():
             capture_output=True,
             text=True,
             env=env,
-            timeout=CHILD_TIMEOUT_S,
-            preexec_fn=_limit_memory,
+            timeout=timeout_s,
+            preexec_fn=limit_memory,
         )
 
     return run
+
+
+@pytest.fixture
+def run_tenred():
+    """``tenred_runner`` at 1 GiB and 20 s."""
+    return tenred_runner()

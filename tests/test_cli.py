@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tenred_runner
 from tenred import certify, jsonio, sigma, symmetric
 from tenred.cli import build_parser, main
 from tenred.jsonio import (
@@ -918,6 +919,113 @@ def test_verify_checks_a_tensor_witness_in_order(edits, code, message, x1_gf2_te
     assert message in captured.out + captured.err
 
 
+def _spaced(wit):
+    """The witness with whitespace around every token."""
+    text = json.dumps(wit, separators=(" ,\t", " :\r\n "))
+    for c in "[]{}":
+        text = text.replace(c, f" {c}\n")
+    return f"\n\t {text} \r\n"
+
+
+@pytest.mark.parametrize(
+    "respell",
+    [
+        lambda wit: json.dumps(wit, indent=2),
+        _spaced,
+        lambda wit: json.dumps(dict(reversed(wit.items()))),  # terms before ring and dims
+    ],
+    ids=["indented", "spaced", "terms-first"],
+)
+def test_a_tensor_witness_spelled_otherwise_still_verifies(respell, x1_gf2_tensor, tmp_path, capsys):
+    # the witness is read from its text member by member, whatever the
+    # spacing, and terms met before the members that say how to read them
+    # are read once those are known
+    instf, witf = x1_gf2_tensor
+    respelled = _write(tmp_path / "wit.json", respell(json.loads(witf.read_text())))
+    capsys.readouterr()
+    assert main(["verify", str(instf), respelled]) == 0
+    assert capsys.readouterr().out == "verified\n"
+
+
+def _truncated(text):
+    return text[: len(text) // 2]  # inside a term
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_truncated, "invalid JSON: Expecting value: line 1 column 3717 (char 3716)"),
+        (lambda text: text + "x", "invalid JSON: Extra data: line 2 column 1 (char 7432)"),
+        # before the refusal, a repeated key was read as its last copy, and
+        # this file, whose first terms are malformed, was verified
+        (lambda text: '{"terms":[5],' + text[1:], "field 'terms' is repeated"),
+        (lambda text: text.replace('"ring":"gf:2"', '"ring":"gf:2","ring":"gf:2"'), "field 'ring' is repeated"),
+        (lambda text: text[: text.index('"terms":') + 8] + "5}\n", "terms must be a list of objects"),
+        (lambda text: text.replace('"terms":[{', '"terms":[5,{'), "decomposition terms must be objects"),
+        (lambda text: text[:-2] + ',"zzz":1}\n', "unexpected field 'zzz' in a tensor witness"),
+    ],
+    ids=["truncated", "trailing-data", "repeated-terms", "repeated-ring", "terms-not-a-list", "term-not-an-object", "field-after-terms"],
+)
+def test_a_malformed_tensor_witness_text_exits_2(edit, message, x1_gf2_tensor, tmp_path, capsys):
+    # the verdict comes only once the whole text has been read, so a fault
+    # after the terms, or in a repeated key, is refused as input however
+    # the terms sum
+    instf, witf = x1_gf2_tensor
+    badf = _write(tmp_path / "bad.json", edit(witf.read_text()))
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message} (at position ")
+
+
+def _altered(wit):
+    """The benchmark's altered witness: one value of the first term plus one."""
+    pair = wit["terms"][0]["a"][0]
+    pair[1] = str((int(pair[1]) + 1) % 2)
+
+
+def _cancelling(wit):
+    """The benchmark's cancelling witness: the last term and its negation appended."""
+    last = wit["terms"][-1]
+    wit["terms"] += [last, dict(last, c=[[k, str(-int(v) % 2)] for k, v in last["c"]])]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_altered, "mismatch at (5, 5, 0): instance has 1, witness sums to 0\n"),
+        (_cancelling, "134 terms exceed the target rank 132\n"),
+    ],
+    ids=["altered", "cancelling"],
+)
+def test_a_tensor_witness_that_proves_nothing_exits_4(edit, message, x1_gf2_tensor, tmp_path, capsys):
+    instf, witf = x1_gf2_tensor
+    badf = _edited(witf, tmp_path / "bad.json", edit)
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 4
+    assert capsys.readouterr().out == message
+
+
+def test_verify_reads_a_tensor_witness_with_no_tree_of_it(x1_gf2_tensor, monkeypatch, capsys):
+    # the terms are decoded one at a time as the text is read: no JSON
+    # text as long as the witness is ever parsed whole
+    instf, witf = x1_gf2_tensor
+    size = len(witf.read_text())
+    assert len(instf.read_text()) < size
+    real = json.loads
+
+    def loads(text, *args, **kwargs):
+        if len(text) >= size:
+            raise AssertionError("a text as long as the witness was parsed whole")
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(witf)]) == 0
+    assert capsys.readouterr().out == "verified\n"
+
+
 def test_verify_refuses_a_huge_variable_count(x1_gf2_tensor, tmp_path, capsys):
     # the system is parsed without any num_vars-long allocation, then the
     # rebuild's guard refuses it before sigma is built
@@ -1316,3 +1424,22 @@ def test_commands_leave_the_collector_as_found_and_no_cycles(
         finally:
             gc.enable()
         capsys.readouterr()
+
+
+@pytest.mark.slow
+def test_the_three_variable_tensor_rung_fits_in_2_gib(tmp_path):
+    # clause (1 2 3) over GF(2) at the tensor stage: 1,387 labels, a 61 MB
+    # instance and a 110 MB witness of 1,901,517 terms; verify used to
+    # parse the witness into a tree, and peaked at 2.5 GB
+    cnf = _write(tmp_path / "f.cnf", "p cnf 3 1\n1 2 3 0\n")
+    sysf, instf, witf = tmp_path / "sys.json", tmp_path / "inst.json", tmp_path / "wit.json"
+    assert main(["encode-3sat", cnf, "--ring", "gf:2", "--out", str(sysf)]) == 0
+    run = tenred_runner(memory_bytes=2 << 30, timeout_s=600)
+    for argv in (
+        ["reduce", "tensor", sysf, "--out", instf],
+        ["witness", instf, "--solution", "1,0,0", "--out", witf],
+        ["verify", instf, witf],
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+    assert proc.stdout == "verified\n"

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import json
+import sys
+from unittest import mock
 from fractions import Fraction
 
 import pytest
@@ -29,8 +32,8 @@ from tenred.jsonio import (
     symtensor_parse,
     system_from_json,
     system_to_json,
-    tensor_instance_file,
     tensor_parse,
+    tensor_instance_text,
     tensor_witness_text,
     vec_from_json,
     vec_to_json,
@@ -54,8 +57,11 @@ from tenred.tensors import (
     build_derksen,
     pad_cubical,
     sum_decomposition_raw,
-    sum_terms_raw,
 )
+
+
+# the tensor instance of {x1} over GF(2), as the CLI fixture pins it
+X1_GF2_TENSOR_INSTANCE_SHA256 = "91390fb3103ba25083750c54b51bb7d3e3eb436957e20ebf2f71c19d658c8c08"
 
 
 def _system(texts, num_vars, ring):
@@ -92,6 +98,23 @@ def tensor_file(T):
         "ring": str(T.ring),
         "dims": list(T.dims),
         "entries": jsonio.entries_to_json(T.entries),
+    }
+
+
+def tensor_instance_file(inst, B):
+    """The tensor instance file of inst as a JSON tree: the reference for
+    tensor_instance_text."""
+    return {
+        "format_version": 1,
+        "kind": "tensor_instance",
+        "ring": str(inst.tensor.ring),
+        "dims": list(inst.tensor.dims),
+        "entries": jsonio.entries_to_json(inst.tensor.entries),
+        "tau": inst.tau,
+        "star_map": [[i, j] for i, j in B.stars()],
+        "target_rank": inst.target_rank,
+        "system": system_to_json(B.system),
+        "labels": [[str(f) for f in lab.coords] for lab in B.row_labels],
     }
 
 
@@ -307,6 +330,67 @@ def test_tensor_instance_rejects_inconsistency():
         read_instance(canonical_dumps(bad2))
 
 
+@st.composite
+def _small_reduction(draw):
+    """A small system over one of the four rings, reduced to its star-slice tensor."""
+    ring = draw(st.sampled_from([GF(2), GF(11), QQ, ZZ]))
+    num_vars = draw(st.integers(0, 1))
+    texts = draw(st.lists(st.sampled_from(["x1", "-x1"]), max_size=2, unique=True)) if num_vars else []
+    B = build_B(_system(texts, num_vars, ring))
+    return build_derksen(B), B
+
+
+@settings(derandomize=True, database=None, max_examples=30)
+@given(case=_small_reduction(), chunk=st.sampled_from([1, 2, 3, 7, jsonio._CHUNK]))
+def test_tensor_instance_text_matches_the_tree_writer(case, chunk):
+    # the instance written in pieces, a chunk of entries or stars at a
+    # time, is the canonical dump of its JSON tree, and reads back as itself
+    inst, B = case
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        pieces = list(tensor_instance_text(inst, B))
+    text = "".join(pieces)
+    assert text == canonical_dumps(tensor_instance_file(inst, B))
+    # three fixed pieces, then each list in chunks and its closing bracket
+    assert len(pieces) == 5 + -(-inst.tensor.nnz // chunk) + -(-inst.tau // chunk)
+    assert read_instance(text).tensor == inst.tensor
+
+
+def _x1_gf2_instance_text():
+    B = build_B(_system(["x1"], 1, GF(2)))
+    return canonical_dumps(tensor_instance_file(build_derksen(B), B))
+
+
+def _one_entry_changed(text):
+    pos = text.index("]", text.index('"entries":')) - 2  # the value of the first entry
+    return text[:pos] + "0" + text[pos + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text[:-1] + "}", "invalid JSON: Extra data: line 1 column 4431 (char 4430)"),
+        (lambda text: text[:-3] + "1}\n", "tau 121 differs from the instance's 129, the reduction of its system"),
+        (lambda text: text[:-5], "invalid JSON: Expecting value: line 1 column 4427 (char 4426)"),
+        (lambda text: text + "x", "invalid JSON: Extra data: line 2 column 1 (char 4431)"),
+        (
+            _one_entry_changed,
+            'entries [[0,0,0,"0"],[0,2,0,"1"],[0,4,0,"1"],[0,... differs from the instance\'s'
+            ' [[0,0,0,"1"],[0,2,0,"1"],[0,4,0,"1"],[0,..., the reduction of its system',
+        ),
+    ],
+    ids=["last-byte", "last-field", "truncated", "appended", "entry"],
+)
+def test_read_instance_refuses_an_edited_text(edit, message):
+    # each piece of the rebuild is compared with the text where the last
+    # one ended; where they part, the refusal names the field as before
+    text = _x1_gf2_instance_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == X1_GF2_TENSOR_INSTANCE_SHA256
+    with mock.patch.object(jsonio, "_CHUNK", 3):
+        with pytest.raises(ParseError) as e:
+            read_instance(edit(text))
+    assert str(e.value) == f"{message} (at position {e.value.position})"
+
+
 def test_tensor_witness_round_trip():
     ring = GF(5)
     D = Decomposition(
@@ -440,6 +524,11 @@ def _reference_sum(obj):
     return {key: v for key, v in acc.items() if v}
 
 
+def _read_all(wit):
+    """The plan of a reader that sums every term."""
+    return jsonio._ring_of(wit), jsonio._dims_of(wit), sys.maxsize
+
+
 @settings(derandomize=True, database=None, max_examples=150)
 @given(obj=_tensor_witness())
 # a repeated index, whose later "0" wins; "3" respelling 1 over GF(2)
@@ -453,11 +542,11 @@ def _reference_sum(obj):
     )
 )
 def test_streamed_witness_sum_matches_the_decomposition_sum(obj):
-    # verify sums the raw maps as it reads them; the same file read into a
-    # Decomposition of Vec triples must sum to the same map
-    ring, dims, count, terms = jsonio.tensor_witness_terms(obj)
+    # verify sums the raw maps as it reads the terms from the text; the same
+    # file read into a Decomposition of Vec triples must sum to the same map
+    ring, dims, count, total = jsonio.tensor_witness_sum(canonical_dumps(obj), _read_all)
     assert (str(ring), list(dims), count) == (obj["ring"], obj["dims"], len(obj["terms"]))
-    assert sum_terms_raw(terms, ring) == sum_decomposition_raw(tensor_witness_parse(obj)) == _reference_sum(obj)
+    assert total == sum_decomposition_raw(tensor_witness_parse(obj)) == _reference_sum(obj)
 
 
 @st.composite
