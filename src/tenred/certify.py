@@ -306,28 +306,27 @@ def _embeds(instance_ring, ring) -> bool:
     return ring == instance_ring or instance_ring == ZZ and ring.is_field
 
 
-def failure(red: Reduction, text: str) -> str | None:
-    """Why a witness file's text does not prove what the module docstring
-    says, or None."""
+def failure(red: Reduction, wit: str | dict) -> str | None:
+    """Why a witness file does not prove what the module docstring says, or
+    None; a tensor witness is given as its text, any other as its parsed file."""
     T = red.tensor
     if red.stage == "tensor":
 
-        def plan(wit: dict) -> tuple:
+        def plan(head: dict) -> tuple:
             # the terms go into the sum only where the checks below can pass
-            _check_header(red, wit)
-            ring, dims = jsonio._ring_of(wit), jsonio._dims_of(wit)
+            _check_header(red, head)
+            ring, dims = jsonio._ring_of(head), jsonio._dims_of(head)
             if dims != T.dims or not _embeds(T.ring, ring):
                 return ring, dims, -1
             return ring, dims, sys.maxsize if red.target_rank is None else red.target_rank
 
-        ring, dims, count, total = jsonio.tensor_witness_sum(text, plan)
+        ring, dims, count, total = jsonio.tensor_witness_sum(wit, plan)
         if dims != T.dims:
             raise ParseError("witness dimensions differ from the instance", 0)
         if not _embeds(T.ring, ring):
             raise ParseError("witness ring incompatible with the instance", 0)
         T = T.change_ring(ring)
     else:
-        wit = jsonio.loads(text)
         _check_header(red, wit)
         if red.stage == "completion":
             return _completion_failure(red.B, wit)

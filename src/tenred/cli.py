@@ -190,9 +190,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     # the witness is read after the instance, whose text and rebuild are
-    # gone by then; a tensor witness's text is summed as it is read
+    # gone by then; a tensor witness is summed from its text as it is read,
+    # any other is parsed first, so that its text is gone before the checks
     red = certify.read_instance(_read_text(args.instance))
-    reason = certify.failure(red, _read_text(args.witness))
+    witness = _read_text(args.witness) if red.stage == "tensor" else _load(args.witness)
+    reason = certify.failure(red, witness)
     print(reason or "verified")
     return EXIT_OK if reason is None else EXIT_VERIFY
 
