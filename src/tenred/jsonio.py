@@ -291,14 +291,19 @@ def tensor_instance_text(inst: DerksenInstance, B: IncompleteMatrix) -> Iterator
         raise ValueError("instance files need the system and labels attached")
     entries = inst.tensor.entries
     spelled = _Spelled()
+    middle = _members_text(
+        format_version=FORMAT_VERSION,
+        kind="tensor_instance",
+        labels=_labels_to_json(B.row_labels),
+        ring=str(inst.tensor.ring),
+    )
+    tail = _members_text(system=system_to_json(B.system), target_rank=inst.target_rank, tau=inst.tau)
     return chain(
         [f'{{{_members_text(dims=list(inst.tensor.dims))},"entries":'],
         _list_text(f"[{i},{j},{k},{spelled[entries[i, j, k]]}]" for i, j, k in sorted(entries)),
-        [
-            f',{_members_text(format_version=FORMAT_VERSION, kind="tensor_instance", labels=_labels_to_json(B.row_labels), ring=str(inst.tensor.ring))},"star_map":'
-        ],
+        [f',{middle},"star_map":'],
         _list_text(f"[{i},{j}]" for i, j in B.stars()),
-        [f",{_members_text(system=system_to_json(B.system), target_rank=inst.target_rank, tau=inst.tau)}}}\n"],
+        [f",{tail}}}\n"],
     )
 
 
