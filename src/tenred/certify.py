@@ -264,7 +264,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     padded = pad_cubical(inst.tensor)
     # padding leaves every raw map as it is
     WS = symmetric_witness(padded, Decomposition._from_raw(field, padded.dims, D.raw))
-    report("terms", len(WS.terms))
+    report("terms", len(WS))
     report("target_rank", red.target_rank)
     report("verification", "verified")
     return jsonio.symmetric_witness_file(WS)
@@ -335,7 +335,7 @@ def failure(red: Reduction, wit: str | dict) -> str | None:
             raise ParseError("witness dimension differs from the instance", 0)
         if T.ring != D.ring:
             raise ParseError("witness ring incompatible with the instance", 0)
-        count = len(D.terms)
+        count = len(D)
     # a witness longer than the target proves nothing about the rank
     # bound, however exactly it sums
     if red.target_rank is not None and count > red.target_rank:

@@ -22,11 +22,11 @@ from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ParseError
-from .linalg import DenseMatrix, Vec
+from .linalg import DenseMatrix
 from .polysys import Assignment, PolySystem, parse_polynomial
 from .rings import RingDescriptor, Scalar
 from .sigma import IncompleteMatrix
-from .symmetric import SymDecomposition, SymTensor, SymTerm
+from .symmetric import SymDecomposition, SymTensor
 from .tensors import Decomposition, DerksenInstance, Tensor3, sum_terms_raw
 
 FORMAT_VERSION = 1
@@ -88,10 +88,6 @@ def _scalar(ring: RingDescriptor, text) -> Scalar:
         raise ParseError(str(e), 0) from e
 
 
-def vec_to_json(v: Vec) -> list:
-    return [[i, str(x)] for i, x in sorted(v.nz.items())]
-
-
 def raw_vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) -> dict:
     """The {index: value} map, zeros left out, of a length-n vector from
     [index, "value"] pairs; a caller reading many vectors passes one
@@ -117,10 +113,6 @@ def raw_vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = No
         else:  # a later pair for the same index wins, a zero included
             nz.pop(i, None)
     return nz
-
-
-def vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = None) -> Vec:
-    return Vec._from_raw(ring, n, raw_vec_from_json(ring, n, data, seen))
 
 
 def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
@@ -572,19 +564,22 @@ def tensor_witness_text(D: Decomposition) -> Iterator[str]:
 
 
 def sym_decomposition_to_json(D: SymDecomposition) -> list:
-    return [{"s": str(t.s), "v": vec_to_json(t.v)} for t in D.terms]
+    return [{"s": str(s), "v": [[i, str(x)] for i, x in sorted(v.items())]} for s, v in D.raw]
 
 
 def sym_decomposition_from_json(ring: RingDescriptor, dim: int, data) -> SymDecomposition:
-    seen: dict = {}
-    terms = [
-        SymTerm(_scalar(ring, _need(item, "s")), vec_from_json(ring, dim, _need(item, "v"), seen))
-        for item in _terms_of(data)
-    ]
-    try:
-        return SymDecomposition(ring, dim, terms)
-    except ValueError as e:
-        raise ParseError(str(e), 0) from e
+    seen: dict = {}  # each distinct spelling, of a coefficient or an entry, is parsed once
+    raw = []
+    for item in _terms_of(data):
+        text = _need(item, "s")
+        s = seen.get(text) if type(text) is str else None
+        if s is None:
+            s = seen[text] = _scalar(ring, text).value  # refuses all but strings
+        v = raw_vec_from_json(ring, dim, _need(item, "v"), seen)
+        if not s:
+            raise ParseError("zero coefficient terms are not stored")
+        raw.append((s, v))
+    return SymDecomposition._from_raw(ring, dim, raw)
 
 
 def symmetric_witness_file(D: SymDecomposition) -> dict:

@@ -4,13 +4,14 @@ A cubical order-3 tensor T embeds into a symmetric tensor S(T) on the
 disjoint union H of three copies of its index set.  Padding S(T) with one
 unit slice per unordered index pair gives a tensor whose symmetric rank
 exceeds the rank of T by exactly 4.5(n^2+n); the constructions here build
-that padded tensor and produce matching symmetric decompositions.  The
-certificate is one exact sum of the finished witness against the padded
-tensor, at the end of symmetric_witness and again in ``tenred verify``;
-the pieces assembled there are not re-checked one by one, while the
-public builders of those pieces check their own result (build_L_pi under
-check=True, its default).  All sums go through one raw-value kernel,
-sum_sym_decomposition_raw.
+that padded tensor and produce matching symmetric decompositions, on raw
+maps and with no correction tensor per pair.  The certificate is one
+exact sum of the finished witness against the padded tensor, at the end
+of symmetric_witness and again in ``tenred verify``; neither the pieces
+assembled there nor the tensor decomposition handed in are summed on
+their own, while the public builders of pieces check their own result
+(build_L_pi under check=True, its default).  All sums go through one
+raw-value kernel, sum_sym_decomposition_raw.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; constructing one from conflicting
@@ -33,8 +34,8 @@ from .errors import (
     VerificationError,
 )
 from .linalg import DenseMatrix, Vec, inverse_3x3
-from .rings import PRIME_FIELD, RingDescriptor, Scalar, one, zero
-from .tensors import Decomposition, Tensor3, first_mismatch, verify_decomposition
+from .rings import RingDescriptor, Scalar, one, zero
+from .tensors import Decomposition, Tensor3, first_mismatch
 
 LETTERS = ("I", "J", "K")
 
@@ -84,7 +85,7 @@ def pair_indices(n: int) -> tuple[PairIndex, ...]:
 
 @lru_cache(maxsize=8)
 def padded_names(n: int) -> tuple[str, ...]:
-    # cached: every pair correction of one witness names the same indices
+    # cached: each padded tensor and each pair correction names them again
     return block_names(n) + tuple(pi.name for pi in pair_indices(n))
 
 
@@ -187,9 +188,10 @@ class SymTerm:
 
 
 class SymDecomposition:
-    """An ordered list of coefficiented cube terms of uniform dimension."""
+    """An ordered list of cube terms of uniform dimension, held in ``raw`` as
+    (s, v) pairs of raw values, v a map like ``Vec.nz``; ``terms`` boxes them."""
 
-    __slots__ = ("ring", "dim", "terms")
+    __slots__ = ("ring", "dim", "raw")
 
     def __init__(self, ring: RingDescriptor, dim: int, terms: Iterable[SymTerm]):
         terms = tuple(terms)
@@ -200,10 +202,22 @@ class SymDecomposition:
                 raise ValueError(f"term dimension {t.v.n} != {dim}")
         self.ring = ring
         self.dim = dim
-        self.terms = terms
+        self.raw = [(t.s.value, t.v.nz) for t in terms]
+
+    @classmethod
+    def _from_raw(cls, ring: RingDescriptor, dim: int, raw: list) -> "SymDecomposition":
+        """On trusted input: s canonical and nonzero, v maps within dim, values canonical and nonzero."""
+        obj = cls.__new__(cls)
+        obj.ring, obj.dim, obj.raw = ring, dim, raw
+        return obj
+
+    @property
+    def terms(self) -> tuple[SymTerm, ...]:
+        ring, dim = self.ring, self.dim
+        return tuple(SymTerm(Scalar(ring, s), Vec._from_raw(ring, dim, v)) for s, v in self.raw)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.raw)
 
     def __iter__(self):
         return iter(self.terms)
@@ -213,11 +227,11 @@ class SymDecomposition:
             isinstance(other, SymDecomposition)
             and self.ring == other.ring
             and self.dim == other.dim
-            and self.terms == other.terms
+            and self.raw == other.raw
         )
 
     def __repr__(self) -> str:
-        return f"SymDecomposition({self.ring}, dim={self.dim}, {len(self.terms)} terms)"
+        return f"SymDecomposition({self.ring}, dim={self.dim}, {len(self)} terms)"
 
 
 # Placements of e factors d among three, the others u: the ordered tensors
@@ -227,19 +241,20 @@ _PLACEMENTS = tuple(
 )
 
 
-def _collinear_run(terms: Sequence[SymTerm], i: int, ring: RingDescriptor):
-    """The longest run terms[i:j] of cubes s_k (u + a_k d)^3 on one support.
+def _collinear_run(raw: Sequence[tuple], i: int, ring: RingDescriptor):
+    """The longest run raw[i:j] of cubes s_k (u + a_k d)^3 on one support.
 
     With d = v_2 - v_1 and the pivot p = min supp(d), u = v_1 -
     (v_1[p]/d[p]) d and a_k = v_k[p]/d[p], all exact; a term joins only
-    if it has the support of v_1 and v_k equals u + a_k d entrywise.
+    if it has the support of v_1 and v_k = u + a_k d, true by construction
+    of v_1 and v_2 = v_1 + d, so only later terms are compared entrywise.
     Returns (j, u, d, mu), mu_e = sum of s_k a_k^e reduced, or None where
     terms i and i+1 start no run: different supports, equal vectors, or
     over Z a pivot other than 1 or -1.
     """
-    if i + 1 >= len(terms):
+    if i + 1 >= len(raw):
         return None
-    v1, v2 = terms[i].v.nz, terms[i + 1].v.nz
+    v1, v2 = raw[i][1], raw[i + 1][1]
     support = v1.keys()
     if v2.keys() != support:
         return None
@@ -258,15 +273,13 @@ def _collinear_run(terms: Sequence[SymTerm], i: int, ring: RingDescriptor):
     u = canon_map({x: v - a1 * d.get(x, 0) for x, v in v1.items()})
     mu = [0, 0, 0, 0]
     j = i
-    while j < len(terms):
-        t = terms[j]
-        v = t.v.nz
+    while j < len(raw):
+        w, v = raw[j]
         if v.keys() != support:
             break
         a = canon(v[p] * inv)
-        if canon_map({x: u.get(x, 0) + a * d.get(x, 0) for x in v}) != v:
+        if j > i + 1 and canon_map({x: u.get(x, 0) + a * d.get(x, 0) for x in v}) != v:
             break
-        w = t.s.value
         for e in range(4):
             mu[e] += w
             w *= a
@@ -308,10 +321,10 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
     """
     size = D.dim
     acc: dict[int, object] = {}
-    terms = D.terms
+    raw = D.raw
     i = 0
-    while i < len(terms):
-        run = _collinear_run(terms, i, D.ring)
+    while i < len(raw):
+        run = _collinear_run(raw, i, D.ring)
         if run is not None:
             i, u, d, mu = run
             factors = (sorted(u.items()), sorted(d.items()))
@@ -320,8 +333,9 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
                     for placement in _PLACEMENTS[e]:
                         _add_product(acc, mu[e], *(factors[f] for f in placement), size)
             continue
-        items = sorted(terms[i].v.nz.items())
-        _add_product(acc, terms[i].s.value, items, items, items, size)
+        s, v = raw[i]
+        items = sorted(v.items())
+        _add_product(acc, s, items, items, items, size)
         i += 1
     area = size * size
     out: dict[Key, object] = {}
@@ -396,14 +410,11 @@ def pair_target(a: Scalar) -> SymTensor:
 
 
 def _q_candidates(ring: RingDescriptor):
-    if ring.kind == PRIME_FIELD:
-        for q in range(ring.modulus):
-            yield Scalar(ring, q)
-    else:
-        # over Q any prefix of 2, 3, 4, ... contains a workable q; the cap
-        # only bounds the search when the caller feeds degenerate input
-        for q in range(2, 102):
-            yield Scalar(ring, q)
+    size = ring.field_size
+    # over Q any prefix of 2, 3, 4, ... contains a workable q; the cap
+    # only bounds the search when the caller feeds degenerate input
+    for q in range(2, 102) if size is None else range(size):
+        yield Scalar(ring, q)
 
 
 def _solve_nodes(a: Scalar, q: Scalar):
@@ -461,7 +472,7 @@ def waring_gadget(a: Scalar) -> SymDecomposition:
     if a.is_one:
         for c_int in range(2, 102):
             c = Scalar(ring, c_int)
-            if ring.kind == PRIME_FIELD and c.value in (0, 1):
+            if c.value in (0, 1):  # only over GF(p): over Q, c is 2..101
                 continue
             try:
                 inner = waring_gadget(c)
@@ -571,16 +582,8 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
             if val is not None:
                 w_nz[z] = val
 
-    raw: dict[Key, object] = {}
-    for r in (ap, aq):
-        for s_ in (ap, aq):
-            lo, hi = min(r, s_), max(r, s_)
-            for z, val in w_nz.items():
-                key = tuple(sorted((lo, hi, z)))
-                prev = raw.get(key)
-                if prev is not None and prev != val:
-                    raise StructureError(f"inconsistent correction entry at {key}")
-                raw[key] = val
+    # w_z at each sorted (r, s, z), r and s in the pair; z is neither
+    raw = {tuple(sorted((r, s_, z))): val for r in (ap, aq) for s_ in (ap, aq) for z, val in w_nz.items()}
     tensor = SymTensor._from_raw(ring, names, raw)
 
     u = Vec._from_raw(ring, size, {ap: one_raw, aq: one_raw})
@@ -596,75 +599,74 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
 def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
     """The body of symmetric_upper_witness, without its final exact check.
 
-    Callers that check a larger sum containing these terms use this
-    directly, so the certificate is checked once, at the boundary.
+    An entry of U on three distinct indices lies in the slice w of one
+    strict pair (ap, aq): the two that share a letter, the lowest two if
+    all three do.  With 1 at the pair's padded position added to w and
+    u = e_ap + e_aq, the pair takes the a = 0 gadget's cubes s_t (u +
+    r_t w)^3, whose sum w_z at (ap, ap, z), (ap, aq, z) and (aq, aq, z)
+    comes off a copy of the padded tensor.  The residual must lie on
+    repeated first-block indices (asserted, never patched) and splits
+    into per-index pieces.  Callers that check a larger sum containing
+    these terms use this directly, so the certificate is checked once.
     """
     require_big_field(U.ring)
     check_mixed_block_zero(U, n)
     ring = U.ring
-    size = padded_size(n)
-    terms: list[SymTerm] = []
-    l_total: dict[Key, object] = {}
-    for pi in pair_indices(n):
-        if not pi.is_strict:
+    slices: dict[tuple[int, int], dict[int, object]] = {}
+    for (x, y, z), v in U.entries.items():
+        if x == y or y == z:
             continue
-        l_tensor, l_deco = build_L_pi(U, pi, check=False)
-        terms.extend(l_deco.terms)
-        for key, v in l_tensor.entries.items():
-            cur = l_total.get(key)
-            l_total[key] = v if cur is None else cur + v
-    curly = build_curly_T(U, n)
-    phi: dict[Key, object] = dict(curly.entries)
-    for key, v in l_total.items():
-        cur = phi.get(key)
-        phi[key] = -v if cur is None else cur - v
+        if x // n == y // n:
+            pair, other = (x, y), z
+        elif y // n == z // n:
+            pair, other = (y, z), x
+        else:  # no entry spans three letters
+            pair, other = (x, z), y
+        slices.setdefault(pair, {})[other] = v
 
-    diag: dict[int, object] = {}
-    off_diag: dict[int, dict[int, object]] = {}
+    # the gadget's nodes r_t are nonzero, so r_t w keeps the support of w
+    gadget = [(s, v[1]) for s, v in waring_gadget(zero(ring)).raw]
+    one_raw = one(ring).value
+    phi = build_curly_T(U, n).entries  # a fresh map, the working copy
+    raw: list = []
+    pos = 3 * n - 1
+    for off in range(0, 3 * n, n):
+        for ap in range(off, off + n):
+            pos += 1  # the pair (ap, ap) takes no cubes
+            for aq in range(ap + 1, off + n):
+                pos += 1
+                w = {pos: one_raw, **slices.get((ap, aq), {})}
+                sides = (ap, ap), (ap, aq), (aq, aq)
+                for z, v in w.items():  # z < ap or z > aq: same-letter slices lie beyond aq
+                    for b, c in sides:
+                        key = (z, b, c) if z < ap else (b, c, z)
+                        phi[key] = phi.get(key, 0) - v
+                for s, r in gadget:
+                    raw.append((s, {ap: one_raw, aq: one_raw, **ring.canon_map({z: r * v for z, v in w.items()})}))
+
+    # pieces[u] holds a at u and m elsewhere, for a u^3 + Sym(u, u, m)
+    pieces: dict[int, dict[int, object]] = {}
     for (x, y, z), v in ring.canon_map(phi).items():
-        if x == y == z:
-            u_idx, other = x, None
-        elif x == y:
-            u_idx, other = x, z
-        elif y == z:
-            u_idx, other = y, x
-        else:
-            raise StructureError(
-                f"residual entry at pairwise distinct indices {(x, y, z)}"
-            )
+        if x != y != z:
+            raise StructureError(f"residual entry at pairwise distinct indices {(x, y, z)}")
+        u_idx, other = (y, x) if y == z else (x, z)
         if u_idx >= 3 * n:
-            raise StructureError(
-                f"residual entry {(x, y, z)} repeats a padded index"
-            )
-        if other is None:
-            diag[u_idx] = v
-        else:
-            off_diag.setdefault(u_idx, {})[other] = v
-
-    for u_idx in range(3 * n):
-        a = Scalar(ring, diag.get(u_idx, 0))
-        m = Vec._from_raw(ring, size, off_diag.get(u_idx, {}))
-        if a.is_zero and m.is_zero:
-            continue
-        piece = sym_pair_decompose(Vec.unit(ring, size, u_idx), m, a)
-        terms.extend(piece.terms)
+            raise StructureError(f"residual entry {(x, y, z)} repeats a padded index")
+        pieces.setdefault(u_idx, {})[other] = v
+    size = padded_size(n)
+    for u_idx, m in sorted(pieces.items()):
+        a = Scalar(ring, m.pop(u_idx, 0))
+        raw.extend(sym_pair_decompose(Vec.unit(ring, size, u_idx), Vec._from_raw(ring, size, m), a).raw)
 
     bound = padding_terms(n)
-    if len(terms) > bound:
-        raise StructureError(f"{len(terms)} terms exceed the bound {bound}")
-    return SymDecomposition(ring, size, terms)
+    if len(raw) > bound:
+        raise StructureError(f"{len(raw)} terms exceed the bound {bound}")
+    return SymDecomposition._from_raw(ring, size, raw)
 
 
 def symmetric_upper_witness(U: SymTensor, n: int) -> SymDecomposition:
-    """Decomposition of the padded tensor of U with at most 4.5(n^2+n) terms.
-
-    Pair corrections peel off everything supported on pairwise distinct
-    indices; the remainder must be covered by the repeated-index
-    transversals of first-block indices (a structural fact about the
-    construction, asserted, never patched), and splits into per-index
-    pieces that the span gadget handles three terms at a time.  The sum
-    is checked exactly against the padded tensor before return.
-    """
+    """Decomposition of the padded tensor of U with at most 4.5(n^2+n) terms,
+    those of _upper_terms, checked exactly against the padded tensor."""
     deco = _upper_terms(U, n)
     ok, mismatch = verify_symmetric_decomposition(build_curly_T(U, n), deco)
     if not ok:
@@ -676,44 +678,46 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
     """Symmetric decomposition of the padded symmetrization of T.
 
     Each rank-1 term of D becomes one cube on the concatenated index
-    blocks; the deficit this leaves on the first blocks satisfies the
-    mixed-block hypothesis and is closed by the terms of
-    symmetric_upper_witness.  The total term count is exactly len(D) plus
-    the padding witness size.  The exact sum of all terms is checked
-    against the padded tensor once, before return; it is the only check
-    of the padding terms on this path.
+    blocks.  The residual U = S(T) minus those cubes is T - sum D at each
+    mixed-block position (a, n+b, 2n+c), so D is checked there, with no
+    sum of its own; the rest of U is closed by the terms of _upper_terms.
+    The term count is exactly len(D) plus the padding witness size.  The
+    exact sum of all terms is checked against the padded tensor once,
+    before return; it is the only check of the padding terms on this path.
     """
     n = T.dims[0]
     if T.dims != (n, n, n):
         raise ValueError(f"symmetrization needs a cubical tensor, got {T.dims}")
     require_big_field(T.ring)
-    ok, mismatch = verify_decomposition(T, D)
-    if not ok:
-        raise VerificationError(
-            f"decomposition does not sum to the tensor at {mismatch[0]}"
-        )
+    if D.ring != T.ring:
+        raise RingMismatchError("decomposition ring differs from tensor ring")
+    if D.dims != T.dims:
+        raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
     ring = T.ring
     size = padded_size(n)
-    terms: list[SymTerm] = []
+    one_raw = one(ring).value
+    raw: list = []
     for a, b, c in D.raw:
         nz = dict(a)
         nz.update((n + j, v) for j, v in b.items())
         nz.update((2 * n + k, v) for k, v in c.items())
         if nz:
-            terms.append(SymTerm(one(ring), Vec._from_raw(ring, size, nz)))
+            raw.append((one_raw, nz))
 
     S = embed_S(T)
-    cube_sum = sum_sym_decomposition_raw(SymDecomposition(ring, size, terms))
+    cube_sum = sum_sym_decomposition_raw(SymDecomposition._from_raw(ring, size, raw))
     resid: dict[Key, object] = dict(S.entries)
     for key, v in cube_sum.items():
-        cur = resid.get(key)
-        resid[key] = -v if cur is None else cur - v
-    U = SymTensor._from_raw(ring, block_names(n), ring.canon_map(resid))
+        resid[key] = resid.get(key, 0) - v
+    resid = ring.canon_map(resid)
+    mixed = [key for key in resid if key[0] < n <= key[1] < 2 * n <= key[2]]
+    if mixed:
+        x, y, z = min(mixed)
+        raise VerificationError(f"decomposition does not sum to the tensor at {(x, y - n, z - 2 * n)}")
 
-    terms.extend(_upper_terms(U, n).terms)
-    deco = SymDecomposition(ring, size, terms)
-    target = build_curly_T(S, n)
-    ok, mismatch = verify_symmetric_decomposition(target, deco)
+    raw.extend(_upper_terms(SymTensor._from_raw(ring, S.index_names, resid), n).raw)
+    deco = SymDecomposition._from_raw(ring, size, raw)
+    ok, mismatch = verify_symmetric_decomposition(build_curly_T(S, n), deco)
     if not ok:
         raise StructureError(f"symmetric witness fails at {mismatch[0]}")
     return deco

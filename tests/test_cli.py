@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tenred_runner
-from tenred import certify, jsonio, sigma, symmetric
+from tenred import certify, jsonio, sigma, symmetric, tensors
 from tenred.cli import build_parser, main
 from tenred.jsonio import (
     canonical_dumps,
@@ -434,6 +434,58 @@ def test_symmetric_witness_exits_4_on_corrupt_pieces(empty_gf11_symmetric, tmp_p
     assert not out.exists()
 
 
+def test_symmetric_witness_checks_each_thing_once(empty_gf11_symmetric, tmp_path, monkeypatch):
+    # derksen_witness sums the tensor decomposition once, the padding is
+    # built with no correction tensor, and the finished witness is summed
+    # once; the cached gadgets check their own 2-dimensional targets
+    instf, witf = empty_gf11_symmetric
+    seen = {"verify_decomposition": 0, "build_L_pi": 0, "verify_symmetric_decomposition": []}
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            record(*args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def count(name):
+        def record(*args):
+            seen[name] += 1
+
+        return record
+
+    for module in (tensors, symmetric):
+        if hasattr(module, "verify_decomposition"):
+            spy(module, "verify_decomposition", count("verify_decomposition"))
+    spy(symmetric, "build_L_pi", count("build_L_pi"))
+    spy(symmetric, "verify_symmetric_decomposition", lambda T, D: seen["verify_symmetric_decomposition"].append(D.dim))
+    out = tmp_path / "wit.json"
+    assert main(["witness", str(instf), "--solution", "", "--out", str(out)]) == 0
+    assert out.read_bytes() == witf.read_bytes()
+    assert seen["verify_decomposition"] == 1
+    assert seen["build_L_pi"] == 0
+    assert [dim for dim in seen["verify_symmetric_decomposition"] if dim != 2] == [1131]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.update(s="0"), "error: zero coefficient terms are not stored\n"),
+        (lambda t: t["v"].append([1131, "1"]), "error: index 1131 out of range for length 1131 (at position 0)\n"),
+        (lambda t: t.update(v=5), "error: sparse vector must be a list of [index, value] pairs (at position 0)\n"),
+    ],
+    ids=["zero-s", "index-outside-dim", "v-not-a-list"],
+)
+def test_symmetric_witness_reader_refusals(edit, message, empty_gf11_symmetric, tmp_path, capsys):
+    instf, witf = empty_gf11_symmetric
+    badf = _edited(witf, tmp_path / "bad.json", lambda wit: edit(wit["terms"][5]))
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 2
+    assert capsys.readouterr().err == message
+
+
 def _scale_coordinate(terms, x, c):
     """Multiply coordinate x of each term's vector by c, over GF(11)."""
     for t in terms:
@@ -458,7 +510,7 @@ def test_verify_rejects_a_corrupted_gadget_group(corrupt, still_grouped, empty_g
     assert [t["v"][:3] for t in group] == [[[0, "1"], [1, "1"], [3, r]] for r in ("3", "2", "1")]
     corrupt(group)
     D = jsonio.symmetric_witness_parse(wit)
-    run = symmetric._collinear_run(D.terms, 3, D.ring)
+    run = symmetric._collinear_run(D.raw, 3, D.ring)
     assert (run is not None and run[0] == 6) == still_grouped
     badf = _write(tmp_path / "bad.json", canonical_dumps(wit))
     capsys.readouterr()

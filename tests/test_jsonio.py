@@ -35,8 +35,6 @@ from tenred.jsonio import (
     tensor_parse,
     tensor_instance_text,
     tensor_witness_text,
-    vec_from_json,
-    vec_to_json,
 )
 from tenred.linalg import DenseMatrix, Vec
 from tenred.polysys import Assignment, PolySystem, parse_polynomial
@@ -66,6 +64,14 @@ X1_GF2_TENSOR_INSTANCE_SHA256 = "91390fb3103ba25083750c54b51bb7d3e3eb436957e20eb
 
 def _system(texts, num_vars, ring):
     return PolySystem(ring, num_vars, [parse_polynomial(t, num_vars, ring) for t in texts])
+
+
+def vec_to_json(v):
+    return [[i, str(x)] for i, x in sorted(v.nz.items())]
+
+
+def vec_from_json(ring, n, data, seen=None):
+    return Vec._from_raw(ring, n, jsonio.raw_vec_from_json(ring, n, data, seen))
 
 
 def decomposition_from_json(ring, dims, data):

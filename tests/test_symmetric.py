@@ -794,20 +794,19 @@ def test_collinear_run_groups_a_gadget_exactly():
     u, w = _vec(ring, [1, 1, 0, 0, 0]), _vec(ring, [0, 0, 3, 0, 7])
     piece = sym_pair_decompose(u, w, Scalar(ring, 4))
     lone = SymTerm(one(ring), _vec(ring, [0, 0, 1, 1, 1]))
-    terms = (lone,) + piece.terms + (lone,)
+    raw = SymDecomposition(ring, 5, (lone,) + piece.terms + (lone,)).raw
     # the lone term shares no support with the gadget; the gadget's three
     # terms form one run, with mu_0 = a and mu_2 = mu_3 = 0 as it was solved
-    assert symmetric._collinear_run(terms, 0, ring) is None
-    j, ru, rd, mu = symmetric._collinear_run(terms, 1, ring)
+    assert symmetric._collinear_run(raw, 0, ring) is None
+    j, ru, rd, mu = symmetric._collinear_run(raw, 1, ring)
     assert j == 4 and mu[0] == 4 and mu[2] == mu[3] == 0
     assert set(ru) == {0, 1} and set(rd) == {2, 4}
-    assert symmetric._collinear_run(terms, 4, ring) is None
+    assert symmetric._collinear_run(raw, 4, ring) is None
     # over Z a run needs a pivot of d equal to 1 or -1
     v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 3, 5))
-    s = one(ZZ)
-    assert symmetric._collinear_run([SymTerm(s, v1), SymTerm(s, v2), SymTerm(s, v3)], 0, ZZ) is None
+    assert symmetric._collinear_run([(1, v1.nz), (1, v2.nz), (1, v3.nz)], 0, ZZ) is None
     v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 2, 3))
-    assert symmetric._collinear_run([SymTerm(s, v1), SymTerm(s, v2), SymTerm(s, v3)], 0, ZZ)[0] == 3
+    assert symmetric._collinear_run([(1, v1.nz), (1, v2.nz), (1, v3.nz)], 0, ZZ)[0] == 3
 
 
 def _corrupt_pair_pieces(monkeypatch):
@@ -874,3 +873,52 @@ def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
     assert checks.count(2) == info.misses
     assert checks.count(W.dim) == 1
     assert len(checks) == info.misses + 1
+
+
+def _reference_upper_terms(U, n):
+    """The padding terms as each pair's correction tensor builds them: the
+    public build_L_pi with its check, the sum of the corrections taken off
+    the padded tensor, and the residual split by sym_pair_decompose."""
+    ring = U.ring
+    size = padded_size(n)
+    terms, l_total = [], {}
+    for pi in pair_indices(n):
+        if pi.is_strict:
+            l_tensor, l_deco = build_L_pi(U, pi)
+            terms.extend(l_deco.terms)
+            for key, v in l_tensor.entries.items():
+                l_total[key] = l_total.get(key, 0) + v
+    phi = dict(build_curly_T(U, n).entries)
+    for key, v in l_total.items():
+        phi[key] = phi.get(key, 0) - v
+    diag, off_diag = {}, {}
+    for (x, y, z), v in ring.canon_map(phi).items():
+        assert x == y or y == z, "residual entry at pairwise distinct indices"
+        if x == y == z:
+            diag[x] = v
+        elif x == y:
+            off_diag.setdefault(x, {})[z] = v
+        else:
+            off_diag.setdefault(y, {})[x] = v
+    for u_idx in range(3 * n):
+        a = Scalar(ring, diag.get(u_idx, 0))
+        m = Vec._from_raw(ring, size, off_diag.get(u_idx, {}))
+        if not (a.is_zero and m.is_zero):
+            terms.extend(sym_pair_decompose(Vec.unit(ring, size, u_idx), m, a).terms)
+    return SymDecomposition(ring, size, terms)
+
+
+@settings(derandomize=True, database=None, max_examples=60)
+@given(ring=st.sampled_from([GF(11), GF(13), QQ]), data=st.data())
+def test_upper_terms_match_the_correction_tensor_construction(ring, data):
+    n = data.draw(st.integers(1, 4))
+    keys = [
+        key
+        for key in itertools.combinations_with_replacement(range(3 * n), 3)
+        if len({i // n for i in key}) < 3
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(keys), max_size=12, unique=True))
+    value = _nonzero(ring)
+    U = SymTensor(ring, block_names(n), {key: Scalar(ring, data.draw(value)) for key in chosen})
+    got = symmetric._upper_terms(U, n)
+    assert got.terms == _reference_upper_terms(U, n).terms
