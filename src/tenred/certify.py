@@ -263,7 +263,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
         return jsonio.tensor_witness_text(D)
     padded = pad_cubical(inst.tensor)
     # padding leaves every raw map as it is
-    WS = symmetric_witness(padded, Decomposition._from_raw(field, padded.dims, D.raw))
+    WS = symmetric_witness(padded, Decomposition(field, padded.dims, D.raw))
     report("terms", len(WS))
     report("target_rank", red.target_rank)
     report("verification", "verified")

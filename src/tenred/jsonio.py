@@ -579,7 +579,7 @@ def sym_decomposition_from_json(ring: RingDescriptor, dim: int, data) -> SymDeco
         if not s:
             raise ParseError("zero coefficient terms are not stored")
         raw.append((s, v))
-    return SymDecomposition._from_raw(ring, dim, raw)
+    return SymDecomposition(ring, dim, raw)
 
 
 def symmetric_witness_file(D: SymDecomposition) -> dict:

@@ -1,4 +1,4 @@
-"""Exact dense matrices, sparse vectors, and fraction-free elimination.
+"""Exact dense matrices and fraction-free elimination.
 
 Rank is always computed over the fraction field of the matrix ring, by
 Bareiss elimination, whose intermediate values stay integral, so no
@@ -11,10 +11,10 @@ keeps every derived artifact byte-reproducible.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import RingMismatchError, SingularMatrixError
-from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, one
+from .errors import RingMismatchError
+from .rings import RATIONALS, RingDescriptor, Scalar
 
 
 class DenseMatrix:
@@ -77,19 +77,6 @@ class DenseMatrix:
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(Scalar(self.ring, r[j]) for r in self.raw_grid)
 
-    def transpose(self) -> "DenseMatrix":
-        return DenseMatrix._from_raw(self.ring, list(zip(*self.raw_grid)))
-
-    def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.ring != other.ring:
-            raise RingMismatchError("matrix product across rings")
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions differ")
-        canon = self.ring.canon
-        cols = list(zip(*other.raw_grid))
-        out = [[canon(sum(a * b for a, b in zip(r, c))) for c in cols] for r in self.raw_grid]
-        return DenseMatrix._from_raw(self.ring, out)
-
     def raw_rows(self) -> list[list]:
         """Mutable copy of the underlying canonical values."""
         return [list(r) for r in self.raw_grid]
@@ -121,7 +108,7 @@ def rank_raw(rows: list[list], ring: RingDescriptor) -> int:
             rows[i] = _integral(row)[1]
     nr = len(rows)
     nc = len(rows[0]) if nr else 0
-    p = ring.modulus if ring.kind == PRIME_FIELD else None
+    p = ring.modulus
     prev = 1
     r = 0
     for c in range(nc):
@@ -189,113 +176,3 @@ def factors_through_units(rows: list[list], units: Sequence[int], ring: RingDesc
 def matrix_rank(m: DenseMatrix) -> int:
     """Rank of ``m`` over the fraction field of its ring."""
     return rank_raw(m.raw_rows(), m.ring)
-
-
-def inverse_3x3(m: DenseMatrix) -> DenseMatrix:
-    """Exact inverse of a 3x3 matrix over a field, via the adjugate."""
-    if m.nrows != 3 or m.ncols != 3:
-        raise ValueError("inverse_3x3 expects a 3x3 matrix")
-    if not m.ring.is_field:
-        raise ValueError("inversion requested over a non-field ring")
-    a = m.rows
-
-    def cof(i: int, j: int) -> Scalar:
-        r = [k for k in range(3) if k != i]
-        c = [k for k in range(3) if k != j]
-        minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
-        return minor if (i + j) % 2 == 0 else -minor
-
-    det = a[0][0] * cof(0, 0) + a[0][1] * cof(0, 1) + a[0][2] * cof(0, 2)
-    if det.is_zero:
-        raise SingularMatrixError("3x3 matrix is singular")
-    dinv = det.inverse()
-    return DenseMatrix(m.ring, [[cof(j, i) * dinv for j in range(3)] for i in range(3)])
-
-
-class Vec:
-    """An immutable sparse vector over one ring; absent indices are zero.
-
-    ``nz`` maps each index holding a nonzero entry to its canonical raw
-    value, as ``Tensor3.entries`` does; ``get``, ``items`` and ``dense``
-    wrap the values in ``Scalar``.
-    """
-
-    __slots__ = ("ring", "n", "nz")
-
-    def __init__(self, ring: RingDescriptor, n: int, nz: dict[int, Scalar] | None = None):
-        if n < 0:
-            raise ValueError("negative length")
-        raw: dict[int, object] = {}
-        for i, s in (nz or {}).items():
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            if s.ring != ring:
-                raise RingMismatchError("vector entry over a different ring")
-            if not s.is_zero:
-                raw[i] = s.value
-        self.ring = ring
-        self.n = n
-        self.nz = raw
-
-    @classmethod
-    def _from_raw(cls, ring: RingDescriptor, n: int, raw: dict[int, object]) -> "Vec":
-        """A vector on trusted input: indices in range, values canonical and nonzero."""
-        obj = cls.__new__(cls)
-        obj.ring = ring
-        obj.n = n
-        obj.nz = raw
-        return obj
-
-    @classmethod
-    def from_dense(cls, ring: RingDescriptor, values: Iterable[Scalar]) -> "Vec":
-        vals = list(values)
-        return cls(ring, len(vals), {i: v for i, v in enumerate(vals)})
-
-    @classmethod
-    def unit(cls, ring: RingDescriptor, n: int, i: int, value: Scalar | None = None) -> "Vec":
-        return cls(ring, n, {i: value if value is not None else one(ring)})
-
-    def get(self, i: int) -> Scalar:
-        return Scalar(self.ring, self.nz.get(i, 0))
-
-    def items(self) -> list[tuple[int, Scalar]]:
-        return [(i, Scalar(self.ring, v)) for i, v in sorted(self.nz.items())]
-
-    def dense(self) -> list[Scalar]:
-        return [self.get(i) for i in range(self.n)]
-
-    def scale(self, s: Scalar) -> "Vec":
-        if s.ring != self.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {s.ring}")
-        sv = s.value
-        return Vec._from_raw(self.ring, self.n, self.ring.canon_map({i: v * sv for i, v in self.nz.items()}))
-
-    def add(self, other: "Vec") -> "Vec":
-        if self.ring != other.ring or self.n != other.n:
-            raise ValueError("vector shape or ring mismatch")
-        out = dict(self.nz)
-        for i, v in other.nz.items():
-            out[i] = out.get(i, 0) + v
-        return Vec._from_raw(self.ring, self.n, self.ring.canon_map(out))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nz
-
-    @property
-    def nnz(self) -> int:
-        return len(self.nz)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vec)
-            and self.ring == other.ring
-            and self.n == other.n
-            and self.nz == other.nz
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.n, tuple(sorted(self.nz.items()))))
-
-    def __repr__(self) -> str:
-        return f"Vec({self.ring}, n={self.n}, nnz={len(self.nz)})"

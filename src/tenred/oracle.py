@@ -25,24 +25,12 @@ from math import comb
 from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, StructureError
-from .linalg import DenseMatrix, Vec, matrix_rank, rank_raw
+from .linalg import DenseMatrix, matrix_rank, rank_raw
 from .polysys import Assignment, PolySystem
-from .rings import PRIME_FIELD, RingDescriptor, Scalar
+from .rings import RingDescriptor, Scalar
 from .sigma import IncompleteMatrix
-from .symmetric import (
-    SymDecomposition,
-    SymTensor,
-    SymTerm,
-    verify_symmetric_decomposition,
-)
-from .tensors import (
-    Decomposition,
-    Rank1Term,
-    Tensor3,
-    slice_matrix,
-    slice_reduce,
-    verify_decomposition,
-)
+from .symmetric import SymDecomposition, SymTensor, verify_symmetric_decomposition
+from .tensors import Decomposition, Tensor3, slice_matrix, slice_reduce, verify_decomposition
 
 
 @dataclass(frozen=True)
@@ -90,7 +78,7 @@ class OracleResult:
 
 
 def _require_prime_field(ring: RingDescriptor, what: str) -> None:
-    if ring.kind != PRIME_FIELD:
+    if ring.field_size is None:
         raise ValueError(f"{what} enumerates a prime field, not {ring}")
 
 
@@ -164,8 +152,8 @@ def projective_vectors(ring: RingDescriptor, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _raw_vec(ring: RingDescriptor, n: int, values: Sequence[int]) -> Vec:
-    return Vec._from_raw(ring, n, {i: v for i, v in enumerate(values) if v})
+def _raw_vec(values: Sequence[int]) -> dict[int, int]:
+    return {i: v for i, v in enumerate(values) if v}
 
 
 def _rref_solve(p: int, rows: list[list[int]], ncols_a: int, ncols_b: int):
@@ -240,7 +228,7 @@ def tensor_rank_bruteforce(T: Tensor3, budget: SearchBudget | None = None) -> Or
     _require_prime_field(T.ring, "rank search")
     ring = T.ring
     p = ring.modulus
-    n1, n2, n3 = T.dims
+    n1, n2, _ = T.dims
     if T.is_zero:
         return OracleResult(0, Decomposition(ring, T.dims, []), True, 0)
     nb = _direction_count(p, n2, budget.max_candidates)
@@ -266,10 +254,10 @@ def tensor_rank_bruteforce(T: Tensor3, budget: SearchBudget | None = None) -> Or
     if combo is None:
         return OracleResult(None, None, False, r)
     da, db, _ = tables()
-    terms = []
-    for t, c_row in zip(combo, sol):
-        c = Vec._from_raw(ring, n3, {k: v for k, v in zip(column, c_row) if v})
-        terms.append(Rank1Term(_raw_vec(ring, n1, da[t // nb]), _raw_vec(ring, n2, db[t % nb]), c))
+    terms = [
+        (_raw_vec(da[t // nb]), _raw_vec(db[t % nb]), {k: v for k, v in zip(column, c_row) if v})
+        for t, c_row in zip(combo, sol)
+    ]
     D = Decomposition(ring, T.dims, terms)
     ok, mismatch = verify_decomposition(T, D)
     if not ok:
@@ -294,8 +282,7 @@ def _cube_search(T: SymTensor, keys: list, n: int, directions, max_size: int, bu
     r, combo, sol = _least_subset(p, n, max_size, budget, 1, rows)
     if combo is None:
         return r, None
-    terms = [SymTerm(Scalar(ring, s), _raw_vec(ring, size, directions()[t])) for t, (s,) in zip(combo, sol)]
-    D = SymDecomposition(ring, size, terms)
+    D = SymDecomposition(ring, size, [(s, _raw_vec(directions()[t])) for t, (s,) in zip(combo, sol)])
     ok, mismatch = verify_symmetric_decomposition(T, D)
     if not ok:
         raise StructureError(f"solver produced a bad witness at {mismatch[0]}")
@@ -326,9 +313,10 @@ def symmetric_rank_bruteforce(T: SymTensor, budget: SearchBudget | None = None) 
 
 
 def restricted_symmetric_search(
-    T: SymTensor, candidates: Sequence[Vec], max_terms: int, budget: SearchBudget | None = None
+    T: SymTensor, candidates: Sequence[dict], max_terms: int, budget: SearchBudget | None = None
 ) -> OracleResult:
-    """Least decomposition of T using directions from a fixed family only.
+    """Least decomposition of T using directions from a fixed family only,
+    each a raw map {index: canonical nonzero value}.
 
     This is the relative search used for the 6-index lower-bound check on
     the rank-1 payload: the family there consists of the ten directions of
@@ -343,9 +331,8 @@ def restricted_symmetric_search(
     _require_prime_field(T.ring, "restricted symmetric search")
     ring = T.ring
     size = T.size
-    for v in candidates:
-        if v.ring != ring or v.n != size:
-            raise ValueError("candidate over wrong ring or dimension")
+    if any(not 0 <= i < size for v in candidates for i in v):
+        raise ValueError("candidate outside the tensor's indices")
     if T.is_zero:
         return OracleResult(0, SymDecomposition(ring, size, []), True, 0)
     total = sum(comb(len(candidates), r) for r in range(1, max_terms + 1))
@@ -353,10 +340,10 @@ def restricted_symmetric_search(
         raise BudgetExceededError(
             f"{total} subsets exceed the candidate budget {budget.max_candidates}"
         )
-    cand_raw = [tuple(v.nz.get(i, 0) for i in range(size)) for v in candidates]
+    cand_raw = [tuple(v.get(i, 0) for i in range(size)) for v in candidates]
     key_set = set(T.entries)
     for v in candidates:
-        key_set.update(combinations_with_replacement(sorted(v.nz), 3))
+        key_set.update(combinations_with_replacement(sorted(v), 3))
     r, D = _cube_search(T, sorted(key_set), len(candidates), lambda: cand_raw, max_terms, budget)
     return OracleResult(None if D is None else r, D, D is not None or r > max_terms, r)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatchError
-from .rings import PRIME_FIELD, RATIONALS, RingDescriptor, Scalar, ZZ, one
+from .rings import RATIONALS, RingDescriptor, Scalar, ZZ, one
 
 Exponents = tuple[tuple[int, int], ...]
 
@@ -95,13 +95,6 @@ class Polynomial:
         """A polynomial from a map of exponents to raw values, not yet canonical."""
         items = sorted(ring.canon_map(acc).items(), key=lambda it: _grlex_key(it[0]), reverse=True)
         return cls._from_raw(ring, num_vars, tuple(items))
-
-    @classmethod
-    def from_term_map(
-        cls, ring: RingDescriptor, num_vars: int, term_map: dict[Exponents, Scalar]
-    ) -> "Polynomial":
-        items = sorted(term_map.items(), key=lambda it: _grlex_key(it[0]), reverse=True)
-        return cls(ring, num_vars, [Monomial(c, e) for e, c in items if not c.is_zero])
 
     @classmethod
     def zero(cls, ring: RingDescriptor, num_vars: int) -> "Polynomial":
@@ -229,7 +222,7 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.raw_terms:
             return "0"
-        signed = self.ring.kind != PRIME_FIELD
+        signed = self.ring.field_size is None
         parts: list[str] = []
         for idx, (exps, v) in enumerate(self.raw_terms):
             negative = signed and v < 0

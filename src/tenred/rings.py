@@ -6,12 +6,16 @@ residues as ``int`` in ``[0, p)``.  Ranks and inverses elsewhere in the
 package are always taken over the fraction field of the ring, so exactness
 is preserved end to end.
 
-Containers (``Vec``, ``DenseMatrix``, ``Tensor3``, ``SymTensor``,
-``IncompleteMatrix``, ``Polynomial``) hold canonical raw values, the zeros
-of sparse ones omitted, and wrap them in a ``Scalar`` only at their accessors.  Arithmetic inside the package works on
-raw values and makes them canonical through ``RingDescriptor.canon`` (one
-value) or ``RingDescriptor.canon_map`` (a sparse map); those two methods
-are the only place a value is reduced.
+A vector, and each factor of a decomposition term, is a plain map
+{index: canonical nonzero value}.  Containers (``DenseMatrix``, ``Tensor3``,
+``SymTensor``, ``IncompleteMatrix``, ``Polynomial``) hold canonical raw
+values, the zeros of sparse ones omitted, and wrap them in a ``Scalar``
+only at their accessors.  Arithmetic inside the package works on raw
+values and makes them canonical through ``RingDescriptor.canon`` (one
+value) or ``RingDescriptor.canon_map`` (a sparse map), the only places a
+value is reduced; ``RingDescriptor.inverse`` inverts one.  ``PRIME_FIELD``
+is named only in this module: elsewhere ``modulus`` or ``field_size``
+(None outside GF(p)) tells the rings apart.
 """
 
 from __future__ import annotations
@@ -91,6 +95,16 @@ class RingDescriptor:
         canon = self.canon
         return {k: r for k, v in acc.items() if (r := canon(v))}
 
+    def inverse(self, v):
+        """The inverse of a canonical nonzero raw value, itself canonical."""
+        if self.kind == INTEGERS:
+            raise ValueError("inversion requested over the integers")
+        if v == 0:
+            raise ZeroDivisionError("inversion of zero")
+        if self.kind == PRIME_FIELD:
+            return pow(v, -1, self.modulus)
+        return Fraction(1) / v
+
     def __str__(self) -> str:
         if self.kind == INTEGERS:
             return "Z"
@@ -156,13 +170,7 @@ class Scalar:
         return Scalar(self.ring, -self.value)
 
     def inverse(self) -> "Scalar":
-        if self.ring.kind == INTEGERS:
-            raise ValueError("inversion requested over the integers")
-        if self.value == 0:
-            raise ZeroDivisionError("inversion of zero")
-        if self.ring.kind == PRIME_FIELD:
-            return Scalar(self.ring, pow(self.value, -1, self.ring.modulus))
-        return Scalar(self.ring, Fraction(1) / self.value)
+        return Scalar(self.ring, self.ring.inverse(self.value))
 
     def power(self, k: int) -> "Scalar":
         if k < 0:

@@ -307,18 +307,9 @@ class IncompleteMatrix:
                 if v is None:
                     yield i, j
 
-    def is_star(self, i: int, j: int) -> bool:
-        return self.raw_grid[i][j] is None
-
     def entry(self, i: int, j: int) -> Scalar | None:
         raw = self.raw_grid[i][j]
         return None if raw is None else Scalar(self.ring, raw)
-
-    def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        g = self.raw_grid
-        return all(g[i][j] == g[j][i] for i in range(self.nrows) for j in range(i + 1, self.ncols))
 
     def label_position(self, coords: tuple[Polynomial, Polynomial, Polynomial]) -> int:
         if self.row_labels is None:

@@ -4,14 +4,16 @@ A cubical order-3 tensor T embeds into a symmetric tensor S(T) on the
 disjoint union H of three copies of its index set.  Padding S(T) with one
 unit slice per unordered index pair gives a tensor whose symmetric rank
 exceeds the rank of T by exactly 4.5(n^2+n); the constructions here build
-that padded tensor and produce matching symmetric decompositions, on raw
-maps and with no correction tensor per pair.  The certificate is one
-exact sum of the finished witness against the padded tensor, at the end
-of symmetric_witness and again in ``tenred verify``; neither the pieces
-assembled there nor the tensor decomposition handed in are summed on
-their own, while the public builders of pieces check their own result
-(build_L_pi under check=True, its default).  All sums go through one
-raw-value kernel, sum_sym_decomposition_raw.
+that padded tensor and produce matching symmetric decompositions.  A
+cube term is a raw pair (s, v): s a canonical nonzero value, v a map
+{index: canonical nonzero value}; the Waring gadget is solved on raw
+values too, and no correction tensor is made per pair.  The certificate is
+one exact sum of the finished witness against the padded tensor, at the
+end of symmetric_witness and again in ``tenred verify``; neither the
+pieces assembled there nor the tensor decomposition handed in are summed
+on their own, while the public builders of pieces (waring_gadget,
+build_L_pi, symmetric_upper_witness) check their own result.  All sums go
+through one raw-value kernel, sum_sym_decomposition_raw.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; constructing one from conflicting
@@ -24,17 +26,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (
-    FieldTooSmallError,
-    RingMismatchError,
-    SingularMatrixError,
-    StructureError,
-    VerificationError,
-)
-from .linalg import DenseMatrix, Vec, inverse_3x3
-from .rings import RingDescriptor, Scalar, one, zero
+from .errors import FieldTooSmallError, RingMismatchError, StructureError, VerificationError
+from .rings import RingDescriptor, Scalar
 from .tensors import Decomposition, Tensor3, first_mismatch
 
 LETTERS = ("I", "J", "K")
@@ -173,54 +168,19 @@ class SymTensor:
         return f"SymTensor({self.ring}, {self.size} indices, nnz={self.nnz})"
 
 
-@dataclass(frozen=True)
-class SymTerm:
-    """The simple symmetric tensor s * v (x) v (x) v."""
-
-    s: Scalar
-    v: Vec
-
-    def __post_init__(self) -> None:
-        if self.s.is_zero:
-            raise ValueError("zero coefficient terms are not stored")
-        if self.s.ring != self.v.ring:
-            raise RingMismatchError("coefficient and vector over different rings")
-
-
 class SymDecomposition:
-    """An ordered list of cube terms of uniform dimension, held in ``raw`` as
-    (s, v) pairs of raw values, v a map like ``Vec.nz``; ``terms`` boxes them."""
+    """An ordered list of cube terms s * v (x) v (x) v of uniform dimension,
+    held in ``raw`` as (s, v) pairs: s a canonical nonzero value, v a map
+    {index: canonical nonzero value} within dim.  The input is trusted: a
+    file's terms are refused, if at all, by their reader."""
 
     __slots__ = ("ring", "dim", "raw")
 
-    def __init__(self, ring: RingDescriptor, dim: int, terms: Iterable[SymTerm]):
-        terms = tuple(terms)
-        for t in terms:
-            if t.s.ring != ring:
-                raise RingMismatchError("term over a different ring")
-            if t.v.n != dim:
-                raise ValueError(f"term dimension {t.v.n} != {dim}")
-        self.ring = ring
-        self.dim = dim
-        self.raw = [(t.s.value, t.v.nz) for t in terms]
-
-    @classmethod
-    def _from_raw(cls, ring: RingDescriptor, dim: int, raw: list) -> "SymDecomposition":
-        """On trusted input: s canonical and nonzero, v maps within dim, values canonical and nonzero."""
-        obj = cls.__new__(cls)
-        obj.ring, obj.dim, obj.raw = ring, dim, raw
-        return obj
-
-    @property
-    def terms(self) -> tuple[SymTerm, ...]:
-        ring, dim = self.ring, self.dim
-        return tuple(SymTerm(Scalar(ring, s), Vec._from_raw(ring, dim, v)) for s, v in self.raw)
+    def __init__(self, ring: RingDescriptor, dim: int, raw: list):
+        self.ring, self.dim, self.raw = ring, dim, raw
 
     def __len__(self) -> int:
         return len(self.raw)
-
-    def __iter__(self):
-        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -264,7 +224,7 @@ def _collinear_run(raw: Sequence[tuple], i: int, ring: RingDescriptor):
         return None
     p = min(d)
     if ring.is_field:
-        inv = Scalar(ring, d[p]).inverse().value
+        inv = ring.inverse(d[p])
     elif d[p] in (1, -1):
         inv = d[p]
     else:
@@ -378,7 +338,7 @@ def build_curly_T(S: SymTensor, n: int) -> SymTensor:
     if S.size != 3 * n:
         raise ValueError(f"tensor has {S.size} indices, expected {3 * n}")
     raw = dict(S.entries)
-    one_raw = one(S.ring).value
+    one_raw = S.ring.canon(1)
     pos = 3 * n
     for pi in pair_indices(n):
         off = letter_offset(pi.letter, n)
@@ -400,140 +360,117 @@ def require_big_field(ring: RingDescriptor) -> None:
         )
 
 
-def pair_target(a: Scalar) -> SymTensor:
-    """The 2x2x2 symmetric target: a at (0,0,0), ones at permutations of (0,0,1)."""
-    ring = a.ring
-    entries = {(0, 0, 1): one(ring)}
-    if not a.is_zero:
-        entries[(0, 0, 0)] = a
-    return SymTensor(ring, ("v1", "v2"), entries)
+def pair_target(ring: RingDescriptor, a) -> SymTensor:
+    """The 2x2x2 symmetric target of a canonical raw value a: a at (0,0,0),
+    ones at permutations of (0,0,1)."""
+    raw = {(0, 0, 1): ring.canon(1)}
+    if a:
+        raw[(0, 0, 0)] = a
+    return SymTensor._from_raw(ring, ("v1", "v2"), raw)
 
 
 def _q_candidates(ring: RingDescriptor):
     size = ring.field_size
     # over Q any prefix of 2, 3, 4, ... contains a workable q; the cap
     # only bounds the search when the caller feeds degenerate input
-    for q in range(2, 102) if size is None else range(size):
-        yield Scalar(ring, q)
+    return map(ring.canon, range(2, 102) if size is None else range(size))
 
 
-def _solve_nodes(a: Scalar, q: Scalar):
+def _solve_nodes(ring: RingDescriptor, a, q):
     """Coefficients for nodes (q/(-1-q+qa), q, 1), or None if degenerate.
 
-    The three leading power sums pin the coefficients by a Vandermonde
-    solve; the cubic power sum is then a consistency condition on the node
-    choice, not an equation, so it is checked and the candidate rejected
-    on failure.  Solving instead of evaluating printed formulas sidesteps
-    a sign error in one of them (see README).
+    The three leading power sums pin the coefficients.  The nodes being
+    distinct, the Vandermonde solve has one solution, in Lagrange form
+    s_t = (a r_u r_v - (r_u + r_v)) / ((r_t - r_u)(r_t - r_v)) for
+    {t, u, v} = {1, 2, 3}.  The cubic power sum is then a consistency
+    condition on the node choice, not an equation, so it is checked and
+    the candidate rejected on failure; so is a zero coefficient.  Solving
+    instead of evaluating printed formulas sidesteps a sign error in one of
+    them (see README).
     """
-    ring = a.ring
-    o = one(ring)
-    den = q * a - q - o
-    if den.is_zero:
+    canon, inverse = ring.canon, ring.inverse
+    den = canon(q * a - q - 1)
+    if not den:
         return None
-    r1 = q * den.inverse()
-    r2 = q
-    r3 = o
-    nodes = (r1, r2, r3)
+    nodes = r1, r2, r3 = canon(q * inverse(den)), q, canon(1)
     if r1 == r2 or r1 == r3 or r2 == r3:
         return None
-    vand = DenseMatrix(ring, [[o, o, o], list(nodes), [r * r for r in nodes]])
-    try:
-        vinv = inverse_3x3(vand)
-    except SingularMatrixError:
-        return None
-    rhs = (a, o, zero(ring))
     s = tuple(
-        vinv.entry(i, 0) * rhs[0] + vinv.entry(i, 1) * rhs[1] + vinv.entry(i, 2) * rhs[2]
-        for i in range(3)
+        canon((a * ru * rv - ru - rv) * inverse(canon((rt - ru) * (rt - rv))))
+        for rt, ru, rv in ((r1, r2, r3), (r2, r3, r1), (r3, r1, r2))
     )
-    if any(c.is_zero for c in s):
-        return None
-    cubic = s[0] * r1.power(3) + s[1] * r2.power(3) + s[2] * r3.power(3)
-    if not cubic.is_zero:
+    if not all(s) or canon(sum(c * r**3 for c, r in zip(s, nodes))):
         return None
     return s, nodes
 
 
 @lru_cache(maxsize=1024)
-def waring_gadget(a: Scalar) -> SymDecomposition:
-    """Three cube terms summing exactly to the 2x2x2 pair target.
+def waring_gadget(ring: RingDescriptor, a) -> SymDecomposition:
+    """Three cube terms s_t (e_1 + r_t e_2)^3 summing exactly to the pair
+    target of a canonical raw value a.
 
     Searches interpolation parameters in a fixed ascending order, solves
     the moment system exactly, and verifies the sum entrywise before
     returning, so the result is deterministic and certified.  The a=1
     target is handled by rescaling the first coordinate, which moves the
-    problem to a different cube value and back.  Results are cached by a
-    (ring included), so each distinct gadget is solved and checked once
-    per process; the result is immutable, so sharing it is safe.
+    problem to a different cube value and back.  Results are cached by
+    (ring, a), so each distinct gadget is solved and checked once per
+    process; callers share the result and must not change it.
     """
-    ring = a.ring
     require_big_field(ring)
-    if a.is_one:
-        for c_int in range(2, 102):
-            c = Scalar(ring, c_int)
-            if c.value in (0, 1):  # only over GF(p): over Q, c is 2..101
+    canon, one_raw = ring.canon, ring.canon(1)
+    if a == 1:
+        for c in map(canon, range(2, 102)):
+            if c in (0, 1):  # only over GF(p): over Q, c is 2..101
                 continue
             try:
-                inner = waring_gadget(c)
+                inner = waring_gadget(ring, c)
             except StructureError:
                 continue
-            cinv = c.inverse()
-            terms = []
-            for t in inner.terms:
-                r = t.v.get(1)
-                terms.append(
-                    SymTerm(t.s * cinv, Vec(ring, 2, {0: one(ring), 1: c * r}))
-                )
-            D = SymDecomposition(ring, 2, terms)
-            ok, mismatch = verify_symmetric_decomposition(pair_target(a), D)
-            if not ok:
-                raise StructureError(f"rescaled gadget fails at {mismatch[0]}")
-            return D
-        raise StructureError("no usable rescaling constant found")
-    for q in _q_candidates(ring):
-        solved = _solve_nodes(a, q)
+            cinv = ring.inverse(c)
+            raw = [(canon(s * cinv), {0: one_raw, 1: canon(c * v[1])}) for s, v in inner.raw]
+            break
+        else:
+            raise StructureError("no usable rescaling constant found")
+    else:
+        solved = next(filter(None, (_solve_nodes(ring, a, q) for q in _q_candidates(ring))), None)
         if solved is None:
-            continue
-        s, nodes = solved
-        terms = [
-            SymTerm(s[t], Vec(ring, 2, {0: one(ring), 1: nodes[t]})) for t in range(3)
-        ]
-        D = SymDecomposition(ring, 2, terms)
-        ok, mismatch = verify_symmetric_decomposition(pair_target(a), D)
-        if not ok:
-            raise StructureError(f"gadget sum disagrees with target at {mismatch[0]}")
-        return D
-    raise StructureError("no interpolation parameter works; field too degenerate")
+            raise StructureError("no interpolation parameter works; field too degenerate")
+        # the nodes are nonzero: r_1 = q/den and r_2 = q, and q = 0 makes them equal
+        raw = [(s, {0: one_raw, 1: r}) for s, r in zip(*solved)]
+    D = SymDecomposition(ring, 2, raw)
+    ok, mismatch = verify_symmetric_decomposition(pair_target(ring, a), D)
+    if not ok:
+        raise StructureError(f"gadget sum disagrees with target at {mismatch[0]}")
+    return D
 
 
-def sym_pair_decompose(u: Vec, w: Vec, a: Scalar) -> SymDecomposition:
-    """Cube terms in span{u, w} summing to a*u^3 + u^2 w symmetrized.
+def sym_pair_decompose(ring: RingDescriptor, u: dict, w: dict, a) -> list:
+    """Cube terms (s, v) in span{u, w} summing to a*u^3 + u^2 w symmetrized.
 
-    The target is a * u(x)u(x)u + u(x)u(x)w + u(x)w(x)u + w(x)u(x)u.  For
-    w = 0 this degenerates to a single cube (or nothing); otherwise u and
-    w must be linearly independent and the 2x2x2 gadget is transported
-    along e1 -> u, e2 -> w.
+    u and w are raw maps and a a canonical raw value.  The target is
+    a * u(x)u(x)u + u(x)u(x)w + u(x)w(x)u + w(x)u(x)u.  For w = 0 this
+    degenerates to a single cube (or nothing); otherwise u and w must be
+    linearly independent and the 2x2x2 gadget is transported along
+    e1 -> u, e2 -> w.
     """
-    if u.ring != w.ring or u.n != w.n:
-        raise ValueError("u and w must share ring and dimension")
-    if a.ring != u.ring:
-        raise RingMismatchError("cube value over a different ring")
-    ring = u.ring
-    if w.is_zero:
-        if a.is_zero or u.is_zero:
-            return SymDecomposition(ring, u.n, [])
-        return SymDecomposition(ring, u.n, [SymTerm(a, u)])
-    if u.is_zero:
+    if not w:
+        return [(a, u)] if a and u else []
+    if not u:
         raise ValueError("u and w are linearly dependent (u = 0)")
-    pivot = min(u.nz)
-    if w == u.scale(w.get(pivot) * u.get(pivot).inverse()):
+    canon_map = ring.canon_map
+    pivot = min(u)
+    k = w.get(pivot, 0) * ring.inverse(u[pivot])
+    if canon_map({i: k * v for i, v in u.items()}) == w:
         raise ValueError("u and w are linearly dependent")
-    gadget = waring_gadget(a)
-    terms = [
-        SymTerm(t.s, u.add(w.scale(t.v.get(1)))) for t in gadget.terms
-    ]
-    return SymDecomposition(ring, u.n, terms)
+    terms = []
+    for s, v in waring_gadget(ring, a).raw:
+        r = v[1]
+        out = dict(u)
+        for i, x in w.items():
+            out[i] = out.get(i, 0) + r * x
+        terms.append((s, canon_map(out)))
+    return terms
 
 
 def check_mixed_block_zero(U: SymTensor, n: int) -> None:
@@ -547,7 +484,7 @@ def check_mixed_block_zero(U: SymTensor, n: int) -> None:
             )
 
 
-def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
+def build_L_pi(U: SymTensor, pi: PairIndex):
     """One pair's correction tensor and its 3-term cube decomposition.
 
     The tensor lives on the padded index set.  With u the indicator of
@@ -555,15 +492,13 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     values (other-letter positions always, same-letter positions beyond q,
     and 1 at the pair's own padded position), the correction equals the
     symmetrization of u (x) u (x) w.  The rule-by-rule tensor and the
-    decomposition are built independently; with ``check`` set, U is
-    checked for mixed-block entries and the two are checked against each
-    other.
+    decomposition are built independently; U is checked for mixed-block
+    entries and the two are checked against each other.
     """
     if not pi.is_strict:
         raise ValueError("corrections are built for strict pairs only")
     n = U.size // 3
-    if check:
-        check_mixed_block_zero(U, n)
+    check_mixed_block_zero(U, n)
     if pi.q > n:
         raise ValueError(f"pair {pi} outside 1..{n}")
     ring = U.ring
@@ -572,7 +507,7 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     ap, aq = off + pi.p - 1, off + pi.q - 1
     size = len(names)
 
-    one_raw = one(ring).value
+    one_raw = ring.canon(1)
     w_nz: dict[int, object] = {_pair_position(pi, n): one_raw}
     for letter in LETTERS:
         boff = letter_offset(letter, n)
@@ -586,13 +521,11 @@ def build_L_pi(U: SymTensor, pi: PairIndex, check: bool = True):
     raw = {tuple(sorted((r, s_, z))): val for r in (ap, aq) for s_ in (ap, aq) for z, val in w_nz.items()}
     tensor = SymTensor._from_raw(ring, names, raw)
 
-    u = Vec._from_raw(ring, size, {ap: one_raw, aq: one_raw})
-    w = Vec._from_raw(ring, size, w_nz)
-    deco = sym_pair_decompose(u, w, zero(ring))
-    if check:
-        ok, mismatch = verify_symmetric_decomposition(tensor, deco)
-        if not ok:
-            raise StructureError(f"pair correction decomposition fails at {mismatch[0]}")
+    u = {ap: one_raw, aq: one_raw}
+    deco = SymDecomposition(ring, size, sym_pair_decompose(ring, u, w_nz, ring.canon(0)))
+    ok, mismatch = verify_symmetric_decomposition(tensor, deco)
+    if not ok:
+        raise StructureError(f"pair correction decomposition fails at {mismatch[0]}")
     return tensor, deco
 
 
@@ -606,11 +539,13 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
     r_t w)^3, whose sum w_z at (ap, ap, z), (ap, aq, z) and (aq, aq, z)
     comes off a copy of the padded tensor.  The residual must lie on
     repeated first-block indices (asserted, never patched) and splits
-    into per-index pieces.  Callers that check a larger sum containing
-    these terms use this directly, so the certificate is checked once.
+    into per-index pieces.  U is not scanned for entries spanning all three
+    letters: such an entry lies in no pair's slice, so it stays on the
+    working copy and the residual assertion refuses it.  Callers that check
+    a larger sum containing these terms use this directly, so the
+    certificate is checked once.
     """
     require_big_field(U.ring)
-    check_mixed_block_zero(U, n)
     ring = U.ring
     slices: dict[tuple[int, int], dict[int, object]] = {}
     for (x, y, z), v in U.entries.items():
@@ -625,8 +560,8 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
         slices.setdefault(pair, {})[other] = v
 
     # the gadget's nodes r_t are nonzero, so r_t w keeps the support of w
-    gadget = [(s, v[1]) for s, v in waring_gadget(zero(ring)).raw]
-    one_raw = one(ring).value
+    gadget = [(s, v[1]) for s, v in waring_gadget(ring, ring.canon(0)).raw]
+    one_raw = ring.canon(1)
     phi = build_curly_T(U, n).entries  # a fresh map, the working copy
     raw: list = []
     pos = 3 * n - 1
@@ -653,20 +588,21 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
         if u_idx >= 3 * n:
             raise StructureError(f"residual entry {(x, y, z)} repeats a padded index")
         pieces.setdefault(u_idx, {})[other] = v
-    size = padded_size(n)
     for u_idx, m in sorted(pieces.items()):
-        a = Scalar(ring, m.pop(u_idx, 0))
-        raw.extend(sym_pair_decompose(Vec.unit(ring, size, u_idx), Vec._from_raw(ring, size, m), a).raw)
+        a = m.pop(u_idx, ring.canon(0))
+        raw.extend(sym_pair_decompose(ring, {u_idx: one_raw}, m, a))
 
     bound = padding_terms(n)
     if len(raw) > bound:
         raise StructureError(f"{len(raw)} terms exceed the bound {bound}")
-    return SymDecomposition._from_raw(ring, size, raw)
+    return SymDecomposition(ring, padded_size(n), raw)
 
 
 def symmetric_upper_witness(U: SymTensor, n: int) -> SymDecomposition:
     """Decomposition of the padded tensor of U with at most 4.5(n^2+n) terms,
-    those of _upper_terms, checked exactly against the padded tensor."""
+    those of _upper_terms, checked exactly against the padded tensor; U
+    must vanish on index triples that span all three letters."""
+    check_mixed_block_zero(U, n)
     deco = _upper_terms(U, n)
     ok, mismatch = verify_symmetric_decomposition(build_curly_T(U, n), deco)
     if not ok:
@@ -695,7 +631,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
         raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
     ring = T.ring
     size = padded_size(n)
-    one_raw = one(ring).value
+    one_raw = ring.canon(1)
     raw: list = []
     for a, b, c in D.raw:
         nz = dict(a)
@@ -705,7 +641,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
             raw.append((one_raw, nz))
 
     S = embed_S(T)
-    cube_sum = sum_sym_decomposition_raw(SymDecomposition._from_raw(ring, size, raw))
+    cube_sum = sum_sym_decomposition_raw(SymDecomposition(ring, size, raw))
     resid: dict[Key, object] = dict(S.entries)
     for key, v in cube_sum.items():
         resid[key] = resid.get(key, 0) - v
@@ -716,7 +652,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
         raise VerificationError(f"decomposition does not sum to the tensor at {(x, y - n, z - 2 * n)}")
 
     raw.extend(_upper_terms(SymTensor._from_raw(ring, S.index_names, resid), n).raw)
-    deco = SymDecomposition._from_raw(ring, size, raw)
+    deco = SymDecomposition(ring, size, raw)
     ok, mismatch = verify_symmetric_decomposition(build_curly_T(S, n), deco)
     if not ok:
         raise StructureError(f"symmetric witness fails at {mismatch[0]}")

@@ -10,10 +10,10 @@ arithmetic is exact; verification means literal entrywise equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import RingMismatchError, StructureError, VerificationError
-from .linalg import DenseMatrix, Vec
+from .linalg import DenseMatrix
 from .rings import RingDescriptor, Scalar, ZZ, one
 from .sigma import IncompleteMatrix
 
@@ -51,17 +51,6 @@ class Tensor3:
     @classmethod
     def zeros(cls, ring: RingDescriptor, dims: tuple[int, int, int]) -> "Tensor3":
         return cls(ring, dims, {})
-
-    @classmethod
-    def from_nested(cls, ring: RingDescriptor, grid: Sequence[Sequence[Sequence[Scalar]]]) -> "Tensor3":
-        dims = (len(grid), len(grid[0]), len(grid[0][0]))
-        entries = {
-            (i, j, k): grid[i][j][k]
-            for i in range(dims[0])
-            for j in range(dims[1])
-            for k in range(dims[2])
-        }
-        return cls(ring, dims, entries)
 
     def entry(self, i: int, j: int, k: int) -> Scalar:
         return Scalar(self.ring, self.entries.get((i, j, k), 0))
@@ -115,62 +104,20 @@ def slice_matrix(T: Tensor3, axis: int, index: int) -> DenseMatrix:
     return DenseMatrix._from_raw(T.ring, grid)
 
 
-@dataclass(frozen=True)
-class Rank1Term:
-    """The simple tensor a (x) b (x) c."""
-
-    a: Vec
-    b: Vec
-    c: Vec
-
-    def __post_init__(self) -> None:
-        if not (self.a.ring == self.b.ring == self.c.ring):
-            raise RingMismatchError("term factors over different rings")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.a.n, self.b.n, self.c.n)
-
-
 class Decomposition:
-    """An ordered list of rank-1 terms with uniform shape, held in ``raw``
-    as (a, b, c) raw value maps like ``Vec.nz``, which terms may share;
-    ``raw`` is a list, or a ``Walk`` that makes the maps each time it is
-    walked.  ``terms`` wraps them in ``Rank1Term``."""
+    """An ordered list of rank-1 terms a (x) b (x) c of uniform shape, held
+    in ``raw`` as (a, b, c) maps {index: canonical nonzero value} within
+    dims, which terms may share; ``raw`` is a list, or a ``Walk`` that makes
+    the maps each time it is walked.  The input is trusted: a file's terms
+    are refused, if at all, by their reader."""
 
     __slots__ = ("ring", "dims", "raw")
 
-    def __init__(self, ring: RingDescriptor, dims: tuple[int, int, int], terms: Iterable[Rank1Term]):
-        terms = tuple(terms)
-        for t in terms:
-            if t.a.ring != ring:
-                raise RingMismatchError("term over a different ring")
-            if t.dims != tuple(dims):
-                raise ValueError(f"term shape {t.dims} != {tuple(dims)}")
-        self.ring = ring
-        self.dims = (dims[0], dims[1], dims[2])
-        self.raw = [(t.a.nz, t.b.nz, t.c.nz) for t in terms]
-
-    @classmethod
-    def _from_raw(cls, ring: RingDescriptor, dims: tuple[int, int, int], raw) -> "Decomposition":
-        """On trusted input: (a, b, c) maps within dims, values canonical and nonzero."""
-        obj = cls.__new__(cls)
-        obj.ring, obj.dims, obj.raw = ring, dims, raw
-        return obj
-
-    @property
-    def terms(self) -> tuple[Rank1Term, ...]:
-        ring, (n1, n2, n3) = self.ring, self.dims
-        return tuple(
-            Rank1Term(Vec._from_raw(ring, n1, a), Vec._from_raw(ring, n2, b), Vec._from_raw(ring, n3, c))
-            for a, b, c in self.raw
-        )
+    def __init__(self, ring: RingDescriptor, dims: tuple[int, int, int], raw):
+        self.ring, self.dims, self.raw = ring, dims, raw
 
     def __len__(self) -> int:
         return len(self.raw)
-
-    def __iter__(self):
-        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -346,7 +293,7 @@ def derksen_witness(
             w = canon(-craw[i][j])
             yield rows[i], cols[j], {0: w, t: one_raw} if w else {t: one_raw}
 
-    D = Decomposition._from_raw(ring, inst.tensor.dims, Walk(B.tau + 3, walk))
+    D = Decomposition(ring, inst.tensor.dims, Walk(B.tau + 3, walk))
     ok, mismatch = verify_decomposition(inst.tensor, D)
     if not ok:
         raise StructureError(f"witness fails to sum to the tensor at {mismatch[0]}")

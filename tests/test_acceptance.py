@@ -20,7 +20,7 @@ import pytest
 
 import tenred
 from tenred.jsonio import canonical_dumps, polysystem_file, symtensor_file
-from tenred.linalg import DenseMatrix, Vec, inverse_3x3, matrix_rank
+from tenred.linalg import DenseMatrix, matrix_rank
 from tenred.oracle import (
     SearchBudget,
     min_completion_rank,
@@ -30,7 +30,7 @@ from tenred.oracle import (
     tensor_rank_bruteforce,
 )
 from tenred.polysys import Assignment, CnfFormula, PolySystem, encode_3sat, parse_polynomial
-from tenred.rings import GF, QQ, ZZ, Scalar, zero
+from tenred.rings import GF, QQ, ZZ, Scalar
 from tenred.sigma import (
     IncompleteMatrix,
     SymbolicU,
@@ -49,13 +49,13 @@ from tenred.symmetric import (
 )
 from tenred.tensors import (
     Decomposition,
-    Rank1Term,
     Tensor3,
     build_derksen,
     derksen_witness,
     sum_decomposition_raw,
     verify_decomposition,
 )
+from reference import inverse_3x3, matmul, transpose, vec
 from test_jsonio import tensor_file
 from test_sigma import extract_solution
 
@@ -171,8 +171,8 @@ def _random_cubic_instances():
                     entries = [
                         Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2)
                     ]
-                vecs.append(Vec.from_dense(ring, [Scalar(ring, e) for e in entries]))
-            terms.append(Rank1Term(*vecs))
+                vecs.append(vec(ring, entries))
+            terms.append(tuple(vecs))
         D = Decomposition(ring, (2, 2, 2), terms)
         T = Tensor3._from_raw(ring, (2, 2, 2), sum_decomposition_raw(D))
         out.append((T, D))
@@ -181,30 +181,30 @@ def _random_cubic_instances():
 
 def test_criterion_01_waring_identity(capsys):
     with _criterion(capsys, 1, "Waring gadget identity", 1.0):
-        D = waring_gadget(zero(QQ))
-        assert [t.s.value for t in D.terms] == [
+        D = waring_gadget(QQ, Fraction(0))
+        assert [s for s, _ in D.raw] == [
             Fraction(-27, 40),
             Fraction(-1, 8),
             Fraction(4, 5),
         ]
-        assert [t.v.get(1).value for t in D.terms] == [Fraction(-2, 3), 2, 1]
+        assert [v[1] for _, v in D.raw] == [Fraction(-2, 3), 2, 1]
 
         rng = random.Random(41)
         rational = {Fraction(0), Fraction(1)}
         while len(rational) < 50:
             rational.add(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
-        values = [Scalar(QQ, a) for a in sorted(rational)]
-        values += [Scalar(GF(11), a) for a in range(11)]
-        for a in values:
-            D = waring_gadget(a)
+        values = [(QQ, a) for a in sorted(rational)]
+        values += [(GF(11), a) for a in range(11)]
+        for ring, a in values:
+            D = waring_gadget(ring, a)
             assert len(D) == 3
-            ok, mismatch = verify_symmetric_decomposition(pair_target(a), D)
+            ok, mismatch = verify_symmetric_decomposition(pair_target(ring, a), D)
             assert ok, mismatch
 
 
 def test_criterion_02_gadget_srank_three(capsys):
     with _criterion(capsys, 2, "gadget symmetric rank pinned at 3", 60.0):
-        A = pair_target(zero(GF(11)))
+        A = pair_target(GF(11), 0)
         pairs_only = symmetric_rank_bruteforce(A, SearchBudget(max_rank=2))
         assert pairs_only.value is None
         assert pairs_only.lower_bound == 3
@@ -254,8 +254,8 @@ def test_criterion_04_extraction_round_trip(capsys, system_q, system_gf11):
                 U = SymbolicU(B.row_labels).evaluate(xi, F.ring)
                 for _ in range(20):
                     g = _random_invertible(F.ring, rng)
-                    P = inverse_3x3(g).transpose().matmul(U)
-                    L = g.matmul(U)
+                    P = matmul(transpose(inverse_3x3(g)), U)
+                    L = matmul(g, U)
                     recovered = extract_solution(P, L, B)
                     assert recovered == xi
 
@@ -269,7 +269,7 @@ def test_criterion_05_star_slice_witness(capsys, system_q, system_gf11):
             W = completion_witness(F, xi, B=B)
             U = SymbolicU(B.row_labels).evaluate(xi, F.ring)
             D = derksen_witness(inst, W, U, U)
-            assert len(D.terms) == inst.tau + 3
+            assert len(list(D.raw)) == inst.tau + 3
             ok, mismatch = verify_decomposition(inst.tensor, D)
             assert ok, mismatch
             assert time.monotonic() - t0 < 60.0
@@ -305,7 +305,7 @@ def test_criterion_08_symmetric_pipeline(capsys):
             # the transversal support assertion is enforced during
             # construction; a violation aborts with StructureError
             W = symmetric_witness(T, D)
-            assert len(W) <= len(D.terms) + 27
+            assert len(W) <= len(D.raw) + 27
             curly = build_curly_T(embed_S(T), 2)
             assert curly.size == 15
             ok, mismatch = verify_symmetric_decomposition(curly, W)

@@ -20,7 +20,7 @@ from tenred.oracle import symmetric_rank_bruteforce, tensor_rank_bruteforce
 from tenred.polysys import PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar
 from tenred.sigma import IncompleteMatrix, build_B
-from tenred.symmetric import SymDecomposition, SymTensor, SymTerm
+from tenred.symmetric import SymTensor
 from tenred.tensors import build_derksen
 from test_jsonio import tensor_file, tensor_witness_parse
 
@@ -418,13 +418,13 @@ def test_symmetric_witness_exits_4_on_corrupt_pieces(empty_gf11_symmetric, tmp_p
     real = symmetric.sym_pair_decompose
     calls = []
 
-    def corrupt_first(u, w, a):
-        D = real(u, w, a)
+    def corrupt_first(ring, u, w, a):
+        terms = real(ring, u, w, a)
         calls.append(1)
-        if len(calls) > 1 or not D.terms:
-            return D
-        bad = SymTerm(D.terms[0].s * Scalar(D.ring, 2), D.terms[0].v)
-        return SymDecomposition(D.ring, D.dim, (bad,) + D.terms[1:])
+        if len(calls) > 1 or not terms:
+            return terms
+        (s, v), *rest = terms
+        return [(ring.canon(2 * s), v), *rest]
 
     monkeypatch.setattr(symmetric, "sym_pair_decompose", corrupt_first)
     out = tmp_path / "wit.json"
@@ -1289,7 +1289,7 @@ ORACLE_PINS = {
     ),
     "srank-pair-target-gf11": (
         "srank",
-        lambda: symtensor_file(symmetric.pair_target(Scalar(GF(11), 0))),
+        lambda: symtensor_file(symmetric.pair_target(GF(11), 0)),
         '{"exhausted":true,"format_version":1,"kind":"oracle_result","lower_bound":3,"oracle":"srank","value":3,'
         '"witness":[{"s":"3","v":[[0,"1"],[1,"1"]]},{"s":"4","v":[[0,"1"],[1,"2"]]},{"s":"4","v":[[0,"1"],[1,"3"]]}]}\n',
     ),

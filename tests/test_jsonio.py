@@ -36,20 +36,18 @@ from tenred.jsonio import (
     tensor_instance_text,
     tensor_witness_text,
 )
-from tenred.linalg import DenseMatrix, Vec
+from tenred.linalg import DenseMatrix
 from tenred.polysys import Assignment, PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar, one
 from tenred.sigma import build_B, completion_witness
 from tenred.symmetric import (
     SymDecomposition,
-    SymTerm,
     build_curly_T,
     embed_S,
     padded_size,
 )
 from tenred.tensors import (
     Decomposition,
-    Rank1Term,
     Tensor3,
     Walk,
     build_derksen,
@@ -67,29 +65,22 @@ def _system(texts, num_vars, ring):
 
 
 def vec_to_json(v):
-    return [[i, str(x)] for i, x in sorted(v.nz.items())]
+    return [[i, str(x)] for i, x in sorted(v.items())]
 
 
 def vec_from_json(ring, n, data, seen=None):
-    return Vec._from_raw(ring, n, jsonio.raw_vec_from_json(ring, n, data, seen))
+    return jsonio.raw_vec_from_json(ring, n, data, seen)
 
 
 def decomposition_from_json(ring, dims, data):
-    """The terms of a tensor witness as a Decomposition of Vec triples;
-    verify reads the same terms as raw maps, straight into the exact sum."""
+    """The terms of a tensor witness as a Decomposition held in memory;
+    verify reads the same terms straight into the exact sum."""
     seen = {}
     terms = [
-        Rank1Term(
-            vec_from_json(ring, dims[0], jsonio._need(item, "a"), seen),
-            vec_from_json(ring, dims[1], jsonio._need(item, "b"), seen),
-            vec_from_json(ring, dims[2], jsonio._need(item, "c"), seen),
-        )
+        tuple(vec_from_json(ring, n, jsonio._need(item, key), seen) for n, key in zip(dims, "abc"))
         for item in jsonio._terms_of(data)
     ]
-    try:
-        return Decomposition(ring, tuple(dims), terms)
-    except ValueError as e:
-        raise ParseError(str(e), 0) from e
+    return Decomposition(ring, tuple(dims), terms)
 
 
 def tensor_witness_parse(obj):
@@ -127,7 +118,7 @@ def tensor_instance_file(inst, B):
 def decomposition_to_json(D):
     """The terms of D as a JSON tree, one {"a", "b", "c"} object of
     [index, "value"] pairs per term: the reference for decomposition_text."""
-    return [{"a": vec_to_json(t.a), "b": vec_to_json(t.b), "c": vec_to_json(t.c)} for t in D.terms]
+    return [{"a": vec_to_json(a), "b": vec_to_json(b), "c": vec_to_json(c)} for a, b, c in D.raw]
 
 
 def tensor_witness_tree(D):
@@ -167,13 +158,13 @@ def test_loads_refuses_a_format_version_that_only_equals_1(version):
 
 
 def test_vec_round_trip():
-    v = Vec(QQ, 4, {1: Scalar(QQ, Fraction(-3, 7)), 3: Scalar(QQ, 2)})
+    v = {1: Fraction(-3, 7), 3: Fraction(2)}
     data = vec_to_json(v)
     assert data == [[1, "-3/7"], [3, "2"]]
     assert vec_from_json(QQ, 4, data) == v
     # a repeated index takes its last value, and a zero is not stored
-    assert vec_from_json(QQ, 2, [[0, "1"], [0, "0"]]).is_zero
-    assert vec_from_json(QQ, 2, [[0, "0"], [0, "2"]]).get(0) == Scalar(QQ, 2)
+    assert vec_from_json(QQ, 2, [[0, "1"], [0, "0"]]) == {}
+    assert vec_from_json(QQ, 2, [[0, "0"], [0, "2"]]).get(0) == Fraction(2)
     with pytest.raises(ParseError):
         vec_from_json(QQ, 4, [[1, 2]])
     with pytest.raises(ParseError):
@@ -194,11 +185,11 @@ def test_matrix_round_trip():
 def test_decomposition_json_reads_each_spelling_once():
     vec = [[0, "1/2"], [1, "0"]]
     D = decomposition_from_json(QQ, (2, 2, 2), [{"a": vec, "b": vec, "c": [[1, "1/2"]]}])
-    (t,) = D.terms
-    # vectors store raw values, zeros omitted, and box them at the accessors
-    assert t.a.nz == {0: Fraction(1, 2)}
-    assert t.a.nz[0] is t.b.nz[0] is t.c.nz[1]
-    assert t.a.get(0) == Scalar(QQ, Fraction(1, 2)) and t.a.get(1).is_zero
+    ((a, b, c),) = D.raw
+    # vectors are maps of raw values, zeros omitted
+    assert a == {0: Fraction(1, 2)}
+    assert a[0] is b[0] is c[1]
+    assert a.get(0) == Fraction(1, 2) and 1 not in a
     for bad in ([[0, "1"], [2, "1"]], [[-1, "1"]], [[0, 1]], [[0, "x"]], [["0", "1"]], 5):
         with pytest.raises(ParseError):
             decomposition_from_json(QQ, (2, 2, 2), [{"a": bad, "b": vec, "c": vec}])
@@ -399,17 +390,7 @@ def test_read_instance_refuses_an_edited_text(edit, message):
 
 def test_tensor_witness_round_trip():
     ring = GF(5)
-    D = Decomposition(
-        ring,
-        (2, 2, 2),
-        [
-            Rank1Term(
-                Vec.unit(ring, 2, 0),
-                Vec.unit(ring, 2, 1),
-                Vec(ring, 2, {0: Scalar(ring, 3), 1: Scalar(ring, 2)}),
-            )
-        ],
-    )
+    D = Decomposition(ring, (2, 2, 2), [({0: 1}, {1: 1}, {0: 3, 1: 2})])
     text = "".join(tensor_witness_text(D))
     assert text == canonical_dumps(tensor_witness_tree(D))
     assert tensor_witness_parse(loads(text)) == D
@@ -429,11 +410,7 @@ def test_symtensor_round_trip():
 
 def test_symmetric_witness_round_trip():
     ring = GF(11)
-    D = SymDecomposition(
-        ring,
-        3,
-        [SymTerm(Scalar(ring, 4), Vec(ring, 3, {0: one(ring), 2: Scalar(ring, 7)}))],
-    )
+    D = SymDecomposition(ring, 3, [(4, {0: 1, 2: 7})])
     obj = symmetric_witness_file(D)
     assert symmetric_witness_parse(loads(canonical_dumps(obj))) == D
     data = sym_decomposition_to_json(D)
@@ -549,7 +526,7 @@ def _read_all(wit):
 )
 def test_streamed_witness_sum_matches_the_decomposition_sum(obj):
     # verify sums the raw maps as it reads the terms from the text; the same
-    # file read into a Decomposition of Vec triples must sum to the same map
+    # file read into a Decomposition held in memory must sum to the same map
     ring, dims, count, total = jsonio.tensor_witness_sum(canonical_dumps(obj), _read_all)
     assert (str(ring), list(dims), count) == (obj["ring"], obj["dims"], len(obj["terms"]))
     assert total == sum_decomposition_raw(tensor_witness_parse(obj)) == _reference_sum(obj)
@@ -576,15 +553,12 @@ def _shared_raw_terms(draw):
 @settings(derandomize=True, database=None, max_examples=150)
 @given(case=_shared_raw_terms())
 def test_raw_decomposition_matches_its_boxed_terms(case):
-    # a Decomposition holds raw maps; boxing them into Rank1Terms, reading
-    # them back and writing them term by term must all agree with the maps
+    # a Decomposition holds raw maps; writing them as a tree, one term at a
+    # time, and term by term as text must all agree with the maps
     ring, dims, raw = case
-    boxed = [Rank1Term(*(Vec._from_raw(ring, n, m) for n, m in zip(dims, term))) for term in raw]
-    D = Decomposition._from_raw(ring, dims, raw)
-    assert Decomposition(ring, dims, boxed) == D and len(D) == len(raw)
-    assert D.terms == tuple(boxed)
-    assert Decomposition(ring, dims, D.terms) == D
-    reference = [{"a": vec_to_json(t.a), "b": vec_to_json(t.b), "c": vec_to_json(t.c)} for t in boxed]
+    D = Decomposition(ring, dims, raw)
+    assert D == Decomposition(ring, dims, list(raw)) and len(D) == len(raw)
+    reference = [{"a": vec_to_json(a), "b": vec_to_json(b), "c": vec_to_json(c)} for a, b, c in raw]
     assert decomposition_to_json(D) == reference
     assert "".join(decomposition_text(D)) + "\n" == canonical_dumps(reference)
 
@@ -613,7 +587,7 @@ def _walked(ring, dims, pools, picks):
         for pick in picks:
             yield tuple({**pool[n]} if copy else pool[n] for pool, (n, copy) in zip(pools, pick))
 
-    return Decomposition._from_raw(ring, dims, Walk(len(picks), walk))
+    return Decomposition(ring, dims, Walk(len(picks), walk))
 
 
 # copies of two different maps: a copy is freed when the term after next

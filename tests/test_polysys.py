@@ -23,6 +23,8 @@ from tenred.polysys import (
 )
 from tenred.rings import GF, QQ, ZZ, Scalar, one, zero
 
+from reference import polynomial_from_term_map
+
 
 def test_monomial_validation():
     with pytest.raises(ValueError):
@@ -155,7 +157,7 @@ def test_str_parse_round_trip(spec):
         cur = terms.get(exps)
         s = Scalar(ZZ, coeff)
         terms[exps] = s if cur is None else cur + s
-    f = Polynomial.from_term_map(ZZ, 2, terms)
+    f = polynomial_from_term_map(ZZ, 2, terms)
     assert parse_polynomial(str(f), 2, ZZ) == f
 
 
@@ -371,8 +373,8 @@ def _matches(f, tm):
     keys = [_dense_grlex_key(t.exponents, f.num_vars) for t in f.terms]
     assert keys == sorted(set(keys), reverse=True)
     assert {t.exponents: t.coefficient for t in f.terms} == tm
-    assert f == Polynomial.from_term_map(f.ring, f.num_vars, tm)
-    assert hash(f) == hash(Polynomial.from_term_map(f.ring, f.num_vars, tm))
+    assert f == polynomial_from_term_map(f.ring, f.num_vars, tm)
+    assert hash(f) == hash(polynomial_from_term_map(f.ring, f.num_vars, tm))
     return True
 
 
@@ -403,7 +405,7 @@ def test_arithmetic_matches_a_scalar_reference(data):
     ring = data.draw(st.sampled_from(_RINGS))
     n = data.draw(st.integers(0, 3))
     a, b = _term_maps(data.draw, ring, n), _term_maps(data.draw, ring, n)
-    f, g = Polynomial.from_term_map(ring, n, a), Polynomial.from_term_map(ring, n, b)
+    f, g = polynomial_from_term_map(ring, n, a), polynomial_from_term_map(ring, n, b)
     assert _matches(f, a) and _matches(g, b)
     neg_b = {e: -c for e, c in b.items()}
     assert _matches(f + g, _ref_add(a, b))

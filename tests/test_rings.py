@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -77,6 +78,19 @@ def test_inverse():
         zero(QQ).inverse()
     with pytest.raises(ZeroDivisionError):
         zero(GF(5)).inverse()
+
+
+def test_raw_inverse():
+    # Scalar.inverse delegates to it: the same values and the same errors
+    assert QQ.inverse(Fraction(2, 3)) == Fraction(3, 2)
+    assert type(QQ.inverse(Fraction(2))) is Fraction
+    assert GF(11).inverse(4) == 3
+    with pytest.raises(ValueError, match="over the integers"):
+        ZZ.inverse(2)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inverse(Fraction(0))
+    with pytest.raises(ZeroDivisionError):
+        GF(5).inverse(0)
 
 
 def test_power():
@@ -209,3 +223,16 @@ def test_thirty_digit_modulus_is_refused_fast():
     with pytest.raises(ParseError, match="too large"):
         RingDescriptor.from_str(f"gf:{p * q}")
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_prime_field_kind_is_named_only_in_rings():
+    # elsewhere ``modulus`` or ``field_size`` tells GF(p) apart, so the ring
+    # kinds keep one spelling, here
+    package = Path(__file__).resolve().parent.parent / "src" / "tenred"
+    named = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "rings.py" and "PRIME_FIELD" in path.read_text(encoding="utf-8")
+    ]
+    assert package.joinpath("rings.py").is_file()
+    assert named == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tenred.errors import GuardExceededError, RingMismatchError, VerificationError
-from tenred.linalg import DenseMatrix, inverse_3x3, matrix_rank
+from tenred.linalg import DenseMatrix, matrix_rank
 from tenred.polysys import Assignment, Polynomial, PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar, one
 from tenred.sigma import (
@@ -22,6 +22,8 @@ from tenred.sigma import (
     unit_label_positions,
     verify_reachability,
 )
+
+from reference import inverse_3x3, is_star, is_symmetric, matmul, transpose
 
 
 def _system(text_list, num_vars, ring):
@@ -125,7 +127,7 @@ def test_build_B_shape_and_entries():
     F = _system(["x1"], 1, GF(11))
     B = build_B(F)
     assert B.nrows == B.ncols == 98
-    assert B.is_symmetric()
+    assert is_symmetric(B)
     assert B.system == F
 
     ring = GF(11)
@@ -138,7 +140,7 @@ def test_build_B_shape_and_entries():
     # dot products: x*1 = x1 lies in F, so the entry is forced to 0
     assert B.entry(ix, iu).is_zero
     assert B.entry(ix, izz1).is_one
-    assert B.is_star(ix, ix)
+    assert is_star(B, ix, ix)
     assert B.entry(iu, iu).is_one
 
 
@@ -160,14 +162,14 @@ def test_incomplete_matrix_basics():
     m = IncompleteMatrix(ZZ, [[Scalar(ZZ, 1), None], [None, Scalar(ZZ, 2)]])
     assert m.tau == 2
     assert list(m.stars()) == [(0, 1), (1, 0)]
-    assert m.is_star(0, 1)
-    assert not m.is_star(0, 0)
+    assert is_star(m, 0, 1)
+    assert not is_star(m, 0, 0)
     assert m.entry(0, 1) is None
     assert m.entry(1, 1).value == 2
     asym = IncompleteMatrix(ZZ, [[Scalar(ZZ, 1), None], [Scalar(ZZ, 3), Scalar(ZZ, 2)]])
-    assert not asym.is_symmetric()
+    assert not is_symmetric(asym)
     sym = IncompleteMatrix(ZZ, [[None, Scalar(ZZ, 3)], [Scalar(ZZ, 3), None]])
-    assert sym.is_symmetric()
+    assert is_symmetric(sym)
     with pytest.raises(ValueError):
         IncompleteMatrix(ZZ, [])
     with pytest.raises(ValueError):
@@ -210,7 +212,7 @@ def test_completion_witness_and_rank():
     assert W.nrows == W.ncols == 98
     assert matrix_rank(W) == 3
     for (i, j) in ((0, 0), (5, 7)):
-        if not B.is_star(i, j):
+        if not is_star(B, i, j):
             assert W.entry(i, j) == B.entry(i, j)
 
 
@@ -343,8 +345,8 @@ def test_extract_solution_round_trip():
         got = extract_solution(U, U, B)
         assert [v.value for v in got.values] == [a]
         g = _random_invertible(ring, rng)
-        P = inverse_3x3(g).transpose().matmul(U)
-        L = g.matmul(U)
+        P = matmul(transpose(inverse_3x3(g)), U)
+        L = matmul(g, U)
         scrambled = extract_solution(P, L, B)
         assert [v.value for v in scrambled.values] == [a]
 

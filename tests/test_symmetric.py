@@ -13,13 +13,12 @@ from tenred.errors import (
     StructureError,
     VerificationError,
 )
-from tenred.linalg import DenseMatrix, Vec
+from tenred.linalg import DenseMatrix
 from tenred.rings import GF, QQ, ZZ, Scalar, one, zero
 from tenred.symmetric import (
     PairIndex,
     SymDecomposition,
     SymTensor,
-    SymTerm,
     block_names,
     build_curly_T,
     build_L_pi,
@@ -37,15 +36,13 @@ from tenred.symmetric import (
     verify_symmetric_decomposition,
     waring_gadget,
 )
-from tenred.tensors import Decomposition, Rank1Term, Tensor3
+from tenred.tensors import Decomposition, Tensor3
+
+from reference import vec as _vec
 
 
 def _names(size):
     return tuple(f"e{i}" for i in range(size))
-
-
-def _vec(ring, vals):
-    return Vec.from_dense(ring, [Scalar(ring, v) for v in vals])
 
 
 # Lemma helpers: relabelling, rescaling and twin removal preserve symmetric
@@ -97,10 +94,11 @@ def monomial_transform(T, rho, f):
 
 def transform_sym_decomposition(D, rho, f):
     """Image of a decomposition under monomial_transform, term for term."""
-    terms = []
-    for t in D.terms:
-        nz = {i: f[i] * t.v.get(rho[i]) for i in range(D.dim)}
-        terms.append(SymTerm(t.s, Vec(D.ring, D.dim, nz)))
+    fraw = [s.value for s in f]
+    terms = [
+        (s, D.ring.canon_map({i: fraw[i] * v.get(rho[i], 0) for i in range(D.dim)}))
+        for s, v in D.raw
+    ]
     return SymDecomposition(D.ring, D.dim, terms)
 
 
@@ -115,7 +113,7 @@ def scale_tensor(T, s):
 
 
 def scale_sym_decomposition(D, s):
-    return SymDecomposition(D.ring, D.dim, [SymTerm(t.s * s, t.v) for t in D.terms])
+    return SymDecomposition(D.ring, D.dim, [(D.ring.canon(c * s.value), v) for c, v in D.raw])
 
 
 def is_twin(T, dup, orig):
@@ -199,22 +197,10 @@ def test_symtensor_conflict_detection():
         SymTensor(ZZ, _names(2), {(0, 0, 1): Scalar(QQ, 1)})
 
 
-def test_symterm_and_decomposition_validation():
-    with pytest.raises(ValueError):
-        SymTerm(zero(QQ), Vec.unit(QQ, 2, 0))
-    with pytest.raises(RingMismatchError):
-        SymTerm(one(QQ), Vec.unit(ZZ, 2, 0))
-    t = SymTerm(one(QQ), Vec.unit(QQ, 2, 0))
-    with pytest.raises(ValueError):
-        SymDecomposition(QQ, 3, [t])
-    with pytest.raises(RingMismatchError):
-        SymDecomposition(ZZ, 2, [t])
-
-
 def test_verify_symmetric_decomposition():
     ring = QQ
     v = _vec(ring, [1, 2])
-    D = SymDecomposition(ring, 2, [SymTerm(one(ring), v)])
+    D = SymDecomposition(ring, 2, [(ring.canon(1), v)])
     cube = SymTensor(
         ring,
         _names(2),
@@ -316,11 +302,7 @@ def test_monomial_transform_maps_decompositions():
     ring = GF(11)
     rng = random.Random(2)
     T = Tensor3(ring, (1, 1, 1), {(0, 0, 0): one(ring)})
-    D = Decomposition(
-        ring,
-        (1, 1, 1),
-        [Rank1Term(Vec.unit(ring, 1, 0), Vec.unit(ring, 1, 0), Vec.unit(ring, 1, 0))],
-    )
+    D = Decomposition(ring, (1, 1, 1), [({0: 1}, {0: 1}, {0: 1})])
     W = symmetric_witness(T, D)
     curly = build_curly_T(embed_S(T), 1)
     rho = list(range(6))
@@ -341,9 +323,9 @@ def test_scale_round_trip():
     assert back == T
     with pytest.raises(ValueError):
         scale_tensor(T, zero(ring))
-    D = SymDecomposition(ring, 6, [SymTerm(one(ring), Vec.unit(ring, 6, 0))])
+    D = SymDecomposition(ring, 6, [(1, {0: 1})])
     scaled = scale_sym_decomposition(D, s)
-    assert scaled.terms[0].s == s
+    assert scaled.raw[0][0] == s.value
 
 
 def test_twin_round_trip():
@@ -375,27 +357,58 @@ def test_twin_round_trip():
 
 
 def test_waring_gadget_frozen_rational_values():
-    D = waring_gadget(zero(QQ))
+    D = waring_gadget(QQ, Fraction(0))
     assert len(D) == 3
-    s = [t.s.value for t in D.terms]
-    r = [t.v.get(1).value for t in D.terms]
+    s = [c for c, _ in D.raw]
+    r = [v[1] for _, v in D.raw]
     assert s == [Fraction(-27, 40), Fraction(-1, 8), Fraction(4, 5)]
     assert r == [Fraction(-2, 3), 2, 1]
-    assert all(t.v.get(0).is_one for t in D.terms)
+    assert all(v[0] == 1 for _, v in D.raw)
 
 
-def _check_moments(D, a):
-    ring = a.ring
-    s = [t.s for t in D.terms]
-    r = [t.v.get(1) for t in D.terms]
-    assert all(t.v.get(0).is_one for t in D.terms)
-    total = zero(ring)
-    for power, want in enumerate((a, one(ring), zero(ring), zero(ring))):
-        total = zero(ring)
-        for st, rt in zip(s, r):
-            total = total + st * rt.power(power)
+# (s_t, r_t) of each gadget's cubes s_t (e_1 + r_t e_2)^3, a = 1 (the
+# rescaled gadget) included: a change to the search or the solve shows here
+_GADGET_PINS = {
+    GF(11): {
+        0: [(4, 3), (4, 2), (3, 1)], 1: [(6, 3), (1, 6), (5, 2)], 2: [(1, 7), (2, 3), (10, 1)],
+        3: [(4, 8), (3, 2), (7, 1)], 4: [(2, 7), (7, 2), (6, 1)], 5: [(7, 5), (1, 2), (8, 1)],
+        6: [(7, 10), (9, 2), (1, 1)], 7: [(7, 6), (7, 3), (4, 1)], 8: [(3, 4), (3, 3), (2, 1)],
+        9: [(9, 6), (2, 2), (9, 1)], 10: [(1, 4), (10, 2), (10, 1)],
+    },
+    GF(13): {
+        0: [(12, 8), (8, 2), (6, 1)], 1: [(3, 3), (12, 6), (12, 2)], 2: [(6, 8), (11, 3), (11, 1)],
+        3: [(10, 5), (10, 2), (9, 1)], 4: [(9, 3), (5, 2), (3, 1)], 5: [(12, 4), (12, 2), (7, 1)],
+        6: [(5, 6), (9, 2), (5, 1)], 7: [(4, 12), (2, 2), (1, 1)], 8: [(10, 6), (4, 3), (7, 1)],
+        9: [(11, 12), (7, 3), (4, 1)], 10: [(1, 7), (11, 2), (11, 1)], 11: [(8, 9), (4, 2), (12, 1)],
+        12: [(3, 10), (1, 2), (8, 1)],
+    },
+    QQ: {
+        Fraction(0): [(Fraction(-27, 40), Fraction(-2, 3)), (Fraction(-1, 8), 2), (Fraction(4, 5), 1)],
+        Fraction(1): [(Fraction(-4, 3), 3), (Fraction(1, 12), 6), (Fraction(9, 4), 2)],
+        Fraction(2): [(Fraction(-8, 3), Fraction(3, 2)), (Fraction(1, 6), 3), (Fraction(9, 2), 1)],
+        Fraction(1, 2): [(Fraction(-1, 3), -1), (Fraction(-1, 6), 2), (1, 1)],
+        Fraction(-3): [(Fraction(-729, 220), Fraction(-2, 9)), (Fraction(-1, 20), 2), (Fraction(4, 11), 1)],
+    },
+}
+
+
+@pytest.mark.parametrize("ring", list(_GADGET_PINS), ids=str)
+def test_waring_gadget_pinned_values(ring):
+    for a, pinned in _GADGET_PINS[ring].items():
+        D = waring_gadget(ring, a)
+        assert [(s, v[1]) for s, v in D.raw] == pinned, a
+        assert all(v.keys() == {0, 1} and v[0] == 1 for _, v in D.raw)
+        assert all(type(x) is type(ring.canon(0)) for s, v in D.raw for x in (s, v[1]))
+
+
+def _check_moments(D, ring, a):
+    s = [c for c, _ in D.raw]
+    r = [v[1] for _, v in D.raw]
+    assert all(v[0] == 1 for _, v in D.raw)
+    for power, want in enumerate((a, 1, 0, 0)):
+        total = ring.canon(sum(st * rt**power for st, rt in zip(s, r)))
         assert total == want
-    ok, _ = verify_symmetric_decomposition(pair_target(a), D)
+    ok, _ = verify_symmetric_decomposition(pair_target(ring, a), D)
     assert ok
 
 
@@ -409,84 +422,79 @@ def test_waring_gadget_moment_identities_rational():
             seen.add(cand)
             values.append(cand)
     for a in values:
-        _check_moments(waring_gadget(Scalar(QQ, a)), Scalar(QQ, a))
+        _check_moments(waring_gadget(QQ, a), QQ, a)
 
 
 def test_waring_gadget_all_residues_gf11():
     for a in range(11):
-        D = waring_gadget(Scalar(GF(11), a))
+        D = waring_gadget(GF(11), a)
         assert len(D) == 3
-        _check_moments(D, Scalar(GF(11), a))
+        _check_moments(D, GF(11), a)
 
 
 def test_waring_gadget_field_requirements():
     for p in (2, 3, 5, 7):
         with pytest.raises(FieldTooSmallError):
-            waring_gadget(zero(GF(p)))
+            waring_gadget(GF(p), 0)
     with pytest.raises(ValueError):
-        waring_gadget(zero(ZZ))
+        waring_gadget(ZZ, 0)
 
 
 def test_sym_pair_decompose_standard_basis():
-    a = Scalar(QQ, 3)
-    direct = waring_gadget(a)
-    via = sym_pair_decompose(Vec.unit(QQ, 2, 0), Vec.unit(QQ, 2, 1), a)
+    a = Fraction(3)
+    direct = waring_gadget(QQ, a)
+    via = SymDecomposition(QQ, 2, sym_pair_decompose(QQ, {0: Fraction(1)}, {1: Fraction(1)}, a))
     assert via == direct
 
 
 def test_sym_pair_decompose_degenerate():
     u = _vec(QQ, [1, 2, 0])
-    empty = sym_pair_decompose(u, Vec(QQ, 3), zero(QQ))
+    empty = sym_pair_decompose(QQ, u, {}, Fraction(0))
     assert len(empty) == 0
-    single = sym_pair_decompose(u, Vec(QQ, 3), one(QQ))
+    single = sym_pair_decompose(QQ, u, {}, Fraction(1))
     assert len(single) == 1
-    assert single.terms[0].s.is_one and single.terms[0].v == u
+    assert single[0][0] == 1 and single[0][1] == u
 
 
-def _pair_span_target(u, w, a):
-    ring = u.ring
-    size = u.n
+def _pair_span_target(ring, size, u, w, a):
     entries = {}
     for x in range(size):
         for y in range(x, size):
             for z in range(y, size):
-                val = a * u.get(x) * u.get(y) * u.get(z)
-                val = val + u.get(x) * u.get(y) * w.get(z)
-                val = val + u.get(x) * w.get(y) * u.get(z)
-                val = val + w.get(x) * u.get(y) * u.get(z)
-                if not val.is_zero:
-                    entries[(x, y, z)] = val
+                ux, uy, uz = u.get(x, 0), u.get(y, 0), u.get(z, 0)
+                val = a * ux * uy * uz + ux * uy * w.get(z, 0) + ux * w.get(y, 0) * uz + w.get(x, 0) * uy * uz
+                if ring.canon(val):
+                    entries[(x, y, z)] = Scalar(ring, val)
     return SymTensor(ring, _names(size), entries)
 
 
 def test_sym_pair_decompose_random_gf11():
     ring = GF(11)
     rng = random.Random(4)
-    a = Scalar(ring, 5)
+    a = 5
     found = 0
     while found < 8:
-        u = Vec(ring, 4, {i: Scalar(ring, rng.randrange(11)) for i in range(4)})
-        w = Vec(ring, 4, {i: Scalar(ring, rng.randrange(11)) for i in range(4)})
-        if u.is_zero or w.is_zero:
+        u = _vec(ring, [rng.randrange(11) for i in range(4)])
+        w = _vec(ring, [rng.randrange(11) for i in range(4)])
+        if not u or not w:
             continue
-        pivot = min(u.nz)
-        if w == u.scale(w.get(pivot) * u.get(pivot).inverse()):
+        pivot = min(u)
+        k = w.get(pivot, 0) * ring.inverse(u[pivot])
+        if w == ring.canon_map({i: k * v for i, v in u.items()}):
             continue
         found += 1
-        D = sym_pair_decompose(u, w, a)
+        D = SymDecomposition(ring, 4, sym_pair_decompose(ring, u, w, a))
         assert len(D) <= 3
-        ok, _ = verify_symmetric_decomposition(_pair_span_target(u, w, a), D)
+        ok, _ = verify_symmetric_decomposition(_pair_span_target(ring, 4, u, w, a), D)
         assert ok
 
 
 def test_sym_pair_decompose_rejects_dependence():
     u = _vec(QQ, [1, 2])
     with pytest.raises(ValueError):
-        sym_pair_decompose(u, u.scale(Scalar(QQ, 3)), zero(QQ))
+        sym_pair_decompose(QQ, u, QQ.canon_map({i: 3 * v for i, v in u.items()}), Fraction(0))
     with pytest.raises(ValueError):
-        sym_pair_decompose(Vec(QQ, 2), _vec(QQ, [1, 0]), zero(QQ))
-    with pytest.raises(ValueError):
-        sym_pair_decompose(u, Vec(QQ, 3), zero(QQ))
+        sym_pair_decompose(QQ, {}, _vec(QQ, [1, 0]), Fraction(0))
 
 
 def test_check_mixed_block_zero():
@@ -590,11 +598,7 @@ def test_symmetric_upper_witness_field_rules():
 
 def _unit_cube_instance(ring):
     T = Tensor3(ring, (1, 1, 1), {(0, 0, 0): one(ring)})
-    D = Decomposition(
-        ring,
-        (1, 1, 1),
-        [Rank1Term(Vec.unit(ring, 1, 0), Vec.unit(ring, 1, 0), Vec.unit(ring, 1, 0))],
-    )
+    D = Decomposition(ring, (1, 1, 1), [({0: 1}, {0: 1}, {0: 1})])
     return T, D
 
 
@@ -622,11 +626,7 @@ def test_symmetric_witness_n2_rank2():
     rng = random.Random(6)
     terms = []
     for _ in range(2):
-        vecs = [
-            Vec.from_dense(ring, [Scalar(ring, rng.randint(1, 3)) for _ in range(2)])
-            for _ in range(3)
-        ]
-        terms.append(Rank1Term(*vecs))
+        terms.append(tuple(_vec(ring, [rng.randint(1, 3) for _ in range(2)]) for _ in range(3)))
     D = Decomposition(ring, (2, 2, 2), terms)
     from tenred.tensors import sum_decomposition_raw
 
@@ -640,17 +640,7 @@ def test_symmetric_witness_n2_rank2():
 def test_symmetric_witness_rejects_bad_decomposition():
     ring = GF(11)
     T, _ = _unit_cube_instance(ring)
-    bad = Decomposition(
-        ring,
-        (1, 1, 1),
-        [
-            Rank1Term(
-                Vec.unit(ring, 1, 0),
-                Vec.unit(ring, 1, 0),
-                Vec.unit(ring, 1, 0, Scalar(ring, 2)),
-            )
-        ],
-    )
+    bad = Decomposition(ring, (1, 1, 1), [({0: 1}, {0: 1}, {0: 2})])
     with pytest.raises(VerificationError):
         symmetric_witness(T, bad)
     with pytest.raises(ValueError):
@@ -674,7 +664,7 @@ def test_symmetric_witness_n1_minimal_in_family():
     T, D = _unit_cube_instance(ring)
     W = symmetric_witness(T, D)
     curly = build_curly_T(embed_S(T), 1)
-    candidates = [t.v for t in W.terms] + [Vec.unit(ring, 6, i) for i in range(3)]
+    candidates = [v for _, v in W.raw] + [{i: 1} for i in range(3)]
     assert len(candidates) == 13
     res = restricted_symmetric_search(
         curly, candidates, max_terms=9, budget=SearchBudget(max_candidates=10_000)
@@ -687,11 +677,9 @@ def test_symmetric_witness_n1_minimal_in_family():
 def _reference_sym_sum(D):
     """Tuple-keyed cube sum, entry by entry, as a reference for the kernel."""
     acc = {}
-    for t in D.terms:
-        support = sorted(t.v.nz)
-        for x, y, z in itertools.combinations_with_replacement(support, 3):
-            val = t.s.value * t.v.get(x).value * t.v.get(y).value * t.v.get(z).value
-            acc[(x, y, z)] = acc.get((x, y, z), 0) + val
+    for s, v in D.raw:
+        for x, y, z in itertools.combinations_with_replacement(sorted(v), 3):
+            acc[(x, y, z)] = acc.get((x, y, z), 0) + s * v[x] * v[y] * v[z]
     if D.ring.modulus is not None:
         acc = {k: v % D.ring.modulus for k, v in acc.items()}
     return {k: v for k, v in acc.items() if v}
@@ -703,28 +691,28 @@ def test_sum_sym_decomposition_raw_matches_reference(ring):
 
     def value():
         if ring == QQ:
-            return Scalar(ring, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        return Scalar(ring, rng.randrange(ring.modulus))
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randrange(ring.modulus)
 
     for trial in range(40):
         dim = rng.randint(1, 9)
         terms = []
         for _ in range(rng.randint(0, 6)):
-            v = Vec(ring, dim, {i: value() for i in rng.sample(range(dim), rng.randint(1, dim))})
+            v = ring.canon_map({i: value() for i in rng.sample(range(dim), rng.randint(1, dim))})
             s = value()
-            if v.is_zero or s.is_zero:
+            if not v or not s:
                 continue
-            terms.append(SymTerm(s, v))
+            terms.append((s, v))
             if rng.random() < 0.4:
                 # a cancelling twin: the pair sums to zero everywhere
-                terms.append(SymTerm(-s, v))
+                terms.append((ring.canon(-s), v))
         D = SymDecomposition(ring, dim, terms)
         got = sum_sym_decomposition_raw(D)
         assert got == _reference_sym_sum(D), trial
         assert all(x <= y <= z for x, y, z in got)
     v = _vec(ring, [1, 2, 0, 3])
-    s = Scalar(ring, 5)
-    assert sum_sym_decomposition_raw(SymDecomposition(ring, 4, [SymTerm(s, v), SymTerm(-s, v)])) == {}
+    s = ring.canon(5)
+    assert sum_sym_decomposition_raw(SymDecomposition(ring, 4, [(s, v), (ring.canon(-s), v)])) == {}
 
 
 def _nonzero(ring):
@@ -741,18 +729,16 @@ def _line_terms(data, ring, dim, u_support, w_support):
     # over Z a run needs d = (r_2 - r_1) w to be 1 or -1 at its pivot
     pivot_value = st.sampled_from([-1, 1]) if ring == ZZ else value
     r_value = st.integers(1, 3) if ring == ZZ else value
-    u = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in u_support})
-    w = Vec(ring, dim, {
-        i: Scalar(ring, data.draw(pivot_value if i == min(w_support) else value)) for i in w_support
-    })
+    u = ring.canon_map({i: data.draw(value) for i in u_support})
+    w = ring.canon_map({i: data.draw(pivot_value if i == min(w_support) else value) for i in w_support})
     if ring in (GF(11), QQ) and data.draw(st.booleans()):
         # a real Waring gadget: its moments make mu_2 = mu_3 = 0
-        gadget = waring_gadget(Scalar(ring, data.draw(st.integers(0, 10))))
-        coeffs = [(t.s, t.v.get(1)) for t in gadget.terms]
+        gadget = waring_gadget(ring, ring.canon(data.draw(st.integers(0, 10))))
+        coeffs = [(s, v[1]) for s, v in gadget.raw]
     else:
         k = data.draw(st.integers(2, 8))
-        coeffs = [(Scalar(ring, data.draw(value)), Scalar(ring, data.draw(r_value))) for _ in range(k)]
-    return [SymTerm(s, u.add(w.scale(r))) for s, r in coeffs]
+        coeffs = [(ring.canon(data.draw(value)), ring.canon(data.draw(r_value))) for _ in range(k)]
+    return [(s, ring.canon_map({i: u.get(i, 0) + r * w.get(i, 0) for i in u.keys() | w.keys()})) for s, r in coeffs]
 
 
 @settings(derandomize=True, database=None, max_examples=120)
@@ -779,12 +765,12 @@ def test_grouped_sum_matches_per_term_expansion(ring, data):
             # one support, values drawn independently: rarely collinear
             support = data.draw(indices)
             for _ in range(data.draw(st.integers(2, 4))):
-                v = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in support})
-                terms.append(SymTerm(Scalar(ring, data.draw(value)), v))
+                v = ring.canon_map({i: data.draw(value) for i in support})
+                terms.append((ring.canon(data.draw(value)), v))
         else:
-            v = Vec(ring, dim, {i: Scalar(ring, data.draw(value)) for i in data.draw(indices)})
+            v = ring.canon_map({i: data.draw(value) for i in data.draw(indices)})
             for _ in range(data.draw(st.integers(2, 3)) if kind == "repeat" else 1):
-                terms.append(SymTerm(Scalar(ring, data.draw(value)), v))
+                terms.append((ring.canon(data.draw(value)), v))
     D = SymDecomposition(ring, dim, terms)
     assert sum_sym_decomposition_raw(D) == _reference_sym_sum(D)
 
@@ -792,9 +778,9 @@ def test_grouped_sum_matches_per_term_expansion(ring, data):
 def test_collinear_run_groups_a_gadget_exactly():
     ring = GF(11)
     u, w = _vec(ring, [1, 1, 0, 0, 0]), _vec(ring, [0, 0, 3, 0, 7])
-    piece = sym_pair_decompose(u, w, Scalar(ring, 4))
-    lone = SymTerm(one(ring), _vec(ring, [0, 0, 1, 1, 1]))
-    raw = SymDecomposition(ring, 5, (lone,) + piece.terms + (lone,)).raw
+    piece = sym_pair_decompose(ring, u, w, 4)
+    lone = (1, _vec(ring, [0, 0, 1, 1, 1]))
+    raw = [lone, *piece, lone]
     # the lone term shares no support with the gadget; the gadget's three
     # terms form one run, with mu_0 = a and mu_2 = mu_3 = 0 as it was solved
     assert symmetric._collinear_run(raw, 0, ring) is None
@@ -804,22 +790,21 @@ def test_collinear_run_groups_a_gadget_exactly():
     assert symmetric._collinear_run(raw, 4, ring) is None
     # over Z a run needs a pivot of d equal to 1 or -1
     v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 3, 5))
-    assert symmetric._collinear_run([(1, v1.nz), (1, v2.nz), (1, v3.nz)], 0, ZZ) is None
+    assert symmetric._collinear_run([(1, v1), (1, v2), (1, v3)], 0, ZZ) is None
     v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 2, 3))
-    assert symmetric._collinear_run([(1, v1.nz), (1, v2.nz), (1, v3.nz)], 0, ZZ)[0] == 3
+    assert symmetric._collinear_run([(1, v1), (1, v2), (1, v3)], 0, ZZ)[0] == 3
 
 
 def _corrupt_pair_pieces(monkeypatch):
     """Make every sym_pair_decompose result double its first coefficient."""
     real = symmetric.sym_pair_decompose
 
-    def corrupt(u, w, a):
-        D = real(u, w, a)
-        if not D.terms:
-            return D
-        first = D.terms[0]
-        bad = SymTerm(first.s * Scalar(D.ring, 2), first.v)
-        return SymDecomposition(D.ring, D.dim, (bad,) + D.terms[1:])
+    def corrupt(ring, u, w, a):
+        terms = real(ring, u, w, a)
+        if not terms:
+            return terms
+        (s, v), *rest = terms
+        return [(ring.canon(2 * s), v), *rest]
 
     monkeypatch.setattr(symmetric, "sym_pair_decompose", corrupt)
 
@@ -840,18 +825,27 @@ def test_public_entry_points_keep_their_checks(monkeypatch):
         symmetric_upper_witness(U, 2)
     with pytest.raises(StructureError, match="pair correction decomposition fails"):
         build_L_pi(U, PairIndex("J", 1, 2))
-    # check=False skips the per-pair check; the caller checks the whole sum
-    build_L_pi(U, PairIndex("J", 1, 2), check=False)
+
+
+def test_upper_witness_refuses_an_entry_on_three_letters():
+    U = SymTensor(GF(11), block_names(2), {(0, 2, 4): one(GF(11))})
+    with pytest.raises(ValueError, match="spans all three index copies"):
+        symmetric_upper_witness(U, 2)
+
+
+def test_upper_terms_leave_an_entry_on_three_letters_in_the_residual():
+    # _upper_terms does not scan U for such an entry; it lies in no pair's
+    # slice, so it stays on the working copy and the residual check refuses it
+    U = SymTensor(GF(11), block_names(2), {(0, 2, 4): one(GF(11))})
+    with pytest.raises(StructureError, match="residual entry at pairwise distinct indices"):
+        symmetric._upper_terms(U, 2)
 
 
 def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
     """One exact check of the whole sum, plus each gadget's own check once."""
     ring = GF(11)
     rng = random.Random(3)
-    terms = [
-        Rank1Term(*(_vec(ring, [rng.randrange(11) for _ in range(2)]) for _ in range(3)))
-        for _ in range(2)
-    ]
+    terms = [tuple(_vec(ring, [rng.randrange(11) for _ in range(2)]) for _ in range(3)) for _ in range(2)]
     D = Decomposition(ring, (2, 2, 2), terms)
     from tenred.tensors import sum_decomposition_raw
 
@@ -885,7 +879,7 @@ def _reference_upper_terms(U, n):
     for pi in pair_indices(n):
         if pi.is_strict:
             l_tensor, l_deco = build_L_pi(U, pi)
-            terms.extend(l_deco.terms)
+            terms.extend(l_deco.raw)
             for key, v in l_tensor.entries.items():
                 l_total[key] = l_total.get(key, 0) + v
     phi = dict(build_curly_T(U, n).entries)
@@ -901,10 +895,10 @@ def _reference_upper_terms(U, n):
         else:
             off_diag.setdefault(y, {})[x] = v
     for u_idx in range(3 * n):
-        a = Scalar(ring, diag.get(u_idx, 0))
-        m = Vec._from_raw(ring, size, off_diag.get(u_idx, {}))
-        if not (a.is_zero and m.is_zero):
-            terms.extend(sym_pair_decompose(Vec.unit(ring, size, u_idx), m, a).terms)
+        a = diag.get(u_idx, ring.canon(0))
+        m = off_diag.get(u_idx, {})
+        if a or m:
+            terms.extend(sym_pair_decompose(ring, {u_idx: ring.canon(1)}, m, a))
     return SymDecomposition(ring, size, terms)
 
 
@@ -921,4 +915,4 @@ def test_upper_terms_match_the_correction_tensor_construction(ring, data):
     value = _nonzero(ring)
     U = SymTensor(ring, block_names(n), {key: Scalar(ring, data.draw(value)) for key in chosen})
     got = symmetric._upper_terms(U, n)
-    assert got.terms == _reference_upper_terms(U, n).terms
+    assert got.raw == _reference_upper_terms(U, n).raw

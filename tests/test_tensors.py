@@ -5,13 +5,12 @@ import re
 import pytest
 
 from tenred.errors import RingMismatchError, StructureError, VerificationError
-from tenred.linalg import DenseMatrix, Vec
+from tenred.linalg import DenseMatrix
 from tenred.polysys import Assignment, PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, Scalar, one
 from tenred.sigma import IncompleteMatrix, SymbolicU, build_B, completion_witness
 from tenred.tensors import (
     Decomposition,
-    Rank1Term,
     Tensor3,
     Walk,
     build_derksen,
@@ -22,6 +21,8 @@ from tenred.tensors import (
     sum_decomposition_raw,
     verify_decomposition,
 )
+
+from reference import tensor_from_nested, vec
 
 
 def _t(ring, dims, triples):
@@ -44,7 +45,7 @@ def test_tensor3_basics():
 
 def test_tensor3_from_nested_and_change_ring():
     grid = [[[Scalar(ZZ, 13), Scalar(ZZ, 0)], [Scalar(ZZ, -1), Scalar(ZZ, 2)]]]
-    T = Tensor3.from_nested(ZZ, grid)
+    T = tensor_from_nested(ZZ, grid)
     assert T.dims == (1, 2, 2)
     assert T.entry(0, 1, 0).value == -1
     f = T.change_ring(GF(11))
@@ -74,23 +75,7 @@ def test_slice_matrix():
 
 
 def _term(ring, a, b, c):
-    def mk(vals):
-        return Vec.from_dense(ring, [Scalar(ring, v) for v in vals])
-
-    return Rank1Term(mk(a), mk(b), mk(c))
-
-
-def test_rank1term_and_decomposition_validation():
-    t = _term(QQ, [1, 0], [0, 1], [1, 1])
-    assert t.dims == (2, 2, 2)
-    with pytest.raises(RingMismatchError):
-        Rank1Term(Vec.unit(QQ, 2, 0), Vec.unit(ZZ, 2, 0), Vec.unit(QQ, 2, 0))
-    with pytest.raises(ValueError):
-        Decomposition(QQ, (2, 2, 3), [t])
-    with pytest.raises(RingMismatchError):
-        Decomposition(ZZ, (2, 2, 2), [t])
-    d = Decomposition(QQ, (2, 2, 2), [t, t])
-    assert len(d) == 2 and list(d) == [t, t]
+    return vec(ring, a), vec(ring, b), vec(ring, c)
 
 
 def test_sum_and_verify_decomposition():
@@ -118,7 +103,7 @@ def test_sum_and_verify_decomposition():
 
 def test_cancelling_terms_sum_to_zero():
     t = _term(QQ, [1, 2], [3, 1], [1, 1])
-    neg = Rank1Term(t.a.scale(Scalar(QQ, -1)), t.b, t.c)
+    neg = (QQ.canon_map({i: -v for i, v in t[0].items()}), t[1], t[2])
     D = Decomposition(QQ, (2, 2, 2), [t, neg])
     assert sum_decomposition_raw(D) == {}
     ok, _ = verify_decomposition(Tensor3.zeros(QQ, (2, 2, 2)), D)
@@ -296,12 +281,7 @@ def test_random_decompositions_round_trip():
     for _ in range(10):
         terms = []
         for _ in range(rng.randint(1, 4)):
-            vecs = []
-            for n in (2, 3, 2):
-                vecs.append(
-                    Vec.from_dense(ring, [Scalar(ring, rng.randint(-2, 2)) for _ in range(n)])
-                )
-            terms.append(Rank1Term(*vecs))
+            terms.append(tuple(vec(ring, [rng.randint(-2, 2) for _ in range(n)]) for n in (2, 3, 2)))
         D = Decomposition(ring, (2, 3, 2), terms)
         T = Tensor3._from_raw(ring, (2, 3, 2), sum_decomposition_raw(D))
         ok, _ = verify_decomposition(T, D)
