@@ -52,7 +52,7 @@ from . import jsonio
 from .errors import GuardExceededError, ParseError, StructureError
 from .linalg import factors_through_units, rank_raw
 from .polysys import Assignment, PolySystem
-from .rings import QQ, Scalar, ZZ
+from .rings import QQ, ZZ
 from .sigma import (
     IncompleteMatrix,
     SymbolicU,
@@ -241,7 +241,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     field = QQ if B.ring == ZZ else B.ring
     values = [v.strip() for v in solution.split(",") if v.strip()]
     try:
-        point = Assignment(tuple(Scalar.from_str(field, v) for v in values))
+        point = Assignment(field, tuple(field.parse(v) for v in values))
     except ValueError as e:
         raise ParseError(f"bad solution value: {e}", 0) from e
     W = completion_witness(B.system, point, B=B)
@@ -341,7 +341,7 @@ def failure(red: Reduction, wit: str | dict) -> str | None:
     if red.target_rank is not None and count > red.target_rank:
         return f"{count} terms exceed the target rank {red.target_rank}"
     if red.stage == "tensor":
-        ok, mismatch = first_mismatch(T.entries, total, T.ring)
+        ok, mismatch = first_mismatch(T.entries, total)
     else:
         ok, mismatch = verify_symmetric_decomposition(T, D)
     if ok:

@@ -5,7 +5,7 @@ can be replayed later.  Serialization is canonical: keys sorted, no
 whitespace, one trailing newline; identical objects produce identical
 bytes, which is what the determinism checks hash.
 
-Scalars are encoded as strings (exact; no floats anywhere), sparse
+Ring values are encoded as strings (exact; no floats anywhere), sparse
 vectors as [[index, "value"], ...] pairs, tensors as sorted
 [[i, j, k, "value"], ...] quadruples.  The files of the tensor path are
 text at both ends, never a tree: a decomposition is written term by term
@@ -24,7 +24,7 @@ from typing import Any, Callable, Iterable, Iterator
 from .errors import ParseError
 from .linalg import DenseMatrix
 from .polysys import Assignment, PolySystem, parse_polynomial
-from .rings import RingDescriptor, Scalar
+from .rings import RingDescriptor
 from .sigma import IncompleteMatrix
 from .symmetric import SymDecomposition, SymTensor
 from .tensors import Decomposition, DerksenInstance, Tensor3, sum_terms_raw
@@ -79,11 +79,12 @@ def _ring_of(obj: dict) -> RingDescriptor:
         raise ParseError(str(e), 0) from e
 
 
-def _scalar(ring: RingDescriptor, text) -> Scalar:
+def _scalar(ring: RingDescriptor, text):
+    """The canonical raw value a file spells as a string, read by ``ring.parse``."""
     if not isinstance(text, str):
         raise ParseError(f"scalar values are strings, got {type(text).__name__}", 0)
     try:
-        return Scalar.from_str(ring, text)
+        return ring.parse(text)
     except ValueError as e:
         raise ParseError(str(e), 0) from e
 
@@ -105,7 +106,7 @@ def raw_vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = No
         i, v = pair
         x = seen.get(v) if type(v) is str else None
         if x is None:
-            x = seen[v] = _scalar(ring, v).value  # refuses all but strings
+            x = seen[v] = _scalar(ring, v)  # refuses all but strings
         if not 0 <= i < n:
             raise ParseError(f"index {i} out of range for length {n}", 0)
         if x:
@@ -132,7 +133,7 @@ def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
             raise ParseError(f"ragged matrix: row {len(rows)} has {len(row)} cells, row 0 has {len(data[0])}", 0)
         for v in row:
             if not isinstance(v, str) or v not in seen:
-                seen[v] = _scalar(ring, v).value  # refuses all but strings
+                seen[v] = _scalar(ring, v)  # refuses all but strings
         rows.append([seen[v] for v in row])
     return rows
 
@@ -226,6 +227,7 @@ def entries_to_json(entries: dict) -> list:
 
 
 def _entries_from_json(ring: RingDescriptor, data) -> dict:
+    """The {(i, j, k): raw value} map a bare tensor file lists, zeros kept."""
     if not isinstance(data, list):
         raise ParseError("entries must be a list of [i,j,k,value] quadruples", 0)
     entries = {}
@@ -251,10 +253,12 @@ def tensor_parse(obj: dict) -> Tensor3:
     ring = _ring_of(obj)
     dims = _dims_of(obj)
     entries = _entries_from_json(ring, _need(obj, "entries"))
-    try:
-        return Tensor3(ring, dims, entries)
-    except (ValueError, TypeError) as e:
-        raise ParseError(str(e), 0) from e
+    if any(d < 1 for d in dims):
+        raise ParseError("dimensions must be three positive counts", 0)
+    for i, j, k in entries:
+        if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
+            raise ParseError(f"entry ({i},{j},{k}) outside {dims}", 0)
+    return Tensor3(ring, dims, {key: v for key, v in entries.items() if v})
 
 
 _CHUNK = 4096  # list items per piece of text
@@ -316,10 +320,16 @@ def symtensor_parse(obj: dict) -> SymTensor:
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise ParseError("index_names must be strings", 0)
     entries = _entries_from_json(ring, _need(obj, "entries"))
-    try:
-        return SymTensor(ring, names, entries)
-    except (ValueError, TypeError) as e:
-        raise ParseError(str(e), 0) from e
+    if len(set(names)) != len(names):
+        raise ParseError("index names must be unique", 0)
+    canonical: dict = {}
+    for key, v in entries.items():
+        if any(not 0 <= i < len(names) for i in key):
+            raise ParseError(f"entry {key} outside {len(names)} indices", 0)
+        triple = tuple(sorted(key))
+        if canonical.setdefault(triple, v) != v:
+            raise ParseError(f"conflicting values for permutations of {triple}: {canonical[triple]} and {v}", 0)
+    return SymTensor(ring, tuple(names), {key: v for key, v in canonical.items() if v})
 
 
 def symmetric_instance_file(
@@ -347,7 +357,7 @@ def assignment_to_json(point: Assignment) -> list:
 def assignment_from_json(ring: RingDescriptor, data) -> Assignment:
     if not isinstance(data, list):
         raise ParseError("assignment must be a list of values", 0)
-    return Assignment(tuple(_scalar(ring, v) for v in data))
+    return Assignment(ring, tuple(_scalar(ring, v) for v in data))
 
 
 def completion_witness_file(point: Assignment, W: DenseMatrix) -> dict:
@@ -574,7 +584,7 @@ def sym_decomposition_from_json(ring: RingDescriptor, dim: int, data) -> SymDeco
         text = _need(item, "s")
         s = seen.get(text) if type(text) is str else None
         if s is None:
-            s = seen[text] = _scalar(ring, text).value  # refuses all but strings
+            s = seen[text] = _scalar(ring, text)  # refuses all but strings
         v = raw_vec_from_json(ring, dim, _need(item, "v"), seen)
         if not s:
             raise ParseError("zero coefficient terms are not stored")

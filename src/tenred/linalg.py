@@ -1,4 +1,4 @@
-"""Exact dense matrices and fraction-free elimination.
+"""Exact dense matrices of canonical raw values, and fraction-free elimination.
 
 Rank is always computed over the fraction field of the matrix ring, by
 Bareiss elimination, whose intermediate values stay integral, so no
@@ -13,34 +13,20 @@ from __future__ import annotations
 from math import lcm
 from typing import Sequence
 
-from .errors import RingMismatchError
-from .rings import RATIONALS, RingDescriptor, Scalar
+from .rings import RATIONALS, RingDescriptor
 
 
 class DenseMatrix:
     """An immutable rectangular matrix over a single ring.
 
     ``raw_grid`` holds the canonical raw values row by row, as
-    ``IncompleteMatrix.raw_grid`` does; ``rows``, ``entry``, ``row`` and
-    ``column`` wrap them in ``Scalar``.
+    ``IncompleteMatrix.raw_grid`` does; the constructor trusts them to be
+    canonical and checks only the shape.
     """
 
     __slots__ = ("ring", "nrows", "ncols", "raw_grid")
 
-    def __init__(self, ring: RingDescriptor, rows: Sequence[Sequence[Scalar]]):
-        other = next((s.ring for r in rows for s in r if s.ring != ring), None)
-        if other is not None:
-            raise RingMismatchError(f"entry over {other}, matrix over {ring}")
-        self._init_from_raw(ring, [[s.value for s in r] for r in rows])
-
-    @classmethod
-    def _from_raw(cls, ring: RingDescriptor, rows: Sequence[Sequence]) -> "DenseMatrix":
-        """A matrix on trusted input: every value canonical."""
-        obj = cls.__new__(cls)
-        obj._init_from_raw(ring, rows)
-        return obj
-
-    def _init_from_raw(self, ring: RingDescriptor, rows: Sequence[Sequence]) -> None:
+    def __init__(self, ring: RingDescriptor, rows: Sequence[Sequence]):
         grid = tuple(tuple(r) for r in rows)
         if not grid or not grid[0]:
             raise ValueError("matrix dimensions must be positive")
@@ -51,31 +37,6 @@ class DenseMatrix:
         self.nrows = len(grid)
         self.ncols = width
         self.raw_grid = grid
-
-    @classmethod
-    def identity(cls, ring: RingDescriptor, n: int) -> "DenseMatrix":
-        return cls.from_ints(ring, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, ring: RingDescriptor, nrows: int, ncols: int) -> "DenseMatrix":
-        return cls.from_ints(ring, [[0] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def from_ints(cls, ring: RingDescriptor, rows: Sequence[Sequence[int]]) -> "DenseMatrix":
-        return cls._from_raw(ring, [[ring.canon(v) for v in r] for r in rows])
-
-    @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        return tuple(self.row(i) for i in range(self.nrows))
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.ring, self.raw_grid[i][j])
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.ring, v) for v in self.raw_grid[i])
-
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(Scalar(self.ring, r[j]) for r in self.raw_grid)
 
     def raw_rows(self) -> list[list]:
         """Mutable copy of the underlying canonical values."""

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from .errors import BudgetExceededError, StructureError
 from .linalg import DenseMatrix, matrix_rank, rank_raw
 from .polysys import Assignment, PolySystem
-from .rings import RingDescriptor, Scalar
+from .rings import RingDescriptor
 from .sigma import IncompleteMatrix
 from .symmetric import SymDecomposition, SymTensor, verify_symmetric_decomposition
 from .tensors import Decomposition, Tensor3, slice_matrix, slice_reduce, verify_decomposition
@@ -94,9 +94,8 @@ def solve_system_bruteforce(F: PolySystem, budget: SearchBudget | None = None) -
         )
     out = []
     for values in product(range(p), repeat=F.num_vars):
-        point = tuple(Scalar(F.ring, v) for v in values)
-        if F.first_violation(point) is None:
-            out.append(Assignment(point))
+        if F.first_violation(values) is None:
+            out.append(Assignment(F.ring, values))
     return out
 
 
@@ -127,7 +126,7 @@ def min_completion_rank(M: IncompleteMatrix, budget: SearchBudget | None = None)
             best_grid = [row[:] for row in grid]
             if best_rank == 0:
                 break
-    witness = DenseMatrix._from_raw(M.ring, best_grid)
+    witness = DenseMatrix(M.ring, best_grid)
     return OracleResult(best_rank, witness, exhausted=True, lower_bound=best_rank)
 
 
@@ -384,7 +383,7 @@ def slice_lemma_check(T: Tensor3, k: int, budget: SearchBudget | None = None) ->
         )
     best = None
     for values in product(range(p), repeat=k * tau2):
-        lam = DenseMatrix._from_raw(ring, [values[i * tau2 : (i + 1) * tau2] for i in range(k)])
+        lam = DenseMatrix(ring, [values[i * tau2 : (i + 1) * tau2] for i in range(k)])
         reduced = tensor_rank_bruteforce(slice_reduce(T, k, lam), budget)
         if not reduced.exhausted:
             raise BudgetExceededError("rank search on a reduced tensor did not finish")

@@ -1,11 +1,12 @@
 """Multivariate polynomials in canonical form, plus the 3-SAT encoder.
 
-Polynomials are kept as tuples of (exponents, raw coefficient) pairs, the
-coefficients canonical as in ``rings``, sorted in graded-lexicographic
-descending order (higher total degree first; ties broken by the exponent
-vector with x1 heaviest).  Canonical form makes equality, hashing, and the
-printed representation all agree, and printing round-trips through the
-parser.
+Polynomials are kept as tuples of (exponents, coefficient) pairs:
+exponents a sparse tuple of (variable, power) pairs sorted by variable,
+powers >= 1, and coefficients canonical nonzero raw values as in
+``rings``, sorted in graded-lexicographic descending order (higher total
+degree first; ties broken by the exponent vector with x1 heaviest).
+Canonical form makes equality, hashing, and the printed representation
+all agree, and printing round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -16,32 +17,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RingMismatchError
-from .rings import RATIONALS, RingDescriptor, Scalar, ZZ, one
+from .rings import RATIONALS, RingDescriptor, ZZ
 
 Exponents = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """coefficient * product of x_i^e_i; exponents sparse, sorted, >= 1."""
-
-    coefficient: Scalar
-    exponents: Exponents
-
-    def __post_init__(self) -> None:
-        if self.coefficient.is_zero:
-            raise ValueError("monomial with zero coefficient")
-        last = -1
-        for var, exp in self.exponents:
-            if var <= last:
-                raise ValueError("exponents not sorted by variable")
-            if exp < 1:
-                raise ValueError("exponent must be >= 1")
-            last = var
-
-    @property
-    def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
 
 
 def _grlex_key(exponents: Exponents) -> tuple:
@@ -54,29 +32,14 @@ class Polynomial:
     """A canonical multivariate polynomial over Z, Q, or GF(p).
 
     ``raw_terms`` holds ``(exponents, value)`` pairs in graded-lex
-    descending order, each value canonical and nonzero; the arithmetic
-    works on these, and ``Scalar``/``Monomial`` appear only at the public
-    constructors and accessors.
+    descending order, each value canonical and nonzero.  The constructor
+    trusts its input to be so; ``_from_map`` makes any map of exponents to
+    raw values canonical.
     """
 
     __slots__ = ("ring", "num_vars", "raw_terms", "_hash", "_sort_key")
 
-    def __init__(self, ring: RingDescriptor, num_vars: int, terms: Sequence[Monomial]):
-        if num_vars < 0:
-            raise ValueError("negative variable count")
-        prev_key = None
-        for t in terms:
-            if t.coefficient.ring != ring:
-                raise RingMismatchError("monomial over a different ring")
-            if t.exponents and t.exponents[-1][0] >= num_vars:
-                raise ValueError("variable index out of range")
-            key = _grlex_key(t.exponents)
-            if prev_key is not None and key >= prev_key:
-                raise ValueError("terms not in graded-lex descending order")
-            prev_key = key
-        self._init_raw(ring, num_vars, tuple((t.exponents, t.coefficient.value) for t in terms))
-
-    def _init_raw(self, ring, num_vars, raw_terms) -> None:
+    def __init__(self, ring: RingDescriptor, num_vars: int, raw_terms: tuple):
         self.ring = ring
         self.num_vars = num_vars
         self.raw_terms = raw_terms
@@ -84,33 +47,22 @@ class Polynomial:
         self._sort_key = None
 
     @classmethod
-    def _from_raw(cls, ring: RingDescriptor, num_vars: int, raw_terms: tuple) -> "Polynomial":
-        """Trusted: raw_terms already canonical, nonzero and in order."""
-        obj = cls.__new__(cls)
-        obj._init_raw(ring, num_vars, raw_terms)
-        return obj
-
-    @classmethod
     def _from_map(cls, ring: RingDescriptor, num_vars: int, acc: dict) -> "Polynomial":
         """A polynomial from a map of exponents to raw values, not yet canonical."""
         items = sorted(ring.canon_map(acc).items(), key=lambda it: _grlex_key(it[0]), reverse=True)
-        return cls._from_raw(ring, num_vars, tuple(items))
+        return cls(ring, num_vars, tuple(items))
 
     @classmethod
     def zero(cls, ring: RingDescriptor, num_vars: int) -> "Polynomial":
-        return cls(ring, num_vars, [])
+        return cls(ring, num_vars, ())
 
     @classmethod
-    def constant(cls, ring: RingDescriptor, num_vars: int, value: Scalar) -> "Polynomial":
-        return cls(ring, num_vars, [] if value.is_zero else [Monomial(value, ())])
+    def constant(cls, ring: RingDescriptor, num_vars: int, value) -> "Polynomial":
+        return cls._from_map(ring, num_vars, {(): value})
 
     @classmethod
     def variable(cls, ring: RingDescriptor, num_vars: int, var: int) -> "Polynomial":
-        return cls(ring, num_vars, [Monomial(one(ring), ((var, 1),))])
-
-    @property
-    def terms(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(Scalar(self.ring, v), e) for e, v in self.raw_terms)
+        return cls(ring, num_vars, ((((var, 1),), ring.canon(1)),))
 
     def _compatible(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -123,7 +75,7 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         canon = self.ring.canon
-        return Polynomial._from_raw(self.ring, self.num_vars, tuple((e, canon(-v)) for e, v in self.raw_terms))
+        return Polynomial(self.ring, self.num_vars, tuple((e, canon(-v)) for e, v in self.raw_terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -143,12 +95,6 @@ class Polynomial:
                 out[key] = out.get(key, 0) + va * vb
         return Polynomial._from_map(self.ring, self.num_vars, out)
 
-    def scale(self, s: Scalar) -> "Polynomial":
-        if s.ring != self.ring:
-            raise RingMismatchError("scalar over a different ring")
-        sv = s.value
-        return Polynomial._from_map(self.ring, self.num_vars, {e: v * sv for e, v in self.raw_terms})
-
     @property
     def is_zero(self) -> bool:
         return not self.raw_terms
@@ -157,23 +103,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.raw_terms or (len(self.raw_terms) == 1 and not self.raw_terms[0][0])
 
-    def constant_value(self) -> Scalar:
-        if not self.is_constant:
-            raise ValueError("polynomial is not constant")
-        return Scalar(self.ring, self.raw_terms[0][1] if self.raw_terms else 0)
-
     @property
     def degree(self) -> int:
         """Total degree; zero polynomial reports 0."""
         return sum(e for _, e in self.raw_terms[0][0]) if self.raw_terms else 0
-
-    def evaluate(self, values: Sequence[Scalar]) -> Scalar:
-        if len(values) != self.num_vars:
-            raise ValueError("assignment length mismatch")
-        for v in values:
-            if v.ring != self.ring:
-                raise RingMismatchError("assignment over a different ring")
-        return Scalar(self.ring, self.evaluate_raw([v.value for v in values]))
 
     def evaluate_raw(self, values: Sequence) -> object:
         """The canonical raw value at a point given as raw values, one per variable."""
@@ -192,9 +125,7 @@ class Polynomial:
         if self.ring != ZZ:
             raise ValueError(f"no coefficient map from {self.ring} to {ring}")
         canon = ring.canon
-        return Polynomial._from_raw(
-            ring, self.num_vars, tuple((e, r) for e, v in self.raw_terms if (r := canon(v)))
-        )
+        return Polynomial(ring, self.num_vars, tuple((e, r) for e, v in self.raw_terms if (r := canon(v))))
 
     def sort_key(self):
         """Deterministic total order on canonical polynomials.
@@ -256,9 +187,18 @@ def poly_sum(polys: Sequence[Polynomial]) -> Polynomial:
             acc[k] = acc.get(k, 0) + v
             exps[k] = e
     nz = first.ring.canon_map(acc)
-    return Polynomial._from_raw(
-        first.ring, first.num_vars, tuple([(exps[k], nz[k]) for k in sorted(nz, reverse=True)])
-    )
+    return Polynomial(first.ring, first.num_vars, tuple([(exps[k], nz[k]) for k in sorted(nz, reverse=True)]))
+
+
+def term_map_sum(polys: Sequence[Polynomial]) -> dict:
+    """The canonical {exponents: value} map of the sum of polynomials over
+    one ring, zeros dropped and in no order: what a caller needs that only
+    reads the constant of a sum or compares it with other term maps."""
+    acc: dict = {}
+    for g in polys:
+        for e, v in g.raw_terms:
+            acc[e] = acc.get(e, 0) + v
+    return polys[0].ring.canon_map(acc)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<var>x[0-9]+)|(?P<int>[0-9]+)|(?P<op>[-+*/^]))")
@@ -399,7 +339,7 @@ def parse_polynomial(text: str, num_vars: int, ring: RingDescriptor) -> Polynomi
 
 def prefix_sums(f: Polynomial) -> list[Polynomial]:
     """Partial sums p1, p1+p2, ..., f of the canonical term sequence."""
-    return [Polynomial._from_raw(f.ring, f.num_vars, f.raw_terms[:k]) for k in range(1, len(f.raw_terms) + 1)]
+    return [Polynomial(f.ring, f.num_vars, f.raw_terms[:k]) for k in range(1, len(f.raw_terms) + 1)]
 
 
 class PolySystem:
@@ -431,11 +371,12 @@ class PolySystem:
     def change_ring(self, ring: RingDescriptor) -> "PolySystem":
         return PolySystem(ring, self.num_vars, [f.change_ring(ring) for f in self.polynomials])
 
-    def first_violation(self, values: Sequence[Scalar]) -> tuple[Polynomial, Scalar] | None:
-        """First polynomial not vanishing at the point, with its value."""
+    def first_violation(self, values: Sequence) -> tuple[Polynomial, object] | None:
+        """First polynomial not vanishing at a point of raw values, with its value."""
+        if self.polynomials and len(values) != self.num_vars:
+            raise ValueError("assignment length mismatch")
         for f in self.polynomials:
-            v = f.evaluate(values)
-            if not v.is_zero:
+            if v := f.evaluate_raw(values):
                 return f, v
         return None
 
@@ -453,22 +394,10 @@ class PolySystem:
 
 @dataclass(frozen=True)
 class Assignment:
-    """A point in ring^n, one scalar per variable."""
+    """A point in ring^n, one canonical raw value per variable."""
 
-    values: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        rings = {v.ring for v in self.values}
-        if len(rings) > 1:
-            raise RingMismatchError("assignment mixes rings")
-
-    @classmethod
-    def from_ints(cls, ring: RingDescriptor, values: Iterable[int]) -> "Assignment":
-        return cls(tuple(Scalar(ring, v) for v in values))
-
-    @property
-    def ring(self) -> RingDescriptor | None:
-        return self.values[0].ring if self.values else None
+    ring: RingDescriptor
+    values: tuple
 
     def __len__(self) -> int:
         return len(self.values)
@@ -558,7 +487,7 @@ def _clause_polynomial(num_vars: int, i: int, j: int, k: int) -> Polynomial:
     yi = Polynomial.variable(ZZ, num_vars, i)
     yj = Polynomial.variable(ZZ, num_vars, j)
     yk = Polynomial.variable(ZZ, num_vars, k)
-    cone = Polynomial.constant(ZZ, num_vars, one(ZZ))
+    cone = Polynomial.constant(ZZ, num_vars, 1)
     return yi + yj + yk - yi * yj - yi * yk - yj * yk + yi * yj * yk - cone
 
 
@@ -572,7 +501,7 @@ def encode_3sat(formula: CnfFormula) -> PolySystem:
     literal up to length 3 before expansion.
     """
     n = formula.num_vars
-    cone = Polynomial.constant(ZZ, n, one(ZZ))
+    cone = Polynomial.constant(ZZ, n, 1)
     polys: list[Polynomial] = []
     for i in range(n):
         yi = Polynomial.variable(ZZ, n, i)

@@ -1,21 +1,21 @@
-"""Exact scalars over the integers, the rationals, and prime fields GF(p).
+"""Exact ring values over the integers, the rationals, and prime fields GF(p).
 
-Values are kept canonical at all times: integers as ``int``, rationals as
-``fractions.Fraction`` (lowest terms, positive denominator), prime-field
-residues as ``int`` in ``[0, p)``.  Ranks and inverses elsewhere in the
+A ring value is a plain canonical raw value: an ``int`` over Z, a
+``fractions.Fraction`` in lowest terms with a positive denominator over Q,
+an ``int`` in ``[0, p)`` over GF(p).  Ranks and inverses elsewhere in the
 package are always taken over the fraction field of the ring, so exactness
 is preserved end to end.
 
 A vector, and each factor of a decomposition term, is a plain map
 {index: canonical nonzero value}.  Containers (``DenseMatrix``, ``Tensor3``,
-``SymTensor``, ``IncompleteMatrix``, ``Polynomial``) hold canonical raw
-values, the zeros of sparse ones omitted, and wrap them in a ``Scalar``
-only at their accessors.  Arithmetic inside the package works on raw
-values and makes them canonical through ``RingDescriptor.canon`` (one
-value) or ``RingDescriptor.canon_map`` (a sparse map), the only places a
-value is reduced; ``RingDescriptor.inverse`` inverts one.  ``PRIME_FIELD``
-is named only in this module: elsewhere ``modulus`` or ``field_size``
-(None outside GF(p)) tells the rings apart.
+``SymTensor``, ``IncompleteMatrix``, ``Polynomial``, ``Assignment``) hold
+canonical raw values, the zeros of sparse ones omitted, and are built from
+them.  Only ``RingDescriptor`` knows how values are spelled and reduced:
+``parse`` reads a literal, refusing what is not in the ring; ``canon`` (one
+value) and ``canon_map`` (a sparse map) are the only places a value is
+reduced; ``inverse`` inverts one.  ``PRIME_FIELD`` is named only in this
+module: elsewhere ``modulus`` or ``field_size`` (None outside GF(p)) tells
+the rings apart.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, RingMismatchError
+from .errors import ParseError
 
 INTEGERS = "integers"
 RATIONALS = "rationals"
@@ -105,6 +105,21 @@ class RingDescriptor:
             return pow(v, -1, self.modulus)
         return Fraction(1) / v
 
+    def parse(self, text: str):
+        """The canonical raw value a literal spells: an integer, or over Q
+        also a fraction n/d; anything else is refused with a ParseError."""
+        t = text.strip()
+        if self.kind == RATIONALS:
+            try:
+                return Fraction(t)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational literal {text!r}") from None
+        try:
+            n = int(t)
+        except ValueError:
+            raise ParseError(f"coefficient {text!r} is not in ring {self}") from None
+        return self.canon(n)
+
     def __str__(self) -> str:
         if self.kind == INTEGERS:
             return "Z"
@@ -138,78 +153,3 @@ QQ = RingDescriptor(RATIONALS)
 
 def GF(p: int) -> RingDescriptor:
     return RingDescriptor(PRIME_FIELD, p)
-
-
-@dataclass(frozen=True, slots=True)
-class Scalar:
-    """An exact ring element; the wrapped value is always canonical."""
-
-    ring: RingDescriptor
-    value: int | Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.ring.canon(self.value))
-
-    def _check(self, other: "Scalar") -> None:
-        if self.ring != other.ring:
-            raise RingMismatchError(f"ring mismatch: {self.ring} vs {other.ring}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.ring, self.value + other.value)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.ring, self.value - other.value)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar(self.ring, self.value * other.value)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.ring, -self.value)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.ring, self.ring.inverse(self.value))
-
-    def power(self, k: int) -> "Scalar":
-        if k < 0:
-            raise ValueError("negative exponent")
-        return Scalar(self.ring, pow(self.value, k, self.ring.field_size))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    def sort_key(self):
-        """A total order on the ring's canonical values, used for determinism."""
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)  # a Fraction prints as "n/d", or "n" if d == 1
-
-    @staticmethod
-    def from_str(ring: RingDescriptor, text: str) -> "Scalar":
-        t = text.strip()
-        if ring.kind == RATIONALS:
-            try:
-                return Scalar(ring, Fraction(t))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational literal {text!r}") from None
-        try:
-            n = int(t)
-        except ValueError:
-            raise ParseError(f"coefficient {text!r} is not in ring {ring}") from None
-        return Scalar(ring, n)
-
-
-def zero(ring: RingDescriptor) -> Scalar:
-    return Scalar(ring, 0)
-
-
-def one(ring: RingDescriptor) -> Scalar:
-    return Scalar(ring, 1)

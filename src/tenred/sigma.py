@@ -22,15 +22,15 @@ from .errors import (
     VerificationError,
 )
 from .linalg import DenseMatrix
-from .polysys import Assignment, Monomial, Polynomial, PolySystem, poly_sum, prefix_sums
-from .rings import QQ, RATIONALS, RingDescriptor, Scalar, ZZ, one
+from .polysys import Assignment, Exponents, Polynomial, PolySystem, prefix_sums, term_map_sum
+from .rings import QQ, RATIONALS, RingDescriptor, ZZ
 
 
 def is_plus_minus_one(f: Polynomial) -> bool:
-    if not f.is_constant or f.is_zero:
+    if len(f.raw_terms) != 1 or f.raw_terms[0][0]:
         return False
-    v = f.constant_value()
-    return v.is_one or (-v).is_one
+    v = f.raw_terms[0][1]
+    return v == 1 or f.ring.canon(-v) == 1
 
 
 class SigmaSet:
@@ -88,23 +88,23 @@ class SigmaSet:
         return f"SigmaSet({self.ring}, n={self.num_vars}, {len(self.elements)} elements)"
 
 
-def sigma_monomial(p: Monomial, num_vars: int) -> SigmaSet:
-    """Closure contribution of one monomial.
+def sigma_monomial(ring: RingDescriptor, num_vars: int, exponents: Exponents, c) -> SigmaSet:
+    """Closure contribution of one monomial c * x^exponents, c a canonical
+    nonzero raw value, as a term of ``Polynomial.raw_terms`` holds it.
 
     Contains +-1, the coefficient with both signs, every prefix product of
     the monomial's variables (with multiplicity, in variable order), and
     the monomial itself with both signs.
     """
-    ring = p.coefficient.ring
-    unit = Polynomial.constant(ring, num_vars, one(ring))
-    out = {unit, Polynomial.constant(ring, num_vars, p.coefficient)}
+    unit = Polynomial.constant(ring, num_vars, 1)
+    out = {unit, Polynomial.constant(ring, num_vars, c)}
     prefix = unit
-    for var, exp in p.exponents:
+    for var, exp in exponents:
         x = Polynomial.variable(ring, num_vars, var)
         for _ in range(exp):
             prefix = prefix * x
             out.add(prefix)
-    out.add(prefix.scale(p.coefficient))
+    out.add(Polynomial(ring, num_vars, ((exponents, c),)))
     out.update([-f for f in out])
     return SigmaSet(ring, num_vars, out)
 
@@ -120,14 +120,14 @@ def sigma_system(F: PolySystem) -> SigmaSet:
     """
     ring, n = F.ring, F.num_vars
     out: set[Polynomial] = {Polynomial.zero(ring, n)}
-    unit = Polynomial.constant(ring, n, one(ring))
+    unit = Polynomial.constant(ring, n, 1)
     out.update({unit, -unit})
     for i in range(n):
         x = Polynomial.variable(ring, n, i)
         out.update({x, -x})
     for f in F.polynomials:
-        for t in f.terms:
-            out.update(sigma_monomial(t, n).elements)
+        for exponents, c in f.raw_terms:
+            out.update(sigma_monomial(ring, n, exponents, c).elements)
         for g in prefix_sums(f):
             out.add(g)
             out.add(-g)
@@ -221,12 +221,11 @@ class SymbolicU:
         """Plug a point into every coordinate polynomial."""
         if not self.labels:
             raise ValueError("no labels")
-        values = [v.value for v in point.values]
-        for v in point.values:
-            if v.ring != ring:
-                raise RingMismatchError("point over a different ring")
+        if point.ring != ring:
+            raise RingMismatchError("point over a different ring")
+        values = point.values
         at = {f: f.evaluate_raw(values) for f in {f for lab in self.labels for f in lab.coords}}
-        return DenseMatrix._from_raw(ring, [[at[lab.coords[axis]] for lab in self.labels] for axis in range(3)])
+        return DenseMatrix(ring, [[at[lab.coords[axis]] for lab in self.labels] for axis in range(3)])
 
 
 class IncompleteMatrix:
@@ -255,31 +254,12 @@ class IncompleteMatrix:
     def __init__(
         self,
         ring: RingDescriptor,
-        entries: Sequence[Sequence[Scalar | None]],
+        raw_grid: Sequence[Sequence],
         row_labels: Sequence[Label] | None = None,
         col_labels: Sequence[Label] | None = None,
         system: PolySystem | None = None,
     ):
-        grid = []
-        for row in entries:
-            raw_row = []
-            for cell in row:
-                if cell is None:
-                    raw_row.append(None)
-                else:
-                    if cell.ring != ring:
-                        raise RingMismatchError("entry over a different ring")
-                    raw_row.append(cell.value)
-            grid.append(tuple(raw_row))
-        self._init_from_raw(ring, grid, row_labels, col_labels, system)
-
-    @classmethod
-    def _from_raw(cls, ring, raw_grid, row_labels=None, col_labels=None, system=None):
-        obj = cls.__new__(cls)
-        obj._init_from_raw(ring, [tuple(r) for r in raw_grid], row_labels, col_labels, system)
-        return obj
-
-    def _init_from_raw(self, ring, grid, row_labels, col_labels, system) -> None:
+        grid = [tuple(r) for r in raw_grid]
         if not grid or not grid[0]:
             raise ValueError("matrix needs positive dimensions")
         ncols = len(grid[0])
@@ -307,10 +287,6 @@ class IncompleteMatrix:
                 if v is None:
                     yield i, j
 
-    def entry(self, i: int, j: int) -> Scalar | None:
-        raw = self.raw_grid[i][j]
-        return None if raw is None else Scalar(self.ring, raw)
-
     def label_position(self, coords: tuple[Polynomial, Polynomial, Polynomial]) -> int:
         if self.row_labels is None:
             raise ValueError("matrix carries no labels")
@@ -334,7 +310,7 @@ class IncompleteMatrix:
             labels = [
                 Label(tuple(f.change_ring(ring) for f in lab.coords)) for lab in self.row_labels
             ]
-        return IncompleteMatrix._from_raw(ring, grid, labels, labels, system)
+        return IncompleteMatrix(ring, grid, labels, labels, system)
 
     def __eq__(self, other) -> bool:
         return (
@@ -379,14 +355,16 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
             w = weights.setdefault(p, 1 << 2 * len(weights))
             product[w] = p
             pw[i][j] = pw[j][i] = w
-    members = set(F.polynomials)
+    members = {frozenset(f.raw_terms) for f in F.polynomials}
     zero_raw = ring.canon(0)
 
     def classify(*ws: int):
-        delta = poly_sum([product[w] for w in ws])
-        if delta.is_constant:
-            return delta.raw_terms[0][1] if delta.raw_terms else zero_raw
-        return zero_raw if delta in members else None
+        delta = term_map_sum([product[w] for w in ws])
+        if not delta:
+            return zero_raw
+        if () in delta and len(delta) == 1:
+            return delta[()]
+        return zero_raw if frozenset(delta.items()) in members else None
 
     coord_idx = [
         (sigma.position(lab.coords[0]), sigma.position(lab.coords[1]), sigma.position(lab.coords[2]))
@@ -406,7 +384,7 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
             cell = cells[key] if key in cells else cells.setdefault(key, classify(wa, wb, wc))
             row_u[v] = cell
             grid[v][u] = cell
-    B = IncompleteMatrix._from_raw(ring, grid, labels, labels, F)
+    B = IncompleteMatrix(ring, grid, labels, labels, F)
     bad = unit_block_mismatch(B.raw_grid, B)
     if bad is not None:
         raise StructureError(f"unit-label submatrix broken at ({bad[0]},{bad[1]})")
@@ -416,7 +394,7 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
 def unit_label_positions(B: IncompleteMatrix) -> list[int]:
     """Positions of the unit labels E = (1,0,0), (0,1,0), (0,0,1) in B."""
     ring, num_vars = B.ring, B.system.num_vars
-    unit = Polynomial.constant(ring, num_vars, one(ring))
+    unit = Polynomial.constant(ring, num_vars, 1)
     z = Polynomial.zero(ring, num_vars)
     try:
         return [
@@ -442,12 +420,8 @@ def unit_block_mismatch(raw_rows, B: IncompleteMatrix) -> tuple[int, int] | None
     return None
 
 
-def _resolve_field(point: Assignment, F: PolySystem) -> RingDescriptor:
-    pr = point.ring
-    if pr is None:
-        pr = F.ring
-    if pr == ZZ:
-        pr = QQ
+def _resolve_field(point: Assignment) -> RingDescriptor:
+    pr = QQ if point.ring == ZZ else point.ring
     if not pr.is_field:
         raise ValueError(f"completions are certified over fields, not {pr}")
     return pr
@@ -468,11 +442,11 @@ def completion_witness(
     d of U's denominators (1 over GF(p)), so each cell of W = V^T V / d^2
     is an integer dot product, and equal products share one value.
     """
-    field = _resolve_field(point, F)
+    field = _resolve_field(point)
     if len(point) != F.num_vars:
         raise ValueError("solution length does not match the variable count")
     Ff = F.change_ring(field)
-    vals = tuple(Scalar(field, v.value) for v in point.values)
+    vals = tuple(field.canon(v) for v in point.values)
     bad = Ff.first_violation(vals)
     if bad is not None:
         raise VerificationError(f"not a solution: {bad[0]} evaluates to {bad[1]}")
@@ -482,7 +456,7 @@ def completion_witness(
         B = B.change_ring(field)
     if B.row_labels is None:
         raise ValueError("matrix carries no labels")
-    u = SymbolicU(B.row_labels).evaluate(Assignment(vals), field).raw_grid
+    u = SymbolicU(B.row_labels).evaluate(Assignment(field, vals), field).raw_grid
     d = lcm(*(v.denominator for row in u for v in row))
     r0, r1, r2 = ([v.numerator * (d // v.denominator) for v in row] for row in u)
     dd = d * d
@@ -509,5 +483,5 @@ def completion_witness(
                     f"completion disagrees with the gadget matrix at ({i},{j}): "
                     f"{gi[j]} != {expect}"
                 )
-    return DenseMatrix._from_raw(field, grid)
+    return DenseMatrix(field, grid)
 

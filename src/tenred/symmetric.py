@@ -16,8 +16,8 @@ build_L_pi, symmetric_upper_witness) check their own result.  All sums go
 through one raw-value kernel, sum_sym_decomposition_raw.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
-storage itself enforces symmetry; constructing one from conflicting
-permuted entries is an error, never a silent overwrite.
+storage itself enforces symmetry; the reader of a symtensor file refuses
+conflicting permuted entries, never overwriting one silently.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import FieldTooSmallError, RingMismatchError, StructureError, VerificationError
-from .rings import RingDescriptor, Scalar
+from .rings import RingDescriptor
 from .tensors import Decomposition, Tensor3, first_mismatch
 
 LETTERS = ("I", "J", "K")
@@ -100,53 +100,21 @@ def padding_terms(n: int) -> int:
 
 
 class SymTensor:
-    """An immutable symmetric order-3 tensor, sparse on canonical triples."""
+    """An immutable symmetric order-3 tensor, sparse on canonical triples:
+    ``entries`` maps i <= j <= k below ``size`` to a canonical nonzero raw
+    value, as the constructor trusts it to, and ``index_names`` is a tuple
+    of distinct names."""
 
     __slots__ = ("ring", "index_names", "entries")
 
-    def __init__(self, ring: RingDescriptor, index_names: Sequence[str], entries: dict[Key, Scalar]):
-        names = tuple(index_names)
-        if len(set(names)) != len(names):
-            raise ValueError("index names must be unique")
-        size = len(names)
-        seen: dict[Key, object] = {}
-        for key, s in entries.items():
-            if any(not 0 <= i < size for i in key):
-                raise ValueError(f"entry {key} outside {size} indices")
-            if s.ring != ring:
-                raise RingMismatchError("entry over a different ring")
-            canon = tuple(sorted(key))
-            if canon in seen and seen[canon] != s.value:
-                raise ValueError(
-                    f"conflicting values for permutations of {canon}: "
-                    f"{seen[canon]} and {s.value}"
-                )
-            seen[canon] = s.value
+    def __init__(self, ring: RingDescriptor, index_names: tuple[str, ...], entries: dict[Key, object]):
         self.ring = ring
-        self.index_names = names
-        self.entries = {k: v for k, v in seen.items() if v}
-
-    @classmethod
-    def _from_raw(cls, ring: RingDescriptor, index_names: tuple[str, ...], raw: dict[Key, object]) -> "SymTensor":
-        obj = cls.__new__(cls)
-        obj.ring = ring
-        obj.index_names = index_names
-        obj.entries = raw
-        return obj
-
-    @classmethod
-    def zeros(cls, ring: RingDescriptor, index_names: Sequence[str]) -> "SymTensor":
-        return cls(ring, index_names, {})
+        self.index_names = index_names
+        self.entries = entries
 
     @property
     def size(self) -> int:
         return len(self.index_names)
-
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return Scalar(self.ring, self.entries.get(tuple(sorted((i, j, k))), 0))
-
-    def items(self) -> list[tuple[Key, Scalar]]:
-        return [(key, Scalar(self.ring, v)) for key, v in sorted(self.entries.items())]
 
     @property
     def nnz(self) -> int:
@@ -311,7 +279,7 @@ def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dim != T.size:
         raise ValueError(f"decomposition dimension {D.dim} != tensor size {T.size}")
-    return first_mismatch(T.entries, sum_sym_decomposition_raw(D), T.ring)
+    return first_mismatch(T.entries, sum_sym_decomposition_raw(D))
 
 
 def embed_S(T: Tensor3) -> SymTensor:
@@ -325,7 +293,7 @@ def embed_S(T: Tensor3) -> SymTensor:
     if T.dims != (n, n, n):
         raise ValueError(f"embedding needs a cubical tensor, got {T.dims}")
     raw = {(a, n + b, 2 * n + c): v for (a, b, c), v in T.entries.items()}
-    return SymTensor._from_raw(T.ring, block_names(n), raw)
+    return SymTensor(T.ring, block_names(n), raw)
 
 
 def build_curly_T(S: SymTensor, n: int) -> SymTensor:
@@ -347,7 +315,7 @@ def build_curly_T(S: SymTensor, n: int) -> SymTensor:
         raw[(ap, aq, pos)] = one_raw
         raw[(aq, aq, pos)] = one_raw
         pos += 1
-    return SymTensor._from_raw(S.ring, S.index_names + padded_names(n)[3 * n:], raw)
+    return SymTensor(S.ring, S.index_names + padded_names(n)[3 * n:], raw)
 
 
 def require_big_field(ring: RingDescriptor) -> None:
@@ -366,7 +334,7 @@ def pair_target(ring: RingDescriptor, a) -> SymTensor:
     raw = {(0, 0, 1): ring.canon(1)}
     if a:
         raw[(0, 0, 0)] = a
-    return SymTensor._from_raw(ring, ("v1", "v2"), raw)
+    return SymTensor(ring, ("v1", "v2"), raw)
 
 
 def _q_candidates(ring: RingDescriptor):
@@ -519,7 +487,7 @@ def build_L_pi(U: SymTensor, pi: PairIndex):
 
     # w_z at each sorted (r, s, z), r and s in the pair; z is neither
     raw = {tuple(sorted((r, s_, z))): val for r in (ap, aq) for s_ in (ap, aq) for z, val in w_nz.items()}
-    tensor = SymTensor._from_raw(ring, names, raw)
+    tensor = SymTensor(ring, names, raw)
 
     u = {ap: one_raw, aq: one_raw}
     deco = SymDecomposition(ring, size, sym_pair_decompose(ring, u, w_nz, ring.canon(0)))
@@ -651,7 +619,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
         x, y, z = min(mixed)
         raise VerificationError(f"decomposition does not sum to the tensor at {(x, y - n, z - 2 * n)}")
 
-    raw.extend(_upper_terms(SymTensor._from_raw(ring, S.index_names, resid), n).raw)
+    raw.extend(_upper_terms(SymTensor(ring, S.index_names, resid), n).raw)
     deco = SymDecomposition(ring, size, raw)
     ok, mismatch = verify_symmetric_decomposition(build_curly_T(S, n), deco)
     if not ok:

@@ -14,46 +14,23 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import RingMismatchError, StructureError, VerificationError
 from .linalg import DenseMatrix
-from .rings import RingDescriptor, Scalar, ZZ, one
+from .rings import RingDescriptor, ZZ
 from .sigma import IncompleteMatrix
 
 Key = tuple[int, int, int]
 
 
 class Tensor3:
-    """An immutable order-3 tensor over one ring, sparse by entry."""
+    """An immutable order-3 tensor over one ring, sparse by entry: ``entries``
+    maps (i, j, k) within ``dims`` to a canonical nonzero raw value, as the
+    constructor trusts it to."""
 
     __slots__ = ("ring", "dims", "entries")
 
-    def __init__(self, ring: RingDescriptor, dims: tuple[int, int, int], entries: dict[Key, Scalar]):
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValueError("dimensions must be three positive counts")
-        raw: dict[Key, object] = {}
-        for (i, j, k), s in entries.items():
-            if not (0 <= i < dims[0] and 0 <= j < dims[1] and 0 <= k < dims[2]):
-                raise ValueError(f"entry ({i},{j},{k}) outside {dims}")
-            if s.ring != ring:
-                raise RingMismatchError("entry over a different ring")
-            if not s.is_zero:
-                raw[(i, j, k)] = s.value
+    def __init__(self, ring: RingDescriptor, dims: tuple[int, int, int], entries: dict[Key, object]):
         self.ring = ring
-        self.dims = (dims[0], dims[1], dims[2])
-        self.entries = raw
-
-    @classmethod
-    def _from_raw(cls, ring: RingDescriptor, dims: tuple[int, int, int], raw: dict[Key, object]) -> "Tensor3":
-        obj = cls.__new__(cls)
-        obj.ring = ring
-        obj.dims = dims
-        obj.entries = raw
-        return obj
-
-    @classmethod
-    def zeros(cls, ring: RingDescriptor, dims: tuple[int, int, int]) -> "Tensor3":
-        return cls(ring, dims, {})
-
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return Scalar(self.ring, self.entries.get((i, j, k), 0))
+        self.dims = dims
+        self.entries = entries
 
     @property
     def nnz(self) -> int:
@@ -63,16 +40,13 @@ class Tensor3:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def items(self) -> list[tuple[Key, Scalar]]:
-        return [(key, Scalar(self.ring, v)) for key, v in sorted(self.entries.items())]
-
     def change_ring(self, ring: RingDescriptor) -> "Tensor3":
         """Embed an integer tensor into Q or GF(p); identity otherwise."""
         if ring == self.ring:
             return self
         if self.ring != ZZ:
             raise ValueError(f"no entry map from {self.ring} to {ring}")
-        return Tensor3._from_raw(ring, self.dims, ring.canon_map(self.entries))
+        return Tensor3(ring, self.dims, ring.canon_map(self.entries))
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,7 +75,7 @@ def slice_matrix(T: Tensor3, axis: int, index: int) -> DenseMatrix:
             grid[i][k] = v
         elif axis == 3 and k == index:
             grid[i][j] = v
-    return DenseMatrix._from_raw(T.ring, grid)
+    return DenseMatrix(T.ring, grid)
 
 
 class Decomposition:
@@ -178,11 +152,11 @@ def verify_decomposition(T: Tensor3, D: Decomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dims != T.dims:
         raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
-    return first_mismatch(T.entries, sum_decomposition_raw(D), T.ring)
+    return first_mismatch(T.entries, sum_decomposition_raw(D))
 
 
-def first_mismatch(want: dict, got: dict, ring: RingDescriptor):
-    """(ok, first mismatch) of two sparse raw-value maps over ``ring``.
+def first_mismatch(want: dict, got: dict):
+    """(ok, first mismatch) of two sparse maps of canonical raw values.
 
     The mismatch, when present, is (key, expected, actual) at the smallest
     key where the maps disagree, an absent key reading as zero.
@@ -190,7 +164,7 @@ def first_mismatch(want: dict, got: dict, ring: RingDescriptor):
     if got == want:
         return True, None
     key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    return False, (key, Scalar(ring, want.get(key, 0)), Scalar(ring, got.get(key, 0)))
+    return False, (key, want.get(key, 0), got.get(key, 0))
 
 
 @dataclass(frozen=True)
@@ -227,10 +201,10 @@ def build_derksen(B: IncompleteMatrix) -> DerksenInstance:
         for j, v in enumerate(row):
             if v is not None and v != 0:
                 raw[(i, j, 0)] = v
-    one_raw = one(B.ring).value
+    one_raw = B.ring.canon(1)
     for t, (i, j) in enumerate(B.stars(), start=1):
         raw[(i, j, t)] = one_raw
-    tensor = Tensor3._from_raw(B.ring, (B.nrows, B.ncols, B.tau + 1), raw)
+    tensor = Tensor3(B.ring, (B.nrows, B.ncols, B.tau + 1), raw)
     return DerksenInstance(tensor, B.tau, B)
 
 
@@ -277,7 +251,7 @@ def derksen_witness(
                     f"completion disagrees with the matrix at ({i},{j}): "
                     f"{ci[j]} != {bi[j]}"
                 )
-    one_raw = one(ring).value
+    one_raw = ring.canon(1)
     slice0 = {0: one_raw}
     gram = [
         ({i: v for i, v in enumerate(pm) if v}, {j: v for j, v in enumerate(lm) if v}, slice0)
@@ -330,7 +304,7 @@ def slice_reduce(T: Tensor3, k: int, lam: DenseMatrix) -> Tensor3:
                 cur = acc.get(key)
                 delta = c * v
                 acc[key] = -delta if cur is None else cur - delta
-    return Tensor3._from_raw(T.ring, (T.dims[0], T.dims[1], k), T.ring.canon_map(acc))
+    return Tensor3(T.ring, (T.dims[0], T.dims[1], k), T.ring.canon_map(acc))
 
 
 def pad_cubical(T: Tensor3) -> Tensor3:
@@ -338,4 +312,4 @@ def pad_cubical(T: Tensor3) -> Tensor3:
     m = max(T.dims)
     if T.dims == (m, m, m):
         return T
-    return Tensor3._from_raw(T.ring, (m, m, m), dict(T.entries))
+    return Tensor3(T.ring, (m, m, m), dict(T.entries))

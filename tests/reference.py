@@ -1,7 +1,7 @@
-"""Reference helpers that only the tests use: matrix products and inverses,
-nested and term-map constructors, and star and symmetry predicates.  The
-package itself never needs them, so they live here, beside the tests that
-check against them."""
+"""Reference helpers that only the tests use: constructors from plain ints
+and Fractions, matrix products and inverses, nested and term-map
+constructors, and star and symmetry predicates.  The package itself never
+needs them, so they live here, beside the tests that check against them."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ from typing import Sequence
 
 from tenred.errors import RingMismatchError, SingularMatrixError
 from tenred.linalg import DenseMatrix
-from tenred.polysys import Exponents, Monomial, Polynomial, _grlex_key
-from tenred.rings import RingDescriptor, Scalar
+from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
+from tenred.rings import RingDescriptor
 from tenred.sigma import IncompleteMatrix
+from tenred.symmetric import SymTensor
 from tenred.tensors import Tensor3
 
 
@@ -20,8 +21,27 @@ def vec(ring: RingDescriptor, values: Sequence) -> dict:
     return ring.canon_map(dict(enumerate(values)))
 
 
+def point(ring: RingDescriptor, values: Sequence) -> Assignment:
+    """The point whose coordinates are the images of ``values`` in the ring."""
+    return Assignment(ring, tuple(ring.canon(v) for v in values))
+
+
+def dense(ring: RingDescriptor, rows: Sequence[Sequence]) -> DenseMatrix:
+    """The matrix of the images of nested ints or Fractions in the ring."""
+    return DenseMatrix(ring, [[ring.canon(v) for v in r] for r in rows])
+
+
+def identity(ring: RingDescriptor, n: int) -> DenseMatrix:
+    return dense(ring, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def sym_entry(S: SymTensor, i: int, j: int, k: int):
+    """The raw value of a symmetric tensor at any ordering of (i, j, k)."""
+    return S.entries.get(tuple(sorted((i, j, k))), 0)
+
+
 def transpose(m: DenseMatrix) -> DenseMatrix:
-    return DenseMatrix._from_raw(m.ring, list(zip(*m.raw_grid)))
+    return DenseMatrix(m.ring, list(zip(*m.raw_grid)))
 
 
 def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -32,31 +52,33 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     canon = a.ring.canon
     cols = list(zip(*b.raw_grid))
     out = [[canon(sum(x * y for x, y in zip(r, c))) for c in cols] for r in a.raw_grid]
-    return DenseMatrix._from_raw(a.ring, out)
+    return DenseMatrix(a.ring, out)
 
 
 def inverse_3x3(m: DenseMatrix) -> DenseMatrix:
     """Exact inverse of a 3x3 matrix over a field, via the adjugate."""
     if m.nrows != 3 or m.ncols != 3:
         raise ValueError("inverse_3x3 expects a 3x3 matrix")
-    if not m.ring.is_field:
+    ring = m.ring
+    if not ring.is_field:
         raise ValueError("inversion requested over a non-field ring")
-    a = m.rows
+    a = m.raw_grid
 
-    def cof(i: int, j: int) -> Scalar:
+    def cof(i: int, j: int):
         r = [k for k in range(3) if k != i]
         c = [k for k in range(3) if k != j]
         minor = a[r[0]][c[0]] * a[r[1]][c[1]] - a[r[0]][c[1]] * a[r[1]][c[0]]
-        return minor if (i + j) % 2 == 0 else -minor
+        return ring.canon(minor if (i + j) % 2 == 0 else -minor)
 
-    det = a[0][0] * cof(0, 0) + a[0][1] * cof(0, 1) + a[0][2] * cof(0, 2)
-    if det.is_zero:
+    det = ring.canon(a[0][0] * cof(0, 0) + a[0][1] * cof(0, 1) + a[0][2] * cof(0, 2))
+    if not det:
         raise SingularMatrixError("3x3 matrix is singular")
-    dinv = det.inverse()
-    return DenseMatrix(m.ring, [[cof(j, i) * dinv for j in range(3)] for i in range(3)])
+    dinv = ring.inverse(det)
+    return DenseMatrix(ring, [[ring.canon(cof(j, i) * dinv) for j in range(3)] for i in range(3)])
 
 
-def tensor_from_nested(ring: RingDescriptor, grid: Sequence[Sequence[Sequence[Scalar]]]) -> Tensor3:
+def tensor_from_nested(ring: RingDescriptor, grid: Sequence[Sequence[Sequence]]) -> Tensor3:
+    """The tensor of the images of a nested list of ints or Fractions."""
     dims = (len(grid), len(grid[0]), len(grid[0][0]))
     entries = {
         (i, j, k): grid[i][j][k]
@@ -64,14 +86,13 @@ def tensor_from_nested(ring: RingDescriptor, grid: Sequence[Sequence[Sequence[Sc
         for j in range(dims[1])
         for k in range(dims[2])
     }
-    return Tensor3(ring, dims, entries)
+    return Tensor3(ring, dims, ring.canon_map(entries))
 
 
-def polynomial_from_term_map(
-    ring: RingDescriptor, num_vars: int, term_map: dict[Exponents, Scalar]
-) -> Polynomial:
+def polynomial_from_term_map(ring: RingDescriptor, num_vars: int, term_map: dict[Exponents, object]) -> Polynomial:
+    """The polynomial of a map of exponents to canonical raw values, zeros dropped."""
     items = sorted(term_map.items(), key=lambda it: _grlex_key(it[0]), reverse=True)
-    return Polynomial(ring, num_vars, [Monomial(c, e) for e, c in items if not c.is_zero])
+    return Polynomial(ring, num_vars, tuple((e, c) for e, c in items if c))
 
 
 def is_star(M: IncompleteMatrix, i: int, j: int) -> bool:

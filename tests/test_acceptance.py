@@ -29,8 +29,8 @@ from tenred.oracle import (
     symmetric_rank_bruteforce,
     tensor_rank_bruteforce,
 )
-from tenred.polysys import Assignment, CnfFormula, PolySystem, encode_3sat, parse_polynomial
-from tenred.rings import GF, QQ, ZZ, Scalar
+from tenred.polysys import CnfFormula, PolySystem, encode_3sat, parse_polynomial
+from tenred.rings import GF, QQ
 from tenred.sigma import (
     IncompleteMatrix,
     SymbolicU,
@@ -55,7 +55,7 @@ from tenred.tensors import (
     sum_decomposition_raw,
     verify_decomposition,
 )
-from reference import inverse_3x3, matmul, transpose, vec
+from reference import inverse_3x3, matmul, point, transpose, vec
 from test_jsonio import tensor_file
 from test_sigma import extract_solution
 
@@ -102,24 +102,21 @@ def _rational_solutions(F):
     # scanning that range is exhaustive
     out = []
     for t in range(-2, 3):
-        if F.first_violation((Scalar(QQ, t),)) is None:
+        if F.first_violation((QQ.canon(t),)) is None:
             out.append(t)
     return out
 
 
 def _field_solutions(F):
-    return [[v.value for v in a.values] for a in solve_system_bruteforce(F)]
+    return [list(a.values) for a in solve_system_bruteforce(F)]
 
 
 def _random_invertible(ring, rng):
     while True:
         if ring == QQ:
-            rows = [[Scalar(ring, rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
+            rows = [[ring.canon(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
         else:
-            rows = [
-                [Scalar(ring, rng.randrange(ring.modulus)) for _ in range(3)]
-                for _ in range(3)
-            ]
+            rows = [[rng.randrange(ring.modulus) for _ in range(3)] for _ in range(3)]
         g = DenseMatrix(ring, rows)
         if matrix_rank(g) == 3:
             return g
@@ -134,7 +131,7 @@ def _two_by_two_family():
             for values in itertools.product((0, 1), repeat=len(free)):
                 cells = [None] * 4
                 for p, v in zip(free, values):
-                    cells[p] = Scalar(ring, v)
+                    cells[p] = v
                 out.append(IncompleteMatrix(ring, [cells[:2], cells[2:]]))
     return out
 
@@ -150,9 +147,9 @@ def _slice_lemma_family():
                 for i in range(2):
                     for j in range(2):
                         if payload[2 * i + j]:
-                            entries[(i, j, 0)] = Scalar(ring, 1)
+                            entries[(i, j, 0)] = 1
                         if u[i] * v[j]:
-                            entries[(i, j, 1)] = Scalar(ring, 1)
+                            entries[(i, j, 1)] = 1
                 family.append(Tensor3(ring, (2, 2, 2), entries))
     return family
 
@@ -174,7 +171,7 @@ def _random_cubic_instances():
                 vecs.append(vec(ring, entries))
             terms.append(tuple(vecs))
         D = Decomposition(ring, (2, 2, 2), terms)
-        T = Tensor3._from_raw(ring, (2, 2, 2), sum_decomposition_raw(D))
+        T = Tensor3(ring, (2, 2, 2), sum_decomposition_raw(D))
         out.append((T, D))
     return out
 
@@ -231,7 +228,7 @@ def test_criterion_03_rank3_completions(capsys, system_q, system_gf11):
             assert solutions == ([0, 1] if F.ring == QQ else [[4], [8]])
             for sol in solutions:
                 values = sol if isinstance(sol, list) else [sol]
-                xi = Assignment.from_ints(F.ring, values)
+                xi = point(F.ring, values)
                 W = completion_witness(F, xi, B=B)
                 raw = W.raw_rows()
                 for i in range(B.nrows):
@@ -250,7 +247,7 @@ def test_criterion_04_extraction_round_trip(capsys, system_q, system_gf11):
             (system_gf11, ([4], [8])),
         ):
             for values in solutions:
-                xi = Assignment.from_ints(F.ring, values)
+                xi = point(F.ring, values)
                 U = SymbolicU(B.row_labels).evaluate(xi, F.ring)
                 for _ in range(20):
                     g = _random_invertible(F.ring, rng)
@@ -265,7 +262,7 @@ def test_criterion_05_star_slice_witness(capsys, system_q, system_gf11):
         for (F, B), first in ((system_q, 0), (system_gf11, 4)):
             t0 = time.monotonic()
             inst = build_derksen(B)
-            xi = Assignment.from_ints(F.ring, [first])
+            xi = point(F.ring, [first])
             W = completion_witness(F, xi, B=B)
             U = SymbolicU(B.row_labels).evaluate(xi, F.ring)
             D = derksen_witness(inst, W, U, U)
@@ -328,13 +325,11 @@ def test_criterion_09_encoder_fidelity(capsys):
         for clause in ((0, 1, 2), (0, 1), (0,)):
             system = encode_3sat(CnfFormula(3, (clause,), ()))
             for bits in itertools.product((0, 1), repeat=3):
-                point = [Scalar(ZZ, b) for b in bits]
-                solves = system.first_violation(point) is None
+                solves = system.first_violation(bits) is None
                 assert solves == any(bits[v] for v in clause)
         system = encode_3sat(CnfFormula(2, (), ((0, 1),)))
         for bits in itertools.product((0, 1), repeat=2):
-            point = [Scalar(ZZ, b) for b in bits]
-            assert (system.first_violation(point) is None) == (bits[0] != bits[1])
+            assert (system.first_violation(bits) is None) == (bits[0] != bits[1])
 
         formulas = [
             CnfFormula(3, ((0, 1, 2),), ()),
@@ -347,7 +342,7 @@ def test_criterion_09_encoder_fidelity(capsys):
             expected = sorted(_sat_bits(formula))
             for ring in (GF(2), GF(11)):
                 F = encode_3sat(formula).change_ring(ring)
-                got = sorted(tuple(v.value for v in a.values) for a in solve_system_bruteforce(F))
+                got = sorted(a.values for a in solve_system_bruteforce(F))
                 assert got == expected
 
 

@@ -18,7 +18,7 @@ from tenred.jsonio import (
 )
 from tenred.oracle import symmetric_rank_bruteforce, tensor_rank_bruteforce
 from tenred.polysys import PolySystem, parse_polynomial
-from tenred.rings import GF, QQ, ZZ, Scalar
+from tenred.rings import GF, QQ, ZZ
 from tenred.sigma import IncompleteMatrix, build_B
 from tenred.symmetric import SymTensor
 from tenred.tensors import build_derksen
@@ -228,10 +228,7 @@ def test_oracle_minrank_budget(tmp_path):
 
 def test_oracle_rank_of_reduced_tensor(tmp_path, capsys):
     ring = GF(2)
-    B = IncompleteMatrix(
-        ring,
-        [[Scalar(ring, 1), None], [Scalar(ring, 0), Scalar(ring, 1)]],
-    )
+    B = IncompleteMatrix(ring, [[1, None], [0, 1]])
     T = build_derksen(B).tensor
     f = _write(tmp_path / "t.json", canonical_dumps(tensor_file(T)))
     assert main(["oracle", "rank", f]) == 0
@@ -243,7 +240,7 @@ def test_oracle_rank_of_reduced_tensor(tmp_path, capsys):
 
 def test_oracle_srank_small(tmp_path, capsys):
     ring = GF(11)
-    S = SymTensor(ring, ("a", "b"), {(1, 1, 1): Scalar(ring, 2)})
+    S = SymTensor(ring, ("a", "b"), {(1, 1, 1): 2})
     f = _write(tmp_path / "s.json", canonical_dumps(symtensor_file(S)))
     assert main(["oracle", "srank", f]) == 0
     res = _stdout_json(capsys)
@@ -253,7 +250,7 @@ def test_oracle_srank_small(tmp_path, capsys):
 
 def test_oracle_srank_over_capability(tmp_path):
     ring = GF(11)
-    S = SymTensor(ring, ("a", "b", "c", "d"), {(0, 0, 0): Scalar(ring, 1)})
+    S = SymTensor(ring, ("a", "b", "c", "d"), {(0, 0, 0): 1})
     f = _write(tmp_path / "s.json", canonical_dumps(symtensor_file(S)))
     assert main(["oracle", "srank", f]) == 5
 
@@ -302,7 +299,7 @@ def test_verify_dimension_mismatch(tmp_path):
 def test_verify_kind_mismatch(tmp_path):
     sysf = _write_system(tmp_path / "sys.json", ["x1"], 1, GF(2))
     ring = GF(2)
-    B = IncompleteMatrix(ring, [[Scalar(ring, 1), None]])
+    B = IncompleteMatrix(ring, [[1, None]])
     with pytest.raises(ValueError):
         completion_instance_file(B)
     wit = _write(
@@ -551,8 +548,8 @@ def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
     def broken_unit_block(F, point, B=None):
         W = real(F, point, B=B)
         e = sigma.unit_label_positions(B)[0]
-        rows = [list(r) for r in W.rows]
-        rows[e][e] = Scalar(W.ring, 2)
+        rows = W.raw_rows()
+        rows[e][e] = W.ring.canon(2)
         return type(W)(W.ring, rows)
 
     monkeypatch.setattr(certify, "completion_witness", broken_unit_block)
@@ -1257,7 +1254,7 @@ def test_polysystem_mutations_never_trace_back(tmp_path_factory, data):
 
 def _derksen_2x2_tensor():
     ring = GF(2)
-    B = IncompleteMatrix(ring, [[Scalar(ring, 1), None], [Scalar(ring, 0), Scalar(ring, 1)]])
+    B = IncompleteMatrix(ring, [[1, None], [0, 1]])
     return tensor_file(build_derksen(B).tensor)
 
 
@@ -1283,7 +1280,7 @@ ORACLE_PINS = {
     ),
     "srank-cube-gf11": (
         "srank",
-        lambda: symtensor_file(SymTensor(GF(11), ("a", "b"), {(1, 1, 1): Scalar(GF(11), 2)})),
+        lambda: symtensor_file(SymTensor(GF(11), ("a", "b"), {(1, 1, 1): 2})),
         '{"exhausted":true,"format_version":1,"kind":"oracle_result","lower_bound":1,"oracle":"srank","value":1,'
         '"witness":[{"s":"2","v":[[1,"1"]]}]}\n',
     ),
@@ -1309,7 +1306,7 @@ def _cubes_gf101():
     """x^3 + y^3 + z^3 over GF(101): 10,303 directions, no decomposition of
     one or two cubes."""
     r = GF(101)
-    return symtensor_file(SymTensor(r, ("x", "y", "z"), {(i, i, i): Scalar(r, 1) for i in range(3)}))
+    return symtensor_file(SymTensor(r, ("x", "y", "z"), {(i, i, i): 1 for i in range(3)}))
 
 
 def _bare_40x1x1_gf2():
@@ -1347,31 +1344,59 @@ _tensor_w = ORACLE_PINS["rank-readme-w"][1]
 _symtensor_pair_target = ORACLE_PINS["srank-pair-target-gf11"][1]
 
 
-def _set_index(value):
+def _set_index(value, position=0):
     def edit(obj):
-        obj["entries"][0][0] = value
+        obj["entries"][0][position] = value
     return edit
 
 
+_BARE = {"tensor": ("rank", _tensor_w), "symtensor": ("srank", _symtensor_pair_target)}
+_BARE_EDITS = {
+    "index-true": _set_index(True),
+    "index-float": _set_index(1.0),
+    "index-half": _set_index(0.5),
+    "repeated-key": lambda obj: obj["entries"].append([*obj["entries"][0][:3], "0"]),
+    "unknown-field": lambda obj: obj.update(comment="x"),
+}
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "kind, edit, message",
     [
-        _set_index(True),
-        _set_index(1.0),
-        _set_index(0.5),
-        lambda obj: obj["entries"].append([*obj["entries"][0][:3], "0"]),
-        lambda obj: obj.update(comment="x"),
+        *(pytest.param(kind, edit, None, id=f"{kind}-{name}") for kind in _BARE for name, edit in _BARE_EDITS.items()),
+        # the readers refuse what would break the trusted Tensor3 and SymTensor
+        pytest.param("tensor", _set_index(2, 2), "entry (0,0,2) outside (2, 2, 2)", id="tensor-entry-outside-dims"),
+        pytest.param(
+            "tensor", lambda obj: obj.update(dims=[2, 0, 2]), "dimensions must be three positive counts", id="tensor-zero-dim"
+        ),
+        pytest.param(
+            "symtensor", _set_index(2, 2), "entry (0, 0, 2) outside 2 indices", id="symtensor-entry-outside-indices"
+        ),
+        pytest.param(
+            "symtensor",
+            lambda obj: obj["entries"].append([0, 1, 0, "2"]),
+            "conflicting values for permutations of (0, 0, 1): 1 and 2",
+            id="symtensor-conflicting-permutations",
+        ),
+        pytest.param(
+            "symtensor",
+            lambda obj: obj.update(index_names=["v1", "v1"]),
+            "index names must be unique",
+            id="symtensor-repeated-name",
+        ),
     ],
-    ids=["index-true", "index-float", "index-half", "repeated-key", "unknown-field"],
 )
-@pytest.mark.parametrize("which, make", [("rank", _tensor_w), ("srank", _symtensor_pair_target)], ids=["tensor", "symtensor"])
-def test_malformed_bare_file_exits_2(which, make, edit, tmp_path, capsys):
+def test_malformed_bare_file_exits_2(kind, edit, message, tmp_path, capsys):
+    which, make = _BARE[kind]
     obj = make()
     edit(obj)
     badf = _write(tmp_path / "bad.json", canonical_dumps(obj))
     capsys.readouterr()
     assert main(["oracle", which, badf]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if message is not None:
+        assert err == f"error: {message} (at position 0)\n"
 
 
 _INDEX = st.integers(-1, 3) | st.booleans() | st.floats(-1, 3) | st.text(max_size=2) | st.none()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from tenred.errors import RingMismatchError, SingularMatrixError
 from tenred.linalg import DenseMatrix, factors_through_units, matrix_rank, rank_raw
-from tenred.rings import GF, QQ, ZZ, Scalar, one, zero
+from tenred.rings import GF, QQ, ZZ
 
-from reference import inverse_3x3, matmul, transpose
+from reference import dense, identity, inverse_3x3, matmul, transpose
 
 
 def minor_rank(m: DenseMatrix) -> int:
@@ -21,23 +21,23 @@ def minor_rank(m: DenseMatrix) -> int:
     """
 
     def det(rows, cols):
-        total = zero(m.ring)
+        total = 0
         for perm in itertools.permutations(range(len(rows))):
             sign = 1
             for i in range(len(perm)):
                 for j in range(i + 1, len(perm)):
                     if perm[i] > perm[j]:
                         sign = -sign
-            term = one(m.ring) if sign == 1 else -one(m.ring)
+            term = sign
             for i, jp in enumerate(perm):
-                term = term * m.entry(rows[i], cols[jp])
+                term = term * m.raw_grid[rows[i]][cols[jp]]
             total = total + term
-        return total
+        return m.ring.canon(total)
 
     for k in range(min(m.nrows, m.ncols), 0, -1):
         for rows in itertools.combinations(range(m.nrows), k):
             for cols in itertools.combinations(range(m.ncols), k):
-                if not det(rows, cols).is_zero:
+                if det(rows, cols):
                     return k
     return 0
 
@@ -46,7 +46,7 @@ def test_rank_matches_minor_oracle_exhaustive_gf2():
     ring = GF(2)
     for bits in range(2 ** 9):
         vals = [(bits >> k) & 1 for k in range(9)]
-        m = DenseMatrix.from_ints(ring, [vals[0:3], vals[3:6], vals[6:9]])
+        m = dense(ring, [vals[0:3], vals[3:6], vals[6:9]])
         assert matrix_rank(m) == minor_rank(m)
 
 
@@ -56,24 +56,24 @@ def test_rank_matches_minor_oracle_sampled(ring):
     for _ in range(40):
         nr = rng.randint(1, 4)
         nc = rng.randint(1, 4)
-        m = DenseMatrix.from_ints(
+        m = dense(
             ring, [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
         )
         assert matrix_rank(m) == minor_rank(m)
 
 
 def test_rank_known_values():
-    assert matrix_rank(DenseMatrix.identity(QQ, 4)) == 4
-    assert matrix_rank(DenseMatrix.zeros(ZZ, 3, 5)) == 0
-    m = DenseMatrix.from_ints(ZZ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    assert matrix_rank(identity(QQ, 4)) == 4
+    assert matrix_rank(dense(ZZ, [[0] * 5] * 3)) == 0
+    m = dense(ZZ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert matrix_rank(m) == 2
-    assert matrix_rank(DenseMatrix.from_ints(GF(2), [[1, 1], [1, 1]])) == 1
+    assert matrix_rank(dense(GF(2), [[1, 1], [1, 1]])) == 1
 
 
 def test_rank_integer_matrix_over_fraction_field():
-    m = DenseMatrix.from_ints(ZZ, [[2, 4], [1, 2]])
+    m = dense(ZZ, [[2, 4], [1, 2]])
     assert matrix_rank(m) == 1
-    m2 = DenseMatrix.from_ints(ZZ, [[2, 0], [0, 3]])
+    m2 = dense(ZZ, [[2, 0], [0, 3]])
     assert matrix_rank(m2) == 2
 
 
@@ -82,8 +82,8 @@ def test_rank_raw_agrees_with_matrix_rank():
     for ring in (ZZ, QQ, GF(7)):
         for _ in range(20):
             rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(4)]
-            m = DenseMatrix.from_ints(ring, rows)
-            raw = [[Scalar(ring, v).value for v in r] for r in rows]
+            m = dense(ring, rows)
+            raw = [[ring.canon(v) for v in r] for r in rows]
             assert rank_raw(raw, ring) == matrix_rank(m)
 
 
@@ -129,7 +129,7 @@ def test_rank_raw_over_q_with_denominators():
     for _ in range(150):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = _rational_rows(rng, nr, nc)
-        m = DenseMatrix(QQ, [[Scalar(QQ, v) for v in r] for r in rows])
+        m = DenseMatrix(QQ, rows)
         want = minor_rank(m)
         assert rank_raw([list(r) for r in rows], QQ) == want
         assert matrix_rank(m) == want
@@ -147,53 +147,51 @@ def test_rank_raw_over_q_larger_than_minors_reach():
 
 @given(st.integers(2, 4), st.integers(2, 4), st.randoms(use_true_random=False))
 def test_rank_invariances(nr, nc, rng):
-    m = DenseMatrix.from_ints(QQ, [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)])
+    m = dense(QQ, [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)])
     r = matrix_rank(m)
     assert matrix_rank(transpose(m)) == r
     perm = list(range(nr))
     rng.shuffle(perm)
-    assert matrix_rank(DenseMatrix(QQ, [m.row(i) for i in perm])) == r
-    scaled = DenseMatrix(QQ, [[v * Scalar(QQ, 3) for v in row] for row in m.rows])
+    assert matrix_rank(DenseMatrix(QQ, [m.raw_grid[i] for i in perm])) == r
+    scaled = DenseMatrix(QQ, [[v * 3 for v in row] for row in m.raw_grid])
     assert matrix_rank(scaled) == r
     assert r <= min(nr, nc)
 
 
 def test_matmul_and_transpose():
-    a = DenseMatrix.from_ints(ZZ, [[1, 2], [3, 4]])
-    b = DenseMatrix.from_ints(ZZ, [[5, 6], [7, 8]])
-    assert matmul(a, b) == DenseMatrix.from_ints(ZZ, [[19, 22], [43, 50]])
-    assert transpose(a) == DenseMatrix.from_ints(ZZ, [[1, 3], [2, 4]])
-    assert a.column(1) == (Scalar(ZZ, 2), Scalar(ZZ, 4))
+    a = dense(ZZ, [[1, 2], [3, 4]])
+    b = dense(ZZ, [[5, 6], [7, 8]])
+    assert matmul(a, b) == dense(ZZ, [[19, 22], [43, 50]])
+    assert transpose(a) == dense(ZZ, [[1, 3], [2, 4]])
+    assert tuple(row[1] for row in a.raw_grid) == (2, 4)
     with pytest.raises(ValueError):
-        matmul(a, DenseMatrix.from_ints(ZZ, [[1], [2], [3]]))
+        matmul(a, dense(ZZ, [[1], [2], [3]]))
     with pytest.raises(RingMismatchError):
-        matmul(a, DenseMatrix.from_ints(QQ, [[1, 0], [0, 1]]))
+        matmul(a, dense(QQ, [[1, 0], [0, 1]]))
 
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
         DenseMatrix(QQ, [])
     with pytest.raises(ValueError):
-        DenseMatrix.from_ints(QQ, [[1, 2], [3]])
-    with pytest.raises(RingMismatchError):
-        DenseMatrix(QQ, [[Scalar(ZZ, 1)]])
+        dense(QQ, [[1, 2], [3]])
 
 
 def test_inverse_3x3():
-    m = DenseMatrix.from_ints(QQ, [[2, 0, 1], [1, 1, 0], [0, 3, 1]])
+    m = dense(QQ, [[2, 0, 1], [1, 1, 0], [0, 3, 1]])
     inv = inverse_3x3(m)
-    assert matmul(m, inv) == DenseMatrix.identity(QQ, 3)
-    assert matmul(inv, m) == DenseMatrix.identity(QQ, 3)
+    assert matmul(m, inv) == identity(QQ, 3)
+    assert matmul(inv, m) == identity(QQ, 3)
 
-    f = DenseMatrix.from_ints(GF(7), [[1, 2, 3], [0, 1, 4], [5, 6, 0]])
-    assert matmul(f, inverse_3x3(f)) == DenseMatrix.identity(GF(7), 3)
+    f = dense(GF(7), [[1, 2, 3], [0, 1, 4], [5, 6, 0]])
+    assert matmul(f, inverse_3x3(f)) == identity(GF(7), 3)
 
     with pytest.raises(SingularMatrixError):
-        inverse_3x3(DenseMatrix.from_ints(QQ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
+        inverse_3x3(dense(QQ, [[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
     with pytest.raises(ValueError):
-        inverse_3x3(DenseMatrix.identity(QQ, 2))
+        inverse_3x3(identity(QQ, 2))
     with pytest.raises(ValueError):
-        inverse_3x3(DenseMatrix.identity(ZZ, 3))
+        inverse_3x3(identity(ZZ, 3))
 
 
 # A vector is a raw map {index: canonical nonzero value}; canon_map makes one.

@@ -6,17 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tenred.errors import ParseError, RingMismatchError
-from tenred.rings import (
-    GF,
-    QQ,
-    ZZ,
-    RingDescriptor,
-    Scalar,
-    _is_prime,
-    one,
-    zero,
-)
+from tenred.errors import ParseError
+from tenred.polysys import Polynomial
+from tenred.rings import GF, QQ, ZZ, RingDescriptor, _is_prime
 
 
 def test_descriptor_str_round_trip():
@@ -48,40 +40,43 @@ def test_descriptor_properties():
 
 def test_prime_field_canonicalization():
     p = GF(7)
-    assert Scalar(p, 10).value == 3
-    assert Scalar(p, -1).value == 6
-    assert Scalar(p, 21).is_zero
-    assert (Scalar(p, 3) + Scalar(p, 5)).value == 1
-    assert (Scalar(p, 3) * Scalar(p, 5)).value == 1
-    assert (-Scalar(p, 2)).value == 5
+    assert p.canon(10) == 3
+    assert p.canon(-1) == 6
+    assert p.canon(21) == 0
+    assert p.canon(3 + 5) == 1
+    assert p.canon(3 * 5) == 1
+    assert p.canon(-2) == 5
+    assert p.parse("10") == 3
 
 
 def test_rational_canonicalization():
-    x = Scalar(QQ, Fraction(2, 4))
-    assert x.value == Fraction(1, 2)
+    x = QQ.canon(Fraction(2, 4))
+    assert x == Fraction(1, 2)
     assert str(x) == "1/2"
-    assert str(Scalar(QQ, Fraction(3))) == "3"
-    assert str(Scalar(QQ, Fraction(-5, 3))) == "-5/3"
+    assert QQ.parse("2/4") == Fraction(1, 2)
+    assert type(QQ.canon(3)) is Fraction and str(QQ.canon(3)) == "3"
+    assert str(QQ.canon(Fraction(-5, 3))) == "-5/3"
 
 
 def test_integer_ring_rejects_fractions():
     with pytest.raises(ValueError):
-        Scalar(ZZ, Fraction(1, 2))
+        ZZ.canon(Fraction(1, 2))
+    with pytest.raises(ParseError, match="not in ring Z"):
+        ZZ.parse("1/2")
 
 
 def test_inverse():
-    assert Scalar(QQ, Fraction(2, 3)).inverse().value == Fraction(3, 2)
-    assert Scalar(GF(11), 4).inverse().value == 3
+    assert QQ.inverse(QQ.canon(Fraction(2, 3))) == Fraction(3, 2)
+    assert GF(11).inverse(4) == 3
     with pytest.raises(ValueError):
-        Scalar(ZZ, 2).inverse()
+        ZZ.inverse(2)
     with pytest.raises(ZeroDivisionError):
-        zero(QQ).inverse()
+        QQ.inverse(QQ.canon(0))
     with pytest.raises(ZeroDivisionError):
-        zero(GF(5)).inverse()
+        GF(5).inverse(0)
 
 
 def test_raw_inverse():
-    # Scalar.inverse delegates to it: the same values and the same errors
     assert QQ.inverse(Fraction(2, 3)) == Fraction(3, 2)
     assert type(QQ.inverse(Fraction(2))) is Fraction
     assert GF(11).inverse(4) == 3
@@ -94,74 +89,76 @@ def test_raw_inverse():
 
 
 def test_power():
-    assert Scalar(GF(11), 2).power(10).is_one
-    assert Scalar(QQ, Fraction(1, 2)).power(3).value == Fraction(1, 8)
-    assert Scalar(ZZ, 5).power(0).is_one
-    with pytest.raises(ValueError):
-        Scalar(ZZ, 2).power(-1)
+    # a power of a raw value is taken where a polynomial is evaluated
+    def power(ring, v, k):
+        return Polynomial(ring, 1, ((((0, k),), ring.canon(1)),)).evaluate_raw([v])
 
-
-def test_ring_mismatch():
-    with pytest.raises(RingMismatchError):
-        Scalar(QQ, 1) + Scalar(ZZ, 1)
-    with pytest.raises(RingMismatchError):
-        Scalar(GF(5), 1) * Scalar(GF(7), 1)
+    assert power(GF(11), 2, 10) == 1
+    assert power(QQ, Fraction(1, 2), 3) == Fraction(1, 8)
+    assert ZZ.canon(pow(5, 0)) == 1
 
 
 def test_scalar_from_str():
-    assert Scalar.from_str(QQ, "-3/4").value == Fraction(-3, 4)
-    assert Scalar.from_str(ZZ, " 12 ").value == 12
-    assert Scalar.from_str(GF(5), "7").value == 2
-    with pytest.raises(ParseError):
-        Scalar.from_str(QQ, "1/0")
-    with pytest.raises(ParseError):
-        Scalar.from_str(ZZ, "1/2")
-    with pytest.raises(ParseError):
-        Scalar.from_str(GF(5), "a")
+    # RingDescriptor.parse reads every value a file or a --solution spells
+    assert QQ.parse("-3/4") == Fraction(-3, 4)
+    assert ZZ.parse(" 12 ") == 12
+    assert GF(5).parse("7") == 2
+    assert GF(7).parse("10") == 3
+    assert QQ.parse("2/4") == Fraction(1, 2)
+    with pytest.raises(ParseError, match="bad rational literal '1/0'"):
+        QQ.parse("1/0")
+    with pytest.raises(ParseError, match="bad rational literal 'x'"):
+        QQ.parse("x")
+    with pytest.raises(ParseError, match=r"coefficient '1/2' is not in ring Z"):
+        ZZ.parse("1/2")
+    with pytest.raises(ParseError, match=r"coefficient '1/2' is not in ring gf:5"):
+        GF(5).parse("1/2")
+    with pytest.raises(ParseError, match=r"coefficient 'a' is not in ring gf:5"):
+        GF(5).parse("a")
+    with pytest.raises(ParseError, match=r"coefficient 'x' is not in ring gf:5"):
+        GF(5).parse("x")
 
 
-def _scalars(ring):
+def _values(ring):
     if ring.kind == "prime-field":
-        return st.integers(0, ring.modulus - 1).map(lambda n: Scalar(ring, n))
+        return st.integers(0, ring.modulus - 1)
     if ring == QQ:
-        return st.builds(
-            Fraction, st.integers(-50, 50), st.integers(1, 50)
-        ).map(lambda q: Scalar(ring, q))
-    return st.integers(-50, 50).map(lambda n: Scalar(ring, n))
+        return st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50))
+    return st.integers(-50, 50)
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, GF(2), GF(11)], ids=str)
 def test_ring_axioms(ring):
-    @given(_scalars(ring), _scalars(ring), _scalars(ring))
+    # raw values made canonical by canon after each operation, as the package does
+    c_ = ring.canon
+
+    @given(_values(ring), _values(ring), _values(ring))
     def check(a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + zero(ring) == a
-        assert a * one(ring) == a
-        assert a + (-a) == zero(ring)
-        if ring.is_field and not b.is_zero:
-            assert b * b.inverse() == one(ring)
+        assert c_(a + b) == c_(b + a)
+        assert c_(a * b) == c_(b * a)
+        assert c_(c_(a + b) + c) == c_(a + c_(b + c))
+        assert c_(c_(a * b) * c) == c_(a * c_(b * c))
+        assert c_(a * c_(b + c)) == c_(c_(a * b) + c_(a * c))
+        assert c_(a + c_(0)) == c_(a)
+        assert c_(a * c_(1)) == c_(a)
+        assert c_(a + c_(-a)) == c_(0)
+        if ring.is_field and c_(b):
+            assert c_(c_(b) * ring.inverse(c_(b))) == c_(1)
 
     check()
 
 
-def from_int(ring, n):
-    """Image of the integer n in the ring."""
-    return Scalar(ring, n)
-
-
 def test_from_int_embedding():
-    assert from_int(GF(3), 5).value == 2
-    assert from_int(QQ, 5).value == Fraction(5)
-    assert from_int(ZZ, 5).value == 5
+    # the image of an integer in the ring
+    assert GF(3).canon(5) == 2
+    assert QQ.canon(5) == Fraction(5) and type(QQ.canon(5)) is Fraction
+    assert ZZ.canon(5) == 5
 
 
 def test_sort_key_total_order():
-    vals = [Scalar(GF(7), n) for n in (4, 1, 6, 0)]
-    assert [s.value for s in sorted(vals, key=Scalar.sort_key)] == [0, 1, 4, 6]
+    # canonical values of GF(p) order as their residues
+    vals = [GF(7).canon(n) for n in (4, 1, 6, 0)]
+    assert sorted(vals) == [0, 1, 4, 6]
 
 
 def _trial_division_prime(n):
@@ -225,14 +222,21 @@ def test_thirty_digit_modulus_is_refused_fast():
     assert time.perf_counter() - t0 < 0.5
 
 
-def test_prime_field_kind_is_named_only_in_rings():
-    # elsewhere ``modulus`` or ``field_size`` tells GF(p) apart, so the ring
-    # kinds keep one spelling, here
+@pytest.mark.parametrize(
+    "name, allowed",
+    [
+        # elsewhere ``modulus`` or ``field_size`` tells GF(p) apart, so the
+        # ring kinds keep one spelling, in rings.py
+        pytest.param("PRIME_FIELD", ["rings.py"], id="PRIME_FIELD"),
+        # a ring value is a canonical raw value at every layer: there is no
+        # boxed form, and no second, trusted constructor beside the one
+        pytest.param("Scalar", [], id="Scalar"),
+        pytest.param("Monomial", [], id="Monomial"),
+        pytest.param("_from_raw", [], id="_from_raw"),
+    ],
+)
+def test_name_appears_only_where_allowed(name, allowed):
     package = Path(__file__).resolve().parent.parent / "src" / "tenred"
-    named = [
-        path.name
-        for path in sorted(package.glob("*.py"))
-        if path.name != "rings.py" and "PRIME_FIELD" in path.read_text(encoding="utf-8")
-    ]
-    assert package.joinpath("rings.py").is_file()
-    assert named == []
+    assert all(package.joinpath(f).is_file() for f in allowed)
+    named = [path.name for path in sorted(package.glob("*.py")) if name in path.read_text(encoding="utf-8")]
+    assert [f for f in named if f not in allowed] == []
