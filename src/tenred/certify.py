@@ -33,7 +33,9 @@ means, over the witness ring:
 
 A tensor witness is read from its text one term at a time, straight into
 the exact sum, and the verdict comes only once the whole text has been
-read, so a fault anywhere in the file is refused as input first.
+read, so a fault anywhere in the file is refused as input first.  The sum
+is then compared with the star-slice tensor's entries as they are walked
+from B; that tensor is never stored.
 
 By the reduction, each bound can be met exactly when F has a solution in
 that field.  A bare ``tensor`` or ``symtensor`` file carries no system and
@@ -90,16 +92,22 @@ WITNESS_FIELDS = {"completion": ("assignment", "matrix"), "tensor": ("dims", "te
 class Reduction:
     """An instance and what a witness of it must prove.
 
-    Witness terms must sum to ``tensor``, at most ``target_rank`` of them;
-    both are None at the completion stage.  A bare tensor file has only
-    these two.
+    Witness terms must sum to ``expected``, at most ``target_rank`` of
+    them; both are None at the completion stage.  On the tensor stage it is
+    ``inst``, walked from B.  A bare tensor file has only these two.
     """
 
     stage: str
     B: IncompleteMatrix | None
     inst: DerksenInstance | None = None
-    tensor: Tensor3 | SymTensor | None = None
+    expected: DerksenInstance | Tensor3 | SymTensor | None = None
     target_rank: int | None = None
+
+    @property
+    def tensor(self) -> Tensor3 | SymTensor | None:
+        """``expected`` as a tensor, the tensor stage's built on each access."""
+        e = self.expected
+        return e.tensor if isinstance(e, DerksenInstance) else e
 
 
 def _guard_sigma(F: PolySystem, guard: int | None) -> None:
@@ -145,7 +153,7 @@ def reduce_system(
     inst = build_derksen(B)
     report("target_rank", inst.target_rank)
     if stage == "tensor":
-        return jsonio.tensor_instance_text(inst, B), Reduction(stage, B, inst, inst.tensor, inst.target_rank)
+        return jsonio.tensor_instance_text(inst, B), Reduction(stage, B, inst, inst, inst.target_rank)
     S = build_curly_T(embed_S(pad_cubical(inst.tensor)), m)
     target = inst.target_rank + padding_terms(m)
     report("symmetric_indices", S.size)
@@ -189,9 +197,9 @@ def read_instance(text: str, *kinds: str) -> Reduction:
         jsonio.expect_kind(obj, *kinds)
     kind = obj.get("kind")
     if kind == "tensor":
-        return Reduction("tensor", None, tensor=jsonio.tensor_parse(obj))
+        return Reduction("tensor", None, expected=jsonio.tensor_parse(obj))
     if kind == "symtensor":
-        return Reduction("symmetric", None, tensor=jsonio.symtensor_parse(obj))
+        return Reduction("symmetric", None, expected=jsonio.symtensor_parse(obj))
     stage = STAGES.get(kind) if isinstance(kind, str) else None
     if stage is None:
         raise ParseError(f"expected an instance file, got {kind!r}", 0)
@@ -254,7 +262,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
         report("rank", 3)
         report("verification", "verified")
         return jsonio.completion_witness_file(point, W)
-    inst = red.inst if B.ring == field else build_derksen(B.change_ring(field))
+    inst = red.inst.change_ring(field)
     U = SymbolicU(inst.source.row_labels).evaluate(point, field)
     D = derksen_witness(inst, W, U, U)
     if red.stage == "tensor":
@@ -309,7 +317,7 @@ def _embeds(instance_ring, ring) -> bool:
 def failure(red: Reduction, wit: str | dict) -> str | None:
     """Why a witness file does not prove what the module docstring says, or
     None; a tensor witness is given as its text, any other as its parsed file."""
-    T = red.tensor
+    T = red.expected
     if red.stage == "tensor":
 
         def plan(head: dict) -> tuple:
@@ -341,7 +349,7 @@ def failure(red: Reduction, wit: str | dict) -> str | None:
     if red.target_rank is not None and count > red.target_rank:
         return f"{count} terms exceed the target rank {red.target_rank}"
     if red.stage == "tensor":
-        ok, mismatch = first_mismatch(T.entries, total)
+        ok, mismatch = first_mismatch(T.items(), total, ring, dims)
     else:
         ok, mismatch = verify_symmetric_decomposition(T, D)
     if ok:

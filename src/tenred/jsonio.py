@@ -281,22 +281,22 @@ def _members_text(**fields) -> str:
 
 
 def tensor_instance_text(inst: DerksenInstance, B: IncompleteMatrix) -> Iterator[str]:
-    """The canonical text of a tensor instance file in pieces: the entries
-    and the stars are spelled a chunk at a time, in key order."""
+    """The canonical text of a tensor instance file in pieces: the entries,
+    as the instance walks them, and the stars are spelled a chunk at a
+    time, in key order."""
     if B.system is None or B.row_labels is None:
         raise ValueError("instance files need the system and labels attached")
-    entries = inst.tensor.entries
     spelled = _Spelled()
     middle = _members_text(
         format_version=FORMAT_VERSION,
         kind="tensor_instance",
         labels=_labels_to_json(B.row_labels),
-        ring=str(inst.tensor.ring),
+        ring=str(inst.ring),
     )
     tail = _members_text(system=system_to_json(B.system), target_rank=inst.target_rank, tau=inst.tau)
     return chain(
-        [f'{{{_members_text(dims=list(inst.tensor.dims))},"entries":'],
-        _list_text(f"[{i},{j},{k},{spelled[entries[i, j, k]]}]" for i, j, k in sorted(entries)),
+        [f'{{{_members_text(dims=list(inst.dims))},"entries":'],
+        _list_text(f"[{i},{j},{k},{spelled[v]}]" for (i, j, k), v in inst.items()),
         [f',{middle},"star_map":'],
         _list_text(f"[{i},{j}]" for i, j in B.stars()),
         [f",{tail}}}\n"],
@@ -526,13 +526,14 @@ def _sum_terms(text: str, pos: int, planned: tuple | None) -> tuple[int, dict | 
             if count <= limit:
                 yield term
 
-    total = sum_terms_raw(terms(), ring)
+    total = sum_terms_raw(terms(), (n1, n2, n3))
     return count, total if count <= limit else None, items.end
 
 
 def tensor_witness_sum(text: str, plan: Callable[[dict], tuple]) -> tuple:
     """The ring, dims and term count of a tensor witness, and the exact sum
-    of its terms, read from its text with no tree of it.
+    of its terms as ``sum_terms_raw`` makes it, read from its text with no
+    tree of it.
 
     The top-level object is walked member by member: each member but
     ``terms`` is decoded whole, and the terms one at a time, each read into

@@ -372,8 +372,8 @@ class PolySystem:
         return PolySystem(ring, self.num_vars, [f.change_ring(ring) for f in self.polynomials])
 
     def first_violation(self, values: Sequence) -> tuple[Polynomial, object] | None:
-        """First polynomial not vanishing at a point of raw values, with its value."""
-        if self.polynomials and len(values) != self.num_vars:
+        """First polynomial not vanishing at a point of raw values of length n, with its value."""
+        if len(values) != self.num_vars:
             raise ValueError("assignment length mismatch")
         for f in self.polynomials:
             if v := f.evaluate_raw(values):

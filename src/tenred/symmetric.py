@@ -30,7 +30,7 @@ from typing import Sequence
 
 from .errors import FieldTooSmallError, RingMismatchError, StructureError, VerificationError
 from .rings import RingDescriptor
-from .tensors import Decomposition, Tensor3, first_mismatch
+from .tensors import Decomposition, Tensor3
 
 LETTERS = ("I", "J", "K")
 
@@ -274,12 +274,17 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
 
 
 def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
-    """Exact check that the cube terms sum to T; returns (ok, mismatch)."""
+    """Exact check that the cube terms sum to T; returns (ok, mismatch), the
+    mismatch (key, expected, actual) at the smallest key where they differ."""
     if D.ring != T.ring:
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dim != T.size:
         raise ValueError(f"decomposition dimension {D.dim} != tensor size {T.size}")
-    return first_mismatch(T.entries, sum_sym_decomposition_raw(D))
+    want, got = T.entries, sum_sym_decomposition_raw(D)
+    if got == want:
+        return True, None
+    key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    return False, (key, want.get(key, 0), got.get(key, 0))
 
 
 def embed_S(T: Tensor3) -> SymTensor:

@@ -9,7 +9,6 @@ arithmetic is exact; verification means literal entrywise equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .errors import RingMismatchError, StructureError, VerificationError
@@ -39,6 +38,9 @@ class Tensor3:
     @property
     def is_zero(self) -> bool:
         return not self.entries
+
+    def items(self) -> Iterable[tuple[Key, object]]:
+        return self.entries.items()
 
     def change_ring(self, ring: RingDescriptor) -> "Tensor3":
         """Embed an integer tensor into Q or GF(p); identity otherwise."""
@@ -121,91 +123,109 @@ class Walk:
         return self.walk()
 
 
-def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], ring: RingDescriptor) -> dict[Key, object]:
+def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], dims: tuple[int, int, int]) -> dict[int, object]:
     """Exact entrywise sum of rank-1 terms given as raw (a, b, c) value
-    maps, as a sparse raw-value map; the terms are walked once, in order."""
-    acc: dict[Key, object] = {}
+    maps, walked once, in order.  It is keyed by the int (i*n2 + j)*n3 + k,
+    which orders as the (i, j, k) triples do, and left unreduced, zeros
+    kept: ``first_mismatch`` makes canonical only the values it reads."""
+    _, n2, n3 = dims
+    acc: dict[int, object] = {}
     get = acc.get
     for a, b, c in terms:
         c_items = c.items()
         for i, va in a.items():
+            row = i * n2
             for j, vb in b.items():
                 vab = va * vb
+                base = (row + j) * n3
                 for k, vc in c_items:
-                    key = (i, j, k)
+                    key = base + k
                     acc[key] = get(key, 0) + vab * vc
-    return ring.canon_map(acc)
+    return acc
 
 
-def sum_decomposition_raw(D: Decomposition) -> dict[Key, object]:
-    """Exact entrywise sum of all terms, as a sparse raw-value map."""
-    return sum_terms_raw(D.raw, D.ring)
-
-
-def verify_decomposition(T: Tensor3, D: Decomposition):
-    """Exact check that the terms sum to T; returns (ok, first mismatch).
-
-    The mismatch, when present, is ((i, j, k), expected, actual) at the
-    smallest disagreeing coordinate triple.
-    """
+def verify_decomposition(T: "Tensor3 | DerksenInstance", D: Decomposition):
+    """Exact check that the terms sum to T, whose entries are walked;
+    returns (ok, first mismatch) as ``first_mismatch`` does."""
     if D.ring != T.ring:
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dims != T.dims:
         raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
-    return first_mismatch(T.entries, sum_decomposition_raw(D))
+    return first_mismatch(T.items(), sum_terms_raw(D.raw, D.dims), D.ring, D.dims)
 
 
-def first_mismatch(want: dict, got: dict):
-    """(ok, first mismatch) of two sparse maps of canonical raw values.
-
-    The mismatch, when present, is (key, expected, actual) at the smallest
-    key where the maps disagree, an absent key reading as zero.
-    """
-    if got == want:
+def first_mismatch(
+    want: Iterable[tuple[Key, object]], got: dict[int, object], ring: RingDescriptor, dims: tuple[int, int, int]
+):
+    """(ok, first mismatch) of expected (key, canonical value) pairs, in any
+    order, against a sum from ``sum_terms_raw``, which each key is popped
+    from.  The mismatch, when present, is ((i, j, k), expected, actual) at
+    the smallest key where they disagree, an absent key reading as zero."""
+    _, n2, n3 = dims
+    canon = ring.canon
+    pop = got.pop
+    bad = None  # (key, expected, actual) of the smallest disagreement yet
+    for (i, j, k), v in want:
+        key = (i * n2 + j) * n3 + k
+        s = canon(pop(key, 0))
+        if s != v and (bad is None or key < bad[0]):
+            bad = key, v, s
+    for key, s in got.items():  # what the terms put where nothing is expected
+        if (bad is None or key < bad[0]) and (s := canon(s)):
+            bad = key, 0, s
+    if bad is None:
         return True, None
-    key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    return False, (key, want.get(key, 0), got.get(key, 0))
+    key, v, s = bad
+    return False, ((key // (n2 * n3), key // n3 % n2, key % n3), v, s)
 
 
-@dataclass(frozen=True)
 class DerksenInstance:
     """Star-slice tensor of an incomplete matrix.
 
     Slice 0 is the matrix with stars replaced by zeros; slice t >= 1 is
     the matrix unit at the t-th star (row-major star order).  Rank tau+3
-    is achievable exactly when the matrix admits a rank-3 completion.
+    is achievable exactly when the matrix admits a rank-3 completion.  The
+    matrix fixes every entry, so none is stored: ``items()`` walks them.
     """
 
-    tensor: Tensor3
-    tau: int
-    source: IncompleteMatrix
+    __slots__ = ("source", "ring", "tau", "dims", "target_rank")
+
+    def __init__(self, source: IncompleteMatrix):
+        self.source, self.ring, self.tau = source, source.ring, source.tau
+        self.dims = (source.nrows, source.ncols, source.tau + 1)
+        self.target_rank = source.tau + 3
 
     @property
     def star_map(self) -> tuple[tuple[int, int], ...]:
         """The star of each slice t >= 1, in slice order."""
         return tuple(self.source.stars())
 
+    def items(self) -> Iterator[tuple[Key, object]]:
+        """The nonzero entries in key order, walked as ``stars()`` walks the
+        stars: (i, j, 0) at a nonzero cell, (i, j, t) = 1 at the t-th star."""
+        one = self.ring.canon(1)
+        t = 0
+        for i, row in enumerate(self.source.raw_grid):
+            for j, v in enumerate(row):
+                if v is None:
+                    t += 1
+                    yield (i, j, t), one
+                elif v:
+                    yield (i, j, 0), v
+
     @property
-    def target_rank(self) -> int:
-        return self.tau + 3
+    def tensor(self) -> Tensor3:
+        """The star-slice tensor, built on each access."""
+        return Tensor3(self.ring, self.dims, dict(self.items()))
+
+    def change_ring(self, ring: RingDescriptor) -> "DerksenInstance":
+        """Embed an integer instance into Q or GF(p); identity otherwise."""
+        return self if ring == self.ring else DerksenInstance(self.source.change_ring(ring))
 
 
 def build_derksen(B: IncompleteMatrix) -> DerksenInstance:
-    """Adjoin one matrix-unit slice per star to the zero-filled matrix.
-
-    The sizes in play are bounded by the label-count guard applied when B
-    was built, so no separate guard is needed here.
-    """
-    raw: dict[Key, object] = {}
-    for i, row in enumerate(B.raw_grid):
-        for j, v in enumerate(row):
-            if v is not None and v != 0:
-                raw[(i, j, 0)] = v
-    one_raw = B.ring.canon(1)
-    for t, (i, j) in enumerate(B.stars(), start=1):
-        raw[(i, j, t)] = one_raw
-    tensor = Tensor3(B.ring, (B.nrows, B.ncols, B.tau + 1), raw)
-    return DerksenInstance(tensor, B.tau, B)
+    """The star-slice tensor of B, within the label-count guard B was built under."""
+    return DerksenInstance(B)
 
 
 def derksen_witness(
@@ -222,10 +242,10 @@ def derksen_witness(
     terms are a ``Walk``: they are made from P, L, the completion and the
     stars of the source matrix each time they are walked, and never held
     all at once.  The factors are checked against the completion and the
-    matrix cell by cell, and the terms entrywise against the instance
-    tensor, by one exact sum.
+    matrix cell by cell, and the terms entrywise against the instance's
+    walk, by one exact sum.
     """
-    ring = inst.tensor.ring
+    ring = inst.ring
     B = inst.source
     if completion.ring != ring or P.ring != ring or L.ring != ring:
         raise RingMismatchError("completion or factors over a different ring")
@@ -267,8 +287,8 @@ def derksen_witness(
             w = canon(-craw[i][j])
             yield rows[i], cols[j], {0: w, t: one_raw} if w else {t: one_raw}
 
-    D = Decomposition(ring, inst.tensor.dims, Walk(B.tau + 3, walk))
-    ok, mismatch = verify_decomposition(inst.tensor, D)
+    D = Decomposition(ring, inst.dims, Walk(B.tau + 3, walk))
+    ok, mismatch = verify_decomposition(inst, D)
     if not ok:
         raise StructureError(f"witness fails to sum to the tensor at {mismatch[0]}")
     return D

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use: constructors from plain ints
 and Fractions, matrix products and inverses, nested and term-map
-constructors, and star and symmetry predicates.  The package itself never
+constructors, star and symmetry predicates, and the tuple-keyed tensor sum
+and compare that the packed kernel of ``tenred.tensors`` is checked against.  The package itself never
 needs them, so they live here, beside the tests that check against them."""
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
 from tenred.rings import RingDescriptor
 from tenred.sigma import IncompleteMatrix
 from tenred.symmetric import SymTensor
-from tenred.tensors import Tensor3
+from tenred.tensors import Decomposition, Tensor3
 
 
 def vec(ring: RingDescriptor, values: Sequence) -> dict:
@@ -104,3 +105,31 @@ def is_symmetric(M: IncompleteMatrix) -> bool:
         return False
     g = M.raw_grid
     return all(g[i][j] == g[j][i] for i in range(M.nrows) for j in range(i + 1, M.ncols))
+
+
+def sum_decomposition_raw(D: Decomposition) -> dict:
+    """The exact entrywise sum of all terms as a canonical map keyed by
+    (i, j, k) tuples, zeros dropped."""
+    acc: dict = {}
+    for a, b, c in D.raw:
+        for i, va in a.items():
+            for j, vb in b.items():
+                for k, vc in c.items():
+                    acc[i, j, k] = acc.get((i, j, k), 0) + va * vb * vc
+    return D.ring.canon_map(acc)
+
+
+def dict_mismatch(want: dict, got: dict):
+    """(ok, first mismatch) of two canonical (i, j, k)-keyed maps: the
+    mismatch is (key, expected, actual) at the smallest key where they
+    disagree, an absent key reading as zero."""
+    if got == want:
+        return True, None
+    key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    return False, (key, want.get(key, 0), got.get(key, 0))
+
+
+def unpacked(total: dict, ring: RingDescriptor, dims: tuple[int, int, int]) -> dict:
+    """A packed sum of ``sum_terms_raw`` as a canonical (i, j, k)-keyed map."""
+    _, n2, n3 = dims
+    return {(key // (n2 * n3), key // n3 % n2, key % n3): v for key, v in ring.canon_map(total).items()}

@@ -52,10 +52,9 @@ from tenred.tensors import (
     Tensor3,
     build_derksen,
     derksen_witness,
-    sum_decomposition_raw,
     verify_decomposition,
 )
-from reference import inverse_3x3, matmul, point, transpose, vec
+from reference import inverse_3x3, matmul, point, sum_decomposition_raw, transpose, vec
 from test_jsonio import tensor_file
 from test_sigma import extract_solution
 

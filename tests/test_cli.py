@@ -708,6 +708,22 @@ def test_verify_malformed_completion_input_exits_2(x1_q_completion, tmp_path, ca
     assert message in capsys.readouterr().err
 
 
+def test_verify_refuses_an_assignment_of_the_wrong_length(tmp_path, capsys):
+    # the point's length is checked against the variable count even when
+    # the system has no polynomial to evaluate it on
+    sysf = _write_system(tmp_path / "sys.json", [], 0, GF(11))
+    instf, witf = tmp_path / "inst.json", tmp_path / "wit.json"
+    assert main(["reduce", "completion", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "", "--out", str(witf)]) == 0
+    badf = _edited(witf, tmp_path / "bad.json", lambda wit: wit.update(assignment=["5", "7"]))
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(witf)]) == 0
+    assert main(["verify", str(instf), badf]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "verified\n"
+    assert captured.err == "error: assignment length mismatch\n"
+
+
 def test_ring_beyond_the_primality_bound_exits_2(tmp_path, capsys):
     cnf = _write(tmp_path / "f.cnf", "p cnf 1 1\n1 0\n")
     # 2**89 - 1 is prime, but above the bound where Miller-Rabin with the
@@ -1054,6 +1070,79 @@ def test_a_tensor_witness_that_proves_nothing_exits_4(edit, message, x1_gf2_tens
     capsys.readouterr()
     assert main(["verify", str(instf), badf]) == 4
     assert capsys.readouterr().out == message
+
+
+@pytest.fixture(scope="module")
+def x1_z_tensor(tmp_path_factory):
+    """Instance and witness files of {x1} over Z, tensor stage (98 labels);
+    the witness is over Q."""
+    d = tmp_path_factory.mktemp("x1_z_tensor")
+    sysf = _write_system(d / "sys.json", ["x1"], 1, ZZ)
+    instf, witf = d / "inst.json", d / "wit.json"
+    assert main(["reduce", "tensor", sysf, "--out", str(instf)]) == 0
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(witf)]) == 0
+    return instf, witf
+
+
+def _first_value_plus(delta):
+    """The witness with the first value of its first term raised by delta."""
+
+    def edit(wit):
+        pair = wit["terms"][0]["a"][0]
+        pair[1] = str(Fraction(pair[1]) + Fraction(delta))
+
+    return edit
+
+
+def _extra_entry(value):
+    """The witness whose first term has one more c entry, in the last slice."""
+
+    def edit(wit):
+        wit["terms"][0]["c"].append([wit["dims"][2] - 1, value])
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "fixture, edit, message",
+    [
+        ("x1_gf2_tensor", _extra_entry("1"), "mismatch at (5, 5, 129): instance has 0, witness sums to 1\n"),
+        ("x1_z_tensor", _first_value_plus("1/2"), "mismatch at (16, 16, 0): instance has 1, witness sums to 1/2\n"),
+        ("x1_z_tensor", _extra_entry("1/3"), "mismatch at (16, 16, 6336): instance has 0, witness sums to 1/3\n"),
+    ],
+    ids=["gf2-extra-entry", "z-over-q-altered", "z-over-q-extra-entry"],
+)
+def test_verify_names_the_smallest_mismatch(fixture, edit, message, request, tmp_path, capsys):
+    # the packed sum of the terms is compared with the instance's walk, a Z
+    # instance's walked into Q; the refusal names the smallest (i, j, k)
+    # where they differ, with the expected and the summed value
+    instf, witf = request.getfixturevalue(fixture)
+    badf = _edited(witf, tmp_path / "bad.json", edit)
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(witf)]) == 0
+    assert main(["verify", str(instf), badf]) == 4
+    assert capsys.readouterr().out == "verified\n" + message
+
+
+def test_the_tensor_stage_builds_no_tensor(x1_gf2_tensor, tmp_path, monkeypatch, capsys):
+    # reduce, witness and verify walk the star-slice tensor from B and never
+    # build it; witness checks its terms with one verify_decomposition
+    instf, witf = x1_gf2_tensor
+    built, checked = [], []
+    build = tensors.DerksenInstance.tensor.fget
+    monkeypatch.setattr(tensors.DerksenInstance, "tensor", property(lambda inst: built.append(inst) or build(inst)))
+    real = tensors.verify_decomposition
+    monkeypatch.setattr(tensors, "verify_decomposition", lambda T, D: checked.append(T) or real(T, D))
+    inst2, wit2 = tmp_path / "inst.json", tmp_path / "wit.json"
+    assert main(["reduce", "tensor", str(instf.parent / "sys.json"), "--out", str(inst2)]) == 0
+    assert inst2.read_bytes() == instf.read_bytes()
+    assert main(["witness", str(inst2), "--solution", "0", "--out", str(wit2)]) == 0
+    assert wit2.read_bytes() == witf.read_bytes()
+    assert len(checked) == 1
+    capsys.readouterr()
+    assert main(["verify", str(inst2), str(wit2)]) == 0
+    assert capsys.readouterr().out == "verified\n"
+    assert len(checked) == 1 and built == []
 
 
 def test_verify_reads_a_tensor_witness_with_no_tree_of_it(x1_gf2_tensor, monkeypatch, capsys):

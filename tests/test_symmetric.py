@@ -38,7 +38,7 @@ from tenred.symmetric import (
 )
 from tenred.tensors import Decomposition, Tensor3
 
-from reference import sym_entry
+from reference import sum_decomposition_raw, sym_entry
 from reference import vec as _vec
 
 
@@ -615,8 +615,6 @@ def test_symmetric_witness_n2_rank2():
     for _ in range(2):
         terms.append(tuple(_vec(ring, [rng.randint(1, 3) for _ in range(2)]) for _ in range(3)))
     D = Decomposition(ring, (2, 2, 2), terms)
-    from tenred.tensors import sum_decomposition_raw
-
     T = Tensor3(ring, (2, 2, 2), sum_decomposition_raw(D))
     W = symmetric_witness(T, D)
     assert len(W) <= 2 + 27
@@ -834,8 +832,6 @@ def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
     rng = random.Random(3)
     terms = [tuple(_vec(ring, [rng.randrange(11) for _ in range(2)]) for _ in range(3)) for _ in range(2)]
     D = Decomposition(ring, (2, 2, 2), terms)
-    from tenred.tensors import sum_decomposition_raw
-
     T = Tensor3(ring, (2, 2, 2), sum_decomposition_raw(D))
     checks = []
     real_verify = symmetric.verify_symmetric_decomposition

@@ -1,8 +1,10 @@
-import dataclasses
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tenred.errors import RingMismatchError, StructureError, VerificationError
 from tenred.linalg import DenseMatrix
@@ -11,18 +13,20 @@ from tenred.rings import GF, QQ, ZZ
 from tenred.sigma import IncompleteMatrix, SymbolicU, build_B, completion_witness
 from tenred.tensors import (
     Decomposition,
+    DerksenInstance,
     Tensor3,
     Walk,
     build_derksen,
     derksen_witness,
+    first_mismatch,
     pad_cubical,
     slice_matrix,
     slice_reduce,
-    sum_decomposition_raw,
+    sum_terms_raw,
     verify_decomposition,
 )
 
-from reference import dense, point, tensor_from_nested, vec
+from reference import dense, dict_mismatch, point, sum_decomposition_raw, tensor_from_nested, unpacked, vec
 
 
 def _t(ring, dims, triples):
@@ -204,16 +208,17 @@ def test_derksen_witness_rejects_bad_completion():
         derksen_witness(inst, W, badU, U)
 
 
-def test_derksen_witness_refuses_terms_that_miss_the_tensor():
+def test_derksen_witness_refuses_terms_that_miss_the_tensor(monkeypatch):
     # the completion and its factors agree with B, so only the closing sum
-    # can see that one star unit of the instance tensor was changed
+    # can see that one star unit of the instance tensor was changed; the
+    # instance walks its entries from B, so the change goes into the walk
     inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
     key = (*inst.star_map[0], 1)
     entries = dict(inst.tensor.entries)
     entries[key] = 2
-    changed = dataclasses.replace(inst, tensor=Tensor3(GF(11), inst.tensor.dims, entries))
+    monkeypatch.setattr(DerksenInstance, "items", lambda self: entries.items())
     with pytest.raises(StructureError, match=re.escape(f"witness fails to sum to the tensor at {key}")):
-        derksen_witness(changed, W, U, U)
+        derksen_witness(inst, W, U, U)
 
 
 def test_slice_reduce_algebra():
@@ -277,3 +282,77 @@ def test_random_decompositions_round_trip():
         T = Tensor3(ring, (2, 3, 2), sum_decomposition_raw(D))
         ok, _ = verify_decomposition(T, D)
         assert ok
+
+
+
+_RINGS = [GF(2), GF(11), QQ, ZZ]
+_THIN = [(3, 1, 2), (2, 3, 1), (2, 1, 1), (1, 1, 1)]  # n2 = 1 or n3 = 1
+
+
+def _value(rng, ring):
+    if ring == QQ:
+        return ring.canon(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return ring.canon(rng.randint(-3, 12))
+
+
+def _random_case(rng, ring, dims):
+    """Random terms over a ring within dims, and a tensor near their sum:
+    the exact sum with a few entries changed, dropped or added."""
+    terms = [
+        tuple(ring.canon_map({rng.randrange(n): _value(rng, ring) for _ in range(rng.randint(0, 3))}) for n in dims)
+        for _ in range(rng.randint(0, 5))
+    ]
+    D = Decomposition(ring, dims, terms)
+    entries = sum_decomposition_raw(D)
+    for _ in range(rng.choice([0, 0, 1, 3])):
+        entries[tuple(rng.randrange(n) for n in dims)] = _value(rng, ring)
+    return D, Tensor3(ring, dims, ring.canon_map(entries))
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32),
+    ring=st.sampled_from(_RINGS),
+    dims=st.sampled_from(_THIN) | st.tuples(*[st.integers(1, 3)] * 3),
+)
+def test_packed_sum_and_compare_match_the_tuple_keyed_reference(seed, ring, dims):
+    # the packed sum, made canonical and unpacked, is the tuple-keyed sum,
+    # and the compare names the same first mismatch, expected and actual
+    D, T = _random_case(random.Random(seed), ring, dims)
+    assert unpacked(sum_terms_raw(D.raw, dims), ring, dims) == sum_decomposition_raw(D)
+    assert verify_decomposition(T, D) == dict_mismatch(T.entries, sum_decomposition_raw(D))
+
+
+@pytest.mark.parametrize("dims", _THIN, ids=["n2=1", "n3=1", "n2=n3=1", "1x1x1"])
+def test_packed_keys_unpack_on_thin_dims(dims):
+    # with an axis of length 1 the packed key still orders and unpacks as
+    # the triples do, mismatches included
+    rng = random.Random(str(dims))
+    mismatches = 0
+    for ring in _RINGS:
+        for _ in range(40):
+            D, T = _random_case(rng, ring, dims)
+            assert unpacked(sum_terms_raw(D.raw, dims), ring, dims) == sum_decomposition_raw(D)
+            ok, mismatch = verify_decomposition(T, D)
+            assert (ok, mismatch) == dict_mismatch(T.entries, sum_decomposition_raw(D))
+            mismatches += not ok
+    assert mismatches
+
+
+def test_an_integer_instance_checked_over_q_matches_the_reference():
+    # a Z instance is walked into Q, as verify reads a Q witness of it; the
+    # terms are the instance's own entries as unit terms, exact or changed
+    B = IncompleteMatrix(ZZ, [[2, None, 0], [None, -3, 1]])
+    inst = build_derksen(B)
+    assert inst.ring == ZZ
+    want = inst.tensor.change_ring(QQ).entries
+    rng = random.Random(5)
+    for trial in range(30):
+        terms = [({i: QQ.canon(v)}, {j: QQ.canon(1)}, {k: QQ.canon(1)}) for (i, j, k), v in inst.items()]
+        if trial:
+            i, j, k = (rng.randrange(n) for n in inst.dims)
+            terms.append(({i: QQ.canon(Fraction(1, rng.randint(1, 3)))}, {j: QQ.canon(1)}, {k: QQ.canon(-1)}))
+        D = Decomposition(QQ, inst.dims, terms)
+        got = first_mismatch(inst.change_ring(QQ).items(), sum_terms_raw(D.raw, D.dims), QQ, D.dims)
+        assert got == dict_mismatch(want, sum_decomposition_raw(D))
+        assert got[0] == (trial == 0)
