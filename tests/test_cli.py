@@ -1050,6 +1050,15 @@ def _altered(wit):
     pair[1] = str((int(pair[1]) + 1) % 2)
 
 
+def _extra_entry(value):
+    """The witness whose first term has one more c entry, in the last slice."""
+
+    def edit(wit):
+        wit["terms"][0]["c"].append([wit["dims"][2] - 1, value])
+
+    return edit
+
+
 def _cancelling(wit):
     """The benchmark's cancelling witness: the last term and its negation appended."""
     last = wit["terms"][-1]
@@ -1060,9 +1069,11 @@ def _cancelling(wit):
     "edit, message",
     [
         (_altered, "mismatch at (5, 5, 0): instance has 1, witness sums to 0\n"),
+        # an entry where the instance has none: the smallest such key is named
+        (_extra_entry("1"), "mismatch at (5, 5, 129): instance has 0, witness sums to 1\n"),
         (_cancelling, "134 terms exceed the target rank 132\n"),
     ],
-    ids=["altered", "cancelling"],
+    ids=["altered", "extra-entry", "cancelling"],
 )
 def test_a_tensor_witness_that_proves_nothing_exits_4(edit, message, x1_gf2_tensor, tmp_path, capsys):
     instf, witf = x1_gf2_tensor
@@ -1094,29 +1105,19 @@ def _first_value_plus(delta):
     return edit
 
 
-def _extra_entry(value):
-    """The witness whose first term has one more c entry, in the last slice."""
-
-    def edit(wit):
-        wit["terms"][0]["c"].append([wit["dims"][2] - 1, value])
-
-    return edit
-
-
 @pytest.mark.parametrize(
-    "fixture, edit, message",
+    "edit, message",
     [
-        ("x1_gf2_tensor", _extra_entry("1"), "mismatch at (5, 5, 129): instance has 0, witness sums to 1\n"),
-        ("x1_z_tensor", _first_value_plus("1/2"), "mismatch at (16, 16, 0): instance has 1, witness sums to 1/2\n"),
-        ("x1_z_tensor", _extra_entry("1/3"), "mismatch at (16, 16, 6336): instance has 0, witness sums to 1/3\n"),
+        (_first_value_plus("1/2"), "mismatch at (16, 16, 0): instance has 1, witness sums to 1/2\n"),
+        (_extra_entry("1/3"), "mismatch at (16, 16, 6336): instance has 0, witness sums to 1/3\n"),
     ],
-    ids=["gf2-extra-entry", "z-over-q-altered", "z-over-q-extra-entry"],
+    ids=["altered", "extra-entry"],
 )
-def test_verify_names_the_smallest_mismatch(fixture, edit, message, request, tmp_path, capsys):
-    # the packed sum of the terms is compared with the instance's walk, a Z
-    # instance's walked into Q; the refusal names the smallest (i, j, k)
-    # where they differ, with the expected and the summed value
-    instf, witf = request.getfixturevalue(fixture)
+def test_verify_names_the_smallest_mismatch_over_q(edit, message, x1_z_tensor, tmp_path, capsys):
+    # the packed sum of the Q witness is compared with the Z instance's walk
+    # into Q; the refusal names the smallest (i, j, k) where they differ,
+    # with the expected and the summed value
+    instf, witf = x1_z_tensor
     badf = _edited(witf, tmp_path / "bad.json", edit)
     capsys.readouterr()
     assert main(["verify", str(instf), str(witf)]) == 0

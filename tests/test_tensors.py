@@ -323,22 +323,6 @@ def test_packed_sum_and_compare_match_the_tuple_keyed_reference(seed, ring, dims
     assert verify_decomposition(T, D) == dict_mismatch(T.entries, sum_decomposition_raw(D))
 
 
-@pytest.mark.parametrize("dims", _THIN, ids=["n2=1", "n3=1", "n2=n3=1", "1x1x1"])
-def test_packed_keys_unpack_on_thin_dims(dims):
-    # with an axis of length 1 the packed key still orders and unpacks as
-    # the triples do, mismatches included
-    rng = random.Random(str(dims))
-    mismatches = 0
-    for ring in _RINGS:
-        for _ in range(40):
-            D, T = _random_case(rng, ring, dims)
-            assert unpacked(sum_terms_raw(D.raw, dims), ring, dims) == sum_decomposition_raw(D)
-            ok, mismatch = verify_decomposition(T, D)
-            assert (ok, mismatch) == dict_mismatch(T.entries, sum_decomposition_raw(D))
-            mismatches += not ok
-    assert mismatches
-
-
 def test_an_integer_instance_checked_over_q_matches_the_reference():
     # a Z instance is walked into Q, as verify reads a Q witness of it; the
     # terms are the instance's own entries as unit terms, exact or changed
