@@ -31,11 +31,14 @@ means, over the witness ring:
   padded symmetrization of the size-m payload, so its symmetric rank is
   at most that.
 
-A tensor witness is read from its text one term at a time, straight into
-the exact sum, and the verdict comes only once the whole text has been
-read, so a fault anywhere in the file is refused as input first.  The sum
-is then compared with the star-slice tensor's entries as they are walked
-from B; that tensor is never stored.
+A tensor or symmetric witness is read from its text one term at a time,
+with no JSON tree of it: a tensor term goes straight into the exact sum,
+and a cube term is kept as a raw (s, v) pair for the grouped sum.  The
+verdict comes only once the whole text has been read, so a fault anywhere
+in the file is refused as input first, and the text is let go before the
+check.  The one packed sum is then compared with the expected entries:
+the star-slice tensor's, walked from B and never stored, or the padded
+tensor's.
 
 By the reduction, each bound can be met exactly when F has a solution in
 that field.  A bare ``tensor`` or ``symtensor`` file carries no system and
@@ -65,6 +68,7 @@ from .sigma import (
     unit_label_positions,
 )
 from .symmetric import (
+    SymDecomposition,
     SymTensor,
     build_curly_T,
     embed_S,
@@ -240,7 +244,8 @@ def _text_difference(text: str, pieces: Iterable[str]) -> str | None:
 
 def witness_file(red: Reduction, solution: str, report: Callable[[str, object], None]) -> dict | Iterator[str]:
     """The witness file a solution, comma-separated values, induces: a
-    dict, or for a tensor its canonical text in pieces, made as it is read.
+    dict for a completion, else its canonical text in pieces, made as it
+    is read.
 
     Witnesses live over Q for an integer instance, else over its ring.
     Each stage's witness is checked by its builder before it is returned.
@@ -275,7 +280,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     report("terms", len(WS))
     report("target_rank", red.target_rank)
     report("verification", "verified")
-    return jsonio.symmetric_witness_file(WS)
+    return jsonio.symmetric_witness_text(WS)
 
 
 def _completion_failure(B: IncompleteMatrix, wit: dict) -> str | None:
@@ -314,44 +319,43 @@ def _embeds(instance_ring, ring) -> bool:
     return ring == instance_ring or instance_ring == ZZ and ring.is_field
 
 
-def failure(red: Reduction, wit: str | dict) -> str | None:
-    """Why a witness file does not prove what the module docstring says, or
-    None; a tensor witness is given as its text, any other as its parsed file."""
-    T = red.expected
-    if red.stage == "tensor":
-
-        def plan(head: dict) -> tuple:
-            # the terms go into the sum only where the checks below can pass
-            _check_header(red, head)
-            ring, dims = jsonio._ring_of(head), jsonio._dims_of(head)
-            if dims != T.dims or not _embeds(T.ring, ring):
-                return ring, dims, -1
-            return ring, dims, sys.maxsize if red.target_rank is None else red.target_rank
-
-        ring, dims, count, total = jsonio.tensor_witness_sum(wit, plan)
-        if dims != T.dims:
-            raise ParseError("witness dimensions differ from the instance", 0)
-        if not _embeds(T.ring, ring):
-            raise ParseError("witness ring incompatible with the instance", 0)
-        T = T.change_ring(ring)
-    else:
+def failure(red: Reduction, text: str) -> str | None:
+    """Why a witness file, given as its text, does not prove what the module
+    docstring says, or None.  A tensor or symmetric witness is read from
+    its text, which is let go before the exact check."""
+    if red.stage == "completion":
+        wit = jsonio.loads(text)
+        del text
         _check_header(red, wit)
-        if red.stage == "completion":
-            return _completion_failure(red.B, wit)
-        D = jsonio.symmetric_witness_parse(wit)
-        if D.dim != T.size:
-            raise ParseError("witness dimension differs from the instance", 0)
-        if T.ring != D.ring:
-            raise ParseError("witness ring incompatible with the instance", 0)
-        count = len(D)
+        return _completion_failure(red.B, wit)
+    T = red.expected
+    limit = sys.maxsize if red.target_rank is None else red.target_rank
+    symmetric = red.stage == "symmetric"
+    shape = T.size if symmetric else T.dims
+    fits = (lambda ring: ring == T.ring) if symmetric else (lambda ring: _embeds(T.ring, ring))
+
+    def plan(head: dict) -> tuple:
+        # the terms are totalled only where the checks below can pass
+        _check_header(red, head)
+        ring = jsonio._ring_of(head)
+        dims = jsonio._dim_of(head) if symmetric else jsonio._dims_of(head)
+        return ring, dims, limit if dims == shape and fits(ring) else -1
+
+    read = jsonio.symmetric_witness_terms if symmetric else jsonio.tensor_witness_sum
+    ring, dims, count, total = read(text, plan)
+    del text
+    if dims != shape:
+        raise ParseError(f"witness {'dimension differs' if symmetric else 'dimensions differ'} from the instance", 0)
+    if not fits(ring):
+        raise ParseError("witness ring incompatible with the instance", 0)
     # a witness longer than the target proves nothing about the rank
     # bound, however exactly it sums
-    if red.target_rank is not None and count > red.target_rank:
-        return f"{count} terms exceed the target rank {red.target_rank}"
-    if red.stage == "tensor":
-        ok, mismatch = first_mismatch(T.items(), total, ring, dims)
+    if count > limit:
+        return f"{count} terms exceed the target rank {limit}"
+    if symmetric:
+        ok, mismatch = verify_symmetric_decomposition(T, SymDecomposition(ring, dims, total))
     else:
-        ok, mismatch = verify_symmetric_decomposition(T, D)
+        ok, mismatch = first_mismatch(T.change_ring(ring).items(), total, ring, dims)
     if ok:
         return None
     key, want, got = mismatch

@@ -166,23 +166,15 @@ def cmd_oracle(args) -> int:
             res.lower_bound,
         )
     else:
-        # the files each rank search reads, the search, and its witness encoder
-        # (a Decomposition goes to oracle_result_text as it is)
-        kinds, search, to_json = {
-            "rank": (("tensor", "tensor_instance"), oracle.tensor_rank_bruteforce, lambda D: D),
-            "srank": (
-                ("symtensor", "symmetric_instance"), oracle.symmetric_rank_bruteforce, jsonio.sym_decomposition_to_json
-            ),
+        # the files each rank search reads, and the search; its witness, a
+        # decomposition, goes to oracle_result_text as it is
+        kinds, search = {
+            "rank": (("tensor", "tensor_instance"), oracle.tensor_rank_bruteforce),
+            "srank": (("symtensor", "symmetric_instance"), oracle.symmetric_rank_bruteforce),
         }[args.which]
         res = search(certify.read_instance(text, *kinds).tensor, budget)
         _report(args.which, res.value)
-        out_obj = jsonio.oracle_result_text(
-            args.which,
-            res.value,
-            None if res.witness is None else to_json(res.witness),
-            res.exhausted,
-            res.lower_bound,
-        )
+        out_obj = jsonio.oracle_result_text(args.which, res.value, res.witness, res.exhausted, res.lower_bound)
     _report("time_s", f"{time.monotonic() - t0:.3f}")
     _emit(out_obj, args.out)
     return EXIT_OK
@@ -190,11 +182,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     # the witness is read after the instance, whose text and rebuild are
-    # gone by then; a tensor witness is summed from its text as it is read,
-    # any other is parsed first, so that its text is gone before the checks
+    # gone by then; its text goes to the check with no reference kept here
     red = certify.read_instance(_read_text(args.instance))
-    witness = _read_text(args.witness) if red.stage == "tensor" else _load(args.witness)
-    reason = certify.failure(red, witness)
+    reason = certify.failure(red, _read_text(args.witness))
     print(reason or "verified")
     return EXIT_OK if reason is None else EXIT_VERIFY
 

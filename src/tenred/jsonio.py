@@ -7,12 +7,16 @@ bytes, which is what the determinism checks hash.
 
 Ring values are encoded as strings (exact; no floats anywhere), sparse
 vectors as [[index, "value"], ...] pairs, tensors as sorted
-[[i, j, k, "value"], ...] quadruples.  The files of the tensor path are
-text at both ends, never a tree: a decomposition is written term by term
-(``decomposition_text``) and a tensor instance in pieces of entries and
-stars (``tensor_instance_text``), with the canonical bytes of the tree;
-``tensor_witness_sum`` reads a tensor witness from its text, one term at
-a time, straight into the exact sum.
+[[i, j, k, "value"], ...] quadruples.  Witnesses of the tensor and the
+symmetric stage are text at both ends, never a tree: their terms are
+written one by one (``decomposition_text``, ``sym_decomposition_text``),
+and a tensor instance in pieces of entries and stars
+(``tensor_instance_text``), with the canonical bytes of the tree.  Both
+witnesses are read from their text by one member walk
+(``_witness_terms``), one term at a time: ``tensor_witness_sum`` adds
+each term to the exact sum as it reads it, and
+``symmetric_witness_terms`` keeps raw (s, v) pairs, whose runs the
+grouped sum needs.
 """
 
 from __future__ import annotations
@@ -248,6 +252,13 @@ def _dims_of(obj: dict) -> tuple[int, int, int]:
     return tuple(dims)
 
 
+def _dim_of(obj: dict) -> int:
+    dim = _need(obj, "dim")
+    if type(dim) is not int or dim <= 0:
+        raise ParseError("dim must be a positive integer", 0)
+    return dim
+
+
 def tensor_parse(obj: dict) -> Tensor3:
     _only_fields(obj, "tensor file", "dims", "entries")
     ring = _ring_of(obj)
@@ -377,25 +388,30 @@ class _Spelled(dict):
         self[v] = text = f'"{v}"'
         return text
 
+    def pairs(self, nz: dict) -> str:
+        """The [index, "value"] pairs of a sparse vector, in index order,
+        without the list's brackets."""
+        if len(nz) == 1:  # most maps of a star term
+            ((i, v),) = nz.items()
+            return f"[{i},{self[v]}]"
+        return ",".join([f"[{i},{self[v]}]" for i, v in sorted(nz.items())])
+
 
 def decomposition_text(D: Decomposition) -> Iterator[str]:
     """The canonical JSON text of D's terms, a list of {"a", "b", "c"}
     sparse vectors, made term by term from the raw maps.  Each distinct
     value is spelled once; a map is spelled each time a term holds it, as
     maps made during the walk are freed and their ids reused."""
+    vec = _Spelled().pairs
+    return _list_text(f'{{"a":[{vec(a)}],"b":[{vec(b)}],"c":[{vec(c)}]}}' for a, b, c in D.raw)
+
+
+def sym_decomposition_text(D: SymDecomposition) -> Iterator[str]:
+    """The canonical JSON text of D's cube terms, a list of {"s", "v"}
+    objects, made term by term from the raw pairs as decomposition_text
+    makes a tensor's."""
     spelled = _Spelled()
-
-    def vec(nz: dict) -> str:
-        if len(nz) == 1:  # most maps of a star term
-            ((i, v),) = nz.items()
-            return f"[{i},{spelled[v]}]"
-        return ",".join([f"[{i},{spelled[v]}]" for i, v in sorted(nz.items())])
-
-    sep = "["
-    for a, b, c in D.raw:
-        yield f'{sep}{{"a":[{vec(a)}],"b":[{vec(b)}],"c":[{vec(c)}]}}'
-        sep = ","
-    yield "[]" if sep == "[" else "]"
+    return _list_text(f'{{"s":{spelled[s]},"v":[{spelled.pairs(v)}]}}' for s, v in D.raw)
 
 
 def _ending_with(head: dict, key: str, value: Iterable[str]) -> Iterator[str]:
@@ -405,15 +421,6 @@ def _ending_with(head: dict, key: str, value: Iterable[str]) -> Iterator[str]:
     yield f'{canonical_dumps(head)[:-2]},"{key}":'
     yield from value
     yield "}\n"
-
-
-def _terms_of(data) -> list:
-    if not isinstance(data, list):
-        raise ParseError("terms must be a list of objects", 0)
-    for item in data:
-        if not isinstance(item, dict):
-            raise ParseError("decomposition terms must be objects", 0)
-    return data
 
 
 _skip_space = json.decoder.WHITESPACE.match
@@ -496,20 +503,21 @@ def _walk_object(text: str, member: Callable[[str, int], int]) -> None:
         raise ParseError(f"invalid JSON: {e}", e.pos) from e
 
 
-def _sum_terms(text: str, pos: int, planned: tuple | None) -> tuple[int, dict | None, int]:
-    """The count and the exact sum of the terms whose list starts at
-    ``pos``, and the position after it.  Given ``planned``, the witness's
-    (ring, dims, limit), each term is read into raw (a, b, c) maps, refused
-    if malformed, and the first ``limit`` go into the sum, which is None if
-    there are more; with None, the terms are only walked."""
+def _read_terms(text: str, pos: int, planned: tuple | None, term: Callable, total: Callable) -> tuple[int, Any, int]:
+    """The count of the terms whose list starts at ``pos``, their total,
+    and the position after the list.  Given ``planned``, a witness's
+    (ring, shape, limit), each term is read by ``term(item, ring, shape,
+    seen)``, refused if malformed, and the first ``limit`` go to
+    ``total(terms, shape)``; the total is None if there are more, and with
+    None for ``planned`` the terms are only walked."""
     pos = _past_space(text, pos)
     if not text.startswith("[", pos):
         raise ParseError("terms must be a list of objects", 0)
     items = _Items(text, pos)
     if planned is None:
         return sum(1 for _ in items), None, items.end
-    ring, (n1, n2, n3), limit = planned
-    seen: dict = {}
+    ring, shape, limit = planned
+    seen: dict = {}  # each distinct spelling is parsed once
     count = 0
 
     def terms():
@@ -518,31 +526,26 @@ def _sum_terms(text: str, pos: int, planned: tuple | None) -> tuple[int, dict | 
             count += 1
             if not isinstance(item, dict):
                 raise ParseError("decomposition terms must be objects", 0)
-            term = (
-                raw_vec_from_json(ring, n1, _need(item, "a"), seen),
-                raw_vec_from_json(ring, n2, _need(item, "b"), seen),
-                raw_vec_from_json(ring, n3, _need(item, "c"), seen),
-            )
+            read = term(item, ring, shape, seen)
             if count <= limit:
-                yield term
+                yield read
 
-    total = sum_terms_raw(terms(), (n1, n2, n3))
-    return count, total if count <= limit else None, items.end
+    result = total(terms(), shape)
+    return count, result if count <= limit else None, items.end
 
 
-def tensor_witness_sum(text: str, plan: Callable[[dict], tuple]) -> tuple:
-    """The ring, dims and term count of a tensor witness, and the exact sum
-    of its terms as ``sum_terms_raw`` makes it, read from its text with no
-    tree of it.
+def _witness_terms(text: str, plan: Callable[[dict], tuple], term: Callable, total: Callable) -> tuple:
+    """The ring, shape and term count of a witness, and the total of its
+    terms, read from its text with no tree of it.
 
     The top-level object is walked member by member: each member but
-    ``terms`` is decoded whole, and the terms one at a time, each read into
-    raw maps and added to the sum as it is.  ``plan`` checks the other
-    members and returns the witness's (ring, dims, limit): how many terms
-    to sum at most, -1 for none.  It is called first on the members before
-    the terms; where those fail it, the terms are only walked, and read
-    once the whole text has been.  Every refusal of the text comes before
-    the result; the sum is None where more terms than ``limit`` are listed.
+    ``terms`` is decoded whole, and the terms one at a time, as
+    ``_read_terms`` reads them.  ``plan`` checks the other members and
+    returns the witness's (ring, shape, limit): how many terms to total at
+    most, -1 for none.  It is called first on the members before the
+    terms; where those fail it, the terms are only walked, and read once
+    the whole text has been.  Every refusal of the text comes before the
+    result; the total is None where more terms than ``limit`` are listed.
     """
     header: dict = {}
     found = None  # where the terms start, the plan they were read by, and what they gave
@@ -556,17 +559,53 @@ def tensor_witness_sum(text: str, plan: Callable[[dict], tuple]) -> tuple:
             planned = plan(_checked(header))
         except ParseError:  # refused below, or passed once every member is known
             planned = None
-        found = (pos, planned, *_sum_terms(text, pos, planned))
+        found = (pos, planned, *_read_terms(text, pos, planned, term, total))
         return found[-1]
 
     _walk_object(text, member)
     planned = plan(_checked(header))
     if found is None:
         raise ParseError("missing field 'terms'", 0)
-    pos, reached, count, total, _ = found
+    pos, reached, count, result, _ = found
     if reached is None:
-        count, total, _ = _sum_terms(text, pos, planned)
-    return planned[0], planned[1], count, total
+        count, result, _ = _read_terms(text, pos, planned, term, total)
+    return planned[0], planned[1], count, result
+
+
+def _tensor_term(item: dict, ring: RingDescriptor, dims: tuple, seen: dict) -> tuple:
+    n1, n2, n3 = dims
+    return (
+        raw_vec_from_json(ring, n1, _need(item, "a"), seen),
+        raw_vec_from_json(ring, n2, _need(item, "b"), seen),
+        raw_vec_from_json(ring, n3, _need(item, "c"), seen),
+    )
+
+
+def tensor_witness_sum(text: str, plan: Callable[[dict], tuple]) -> tuple:
+    """The ring, dims and term count of a tensor witness, and the exact sum
+    of its terms as ``sum_terms_raw`` makes it, read by ``_witness_terms``
+    with ``plan`` giving (ring, dims, limit): each term is read into raw
+    (a, b, c) maps and added to the sum as it is."""
+    return _witness_terms(text, plan, _tensor_term, sum_terms_raw)
+
+
+def _cube_term(item: dict, ring: RingDescriptor, dim: int, seen: dict) -> tuple:
+    spelling = _need(item, "s")
+    s = seen.get(spelling) if type(spelling) is str else None
+    if s is None:
+        s = seen[spelling] = _scalar(ring, spelling)  # refuses all but strings
+    v = raw_vec_from_json(ring, dim, _need(item, "v"), seen)
+    if not s:
+        raise ParseError("zero coefficient terms are not stored")
+    return s, v
+
+
+def symmetric_witness_terms(text: str, plan: Callable[[dict], tuple]) -> tuple:
+    """The ring, dim and term count of a symmetric witness, and its cube
+    terms as a list of raw (s, v) pairs in file order, whose runs the
+    grouped sum needs, read by ``_witness_terms`` with ``plan`` giving
+    (ring, dim, limit)."""
+    return _witness_terms(text, plan, _cube_term, lambda terms, dim: list(terms))
 
 
 def tensor_witness_text(D: Decomposition) -> Iterator[str]:
@@ -574,46 +613,15 @@ def tensor_witness_text(D: Decomposition) -> Iterator[str]:
     return _ending_with(head, "terms", decomposition_text(D))
 
 
-def sym_decomposition_to_json(D: SymDecomposition) -> list:
-    return [{"s": str(s), "v": [[i, str(x)] for i, x in sorted(v.items())]} for s, v in D.raw]
-
-
-def sym_decomposition_from_json(ring: RingDescriptor, dim: int, data) -> SymDecomposition:
-    seen: dict = {}  # each distinct spelling, of a coefficient or an entry, is parsed once
-    raw = []
-    for item in _terms_of(data):
-        text = _need(item, "s")
-        s = seen.get(text) if type(text) is str else None
-        if s is None:
-            s = seen[text] = _scalar(ring, text)  # refuses all but strings
-        v = raw_vec_from_json(ring, dim, _need(item, "v"), seen)
-        if not s:
-            raise ParseError("zero coefficient terms are not stored")
-        raw.append((s, v))
-    return SymDecomposition(ring, dim, raw)
-
-
-def symmetric_witness_file(D: SymDecomposition) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "symmetric_witness",
-        "ring": str(D.ring),
-        "dim": D.dim,
-        "terms": sym_decomposition_to_json(D),
-    }
-
-
-def symmetric_witness_parse(obj: dict) -> SymDecomposition:
-    ring = _ring_of(obj)
-    dim = _need(obj, "dim")
-    if type(dim) is not int or dim <= 0:
-        raise ParseError("dim must be a positive integer", 0)
-    return sym_decomposition_from_json(ring, dim, _need(obj, "terms"))
+def symmetric_witness_text(D: SymDecomposition) -> Iterator[str]:
+    head = {"format_version": FORMAT_VERSION, "kind": "symmetric_witness", "ring": str(D.ring), "dim": D.dim}
+    return _ending_with(head, "terms", sym_decomposition_text(D))
 
 
 def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound) -> Iterable[str]:
-    """An oracle's result in pieces of canonical text; a Decomposition
-    witness is written by decomposition_text, any other as a JSON value."""
+    """An oracle's result in pieces of canonical text; a Decomposition or
+    SymDecomposition witness is written by its term writer, any other as a
+    JSON value."""
     head = {
         "format_version": FORMAT_VERSION,
         "kind": "oracle_result",
@@ -624,4 +632,6 @@ def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound)
     }
     if isinstance(witness, Decomposition):
         return _ending_with(head, "witness", decomposition_text(witness))
+    if isinstance(witness, SymDecomposition):
+        return _ending_with(head, "witness", sym_decomposition_text(witness))
     return [canonical_dumps(dict(head, witness=witness))]

@@ -246,7 +246,6 @@ class IncompleteMatrix:
         "raw_grid",
         "tau",
         "row_labels",
-        "col_labels",
         "system",
         "_label_pos",
     )
@@ -256,7 +255,6 @@ class IncompleteMatrix:
         ring: RingDescriptor,
         raw_grid: Sequence[Sequence],
         row_labels: Sequence[Label] | None = None,
-        col_labels: Sequence[Label] | None = None,
         system: PolySystem | None = None,
     ):
         grid = [tuple(r) for r in raw_grid]
@@ -268,15 +266,12 @@ class IncompleteMatrix:
                 raise ValueError("ragged rows")
         if row_labels is not None and len(row_labels) != len(grid):
             raise ValueError("row label count mismatch")
-        if col_labels is not None and len(col_labels) != ncols:
-            raise ValueError("column label count mismatch")
         self.ring = ring
         self.nrows = len(grid)
         self.ncols = ncols
         self.raw_grid = tuple(grid)
         self.tau = sum(row.count(None) for row in grid)
         self.row_labels = tuple(row_labels) if row_labels is not None else None
-        self.col_labels = tuple(col_labels) if col_labels is not None else None
         self.system = system
         self._label_pos = None
 
@@ -310,7 +305,7 @@ class IncompleteMatrix:
             labels = [
                 Label(tuple(f.change_ring(ring) for f in lab.coords)) for lab in self.row_labels
             ]
-        return IncompleteMatrix(ring, grid, labels, labels, system)
+        return IncompleteMatrix(ring, grid, labels, system)
 
     def __eq__(self, other) -> bool:
         return (
@@ -384,7 +379,7 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
             cell = cells[key] if key in cells else cells.setdefault(key, classify(wa, wb, wc))
             row_u[v] = cell
             grid[v][u] = cell
-    B = IncompleteMatrix(ring, grid, labels, labels, F)
+    B = IncompleteMatrix(ring, grid, labels, F)
     bad = unit_block_mismatch(B.raw_grid, B)
     if bad is not None:
         raise StructureError(f"unit-label submatrix broken at ({bad[0]},{bad[1]})")
@@ -420,13 +415,6 @@ def unit_block_mismatch(raw_rows, B: IncompleteMatrix) -> tuple[int, int] | None
     return None
 
 
-def _resolve_field(point: Assignment) -> RingDescriptor:
-    pr = QQ if point.ring == ZZ else point.ring
-    if not pr.is_field:
-        raise ValueError(f"completions are certified over fields, not {pr}")
-    return pr
-
-
 def completion_witness(
     F: PolySystem,
     point: Assignment,
@@ -442,7 +430,7 @@ def completion_witness(
     d of U's denominators (1 over GF(p)), so each cell of W = V^T V / d^2
     is an integer dot product, and equal products share one value.
     """
-    field = _resolve_field(point)
+    field = QQ if point.ring == ZZ else point.ring
     if len(point) != F.num_vars:
         raise ValueError("solution length does not match the variable count")
     Ff = F.change_ring(field)

@@ -13,7 +13,10 @@ end of symmetric_witness and again in ``tenred verify``; neither the
 pieces assembled there nor the tensor decomposition handed in are summed
 on their own, while the public builders of pieces (waring_gadget,
 build_L_pi, symmetric_upper_witness) check their own result.  All sums go
-through one raw-value kernel, sum_sym_decomposition_raw.
+through one raw-value kernel, sum_sym_decomposition_raw, into one map keyed
+by a packed int and left unreduced; every check compares that map with the
+expected entries through ``tensors.first_mismatch``, which pops each one,
+and symmetric_witness unpacks only its residual.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; the reader of a symtensor file refuses
@@ -30,7 +33,7 @@ from typing import Sequence
 
 from .errors import FieldTooSmallError, RingMismatchError, StructureError, VerificationError
 from .rings import RingDescriptor
-from .tensors import Decomposition, Tensor3
+from .tensors import Decomposition, Tensor3, first_mismatch
 
 LETTERS = ("I", "J", "K")
 
@@ -237,15 +240,17 @@ def _add_product(acc: dict[int, object], c, A, B, C, size: int) -> None:
                 acc[key] = get(key, 0) + cxy * cz
 
 
-def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
-    """Canonical-triple raw sum of all cube terms.
+def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[int, object]:
+    """Exact sum of all cube terms on the nondecreasing triples x <= y <= z.
 
     The one summation kernel behind every exact check here.  Each run of
     consecutive cubes s_k (u + a_k d)^3 that _collinear_run finds (the
     three terms of a Waring gadget are one) is summed as mu_0 u^3 +
     mu_1 Sym(u,u,d) + mu_2 Sym(u,d,d) + mu_3 d^3, mu_e = sum_k s_k a_k^e,
-    skipping zero moments; any other term is expanded alone.  Sums
-    accumulate unreduced under flat integer keys and are reduced once.
+    skipping zero moments; any other term is expanded alone.  As
+    ``tensors.sum_terms_raw`` does, it keys the sum by the int
+    (x*dim + y)*dim + z and leaves it unreduced, zeros kept:
+    ``tensors.first_mismatch`` makes canonical only the values it reads.
     """
     size = D.dim
     acc: dict[int, object] = {}
@@ -265,26 +270,18 @@ def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[Key, object]:
         items = sorted(v.items())
         _add_product(acc, s, items, items, items, size)
         i += 1
-    area = size * size
-    out: dict[Key, object] = {}
-    for key, v in D.ring.canon_map(acc).items():
-        x, yz = divmod(key, area)
-        out[(x, *divmod(yz, size))] = v
-    return out
+    return acc
 
 
 def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
     """Exact check that the cube terms sum to T; returns (ok, mismatch), the
-    mismatch (key, expected, actual) at the smallest key where they differ."""
+    mismatch (key, expected, actual) at the smallest key where they differ,
+    as ``tensors.first_mismatch`` finds it in the one packed sum."""
     if D.ring != T.ring:
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dim != T.size:
         raise ValueError(f"decomposition dimension {D.dim} != tensor size {T.size}")
-    want, got = T.entries, sum_sym_decomposition_raw(D)
-    if got == want:
-        return True, None
-    key = min(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    return False, (key, want.get(key, 0), got.get(key, 0))
+    return first_mismatch(T.entries.items(), sum_sym_decomposition_raw(D), D.ring, (D.dim,) * 3)
 
 
 def embed_S(T: Tensor3) -> SymTensor:
@@ -614,11 +611,14 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
             raw.append((one_raw, nz))
 
     S = embed_S(T)
-    cube_sum = sum_sym_decomposition_raw(SymDecomposition(ring, size, raw))
-    resid: dict[Key, object] = dict(S.entries)
-    for key, v in cube_sum.items():
-        resid[key] = resid.get(key, 0) - v
-    resid = ring.canon_map(resid)
+    # the cubes minus S(T), packed; the residual U is its negation, unpacked
+    acc = sum_sym_decomposition_raw(SymDecomposition(ring, size, raw))
+    for (x, y, z), v in S.entries.items():
+        key = (x * size + y) * size + z
+        acc[key] = acc.get(key, 0) - v
+    canon, area = ring.canon, size * size
+    resid = {(key // area, key // size % size, key % size): r for key, v in acc.items() if (r := canon(-v))}
+    del acc
     mixed = [key for key in resid if key[0] < n <= key[1] < 2 * n <= key[2]]
     if mixed:
         x, y, z = min(mixed)

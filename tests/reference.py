@@ -1,19 +1,25 @@
 """Reference helpers that only the tests use: constructors from plain ints
 and Fractions, matrix products and inverses, nested and term-map
-constructors, star and symmetry predicates, and the tuple-keyed tensor sum
-and compare that the packed kernel of ``tenred.tensors`` is checked against.  The package itself never
-needs them, so they live here, beside the tests that check against them."""
+constructors, star and symmetry predicates, the tuple-keyed tensor and
+cube sums and the compare that the packed kernels of ``tenred.tensors``
+and ``tenred.symmetric`` are checked against, and the JSON tree writer and
+reader of a symmetric witness that its text writer and reader are checked
+against.  The package itself never needs them, so they live here, beside
+the tests that check against them."""
 
 from __future__ import annotations
 
+import itertools
+import sys
 from typing import Sequence
 
+from tenred import jsonio
 from tenred.errors import RingMismatchError, SingularMatrixError
 from tenred.linalg import DenseMatrix
 from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
 from tenred.rings import RingDescriptor
 from tenred.sigma import IncompleteMatrix
-from tenred.symmetric import SymTensor
+from tenred.symmetric import SymDecomposition, SymTensor
 from tenred.tensors import Decomposition, Tensor3
 
 
@@ -133,3 +139,41 @@ def unpacked(total: dict, ring: RingDescriptor, dims: tuple[int, int, int]) -> d
     """A packed sum of ``sum_terms_raw`` as a canonical (i, j, k)-keyed map."""
     _, n2, n3 = dims
     return {(key // (n2 * n3), key // n3 % n2, key % n3): v for key, v in ring.canon_map(total).items()}
+
+
+def sum_sym_decomposition_reference(D: SymDecomposition) -> dict:
+    """The exact sum of all cube terms as a canonical map keyed by
+    nondecreasing (x, y, z) tuples, entry by entry, zeros dropped."""
+    acc: dict = {}
+    for s, v in D.raw:
+        for x, y, z in itertools.combinations_with_replacement(sorted(v), 3):
+            acc[x, y, z] = acc.get((x, y, z), 0) + s * v[x] * v[y] * v[z]
+    return D.ring.canon_map(acc)
+
+
+def sym_decomposition_to_json(D: SymDecomposition) -> list:
+    """The cube terms of D as a JSON tree, one {"s", "v"} object per term:
+    the reference for ``jsonio.sym_decomposition_text``."""
+    return [{"s": str(s), "v": [[i, str(x)] for i, x in sorted(v.items())]} for s, v in D.raw]
+
+
+def symmetric_witness_tree(D: SymDecomposition) -> dict:
+    """The symmetric witness file of D as a JSON tree."""
+    return {
+        "format_version": 1,
+        "kind": "symmetric_witness",
+        "ring": str(D.ring),
+        "dim": D.dim,
+        "terms": sym_decomposition_to_json(D),
+    }
+
+
+def symmetric_witness_parse(obj: dict) -> SymDecomposition:
+    """The cube terms a symmetric witness file, given as a JSON tree, lists,
+    read back by the text reader that ``verify`` runs, every term kept."""
+
+    def plan(head: dict) -> tuple:
+        return jsonio._ring_of(head), jsonio._dim_of(head), sys.maxsize
+
+    ring, dim, _, raw = jsonio.symmetric_witness_terms(jsonio.canonical_dumps(obj), plan)
+    return SymDecomposition(ring, dim, raw)

@@ -22,6 +22,7 @@ from tenred.rings import GF, QQ, ZZ
 from tenred.sigma import IncompleteMatrix, build_B
 from tenred.symmetric import SymTensor
 from tenred.tensors import build_derksen
+from reference import symmetric_witness_parse
 from test_jsonio import tensor_file, tensor_witness_parse
 
 
@@ -483,6 +484,78 @@ def test_symmetric_witness_reader_refusals(edit, message, empty_gf11_symmetric, 
     assert capsys.readouterr().err == message
 
 
+def _cancelling(wit):
+    last = wit["terms"][-1]
+    wit["terms"] += [last, dict(last, s=str(-int(last["s"]) % 11))]
+
+
+def _one_value_changed(wit):
+    pair = wit["terms"][0]["v"][0]
+    pair[1] = str((int(pair[1]) + 1) % 11)
+
+
+def _terms_first(text):
+    # canonical text lists terms last; move them before every other member
+    head, terms = text.split(',"terms":')
+    return '{"terms":' + terms[:-2] + "," + head[1:] + "}\n"
+
+
+# stdout, stderr and exit code of verify on edits of the empty GF(11)
+# symmetric witness, as the tree reader that came before the text reader
+# printed them
+@pytest.mark.parametrize(
+    "edit, out, err, code",
+    [
+        (_cancelling, "3164 terms exceed the target rank 3162\n", "", 4),
+        (_one_value_changed, "mismatch at (8, 8, 8): instance has 0, witness sums to 7\n", "", 4),
+        (lambda wit: wit.update(dim=1130), "", "error: index 1130 out of range for length 1130 (at position 0)\n", 2),
+        (lambda wit: wit.update(dim=1132), "", "error: witness dimension differs from the instance (at position 0)\n", 2),
+        (lambda wit: wit.update(ring="gf:13"), "", "error: witness ring incompatible with the instance (at position 0)\n", 2),
+        (lambda wit: wit["terms"][5].update(s="0"), "", "error: zero coefficient terms are not stored\n", 2),
+        (_terms_first, "verified\n", "", 0),
+    ],
+    ids=["cancelling", "one-value-changed", "dim-below", "dim-above", "ring", "zero-s", "header-after-terms"],
+)
+def test_symmetric_verify_outputs_are_pinned(edit, out, err, code, empty_gf11_symmetric, tmp_path, capsys):
+    instf, witf = empty_gf11_symmetric
+    if edit is _terms_first:
+        badf = _write(tmp_path / "bad.json", _terms_first(witf.read_text()))
+    else:
+        badf = _edited(witf, tmp_path / "bad.json", edit)
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_verify_refuses_a_symmetric_witness_key_given_twice(empty_gf11_symmetric, tmp_path, capsys):
+    # the text reader sees every member; a tree reader kept the last "dim"
+    # and printed verified
+    instf, witf = empty_gf11_symmetric
+    badf = _write(tmp_path / "bad.json", witf.read_text()[:-2] + ',"dim":1131}\n')
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 2
+    assert capsys.readouterr() == ("", "error: field 'dim' is repeated (at position 0)\n")
+
+
+def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, monkeypatch, capsys):
+    # the instance is parsed once; the witness is read from its text by the
+    # member walk, term by term, and summed once by the packed kernel
+    instf, witf = empty_gf11_symmetric
+    parsed, sums = [], []
+    real_loads, real_json_loads, real_verify = jsonio.loads, json.loads, certify.verify_symmetric_decomposition
+    monkeypatch.setattr(jsonio, "loads", lambda text: parsed.append(text) or real_loads(text))
+    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or real_json_loads(text, **kw))
+    monkeypatch.setattr(
+        certify, "verify_symmetric_decomposition", lambda T, D: sums.append(D.dim) or real_verify(T, D)
+    )
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(witf)]) == 0
+    assert capsys.readouterr().out == "verified\n"
+    instance = instf.read_text()
+    assert parsed == [instance, instance]  # jsonio.loads, then the json.loads it calls
+    assert sums == [1131]
+
+
 def _scale_coordinate(terms, x, c):
     """Multiply coordinate x of each term's vector by c, over GF(11)."""
     for t in terms:
@@ -506,7 +579,7 @@ def test_verify_rejects_a_corrupted_gadget_group(corrupt, still_grouped, empty_g
     group = wit["terms"][3:6]
     assert [t["v"][:3] for t in group] == [[[0, "1"], [1, "1"], [3, r]] for r in ("3", "2", "1")]
     corrupt(group)
-    D = jsonio.symmetric_witness_parse(wit)
+    D = symmetric_witness_parse(wit)
     run = symmetric._collinear_run(D.raw, 3, D.ring)
     assert (run is not None and run[0] == 6) == still_grouped
     badf = _write(tmp_path / "bad.json", canonical_dumps(wit))
@@ -1223,7 +1296,7 @@ def _witness_meaning(wit):
         return head, ring, matrix, jsonio.assignment_from_json(ring, wit["assignment"])
     if wit["kind"] == "tensor_witness":
         return head, tensor_witness_parse(wit)
-    return head, jsonio.symmetric_witness_parse(wit)
+    return head, symmetric_witness_parse(wit)
 
 
 @settings(derandomize=True, max_examples=100, database=None)
@@ -1507,7 +1580,7 @@ def test_bare_file_mutations_never_trace_back(tmp_path_factory, data):
                     "srank",
                     _symtensor_pair_target,
                     symmetric_rank_bruteforce,
-                    lambda D: canonical_dumps(jsonio.symmetric_witness_file(D)),
+                    lambda D: "".join(jsonio.symmetric_witness_text(D)),
                 ),
             ]
         )

@@ -23,11 +23,10 @@ from tenred.jsonio import (
     matrix_to_json,
     polysystem_file,
     raw_matrix_from_json,
-    sym_decomposition_from_json,
-    sym_decomposition_to_json,
+    oracle_result_text,
+    sym_decomposition_text,
     symmetric_instance_file,
-    symmetric_witness_file,
-    symmetric_witness_parse,
+    symmetric_witness_text,
     symtensor_file,
     symtensor_parse,
     system_from_json,
@@ -54,7 +53,15 @@ from tenred.tensors import (
     pad_cubical,
 )
 
-from reference import dense, point, sum_decomposition_raw, unpacked
+from reference import (
+    dense,
+    point,
+    sum_decomposition_raw,
+    sym_decomposition_to_json,
+    symmetric_witness_parse,
+    symmetric_witness_tree,
+    unpacked,
+)
 
 # the tensor instance of {x1} over GF(2), as the CLI fixture pins it
 X1_GF2_TENSOR_INSTANCE_SHA256 = "91390fb3103ba25083750c54b51bb7d3e3eb436957e20ebf2f71c19d658c8c08"
@@ -75,10 +82,12 @@ def vec_from_json(ring, n, data, seen=None):
 def decomposition_from_json(ring, dims, data):
     """The terms of a tensor witness as a Decomposition held in memory;
     verify reads the same terms straight into the exact sum."""
+    if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
+        raise ParseError("terms must be a list of objects", 0)
     seen = {}
     terms = [
         tuple(vec_from_json(ring, n, jsonio._need(item, key), seen) for n, key in zip(dims, "abc"))
-        for item in jsonio._terms_of(data)
+        for item in data
     ]
     return Decomposition(ring, tuple(dims), terms)
 
@@ -411,10 +420,9 @@ def test_symtensor_round_trip():
 def test_symmetric_witness_round_trip():
     ring = GF(11)
     D = SymDecomposition(ring, 3, [(4, {0: 1, 2: 7})])
-    obj = symmetric_witness_file(D)
-    assert symmetric_witness_parse(loads(canonical_dumps(obj))) == D
-    data = sym_decomposition_to_json(D)
-    assert sym_decomposition_from_json(ring, 3, data) == D
+    text = "".join(symmetric_witness_text(D))
+    assert text == canonical_dumps(symmetric_witness_tree(D))
+    assert symmetric_witness_parse(loads(text)) == D
     with pytest.raises(ParseError):
         symmetric_witness_parse(
             {"format_version": 1, "kind": "symmetric_witness", "ring": "gf:11", "dim": 0, "terms": []}
@@ -616,3 +624,36 @@ def test_text_writer_matches_the_tree_writer(case):
     D = _walked(*case)
     assert "".join(tensor_witness_text(D)) == canonical_dumps(tensor_witness_tree(D))
     assert len(D) == len(case[3])
+
+
+@st.composite
+def _sym_terms(draw):
+    """A ring, a dim and raw (s, v) cube terms, some of them sharing a map."""
+    ring = draw(st.sampled_from([GF(2), GF(11), QQ, ZZ]))
+    dim = draw(st.integers(1, 4))
+    value = st.sampled_from(_Q_SPELLINGS if ring == QQ else _SPELLINGS).map(ring.parse).filter(bool)
+    maps = draw(st.lists(st.dictionaries(st.integers(0, dim - 1), value, min_size=1, max_size=3), min_size=1, max_size=3))
+    return ring, dim, draw(st.lists(st.tuples(value, st.sampled_from(maps)), max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(case=_sym_terms())
+def test_symmetric_text_writer_matches_the_tree_writer(case):
+    # the witness text and an oracle result holding the cubes have the bytes
+    # of the canonical dump of the JSON tree, and read back as the cubes
+    D = SymDecomposition(*case)
+    text = "".join(symmetric_witness_text(D))
+    assert text == canonical_dumps(symmetric_witness_tree(D))
+    assert symmetric_witness_parse(loads(text)) == D
+    result = oracle_result_text("srank", len(D), D, True, 0)
+    tree = {
+        "format_version": 1,
+        "kind": "oracle_result",
+        "oracle": "srank",
+        "value": len(D),
+        "exhausted": True,
+        "lower_bound": 0,
+        "witness": sym_decomposition_to_json(D),
+    }
+    assert "".join(result) == canonical_dumps(tree)
+    assert "".join(sym_decomposition_text(D)) + "\n" == canonical_dumps(sym_decomposition_to_json(D))

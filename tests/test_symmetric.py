@@ -38,7 +38,7 @@ from tenred.symmetric import (
 )
 from tenred.tensors import Decomposition, Tensor3
 
-from reference import sum_decomposition_raw, sym_entry
+from reference import dict_mismatch, sum_decomposition_raw, sum_sym_decomposition_reference, sym_entry, unpacked
 from reference import vec as _vec
 
 
@@ -659,15 +659,9 @@ def test_symmetric_witness_n1_minimal_in_family():
     assert res.lower_bound == 10
 
 
-def _reference_sym_sum(D):
-    """Tuple-keyed cube sum, entry by entry, as a reference for the kernel."""
-    acc = {}
-    for s, v in D.raw:
-        for x, y, z in itertools.combinations_with_replacement(sorted(v), 3):
-            acc[(x, y, z)] = acc.get((x, y, z), 0) + s * v[x] * v[y] * v[z]
-    if D.ring.modulus is not None:
-        acc = {k: v % D.ring.modulus for k, v in acc.items()}
-    return {k: v for k, v in acc.items() if v}
+def _kernel_sum(D):
+    """The packed sum of the kernel as a canonical (x, y, z)-keyed map."""
+    return unpacked(sum_sym_decomposition_raw(D), D.ring, (D.dim,) * 3)
 
 
 @pytest.mark.parametrize("ring", [GF(11), QQ], ids=str)
@@ -692,12 +686,12 @@ def test_sum_sym_decomposition_raw_matches_reference(ring):
                 # a cancelling twin: the pair sums to zero everywhere
                 terms.append((ring.canon(-s), v))
         D = SymDecomposition(ring, dim, terms)
-        got = sum_sym_decomposition_raw(D)
-        assert got == _reference_sym_sum(D), trial
+        got = _kernel_sum(D)
+        assert got == sum_sym_decomposition_reference(D), trial
         assert all(x <= y <= z for x, y, z in got)
     v = _vec(ring, [1, 2, 0, 3])
     s = ring.canon(5)
-    assert sum_sym_decomposition_raw(SymDecomposition(ring, 4, [(s, v), (ring.canon(-s), v)])) == {}
+    assert _kernel_sum(SymDecomposition(ring, 4, [(s, v), (ring.canon(-s), v)])) == {}
 
 
 def _nonzero(ring):
@@ -706,6 +700,32 @@ def _nonzero(ring):
     if ring == ZZ:
         return st.integers(-3, 3).filter(bool)
     return st.integers(1, ring.modulus - 1)
+
+
+@settings(derandomize=True, database=None, max_examples=40)
+@given(data=st.data())
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("ring", [GF(2), GF(11), QQ, ZZ], ids=str)
+def test_packed_check_matches_the_tuple_keyed_reference(ring, dim, data):
+    # random cubes, and as expected tensor their reference sum with a few
+    # entries changed, dropped or added: the packed sum unpacks to the
+    # reference sum, and the check names the mismatch the smallest-key
+    # rule of the tuple-keyed compare picks, with the same two values
+    value = _nonzero(ring).map(ring.canon)
+    vec = st.dictionaries(st.integers(0, dim - 1), value, min_size=1, max_size=dim)
+    D = SymDecomposition(ring, dim, data.draw(st.lists(st.tuples(value, vec), max_size=5)))
+    got = sum_sym_decomposition_reference(D)
+    want = dict(got)
+    triples = list(itertools.combinations_with_replacement(range(dim), 3))
+    for key in data.draw(st.lists(st.sampled_from(triples), max_size=3)):
+        v = data.draw(st.none() | value)
+        if v is None:
+            want.pop(key, None)
+        else:
+            want[key] = v
+    assert _kernel_sum(D) == got
+    T = SymTensor(ring, _names(dim), want)
+    assert verify_symmetric_decomposition(T, D) == dict_mismatch(want, got)
 
 
 def _line_terms(data, ring, dim, u_support, w_support):
@@ -757,7 +777,7 @@ def test_grouped_sum_matches_per_term_expansion(ring, data):
             for _ in range(data.draw(st.integers(2, 3)) if kind == "repeat" else 1):
                 terms.append((ring.canon(data.draw(value)), v))
     D = SymDecomposition(ring, dim, terms)
-    assert sum_sym_decomposition_raw(D) == _reference_sym_sum(D)
+    assert _kernel_sum(D) == sum_sym_decomposition_reference(D)
 
 
 def test_collinear_run_groups_a_gadget_exactly():
