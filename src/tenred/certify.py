@@ -16,11 +16,15 @@ stage, its index count, so reading never builds more than the file
 already lists.  Every claim below is therefore about the reduction of the
 file's system F, never about numbers stored next to it.
 
-``verify`` runs the same three steps on every stage: the witness ring must
-be the instance's ring, or a field an integer instance embeds in (only Q
-for a completion); the term count may not exceed the target rank worked
-out from the rebuilt instance; then one exact check.  A ``verified`` line
-means, over the witness ring:
+``verify`` runs the same steps on every stage: the witness ring must be
+the instance's ring, or a field an integer instance embeds in (only Q for
+a completion); then the stage's verdict (``completion_verdict``,
+``tensor_verdict``, ``symmetric_verdict``) decides, once: the term count
+may not exceed the target rank worked out from the rebuilt instance, and
+one exact check follows.  ``witness`` calls the same verdict, once, on what
+it built, before any byte is written, so its ``verification: verified``
+says what ``verify``'s ``verified`` says; the builders it calls only
+build.  A ``verified`` line means, over the witness ring:
 
 * completion: the witness assignment solves F, the witness matrix W agrees
   with B(F) at every specified cell, and its exact rank is 3: those cells
@@ -51,10 +55,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import jsonio
-from .errors import GuardExceededError, ParseError, StructureError
+from .errors import GuardExceededError, ParseError, VerificationError
 from .linalg import factors_through_units, rank_raw
 from .polysys import Assignment, PolySystem
 from .rings import QQ, ZZ
@@ -64,7 +68,6 @@ from .sigma import (
     build_B,
     completion_witness,
     sigma_system,
-    unit_block_mismatch,
     unit_label_positions,
 )
 from .symmetric import (
@@ -86,6 +89,7 @@ from .tensors import (
     derksen_witness,
     first_mismatch,
     pad_cubical,
+    sum_terms_raw,
 )
 
 STAGES = {"completion_instance": "completion", "tensor_instance": "tensor", "symmetric_instance": "symmetric"}
@@ -242,13 +246,13 @@ def _text_difference(text: str, pieces: Iterable[str]) -> str | None:
     return _difference(jsonio.loads(text), json.loads("".join([text[:pos], piece, *pieces])))
 
 
-def witness_file(red: Reduction, solution: str, report: Callable[[str, object], None]) -> dict | Iterator[str]:
-    """The witness file a solution, comma-separated values, induces: a
-    dict for a completion, else its canonical text in pieces, made as it
-    is read.
+def witness_file(red: Reduction, solution: str, report: Callable[[str, object], None]) -> Iterable[str]:
+    """The canonical text of the witness file a solution, comma-separated
+    values, induces, in pieces, made as they are read.
 
     Witnesses live over Q for an integer instance, else over its ring.
-    Each stage's witness is checked by its builder before it is returned.
+    What is built goes to the stage's verdict, the one ``verify`` runs,
+    before it is returned; a refusal raises VerificationError.
     """
     B = red.B
     field = QQ if B.ring == ZZ else B.ring
@@ -259,52 +263,78 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
         raise ParseError(f"bad solution value: {e}", 0) from e
     W = completion_witness(B.system, point, B=B)
     if red.stage == "completion":
-        # W = U^T U with three rows in U, so rank(W) <= 3; the identity at
-        # the unit labels gives rank(W) >= 3 without an elimination
-        bad = unit_block_mismatch(W.raw_grid, B)
-        if bad is not None:
-            raise StructureError(f"completion is not the identity at the unit labels, cell {bad}")
-        report("rank", 3)
-        report("verification", "verified")
-        return jsonio.completion_witness_file(point, W)
-    inst = red.inst.change_ring(field)
-    U = SymbolicU(inst.source.row_labels).evaluate(point, field)
-    D = derksen_witness(inst, W, U, U)
-    if red.stage == "tensor":
-        report("terms", len(D))
-        report("verification", "verified")
-        return jsonio.tensor_witness_text(D)
-    padded = pad_cubical(inst.tensor)
-    # padding leaves every raw map as it is
-    WS = symmetric_witness(padded, Decomposition(field, padded.dims, D.raw))
-    report("terms", len(WS))
-    report("target_rank", red.target_rank)
+        reason = completion_verdict(red, field, point.values, W.raw_grid)
+        facts = [("rank", 3)]
+        # the tree holds no reference to W; it is dumped as it is written
+        text = map(jsonio.canonical_dumps, [jsonio.completion_witness_file(point, W)])
+    else:
+        inst = red.inst.change_ring(field)
+        U = SymbolicU(inst.source.row_labels).evaluate(point, field)
+        D = derksen_witness(inst, W, U)
+        if red.stage == "tensor":
+            reason = tensor_verdict(red, field, len(D), sum_terms_raw(D.raw, D.dims))
+            facts = [("terms", len(D))]
+            text = jsonio.tensor_witness_text(D)
+        else:
+            padded = pad_cubical(inst.tensor)
+            # padding leaves every raw map as it is
+            WS = symmetric_witness(padded, Decomposition(field, padded.dims, D.raw))
+            reason = symmetric_verdict(red, field, len(WS), WS.raw)
+            facts = [("terms", len(WS)), ("target_rank", red.target_rank)]
+            text = jsonio.symmetric_witness_text(WS)
+    if reason is not None:
+        raise VerificationError(f"{red.stage} witness fails: {reason}")
+    for key, value in facts:
+        report(key, value)
     report("verification", "verified")
-    return jsonio.symmetric_witness_text(WS)
+    return text
 
 
-def _completion_failure(B: IncompleteMatrix, wit: dict) -> str | None:
-    ring = jsonio._ring_of(wit)
-    rows = jsonio.raw_matrix_from_json(ring, jsonio._need(wit, "matrix"))
-    point = jsonio.assignment_from_json(ring, jsonio._need(wit, "assignment"))
-    if len(rows) != B.nrows or len(rows[0]) != B.ncols:
-        raise ParseError("witness shape differs from the instance", 0)
-    if B.ring != ring:
-        if B.ring != ZZ or ring != QQ:
-            raise ParseError("witness ring incompatible with the instance", 0)
-        B = B.change_ring(ring)
-    bad = B.system.change_ring(ring).first_violation(point.values)
+def completion_verdict(red: Reduction, ring, values: tuple, rows) -> str | None:
+    """Why a point and a square matrix W, raw values over ``ring`` of the
+    instance's shape, do not prove the completion claim, or None: the point
+    must solve F, W must agree with B at every specified cell, and W must
+    have rank 3.  The specified cells make W the identity at the unit
+    labels, so W has rank 3 exactly when it factors through them; only a
+    refusal eliminates, on a copy of the rows."""
+    B = red.B
+    bad = B.system.change_ring(ring).first_violation(values)
     if bad is not None:
         return f"assignment fails: {bad[0]} evaluates to {bad[1]}"
+    # an integer cell equals its image in Q, so B is compared as it is
     for i, (row, expect_row) in enumerate(zip(rows, B.raw_grid)):
         for j, expect in enumerate(expect_row):
             if expect is not None and row[j] != expect:
                 return f"mismatch at ({i},{j}): instance has {expect}, witness has {row[j]}"
-    # the specified cells make W the identity at the unit labels, so W has
-    # rank 3 exactly when it factors through them; only a refusal eliminates
     if factors_through_units(rows, unit_label_positions(B), ring):
         return None
-    return f"completion rank is {rank_raw(rows, ring)}, not 3"
+    return f"completion rank is {rank_raw([list(row) for row in rows], ring)}, not 3"
+
+
+def _sum_verdict(red: Reduction, count: int, check: Callable[[], tuple]) -> str | None:
+    # a witness longer than the target proves nothing about the rank
+    # bound, however exactly it sums
+    if red.target_rank is not None and count > red.target_rank:
+        return f"{count} terms exceed the target rank {red.target_rank}"
+    ok, mismatch = check()
+    return None if ok else "mismatch at {}: instance has {}, witness sums to {}".format(*mismatch)
+
+
+def tensor_verdict(red: Reduction, ring, count: int, total: dict | None) -> str | None:
+    """Why ``count`` rank-1 terms over ``ring``, whose exact sum from
+    ``sum_terms_raw`` is ``total`` (None past the target), do not prove the
+    tensor claim, or None; the sum is popped from, and the instance's
+    entries are taken into ``ring`` as they are walked."""
+    T, canon = red.expected, ring.canon
+    want = ((key, canon(v)) for key, v in T.items())
+    return _sum_verdict(red, count, lambda: first_mismatch(want, total, ring, T.dims))
+
+
+def symmetric_verdict(red: Reduction, ring, count: int, terms: list | None) -> str | None:
+    """Why ``count`` cube terms over ``ring``, raw (s, v) pairs (None past
+    the target), do not prove the symmetric claim, or None."""
+    T = red.expected
+    return _sum_verdict(red, count, lambda: verify_symmetric_decomposition(T, SymDecomposition(ring, T.size, terms)))
 
 
 def _check_header(red: Reduction, wit: dict) -> None:
@@ -321,13 +351,21 @@ def _embeds(instance_ring, ring) -> bool:
 
 def failure(red: Reduction, text: str) -> str | None:
     """Why a witness file, given as its text, does not prove what the module
-    docstring says, or None.  A tensor or symmetric witness is read from
-    its text, which is let go before the exact check."""
+    docstring says, or None.  The file is refused as input first; the
+    stage's verdict then decides.  A tensor or symmetric witness is read
+    from its text, which is let go before the verdict."""
     if red.stage == "completion":
         wit = jsonio.loads(text)
         del text
         _check_header(red, wit)
-        return _completion_failure(red.B, wit)
+        ring = jsonio._ring_of(wit)
+        rows = jsonio.raw_matrix_from_json(ring, jsonio._need(wit, "matrix"))
+        point = jsonio.assignment_from_json(ring, jsonio._need(wit, "assignment"))
+        if len(rows) != red.B.nrows or len(rows[0]) != red.B.ncols:
+            raise ParseError("witness shape differs from the instance", 0)
+        if red.B.ring != ring and (red.B.ring != ZZ or ring != QQ):
+            raise ParseError("witness ring incompatible with the instance", 0)
+        return completion_verdict(red, ring, point.values, rows)
     T = red.expected
     limit = sys.maxsize if red.target_rank is None else red.target_rank
     symmetric = red.stage == "symmetric"
@@ -348,15 +386,4 @@ def failure(red: Reduction, text: str) -> str | None:
         raise ParseError(f"witness {'dimension differs' if symmetric else 'dimensions differ'} from the instance", 0)
     if not fits(ring):
         raise ParseError("witness ring incompatible with the instance", 0)
-    # a witness longer than the target proves nothing about the rank
-    # bound, however exactly it sums
-    if count > limit:
-        return f"{count} terms exceed the target rank {limit}"
-    if symmetric:
-        ok, mismatch = verify_symmetric_decomposition(T, SymDecomposition(ring, dims, total))
-    else:
-        ok, mismatch = first_mismatch(T.change_ring(ring).items(), total, ring, dims)
-    if ok:
-        return None
-    key, want, got = mismatch
-    return f"mismatch at {key}: instance has {want}, witness sums to {got}"
+    return (symmetric_verdict if symmetric else tensor_verdict)(red, ring, count, total)

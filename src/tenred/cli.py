@@ -38,10 +38,8 @@ def _report(key: str, value) -> None:
     print(f"{key}: {value}", file=sys.stderr)
 
 
-def _emit(obj, out: str | None) -> None:
-    """Write a file given as a dict, in canonical JSON, or as its canonical
-    text in pieces."""
-    pieces = [jsonio.canonical_dumps(obj)] if isinstance(obj, dict) else obj
+def _emit(pieces, out: str | None) -> None:
+    """Write a file given as its canonical text in pieces."""
     if out is None:
         sys.stdout.writelines(pieces)
     else:
@@ -93,7 +91,7 @@ def cmd_encode(args) -> int:
         F = F.change_ring(RingDescriptor.from_str(args.ring))
     _report("variables", F.num_vars)
     _report("polynomials", len(F.polynomials))
-    _emit(jsonio.polysystem_file(F), args.out)
+    _emit([jsonio.canonical_dumps(jsonio.polysystem_file(F))], args.out)
     return EXIT_OK
 
 
@@ -129,10 +127,10 @@ def cmd_witness(args) -> int:
     t0 = time.monotonic()
     red = certify.read_instance(text, *certify.STAGES)
     del text
-    out_obj = certify.witness_file(red, args.solution, _report)
+    pieces = certify.witness_file(red, args.solution, _report)
     del red  # the witness text is made from W and the stars, not the instance tensor
     _report("time_s", f"{time.monotonic() - t0:.3f}")
-    _emit(out_obj, args.out)
+    _emit(pieces, args.out)
     return EXIT_OK
 
 

@@ -17,10 +17,6 @@ class ParseError(ValueError):
         self.position = position
 
 
-class SingularMatrixError(ValueError):
-    """Inversion was requested for a singular matrix."""
-
-
 class GuardExceededError(RuntimeError):
     """A constructed index set would exceed the size guard."""
 

@@ -11,10 +11,11 @@ vectors as [[index, "value"], ...] pairs, tensors as sorted
 symmetric stage are text at both ends, never a tree: their terms are
 written one by one (``decomposition_text``, ``sym_decomposition_text``),
 and a tensor instance in pieces of entries and stars
-(``tensor_instance_text``), with the canonical bytes of the tree.  Both
-witnesses are read from their text by one member walk
-(``_witness_terms``), one term at a time: ``tensor_witness_sum`` adds
-each term to the exact sum as it reads it, and
+(``tensor_instance_text``), with the canonical bytes of the tree.  Every
+file is read by one member walk of its top-level object, which refuses a
+key given twice: ``loads`` decodes each member whole, and the two
+witnesses are read one term at a time (``_witness_terms``):
+``tensor_witness_sum`` adds each term to the exact sum as it reads it, and
 ``symmetric_witness_terms`` keeps raw (s, v) pairs, whose runs the
 grouped sum needs.
 """
@@ -41,12 +42,15 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def loads(text: str) -> dict:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", e.pos) from e
-    if not isinstance(obj, dict):
-        raise ParseError("top-level JSON value must be an object", 0)
+    """The top-level members of a file, each decoded whole by the member
+    walk, which refuses a key given twice."""
+    obj: dict = {}
+
+    def member(key: str, pos: int) -> int:
+        obj[key], end = _value(text, pos)
+        return end
+
+    _walk_object(text, member)
     return _checked(obj)
 
 
@@ -474,13 +478,18 @@ class _Items:
 def _walk_object(text: str, member: Callable[[str, int], int]) -> None:
     """Walk the one top-level object of ``text``: ``member(key, pos)`` reads
     the value of each member, which starts at ``pos``, and returns the
-    position after it.  A text that is not one object is refused as
-    ``loads`` refuses it, and so is a key that comes twice."""
+    position after it.  A text that is not one JSON object is refused, with
+    the message ``json.loads`` gives, and so is a key that comes twice."""
     pos = _past_space(text, 0)
-    if not text.startswith("{", pos):
-        loads(text)  # raises: the text is not JSON, or not an object
     keys = set()
     try:
+        if not text.startswith("{", pos):
+            if text.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+            pos = _past_space(text, _value(text, pos)[1])
+            if pos != len(text):
+                raise json.JSONDecodeError("Extra data", text, pos)
+            raise ParseError("top-level JSON value must be an object", 0)
         pos = _past_space(text, pos + 1)
         done = text.startswith("}", pos)
         pos += done

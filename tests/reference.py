@@ -1,5 +1,6 @@
 """Reference helpers that only the tests use: constructors from plain ints
-and Fractions, matrix products and inverses, nested and term-map
+and Fractions, matrix products and inverses (with the error a singular one
+raises), nested and term-map
 constructors, star and symmetry predicates, the tuple-keyed tensor and
 cube sums and the compare that the packed kernels of ``tenred.tensors``
 and ``tenred.symmetric`` are checked against, and the JSON tree writer and
@@ -14,7 +15,7 @@ import sys
 from typing import Sequence
 
 from tenred import jsonio
-from tenred.errors import RingMismatchError, SingularMatrixError
+from tenred.errors import RingMismatchError
 from tenred.linalg import DenseMatrix
 from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
 from tenred.rings import RingDescriptor
@@ -60,6 +61,10 @@ def matmul(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
     cols = list(zip(*b.raw_grid))
     out = [[canon(sum(x * y for x, y in zip(r, c))) for c in cols] for r in a.raw_grid]
     return DenseMatrix(a.ring, out)
+
+
+class SingularMatrixError(ValueError):
+    """Inversion was requested for a singular matrix."""
 
 
 def inverse_3x3(m: DenseMatrix) -> DenseMatrix:

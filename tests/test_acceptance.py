@@ -264,7 +264,7 @@ def test_criterion_05_star_slice_witness(capsys, system_q, system_gf11):
             xi = point(F.ring, [first])
             W = completion_witness(F, xi, B=B)
             U = SymbolicU(B.row_labels).evaluate(xi, F.ring)
-            D = derksen_witness(inst, W, U, U)
+            D = derksen_witness(inst, W, U)
             assert len(list(D.raw)) == inst.tau + 3
             ok, mismatch = verify_decomposition(inst.tensor, D)
             assert ok, mismatch

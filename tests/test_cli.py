@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import importlib.util
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,8 @@ from tenred.jsonio import (
 )
 from tenred.oracle import symmetric_rank_bruteforce, tensor_rank_bruteforce
 from tenred.polysys import PolySystem, parse_polynomial
-from tenred.rings import GF, QQ, ZZ
-from tenred.sigma import IncompleteMatrix, build_B
+from tenred.rings import GF, QQ, ZZ, RingDescriptor
+from tenred.sigma import IncompleteMatrix
 from tenred.symmetric import SymTensor
 from tenred.tensors import build_derksen
 from reference import symmetric_witness_parse
@@ -427,26 +429,30 @@ def test_symmetric_witness_exits_4_on_corrupt_pieces(empty_gf11_symmetric, tmp_p
     monkeypatch.setattr(symmetric, "sym_pair_decompose", corrupt_first)
     out = tmp_path / "wit.json"
     capsys.readouterr()
+    # symmetric_witness returns the pieces unchecked; the verdict verify
+    # runs refuses them before a byte is written, naming the mismatch
     assert main(["witness", str(instf), "--solution", "", "--out", str(out)]) == 4
-    assert "symmetric witness fails" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == "error: symmetric witness fails: mismatch at (0, 0, 0): instance has 0, witness sums to 1\n"
     assert not out.exists()
 
 
 def test_symmetric_witness_checks_each_thing_once(empty_gf11_symmetric, tmp_path, monkeypatch):
-    # derksen_witness sums the tensor decomposition once, the padding is
-    # built with no correction tensor, and the finished witness is summed
-    # once; the cached gadgets check their own 2-dimensional targets
+    # the tensor decomposition is not summed, the padding is built with no
+    # correction tensor, and the verdict sums the finished witness once;
+    # the cached gadgets check their own 2-dimensional targets
     instf, witf = empty_gf11_symmetric
-    seen = {"verify_decomposition": 0, "build_L_pi": 0, "verify_symmetric_decomposition": []}
+    seen = {"verify_decomposition": 0, "sum_terms_raw": 0, "build_L_pi": 0, "verify_symmetric_decomposition": []}
 
-    def spy(module, name, record):
-        real = getattr(module, name)
+    def spy(modules, name, record):
+        real = getattr(modules[0], name)
 
         def counted(*args, **kwargs):
             record(*args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counted)
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
 
     def count(name):
         def record(*args):
@@ -454,16 +460,18 @@ def test_symmetric_witness_checks_each_thing_once(empty_gf11_symmetric, tmp_path
 
         return record
 
-    for module in (tensors, symmetric):
-        if hasattr(module, "verify_decomposition"):
-            spy(module, "verify_decomposition", count("verify_decomposition"))
-    spy(symmetric, "build_L_pi", count("build_L_pi"))
-    spy(symmetric, "verify_symmetric_decomposition", lambda T, D: seen["verify_symmetric_decomposition"].append(D.dim))
+    spy([tensors], "verify_decomposition", count("verify_decomposition"))
+    spy([tensors, jsonio, certify], "sum_terms_raw", count("sum_terms_raw"))
+    spy([symmetric], "build_L_pi", count("build_L_pi"))
+    spy(
+        [symmetric, certify],
+        "verify_symmetric_decomposition",
+        lambda T, D: seen["verify_symmetric_decomposition"].append(D.dim),
+    )
     out = tmp_path / "wit.json"
     assert main(["witness", str(instf), "--solution", "", "--out", str(out)]) == 0
     assert out.read_bytes() == witf.read_bytes()
-    assert seen["verify_decomposition"] == 1
-    assert seen["build_L_pi"] == 0
+    assert seen["verify_decomposition"] == seen["sum_terms_raw"] == seen["build_L_pi"] == 0
     assert [dim for dim in seen["verify_symmetric_decomposition"] if dim != 2] == [1131]
 
 
@@ -537,22 +545,67 @@ def test_verify_refuses_a_symmetric_witness_key_given_twice(empty_gf11_symmetric
     assert capsys.readouterr() == ("", "error: field 'dim' is repeated (at position 0)\n")
 
 
-def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, monkeypatch, capsys):
-    # the instance is parsed once; the witness is read from its text by the
-    # member walk, term by term, and summed once by the packed kernel
+def _repeat_first_member(text, member):
+    """The file's text with one more top-level member put first."""
+    return text.replace("{", "{" + member + ",", 1)
+
+
+@pytest.mark.parametrize("which", ["instance", "polysystem", "completion-witness"])
+def test_a_key_given_twice_exits_2(which, empty_gf11_symmetric, x1_gf2_completion, tmp_path, capsys):
+    # every file is read by the one member walk, which refuses a repeated
+    # top-level key rather than keep its last value
     instf, witf = empty_gf11_symmetric
-    parsed, sums = [], []
+    if which == "instance":
+        badf = _write(tmp_path / "inst.json", _repeat_first_member(instf.read_text(), '"tau":999'))
+        argv, key = ["verify", badf, str(witf)], "tau"
+    elif which == "polysystem":
+        sysf = instf.parent / "sys.json"
+        badf = _write(tmp_path / "sys.json", _repeat_first_member(sysf.read_text(), '"num_vars":3'))
+        argv, key = ["reduce", "symmetric", badf], "num_vars"
+    else:
+        instf, witf = x1_gf2_completion
+        badf = _write(tmp_path / "wit.json", _repeat_first_member(witf.read_text(), '"ring":"gf:2"'))
+        argv, key = ["verify", str(instf), badf], "ring"
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: field {key!r} is repeated (at position 0)\n")
+
+
+@pytest.mark.parametrize("text", ["\ufeff", " [1]", "[1] x", ""], ids=["bom", "list", "extra", "empty"])
+def test_a_file_that_is_no_object_exits_2_as_json_loads_words_it(text, x1_gf2_tensor, tmp_path, capsys):
+    # the member walk refuses what json.loads refused, with its message,
+    # whether the file is an instance or a witness
+    instf, witf = x1_gf2_tensor
+    try:
+        json.loads(text if text != "\ufeff" else text + witf.read_text())
+        reason = "top-level JSON value must be an object (at position 0)"
+    except json.JSONDecodeError as e:
+        reason = f"invalid JSON: {e} (at position {e.pos})"
+    for argv in (["verify", "FILE", str(witf)], ["verify", str(instf), "FILE"]):
+        base = (instf if argv[1] == "FILE" else witf).read_text()
+        badf = _write(tmp_path / "bad.json", text + base if text == "\ufeff" else text)
+        capsys.readouterr()
+        assert main([badf if a == "FILE" else a for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, monkeypatch, capsys):
+    # the instance is parsed once, by jsonio.loads; the witness is read from
+    # its text by the member walk, term by term, and summed once by the
+    # packed kernel; json.loads parses nothing whole
+    instf, witf = empty_gf11_symmetric
+    parsed, whole, sums = [], [], []
     real_loads, real_json_loads, real_verify = jsonio.loads, json.loads, certify.verify_symmetric_decomposition
     monkeypatch.setattr(jsonio, "loads", lambda text: parsed.append(text) or real_loads(text))
-    monkeypatch.setattr(json, "loads", lambda text, **kw: parsed.append(text) or real_json_loads(text, **kw))
+    monkeypatch.setattr(json, "loads", lambda text, **kw: whole.append(text) or real_json_loads(text, **kw))
     monkeypatch.setattr(
         certify, "verify_symmetric_decomposition", lambda T, D: sums.append(D.dim) or real_verify(T, D)
     )
     capsys.readouterr()
     assert main(["verify", str(instf), str(witf)]) == 0
     assert capsys.readouterr().out == "verified\n"
-    instance = instf.read_text()
-    assert parsed == [instance, instance]  # jsonio.loads, then the json.loads it calls
+    assert parsed == [instf.read_text()]
+    assert whole == []
     assert sums == [1131]
 
 
@@ -625,9 +678,15 @@ def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
         rows[e][e] = W.ring.canon(2)
         return type(W)(W.ring, rows)
 
+    # the unit block is a specified block of B, so the verdict verify runs
+    # refuses W where it leaves B, before a byte is written
     monkeypatch.setattr(certify, "completion_witness", broken_unit_block)
-    assert main(["witness", str(instf), "--solution", "0", "--out", str(tmp_path / "x.json")]) == 4
-    assert "not the identity at the unit labels" in capsys.readouterr().err
+    e = sigma.unit_label_positions(certify.read_instance(instf.read_text()).B)[0]
+    out = tmp_path / "x.json"
+    assert main(["witness", str(instf), "--solution", "0", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: completion witness fails: mismatch at ({e},{e}): instance has 1, witness has 2\n"
+    assert not out.exists()
 
 
 def test_reduce_computes_sigma_once(tmp_path, monkeypatch):
@@ -1200,13 +1259,15 @@ def test_verify_names_the_smallest_mismatch_over_q(edit, message, x1_z_tensor, t
 
 def test_the_tensor_stage_builds_no_tensor(x1_gf2_tensor, tmp_path, monkeypatch, capsys):
     # reduce, witness and verify walk the star-slice tensor from B and never
-    # build it; witness checks its terms with one verify_decomposition
+    # build it; witness checks its terms with the one tensor verdict verify
+    # runs, and with nothing else
     instf, witf = x1_gf2_tensor
     built, checked = [], []
     build = tensors.DerksenInstance.tensor.fget
     monkeypatch.setattr(tensors.DerksenInstance, "tensor", property(lambda inst: built.append(inst) or build(inst)))
-    real = tensors.verify_decomposition
-    monkeypatch.setattr(tensors, "verify_decomposition", lambda T, D: checked.append(T) or real(T, D))
+    real = certify.tensor_verdict
+    monkeypatch.setattr(certify, "tensor_verdict", lambda red, *rest: checked.append(red) or real(red, *rest))
+    monkeypatch.setattr(tensors, "verify_decomposition", None)
     inst2, wit2 = tmp_path / "inst.json", tmp_path / "wit.json"
     assert main(["reduce", "tensor", str(instf.parent / "sys.json"), "--out", str(inst2)]) == 0
     assert inst2.read_bytes() == instf.read_bytes()
@@ -1216,7 +1277,74 @@ def test_the_tensor_stage_builds_no_tensor(x1_gf2_tensor, tmp_path, monkeypatch,
     capsys.readouterr()
     assert main(["verify", str(inst2), str(wit2)]) == 0
     assert capsys.readouterr().out == "verified\n"
-    assert len(checked) == 1 and built == []
+    assert len(checked) == 2 and built == []
+
+
+class _Unread:
+    """A grid no code may read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("a cell of B was read")
+
+    def __iter__(self):
+        raise AssertionError("a cell of B was read")
+
+
+@pytest.mark.parametrize("fixture", ["x1_gf2_completion", "x1_gf2_tensor", "empty_gf11_symmetric"])
+def test_witness_and_verify_each_run_the_stage_verdict_once(fixture, request, tmp_path, monkeypatch, capsys):
+    # witness runs the verdict on what it built, verify on what it read,
+    # once each; the builders only build: completion_witness reads no cell
+    # of B, derksen_witness reads W only at the stars as its terms are
+    # walked, and a symmetric witness sums no rank-1 terms
+    instf, witf = request.getfixturevalue(fixture)
+    stage = json.loads(instf.read_text())["kind"].removesuffix("_instance")
+    verdicts, sums, reads = [], [], []
+    for name in ("completion_verdict", "tensor_verdict", "symmetric_verdict"):
+        real = getattr(certify, name)
+        monkeypatch.setattr(certify, name, lambda *args, name=name, real=real: verdicts.append(name) or real(*args))
+    real_sum = tensors.sum_terms_raw
+    for module in (tensors, jsonio, certify):
+        monkeypatch.setattr(module, "sum_terms_raw", lambda terms, dims: sums.append(dims) or real_sum(terms, dims))
+    real_completion, real_derksen = certify.completion_witness, certify.derksen_witness
+
+    def completion_witness(F, point, B):
+        grid, B.raw_grid = B.raw_grid, _Unread()
+        try:
+            return real_completion(F, point, B=B)
+        finally:
+            B.raw_grid = grid
+
+    class Row(tuple):
+        def __getitem__(self, j):
+            reads.append(j)
+            return tuple.__getitem__(self, j)
+
+    def derksen_witness(inst, W, U):
+        W.raw_grid = tuple(map(Row, W.raw_grid))
+        D = real_derksen(inst, W, U)
+        assert reads == []
+        return D
+
+    monkeypatch.setattr(certify, "completion_witness", completion_witness)
+    monkeypatch.setattr(certify, "derksen_witness", derksen_witness)
+    out = tmp_path / "wit.json"
+    solution = "" if fixture.startswith("empty") else "0"
+    assert main(["witness", str(instf), "--solution", solution, "--out", str(out)]) == 0
+    assert out.read_bytes() == witf.read_bytes()
+    assert verdicts == [f"{stage}_verdict"]
+    tau = json.loads(instf.read_text()).get("tau")
+    if stage == "tensor":
+        # one sum, the verdict's; the sum and the text each walk the terms
+        assert len(sums) == 1 and len(reads) == 2 * tau == 258
+    else:
+        assert sums == [] and reads == []
+    verdicts.clear()
+    sums.clear()
+    capsys.readouterr()
+    assert main(["verify", str(instf), str(witf)]) == 0
+    assert capsys.readouterr().out == "verified\n"
+    assert verdicts == [f"{stage}_verdict"]
+    assert len(sums) == (stage == "tensor")
 
 
 def test_verify_reads_a_tensor_witness_with_no_tree_of_it(x1_gf2_tensor, monkeypatch, capsys):
@@ -1299,14 +1427,11 @@ def _witness_meaning(wit):
     return head, symmetric_witness_parse(wit)
 
 
-@settings(derandomize=True, max_examples=100, database=None)
-@given(data=st.data())
-def test_witness_mutations_exit_2_or_4(x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric, data):
-    # one top-level field replaced, deleted or added, or one matrix cell or
-    # one term replaced: verify refuses the file as input (2) or as a proof
-    # (4), and accepts it only where it still says the same witness (a
-    # value respelled, say "3" for "1" over GF(2))
-    instf, witf = data.draw(st.sampled_from([x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric]))
+def _mutated(data, fixtures):
+    """A fixture's instance and witness files, and the witness as a tree
+    with one top-level field replaced, deleted or added, or one matrix cell
+    or one term replaced."""
+    instf, witf = data.draw(st.sampled_from(fixtures))
     wit = json.loads(witf.read_text())
     action = data.draw(st.sampled_from(["replace", "delete", "add", "item"]))
     if action == "add":
@@ -1330,12 +1455,167 @@ def test_witness_mutations_exit_2_or_4(x1_gf2_completion, x1_gf2_tensor, empty_g
         old = canonical_dumps(wit.pop(key))
         if action == "replace":
             wit[key] = data.draw(_JSON.filter(lambda v: canonical_dumps(v) != old))
+    return instf, witf, wit
+
+
+@settings(derandomize=True, max_examples=100, database=None)
+@given(data=st.data())
+def test_witness_mutations_exit_2_or_4(x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric, data):
+    # verify refuses a mutated file as input (2) or as a proof (4), and
+    # accepts it only where it still says the same witness (a value
+    # respelled, say "3" for "1" over GF(2))
+    instf, witf, wit = _mutated(data, [x1_gf2_completion, x1_gf2_tensor, empty_gf11_symmetric])
     mutated = _write(witf.parent / "mutated.json", canonical_dumps(wit))
     code = main(["verify", str(instf), mutated])
     if code == 0:
         assert _witness_meaning(wit) == _witness_meaning(json.loads(witf.read_text()))
     else:
         assert code in (2, 4)
+
+
+_CHECKS = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
+
+
+@pytest.fixture(scope="module")
+def independent_checks():
+    """bench/checks.py, loaded by path: output checks that share no code
+    with tenred, and the verdicts they gave, by instance and witness text."""
+    spec = importlib.util.spec_from_file_location("bench_checks", _CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    verdicts = {}
+
+    def accepts(instf, wit) -> bool:
+        key = instf, canonical_dumps(wit)
+        if key not in verdicts:
+            verdicts[key] = _checks_accept(checks, json.loads(instf.read_text()), wit)
+        return verdicts[key]
+
+    return accepts
+
+
+def _checks_accept(checks, inst, wit) -> bool:
+    """Whether bench/checks.py accepts a witness of an instance, the values
+    of both read in the ring the witness names; any exception refuses."""
+    try:
+        field = checks.Field(wit["ring"])
+        if inst["kind"] == "completion_instance":
+            checks.check_completion_instance(inst, field)
+            checks.check_completion_witness(inst, wit, field)
+        elif inst["kind"] == "tensor_instance":
+            entries = checks.check_tensor_instance(inst, field)
+            checks.check_tensor_witness(entries, inst["target_rank"], wit, field)
+        else:
+            entries = checks.check_symmetric_instance(inst, field)
+            checks.check_symmetric_witness(entries, inst["target_rank"], wit, field)
+    except Exception:
+        return False
+    return True
+
+
+def _agrees_with_the_checks(accepts, instf, wit, tmp):
+    """verify exits 0 only where the independent checks accept, and on the
+    tensor and symmetric stages they refuse what it refuses with exit 4;
+    they never look at a completion's assignment, so a completion verify
+    refuses may pass them."""
+    path = _write(tmp / "checked.json", canonical_dumps(wit))
+    code = main(["verify", str(instf), path])
+    if code == 0:
+        assert accepts(instf, wit)
+    elif code == 4 and wit["kind"] != "completion_witness":
+        assert not accepts(instf, wit)
+    return code
+
+
+def _witness_ring(wit):
+    return RingDescriptor.from_str(wit["ring"])
+
+
+def _negated(wit, term):
+    """A term with the opposite sign: its c factor, or its coefficient, negated."""
+    ring = _witness_ring(wit)
+    neg = lambda v: str(ring.canon(-ring.parse(v)))  # noqa: E731
+    if "s" in term:
+        return dict(term, s=neg(term["s"]))
+    return dict(term, c=[[k, neg(v)] for k, v in term["c"]])
+
+
+def _cancelling(wit):
+    """The last term and its negation appended: the same sum, two more terms."""
+    last = wit["terms"][-1]
+    wit["terms"] += [last, _negated(wit, last)]
+
+
+def _merged(wit):
+    """The cancelling pair's first term merged into the last term, whose
+    factors it shares all of: one term of twice its c factor, or twice its
+    coefficient, then the negation; the same sum, one more term."""
+    ring = _witness_ring(wit)
+    twice = lambda v: str(ring.canon(2 * ring.parse(v)))  # noqa: E731
+    last = wit["terms"][-1]
+    if "s" in last:
+        doubled = dict(last, s=twice(last["s"]))
+    else:
+        doubled = dict(last, c=[[k, twice(v)] for k, v in last["c"]])
+    wit["terms"][-1:] = [doubled, _negated(wit, last)]
+
+
+def _split(wit):
+    """One term split in two that share all but one factor: a factor of
+    several entries split into its first entry and the rest, or a
+    coefficient s into 1 and s - 1 (2 and s - 2 where s is 1); the same
+    sum, one more term."""
+    ring = _witness_ring(wit)
+    terms = wit["terms"]
+    for k, term in enumerate(terms):
+        if "s" in term:
+            s = ring.parse(term["s"])
+            one = ring.canon(2 if s == 1 else 1)
+            terms[k : k + 1] = [dict(term, s=str(one)), dict(term, s=str(ring.canon(s - one)))]
+            return
+        wide = next((f for f in "abc" if len(term[f]) > 1), None)
+        if wide is not None:
+            terms[k : k + 1] = [dict(term, **{wide: term[wide][:1]}), dict(term, **{wide: term[wide][1:]})]
+            return
+    raise AssertionError("no term to split")
+
+
+def _over_the_next_prime(wit):
+    """The witness relabelled as one over the next prime field, its values
+    spelled as they were."""
+    p = _witness_ring(wit).modulus
+    wit["ring"] = f"gf:{next(q for q in range(p + 1, 2 * p + 2) if all(q % d for d in range(2, q)))}"
+
+
+_SUM_KEEPING = {"cancelling": _cancelling, "merged": _merged, "split": _split}
+
+
+@pytest.mark.parametrize("fixture", ["x1_gf2_completion", "x1_gf2_tensor", "x1_z_tensor", "empty_gf11_symmetric"])
+def test_verify_agrees_with_the_independent_checks(fixture, independent_checks, request, tmp_path):
+    # the witness as made, its terms changed in three ways that keep their
+    # sum (each one past the target rank), and the witness relabelled as
+    # one over another prime field
+    instf, witf = request.getfixturevalue(fixture)
+    wit = json.loads(witf.read_text())
+    assert _agrees_with_the_checks(independent_checks, instf, wit, tmp_path) == 0
+    if "terms" in wit:
+        for name, change in _SUM_KEEPING.items():
+            changed = json.loads(witf.read_text())
+            change(changed)
+            assert _agrees_with_the_checks(independent_checks, instf, changed, tmp_path) == 4, name
+    if wit["ring"].startswith("gf:"):
+        _over_the_next_prime(wit)
+        assert _agrees_with_the_checks(independent_checks, instf, wit, tmp_path) == 2
+
+
+@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@given(data=st.data())
+def test_verify_agrees_with_the_independent_checks_on_mutations(
+    independent_checks, x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric, data
+):
+    fixtures = [x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric]
+    instf, _, wit = _mutated(data, fixtures)
+    _agrees_with_the_checks(independent_checks, instf, wit, instf.parent)
 
 
 @pytest.fixture(scope="module")

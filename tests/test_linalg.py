@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tenred.errors import RingMismatchError, SingularMatrixError
+from tenred.errors import RingMismatchError
 from tenred.linalg import DenseMatrix, factors_through_units, matrix_rank, rank_raw
 from tenred.rings import GF, QQ, ZZ
 
-from reference import dense, identity, inverse_3x3, matmul, transpose
+from reference import SingularMatrixError, dense, identity, inverse_3x3, matmul, transpose
 
 
 def minor_rank(m: DenseMatrix) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenred import symmetric
+from tenred import certify, symmetric
 from tenred.errors import (
     FieldTooSmallError,
     StructureError,
@@ -814,12 +814,20 @@ def _corrupt_pair_pieces(monkeypatch):
     monkeypatch.setattr(symmetric, "sym_pair_decompose", corrupt)
 
 
+def _symmetric_verdict(T, W):
+    """The verdict ``verify`` gives W's terms against the padded tensor of T."""
+    red = certify.Reduction("symmetric", None, expected=build_curly_T(embed_S(T), T.dims[0]))
+    return certify.symmetric_verdict(red, T.ring, len(W), W.raw)
+
+
 def test_symmetric_witness_final_check_catches_corrupt_pieces(monkeypatch):
+    # symmetric_witness returns the corrupt pieces unchecked; the verdict
+    # refuses them and names the first entry they miss
     ring = GF(11)
     T, D = _unit_cube_instance(ring)
     _corrupt_pair_pieces(monkeypatch)
-    with pytest.raises(StructureError, match="symmetric witness fails"):
-        symmetric_witness(T, D)
+    W = symmetric_witness(T, D)
+    assert _symmetric_verdict(T, W) == "mismatch at (0, 0, 0): instance has 0, witness sums to 5"
 
 
 def test_public_entry_points_keep_their_checks(monkeypatch):
@@ -847,7 +855,8 @@ def test_upper_terms_leave_an_entry_on_three_letters_in_the_residual():
 
 
 def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
-    """One exact check of the whole sum, plus each gadget's own check once."""
+    """Each gadget's own check once, and no check of the whole sum, which
+    the verdict makes once."""
     ring = GF(11)
     rng = random.Random(3)
     terms = [tuple(_vec(ring, [rng.randrange(11) for _ in range(2)]) for _ in range(3)) for _ in range(2)]
@@ -861,15 +870,16 @@ def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
         return real_verify(S, W)
 
     monkeypatch.setattr(symmetric, "verify_symmetric_decomposition", counting_verify)
+    monkeypatch.setattr(certify, "verify_symmetric_decomposition", counting_verify)
     symmetric.waring_gadget.cache_clear()
     W = symmetric_witness(T, D)
     info = symmetric.waring_gadget.cache_info()
     # the three pair corrections share the a = 0 gadget: solved once, then reused
     assert info.misses and info.hits >= 2
-    # every solved gadget checks its 2-dimensional target; the witness is checked once
-    assert checks.count(2) == info.misses
-    assert checks.count(W.dim) == 1
-    assert len(checks) == info.misses + 1
+    # every solved gadget checks its 2-dimensional target; the witness is not summed
+    assert checks == [2] * info.misses
+    assert _symmetric_verdict(T, W) is None
+    assert checks == [2] * info.misses + [W.dim]
 
 
 def _reference_upper_terms(U, n):

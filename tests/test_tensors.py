@@ -1,12 +1,12 @@
 import random
-import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tenred.errors import RingMismatchError, StructureError, VerificationError
+from tenred import certify
+from tenred.errors import RingMismatchError
 from tenred.linalg import DenseMatrix
 from tenred.polysys import PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ
@@ -168,7 +168,7 @@ def test_stars_are_counted_and_walked_in_row_major_order(name):
 def test_derksen_witness_terms_are_made_on_each_walk():
     # the tau+3 terms are no list: each walk makes them again, the same
     inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
-    D = derksen_witness(inst, W, U, U)
+    D = derksen_witness(inst, W, U)
     assert isinstance(D.raw, Walk) and len(D.raw) == inst.tau + 3
     first, second = list(D.raw), list(D.raw)
     assert first == second and len(first) == inst.tau + 3
@@ -190,35 +190,46 @@ def _gadget_pipeline(ring, poly, solution):
 
 def test_derksen_witness_pipeline():
     inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
-    D = derksen_witness(inst, W, U, U)
+    D = derksen_witness(inst, W, U)
     assert len(D) == inst.target_rank == inst.tau + 3
     ok, _ = verify_decomposition(inst.tensor, D)
     assert ok
 
 
+def _tensor_verdict(inst, D):
+    """The verdict ``verify`` gives D's terms against the instance."""
+    red = certify.Reduction("tensor", inst.source, inst, inst, inst.target_rank)
+    return certify.tensor_verdict(red, inst.ring, len(D), sum_terms_raw(D.raw, D.dims))
+
+
 def test_derksen_witness_rejects_bad_completion():
+    # derksen_witness builds from any completion and factors; the tensor
+    # verdict refuses the terms and names where they miss the instance.
+    # W is read only at the stars, so a bump there shows in slice 0
     inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
     ring = GF(11)
+    assert _tensor_verdict(inst, derksen_witness(inst, W, U)) is None
+    i, j = inst.star_map[0]
     bumped = W.raw_rows()
-    bumped[0][0] = ring.canon(bumped[0][0] + 1)
-    with pytest.raises(VerificationError):
-        derksen_witness(inst, DenseMatrix(ring, bumped), U, U)
+    bumped[i][j] = ring.canon(bumped[i][j] + 1)
+    D = derksen_witness(inst, DenseMatrix(ring, bumped), U)
+    assert _tensor_verdict(inst, D) == f"mismatch at ({i}, {j}, 0): instance has 0, witness sums to 10"
     badU = DenseMatrix(ring, [[ring.canon(v * 2) for v in row] for row in U.raw_grid])
-    with pytest.raises(VerificationError):
-        derksen_witness(inst, W, badU, U)
+    D = derksen_witness(inst, W, badU)
+    assert _tensor_verdict(inst, D) == "mismatch at (0, 0, 0): instance has 1, witness sums to 4"
 
 
 def test_derksen_witness_refuses_terms_that_miss_the_tensor(monkeypatch):
-    # the completion and its factors agree with B, so only the closing sum
-    # can see that one star unit of the instance tensor was changed; the
-    # instance walks its entries from B, so the change goes into the walk
+    # the completion and its factors agree with B, so only the verdict's
+    # sum can see that one star unit of the instance tensor was changed;
+    # the instance walks its entries from B, so the change goes into the walk
     inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
     key = (*inst.star_map[0], 1)
     entries = dict(inst.tensor.entries)
     entries[key] = 2
     monkeypatch.setattr(DerksenInstance, "items", lambda self: entries.items())
-    with pytest.raises(StructureError, match=re.escape(f"witness fails to sum to the tensor at {key}")):
-        derksen_witness(inst, W, U, U)
+    D = derksen_witness(inst, W, U)
+    assert _tensor_verdict(inst, D) == f"mismatch at {key}: instance has 2, witness sums to 1"
 
 
 def test_slice_reduce_algebra():
