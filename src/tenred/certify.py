@@ -5,13 +5,14 @@ a polynomial system F into an instance file, and ``read_instance`` accepts
 a completion, tensor or symmetric instance file only if it *is* that
 reduction: it rebuilds the instance from the file's own ``system`` and
 refuses (exit 2) a file whose canonical JSON differs from the rebuilt one
-in any top-level field, a missing or an extra field included.  It keeps
-only the system and two counts of the parsed file through the rebuild,
-then compares the file's text with the rebuilt canonical text, piece by
-piece as the rebuild writes it; only text that differs is parsed again
-and compared field by field, so a file spelled otherwise (indented, keys
-reordered) is still accepted.  The
-rebuild's guards are the file's own label count and, on the symmetric
+in any top-level field, a missing or an extra field included.  It walks
+the file's top-level members with no tree of its entries and stars, which
+are stepped over where their text is a plain list of flat lists, keeps
+only the system and two counts through the rebuild, then compares the
+file's text with the rebuilt canonical text, piece by piece as the
+rebuild writes it; only text that differs is parsed again and compared
+field by field, so a file spelled otherwise (indented, keys reordered) is
+still accepted.  The rebuild's guards are the file's own label count and, on the symmetric
 stage, its index count, so reading never builds more than the file
 already lists.  Every claim below is therefore about the reduction of the
 file's system F, never about numbers stored next to it.
@@ -199,11 +200,18 @@ def _difference(stored: dict, rebuilt: dict) -> str | None:
 def read_instance(text: str, *kinds: str) -> Reduction:
     """The reduction an instance file's text is, as the module docstring
     says; a bare tensor or symtensor file is read as it stands.  Given
-    ``kinds``, a file of any other kind is refused first."""
-    obj = jsonio.loads(text)
+    ``kinds``, a file of any other kind is refused first.
+
+    The entries and stars are stepped over by ``jsonio.members`` where
+    their text is a plain list of flat lists, as a reduction writes them:
+    the comparison with the rebuilt text checks them byte for byte.  A
+    bare file decodes them where they start."""
+    obj, stepped = jsonio.members(text, "entries", "star_map")
     if kinds:
         jsonio.expect_kind(obj, *kinds)
     kind = obj.get("kind")
+    if kind in ("tensor", "symtensor"):
+        obj.update((key, jsonio._value(text, pos)[0]) for key, pos in stepped.items())
     if kind == "tensor":
         return Reduction("tensor", None, expected=jsonio.tensor_parse(obj))
     if kind == "symtensor":
@@ -214,7 +222,7 @@ def read_instance(text: str, *kinds: str) -> Reduction:
     F = jsonio.system_from_json(jsonio._need(obj, "system"))
     labels = _listed(obj, "labels")
     indices = _listed(obj, "index_names") if stage == "symmetric" else None
-    del obj  # the rebuild is compared with the text, not with this tree
+    del obj  # the rebuild is compared with the text, not with these members
     try:
         rebuilt, red = reduce_system(F, stage, labels, indices, lambda key, value: None)
     except GuardExceededError as e:
@@ -373,17 +381,17 @@ def failure(red: Reduction, text: str) -> str | None:
     fits = (lambda ring: ring == T.ring) if symmetric else (lambda ring: _embeds(T.ring, ring))
 
     def plan(head: dict) -> tuple:
-        # the terms are totalled only where the checks below can pass
+        # the terms are read only against the instance's shape and ring
         _check_header(red, head)
         ring = jsonio._ring_of(head)
         dims = jsonio._dim_of(head) if symmetric else jsonio._dims_of(head)
-        return ring, dims, limit if dims == shape and fits(ring) else -1
+        if dims != shape:
+            raise ParseError(f"witness {'dimension differs' if symmetric else 'dimensions differ'} from the instance", 0)
+        if not fits(ring):
+            raise ParseError("witness ring incompatible with the instance", 0)
+        return ring, dims, limit
 
     read = jsonio.symmetric_witness_terms if symmetric else jsonio.tensor_witness_sum
-    ring, dims, count, total = read(text, plan)
+    ring, _, count, total = read(text, plan)
     del text
-    if dims != shape:
-        raise ParseError(f"witness {'dimension differs' if symmetric else 'dimensions differ'} from the instance", 0)
-    if not fits(ring):
-        raise ParseError("witness ring incompatible with the instance", 0)
     return (symmetric_verdict if symmetric else tensor_verdict)(red, ring, count, total)

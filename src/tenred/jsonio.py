@@ -13,7 +13,10 @@ written one by one (``decomposition_text``, ``sym_decomposition_text``),
 and a tensor instance in pieces of entries and stars
 (``tensor_instance_text``), with the canonical bytes of the tree.  Every
 file is read by one member walk of its top-level object, which refuses a
-key given twice: ``loads`` decodes each member whole, and the two
+key given twice: ``loads`` decodes each member whole; ``members``, which
+reads instances, steps over the entries and stars where one possessive
+pattern shows their text is a list of flat lists of integers and strings
+that json decodes, so none of their items is decoded; and the two
 witnesses are read one term at a time (``_witness_terms``):
 ``tensor_witness_sum`` adds each term to the exact sum as it reads it, and
 ``symmetric_witness_terms`` keeps raw (s, v) pairs, whose runs the
@@ -23,6 +26,7 @@ grouped sum needs.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
@@ -44,14 +48,37 @@ def canonical_dumps(obj: Any) -> str:
 def loads(text: str) -> dict:
     """The top-level members of a file, each decoded whole by the member
     walk, which refuses a key given twice."""
+    return members(text)[0]
+
+
+# A list of flat lists of JSON integers and strings, spelled with no
+# whitespace, escape or control character and with integers of at most 18
+# digits, so json decodes every text it matches without error.  Every
+# quantifier is possessive: a match keeps no backtracking state, however
+# long the list.
+_ATOM = r'(?:-?+(?:0|[1-9][0-9]{0,17}+)|"[^"\\\x00-\x1f]*+")'
+_FLAT = rf"\[(?:{_ATOM}(?:,{_ATOM})*+)?+\]"
+_FLAT_LISTS = re.compile(rf"\[(?:{_FLAT}(?:,{_FLAT})*+)?+\]")
+
+
+def members(text: str, *flat: str) -> tuple[dict, dict]:
+    """The top-level members of a file, as ``loads`` gives them, and where
+    each member named in ``flat`` starts whose text ``_FLAT_LISTS``
+    matches: such a member is stepped over, none of its items decoded, and
+    holds None; ``_value(text, pos)`` decodes it.  Any other spelling is
+    decoded whole, so every refusal is the one ``loads`` gives."""
     obj: dict = {}
+    stepped: dict = {}
 
     def member(key: str, pos: int) -> int:
+        if key in flat and (match := _FLAT_LISTS.match(text, pos)):
+            obj[key], stepped[key] = None, pos
+            return match.end()
         obj[key], end = _value(text, pos)
         return end
 
     _walk_object(text, member)
-    return _checked(obj)
+    return _checked(obj), stepped
 
 
 def _checked(obj: dict) -> dict:
@@ -551,7 +578,7 @@ def _witness_terms(text: str, plan: Callable[[dict], tuple], term: Callable, tot
     ``terms`` is decoded whole, and the terms one at a time, as
     ``_read_terms`` reads them.  ``plan`` checks the other members and
     returns the witness's (ring, shape, limit): how many terms to total at
-    most, -1 for none.  It is called first on the members before the
+    most.  It is called first on the members before the
     terms; where those fail it, the terms are only walked, and read once
     the whole text has been.  Every refusal of the text comes before the
     result; the total is None where more terms than ``limit`` are listed.

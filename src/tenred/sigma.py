@@ -270,7 +270,8 @@ class IncompleteMatrix:
         self.nrows = len(grid)
         self.ncols = ncols
         self.raw_grid = tuple(grid)
-        self.tau = sum(row.count(None) for row in grid)
+        # by identity: row.count(None) would call Fraction.__eq__ on every rational cell
+        self.tau = sum(1 for row in grid for v in row if v is None)
         self.row_labels = tuple(row_labels) if row_labels is not None else None
         self.system = system
         self._label_pos = None

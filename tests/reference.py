@@ -3,9 +3,10 @@ and Fractions, matrix products and inverses (with the error a singular one
 raises), nested and term-map
 constructors, star and symmetry predicates, the tuple-keyed tensor and
 cube sums and the compare that the packed kernels of ``tenred.tensors``
-and ``tenred.symmetric`` are checked against, and the JSON tree writer and
+and ``tenred.symmetric`` are checked against, the JSON tree writer and
 reader of a symmetric witness that its text writer and reader are checked
-against.  The package itself never needs them, so they live here, beside
+against, and the instance reader that decodes every member whole, which
+``certify.read_instance`` is checked against.  The package itself never needs them, so they live here, beside
 the tests that check against them."""
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import itertools
 import sys
 from typing import Sequence
 
-from tenred import jsonio
-from tenred.errors import RingMismatchError
+from tenred import certify, jsonio
+from tenred.errors import GuardExceededError, ParseError, RingMismatchError
 from tenred.linalg import DenseMatrix
 from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
 from tenred.rings import RingDescriptor
@@ -182,3 +183,33 @@ def symmetric_witness_parse(obj: dict) -> SymDecomposition:
 
     ring, dim, _, raw = jsonio.symmetric_witness_terms(jsonio.canonical_dumps(obj), plan)
     return SymDecomposition(ring, dim, raw)
+
+
+def read_instance_tree(text: str, *kinds: str) -> certify.Reduction:
+    """``certify.read_instance`` as it read a file before it stepped over
+    the entries and stars: every top-level member is decoded whole by
+    ``jsonio.loads``, then the same rebuild and text comparison follow."""
+    obj = jsonio.loads(text)
+    if kinds:
+        jsonio.expect_kind(obj, *kinds)
+    kind = obj.get("kind")
+    if kind == "tensor":
+        return certify.Reduction("tensor", None, expected=jsonio.tensor_parse(obj))
+    if kind == "symtensor":
+        return certify.Reduction("symmetric", None, expected=jsonio.symtensor_parse(obj))
+    stage = certify.STAGES.get(kind) if isinstance(kind, str) else None
+    if stage is None:
+        raise ParseError(f"expected an instance file, got {kind!r}", 0)
+    F = jsonio.system_from_json(jsonio._need(obj, "system"))
+    labels = certify._listed(obj, "labels")
+    indices = certify._listed(obj, "index_names") if stage == "symmetric" else None
+    del obj
+    try:
+        rebuilt, red = certify.reduce_system(F, stage, labels, indices, lambda key, value: None)
+    except GuardExceededError as e:
+        field = "index_names" if e.what == "symmetric indices" else "labels"
+        raise ParseError(f"{field} is not the reduction of its system ({e})", 0) from e
+    reason = certify._text_difference(text, rebuilt)
+    if reason is not None:
+        raise ParseError(reason, 0)
+    return red

@@ -510,13 +510,14 @@ def _terms_first(text):
 
 # stdout, stderr and exit code of verify on edits of the empty GF(11)
 # symmetric witness, as the tree reader that came before the text reader
-# printed them
+# printed them; a dim below the instance's is refused for its dim before a
+# term is read, where that reader named the first index past it
 @pytest.mark.parametrize(
     "edit, out, err, code",
     [
         (_cancelling, "3164 terms exceed the target rank 3162\n", "", 4),
         (_one_value_changed, "mismatch at (8, 8, 8): instance has 0, witness sums to 7\n", "", 4),
-        (lambda wit: wit.update(dim=1130), "", "error: index 1130 out of range for length 1130 (at position 0)\n", 2),
+        (lambda wit: wit.update(dim=1130), "", "error: witness dimension differs from the instance (at position 0)\n", 2),
         (lambda wit: wit.update(dim=1132), "", "error: witness dimension differs from the instance (at position 0)\n", 2),
         (lambda wit: wit.update(ring="gf:13"), "", "error: witness ring incompatible with the instance (at position 0)\n", 2),
         (lambda wit: wit["terms"][5].update(s="0"), "", "error: zero coefficient terms are not stored\n", 2),
@@ -590,9 +591,10 @@ def test_a_file_that_is_no_object_exits_2_as_json_loads_words_it(text, x1_gf2_te
 
 
 def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, monkeypatch, capsys):
-    # the instance is parsed once, by jsonio.loads; the witness is read from
-    # its text by the member walk, term by term, and summed once by the
-    # packed kernel; json.loads parses nothing whole
+    # neither file goes whole to jsonio.loads or json.loads: the instance's
+    # members are walked, its entries and stars stepped over, and the
+    # witness is read from its text term by term and summed once by the
+    # packed kernel
     instf, witf = empty_gf11_symmetric
     parsed, whole, sums = [], [], []
     real_loads, real_json_loads, real_verify = jsonio.loads, json.loads, certify.verify_symmetric_decomposition
@@ -604,7 +606,7 @@ def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, mon
     capsys.readouterr()
     assert main(["verify", str(instf), str(witf)]) == 0
     assert capsys.readouterr().out == "verified\n"
-    assert parsed == [instf.read_text()]
+    assert parsed == []
     assert whole == []
     assert sums == [1131]
 
@@ -1089,6 +1091,10 @@ def _other_dims(wit):
     wit["dims"] = [19, 19, 131]
 
 
+def _dims_below(wit):
+    wit["dims"][2] -= 1
+
+
 def _other_ring(wit):
     wit["ring"] = "gf:3"
 
@@ -1097,17 +1103,20 @@ def _other_ring(wit):
     "edits, code, message",
     [
         ([_over_target, _bad_last_term], 2, "bad sparse vector entry"),
-        ([_other_dims, _bad_last_term], 2, "bad sparse vector entry"),
+        ([_other_dims, _bad_last_term], 2, "witness dimensions differ"),
         ([_other_dims], 2, "witness dimensions differ"),
+        ([_dims_below], 2, "error: witness dimensions differ from the instance (at position 0)\n"),
         ([_other_ring], 2, "witness ring incompatible"),
         ([_over_target], 4, "134 terms exceed the target rank 132"),
     ],
-    ids=["malformed-over-target", "malformed-other-dims", "other-dims", "other-ring", "over-target"],
+    ids=["malformed-over-target", "malformed-other-dims", "other-dims", "dims-below", "other-ring", "over-target"],
 )
 def test_verify_checks_a_tensor_witness_in_order(edits, code, message, x1_gf2_tensor, tmp_path, capsys):
-    # verify reads the terms on one pass into the sum, and still refuses in
-    # the order parse, dims, ring, term count, sum: a malformed last term is
-    # an input error whatever else is wrong
+    # verify reads the terms on one pass into the sum, and refuses in the
+    # order dims, ring, parse of the terms, term count, sum: the terms are
+    # read only against the instance's dims and ring, so dims below the
+    # instance's are refused as dims, not as a term index past them, and a
+    # malformed last term is an input error whatever the term count
     instf, witf = x1_gf2_tensor
     badf = _edited(witf, tmp_path / "bad.json", lambda wit: [edit(wit) for edit in edits])
     capsys.readouterr()

@@ -56,6 +56,7 @@ from tenred.tensors import (
 from reference import (
     dense,
     point,
+    read_instance_tree,
     sum_decomposition_raw,
     sym_decomposition_to_json,
     symmetric_witness_parse,
@@ -395,6 +396,105 @@ def test_read_instance_refuses_an_edited_text(edit, message):
         with pytest.raises(ParseError) as e:
             read_instance(edit(text))
     assert str(e.value) == f"{message} (at position {e.value.position})"
+
+
+@pytest.fixture(scope="module")
+def instance_texts():
+    """Canonical texts of a tensor and a symmetric reduction instance and of
+    a bare tensor file, each with the members read_instance steps over."""
+    F, B, inst, m, S, target = _symmetric_instance(GF(11))
+    bare = Tensor3(ZZ, (2, 2, 3), {(0, 1, 2): -4, (1, 0, 0): 9, (1, 1, 1): 12})
+    return {
+        "tensor": (_x1_gf2_instance_text(), ["entries", "star_map"]),
+        "symmetric": (canonical_dumps(symmetric_instance_file(S, target, m, inst, B)), ["entries", "star_map"]),
+        "bare-tensor": (canonical_dumps(tensor_file(bare)), ["entries"]),
+    }
+
+
+def _span(text, key):
+    """Where the value of a top-level member starts and ends in a text."""
+    start = text.index(f'"{key}":') + len(key) + 3
+    return start, json.JSONDecoder().raw_decode(text, start)[1]
+
+
+def _first_index(spelling):
+    """An edit that respells the first integer of the member's first item,
+    or that lists one item of that spelling in an empty list."""
+
+    def edit(text, start, end):
+        if end - start == 2:
+            return f"{text[:start]}[[{spelling}]]{text[end:]}"
+        first = start + 2
+        return text[:first] + spelling + text[text.index(",", first) :]
+
+    return edit
+
+
+# edits of the text of a member, given where its value starts and ends
+_MEMBER_EDITS = {
+    "none": lambda text, start, end: text,
+    "whitespace": lambda text, start, end: text[: start + 1] + " " + text[start + 1 :],
+    "01": _first_index("01"),
+    "1.0": _first_index("1.0"),
+    "-0": _first_index("-0"),
+    "string": _first_index('"1"'),
+    "escaped-string": _first_index('"\\u0031"'),
+    "control-character": _first_index('"\x01"'),
+    "5000-digits": _first_index("9" * 5000),
+    "nested": _first_index("[0]"),
+    "trailing-comma": lambda text, start, end: text[: end - 1] + ",]" + text[end:],
+    "unterminated-string": lambda text, start, end: text[:start] + '[["1',
+    # the whole member again after it, from its key's opening quote
+    "key-twice": lambda text, start, end: text[:end] + "," + text[text.rfind('"', 0, start - 2) : end] + text[end:],
+}
+
+
+def _outcome(read, text):
+    """What reading an instance text gives: the stage, target and tensor
+    of the reduction, or the type and message of the refusal, which is
+    what picks verify's exit code and error line."""
+    try:
+        red = read(text)
+    except (ParseError, ValueError) as e:
+        return type(e), str(e)
+    return red.stage, red.target_rank, red.tensor
+
+
+@pytest.mark.parametrize("kind_twice", [False, True], ids=["", "kind-twice"])
+@pytest.mark.parametrize("edit", sorted(_MEMBER_EDITS))
+@pytest.mark.parametrize("which", ["tensor", "symmetric", "bare-tensor"])
+def test_read_instance_agrees_with_the_tree_reader(which, edit, kind_twice, instance_texts):
+    # stepping over the entries and stars changes no outcome: any spelling
+    # the pattern does not accept is decoded as the tree reader decodes it,
+    # and what it accepts is checked byte for byte against the rebuild.  A
+    # kind given again after every member is refused by the walk, after the
+    # member: where the tree reader refuses the member's text first, the
+    # pattern must not have accepted it
+    text, keys = instance_texts[which]
+    if kind_twice:
+        text = text[:-2] + ',"kind":"tensor"}\n'
+    for key in keys:
+        edited = _MEMBER_EDITS[edit](text, *_span(text, key))
+        want = _outcome(read_instance_tree, edited)
+        assert _outcome(read_instance, edited) == want, key
+        if edit == "none" and not kind_twice:
+            assert want[0] == ("symmetric" if which == "symmetric" else "tensor")
+
+
+def test_read_instance_decodes_no_item_of_the_entries_or_stars(instance_texts, monkeypatch):
+    # the JSON scanner is never started inside the entries or the stars of
+    # a reduction instance; a bare tensor file's entries are decoded whole
+    starts = []
+    real_scan = jsonio._scan
+    monkeypatch.setattr(jsonio, "_scan", lambda text, pos: starts.append(pos) or real_scan(text, pos))
+    for which, (text, keys) in instance_texts.items():
+        starts.clear()
+        read_instance(text)
+        spans = [_span(text, key) for key in keys]
+        if which == "bare-tensor":
+            assert spans[0][0] in starts
+        else:
+            assert starts and not [pos for pos in starts for start, end in spans if start <= pos < end]
 
 
 def test_tensor_witness_round_trip():
