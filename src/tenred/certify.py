@@ -12,14 +12,16 @@ only the system and two counts through the rebuild, then compares the
 file's text with the rebuilt canonical text, piece by piece as the
 rebuild writes it; only text that differs is parsed again and compared
 field by field, so a file spelled otherwise (indented, keys reordered) is
-still accepted.  The rebuild's guards are the file's own label count and, on the symmetric
-stage, its index count, so reading never builds more than the file
-already lists.  Every claim below is therefore about the reduction of the
-file's system F, never about numbers stored next to it.
+still accepted.  The rebuild's guards are the file's own label count
+and, on the symmetric stage, its index count, so reading never builds
+more than the file already lists.  Every claim below is therefore about
+the reduction of the file's system F, never about numbers stored next to
+it.
 
 ``verify`` runs the same steps on every stage: the witness ring must be
 the instance's ring, or a field an integer instance embeds in (only Q for
-a completion); then the stage's verdict (``completion_verdict``,
+a completion), and on the term stages it and the dimensions are checked
+before any term is read; then the stage's verdict (``completion_verdict``,
 ``tensor_verdict``, ``symmetric_verdict``) decides, once: the term count
 may not exceed the target rank worked out from the rebuilt instance, and
 one exact check follows.  ``witness`` calls the same verdict, once, on what

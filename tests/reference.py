@@ -6,8 +6,8 @@ cube sums and the compare that the packed kernels of ``tenred.tensors``
 and ``tenred.symmetric`` are checked against, the JSON tree writer and
 reader of a symmetric witness that its text writer and reader are checked
 against, and the instance reader that decodes every member whole, which
-``certify.read_instance`` is checked against.  The package itself never needs them, so they live here, beside
-the tests that check against them."""
+``certify.read_instance`` is checked against.  The package itself never
+needs them, so they live here, beside the tests that check against them."""
 
 from __future__ import annotations
 

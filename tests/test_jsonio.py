@@ -460,7 +460,7 @@ def _outcome(read, text):
     return red.stage, red.target_rank, red.tensor
 
 
-@pytest.mark.parametrize("kind_twice", [False, True], ids=["", "kind-twice"])
+@pytest.mark.parametrize("kind_twice", [False, True], ids=["kind-once", "kind-twice"])
 @pytest.mark.parametrize("edit", sorted(_MEMBER_EDITS))
 @pytest.mark.parametrize("which", ["tensor", "symmetric", "bare-tensor"])
 def test_read_instance_agrees_with_the_tree_reader(which, edit, kind_twice, instance_texts):
