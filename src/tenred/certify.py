@@ -39,13 +39,14 @@ build.  A ``verified`` line means, over the witness ring:
   at most that.
 
 A tensor or symmetric witness is read from its text one term at a time,
-with no JSON tree of it: a tensor term goes straight into the exact sum,
-and a cube term is kept as a raw (s, v) pair for the grouped sum.  The
-verdict comes only once the whole text has been read, so a fault anywhere
-in the file is refused as input first, and the text is let go before the
-check.  The one packed sum is then compared with the expected entries:
-the star-slice tensor's, walked from B and never stored, or the padded
-tensor's.
+with no JSON tree of it and never as one text: the file is read in
+pieces, through a window that holds one piece and the term being
+decoded.  A tensor term goes straight into the exact sum, and a cube term
+is kept as a raw (s, v) pair for the grouped sum.  The verdict comes only
+once the whole text has been read, so a fault anywhere in the file is
+refused as input first.  The one packed sum is then compared with the
+expected entries: the star-slice tensor's, walked from B and never
+stored, or the padded tensor's.
 
 By the reduction, each bound can be met exactly when F has a solution in
 that field.  A bare ``tensor`` or ``symtensor`` file carries no system and
@@ -359,14 +360,13 @@ def _embeds(instance_ring, ring) -> bool:
     return ring == instance_ring or instance_ring == ZZ and ring.is_field
 
 
-def failure(red: Reduction, text: str) -> str | None:
-    """Why a witness file, given as its text, does not prove what the module
-    docstring says, or None.  The file is refused as input first; the
-    stage's verdict then decides.  A tensor or symmetric witness is read
-    from its text, which is let go before the verdict."""
+def failure(red: Reduction, pieces: Iterable[str]) -> str | None:
+    """Why a witness file, given as its text in pieces, does not prove what
+    the module docstring says, or None.  The file is refused as input
+    first; the stage's verdict then decides.  A tensor or symmetric witness
+    is read from its pieces through one window of its text."""
     if red.stage == "completion":
-        wit = jsonio.loads(text)
-        del text
+        wit = jsonio.loads("".join(pieces))
         _check_header(red, wit)
         ring = jsonio._ring_of(wit)
         rows = jsonio.raw_matrix_from_json(ring, jsonio._need(wit, "matrix"))
@@ -394,6 +394,5 @@ def failure(red: Reduction, text: str) -> str | None:
         return ring, dims, limit
 
     read = jsonio.symmetric_witness_terms if symmetric else jsonio.tensor_witness_sum
-    ring, _, count, total = read(text, plan)
-    del text
+    ring, _, count, total = read(pieces, plan)
     return (symmetric_verdict if symmetric else tensor_verdict)(red, ring, count, total)

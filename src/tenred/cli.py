@@ -11,9 +11,12 @@ Exit codes: 0 success, 2 parse or input error, 3 guard exceeded,
 from __future__ import annotations
 
 import argparse
+import codecs
 import gc
+import io
 import sys
 import time
+from typing import Iterator
 
 from . import certify, jsonio
 from .errors import (
@@ -53,6 +56,36 @@ def _read_text(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}", 0) from e
+
+
+def _read_pieces(path: str) -> Iterator[str]:
+    """The text of a file as ``_read_text`` reads it, in pieces of at most
+    ``jsonio._WINDOW`` characters, read as they are asked for.  A byte
+    that is no UTF-8 is refused at its offset in the file, as a whole read
+    refuses it."""
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
+    offset = 0  # bytes read before this one
+    try:
+        with open(path, "rb") as fh:
+            while data := fh.read(jsonio._WINDOW):
+                yield _decoded(decoder, data, False, offset - len(utf8.buffer))
+                offset += len(data)
+            yield _decoded(decoder, b"", True, offset - len(utf8.buffer))
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}", 0) from e
+
+
+def _decoded(decoder, data: bytes, final: bool, offset: int) -> str:
+    """``data`` decoded after what the decoder holds, which starts at byte
+    ``offset`` of the file; an error names the byte as ``bytes.decode``
+    names it in the whole file."""
+    try:
+        return decoder.decode(data, final)
+    except UnicodeDecodeError as e:
+        start, end = offset + e.start, offset + e.end
+        bad = f"byte 0x{e.object[e.start]:02x} in position {start}" if e.end == e.start + 1 else f"bytes in position {start}-{end - 1}"
+        raise ParseError(f"'{e.encoding}' codec can't decode {bad}: {e.reason}") from e
 
 
 def _load(path: str) -> dict:
@@ -180,9 +213,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     # the witness is read after the instance, whose text and rebuild are
-    # gone by then; its text goes to the check with no reference kept here
+    # gone by then, and only as the check asks for its pieces
     red = certify.read_instance(_read_text(args.instance))
-    reason = certify.failure(red, _read_text(args.witness))
+    reason = certify.failure(red, _read_pieces(args.witness))
     print(reason or "verified")
     return EXIT_OK if reason is None else EXIT_VERIFY
 

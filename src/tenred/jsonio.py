@@ -13,14 +13,16 @@ written one by one (``decomposition_text``, ``sym_decomposition_text``),
 and a tensor instance in pieces of entries and stars
 (``tensor_instance_text``), with the canonical bytes of the tree.  Every
 file is read by one member walk of its top-level object, which refuses a
-key given twice: ``loads`` decodes each member whole; ``members``, which
-reads instances, steps over the entries and stars where one possessive
-pattern shows their text is a list of flat lists of integers and strings
-that json decodes, so none of their items is decoded; and the two
-witnesses are read one term at a time (``_witness_terms``):
-``tensor_witness_sum`` adds each term to the exact sum as it reads it, and
-``symmetric_witness_terms`` keeps raw (s, v) pairs, whose runs the
-grouped sum needs.
+key given twice, through a window of its text (``_Window``): a buffer
+refilled a piece at a time, a whole text being one piece.  ``loads``
+decodes each member whole; ``members``, which reads instances, steps over
+the entries and stars where one possessive pattern shows their text is a
+list of flat lists of integers and strings that json decodes, so none of
+their items is decoded; and the two witnesses are read from their text in
+pieces of ``_WINDOW`` characters, one term at a time (``_witness_terms``),
+the text of each term let go once it is read: ``tensor_witness_sum`` adds
+each term to the exact sum as it reads it, and ``symmetric_witness_terms``
+keeps raw (s, v) pairs, whose runs the grouped sum needs.
 """
 
 from __future__ import annotations
@@ -62,22 +64,23 @@ _FLAT_LISTS = re.compile(rf"\[(?:{_FLAT}(?:,{_FLAT})*+)?+\]")
 
 
 def members(text: str, *flat: str) -> tuple[dict, dict]:
-    """The top-level members of a file, as ``loads`` gives them, and where
-    each member named in ``flat`` starts whose text ``_FLAT_LISTS``
+    """The top-level members of a whole text, as ``loads`` gives them, and
+    where each member named in ``flat`` starts whose text ``_FLAT_LISTS``
     matches: such a member is stepped over, none of its items decoded, and
     holds None; ``_value(text, pos)`` decodes it.  Any other spelling is
     decoded whole, so every refusal is the one ``loads`` gives."""
+    window = _Window((text,))
     obj: dict = {}
     stepped: dict = {}
 
     def member(key: str, pos: int) -> int:
-        if key in flat and (match := _FLAT_LISTS.match(text, pos)):
+        if key in flat and (match := window.match(_FLAT_LISTS, pos)):
             obj[key], stepped[key] = None, pos
             return match.end()
-        obj[key], end = _value(text, pos)
+        obj[key], end = window.value(pos)
         return end
 
-    _walk_object(text, member)
+    _walk_object(window, member)
     return _checked(obj), stepped
 
 
@@ -456,100 +459,217 @@ def _ending_with(head: dict, key: str, value: Iterable[str]) -> Iterator[str]:
 
 _skip_space = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder().scan_once
+_scan_string = json.decoder.scanstring
+_WINDOW = 1 << 16  # characters of a file's text read at a time
 
 
-def _past_space(text: str, pos: int) -> int:
-    # canonical text has no whitespace: look at one character before a match
-    return _skip_space(text, pos).end() if text[pos : pos + 1] in " \t\n\r" else pos
+class _Window:
+    """A file's text, given in pieces, seen through a buffer: the text read
+    so far that the walk has not consumed.  A lookahead that reaches the
+    end of the buffer reads one more piece first, and text before the
+    position it reads from is dropped then; so the buffer holds at most one
+    piece and the value being decoded.  Text that is kept, a value longer
+    than a window or the text from ``keep`` on, at least doubles at each
+    read, so that it is scanned and copied only a few times.  A text given
+    whole is one piece, and never dropped.
+
+    Positions are indices into ``buf``; a read that may get more text
+    returns the position it ends at in the new buffer.  ``start`` is the
+    offset in the file of the buffer's first character, ``lines`` the count
+    of newlines before it and ``line_start`` the offset after the last of
+    them, so refusals name the line, column and character ``json.loads``
+    would name on the whole text.  No text from offset ``keep`` on is
+    dropped.
+    """
+
+    def __init__(self, pieces: Iterable[str]):
+        self.pieces = iter(pieces)
+        self.buf = ""
+        self.start = self.lines = self.line_start = 0
+        self.keep: int | None = None
+        self.done = False  # every piece has been read
+        self.more(0)
+
+    def more(self, pos: int) -> int:
+        """``pos`` in the buffer once more text is read; ``done`` if none is left."""
+        buf = self.buf
+        drop = pos if self.keep is None else min(pos, self.keep - self.start)
+        kept = len(buf) - drop
+        want = kept if kept > _WINDOW else 1
+        parts = []
+        for piece in self.pieces:
+            parts.append(piece)
+            want -= len(piece)
+            if want <= 0:
+                break
+        else:
+            self.done = True
+        if not parts:
+            return pos
+        if drop:
+            self.lines += buf.count("\n", 0, drop)
+            newline = buf.rfind("\n", 0, drop)
+            if newline >= 0:
+                self.line_start = self.start + newline + 1
+            self.start += drop
+        self.buf = "".join([buf[drop:], *parts])
+        return pos - drop
+
+    def fail(self, message: str, pos: int):
+        """Refuse the text at ``pos`` as ``json.loads`` words it."""
+        buf, at = self.buf, self.start + pos
+        newline = buf.rfind("\n", 0, pos)
+        column = pos - newline if newline >= 0 else at - self.line_start + 1
+        line = self.lines + buf.count("\n", 0, pos) + 1
+        raise ParseError(f"invalid JSON: {message}: line {line} column {column} (char {at})", at)
+
+    def space(self, pos: int) -> int:
+        """The position past the whitespace at ``pos``, with a character
+        there unless the text ends there."""
+        while True:
+            buf = self.buf
+            # canonical text has no whitespace: look at one character before a match
+            if buf[pos : pos + 1] in " \t\n\r":
+                pos = _skip_space(buf, pos).end()
+            if pos < len(buf) or self.done:
+                return pos
+            pos = self.more(pos)
+
+    def peek(self, pos: int) -> tuple[int, str]:
+        """The position past the whitespace at ``pos``, and the character
+        there ('' at the end of the text)."""
+        pos = self.space(pos)
+        return pos, self.buf[pos : pos + 1]
+
+    def value(self, pos: int) -> tuple[Any, int]:
+        """The JSON value at ``pos``, whitespace skipped, and the position
+        after it.  A value counts once the text after it is read: a number
+        decoded two characters or less before the buffer's end may go on
+        (its '.' or 'e' is checked for digits after it), and one that fails
+        to decode may be cut."""
+        pos = self.space(pos)
+        while True:
+            buf = self.buf
+            try:
+                value, end = _scan(buf, pos)
+                if end + 2 < len(buf) or self.done or type(value) not in (int, float):
+                    return value, end
+            except StopIteration as e:
+                if self.done:
+                    self.fail("Expecting value", e.value)
+            except json.JSONDecodeError as e:
+                if self.done:
+                    self.fail(e.msg, e.pos)
+            pos = self.more(pos)
+
+    def string(self, pos: int) -> tuple[str, int]:
+        """The JSON string whose opening quote is just before ``pos``, and
+        the position after its closing quote."""
+        while True:
+            try:
+                return _scan_string(self.buf, pos)
+            except json.JSONDecodeError as e:
+                if self.done:
+                    self.fail(e.msg, e.pos)
+            pos = self.more(pos - 1) + 1
+
+    def after_item(self, pos: int, close: str) -> tuple[int, bool]:
+        """The position after the ',' or the ``close`` that follows ``pos``,
+        whitespace skipped, and whether it was ``close``."""
+        pos, c = self.peek(pos)
+        if c != "," and c != close:
+            self.fail("Expecting ',' delimiter", pos)
+        return pos + 1, c == close
+
+    def match(self, pattern: re.Pattern, pos: int) -> re.Match | None:
+        """``pattern`` matched at ``pos``; a match that fails is tried again
+        with more text until the text ends."""
+        while not (found := pattern.match(self.buf, pos)) and not self.done:
+            pos = self.more(pos)
+        return found
 
 
 def _value(text: str, pos: int) -> tuple[Any, int]:
-    """The JSON value at ``pos`` of ``text``, whitespace skipped, and the
-    position after it."""
-    try:
-        return _scan(text, _past_space(text, pos))
-    except StopIteration as e:
-        raise json.JSONDecodeError("Expecting value", text, e.value) from None
-
-
-def _after_item(text: str, pos: int, close: str) -> tuple[int, bool]:
-    """The position after the ',' or the ``close`` that follows ``pos``,
-    whitespace skipped, and whether it was ``close``."""
-    pos = _past_space(text, pos)
-    c = text[pos : pos + 1]
-    if c != "," and c != close:
-        raise json.JSONDecodeError("Expecting ',' delimiter", text, pos)
-    return pos + 1, c == close
+    """The JSON value at ``pos`` of a whole text, and the position after it."""
+    return _Window((text,)).value(pos)
 
 
 class _Items:
-    """The items of the JSON list whose '[' is at ``pos`` of ``text``,
+    """The items of the JSON list whose '[' is at ``pos`` of a window,
     decoded one at a time as they are iterated; ``end`` is the position
     after the list once every item has been."""
 
-    def __init__(self, text: str, pos: int):
-        self.text, self.pos, self.end = text, pos, None
+    def __init__(self, window: _Window, pos: int):
+        self.window, self.pos, self.end = window, pos, None
 
     def __iter__(self) -> Iterator:
-        text = self.text
-        pos = _past_space(text, self.pos + 1)
-        done = text.startswith("]", pos)
+        window = self.window
+        pos, c = window.peek(self.pos + 1)
+        done = c == "]"
         pos += done
         while not done:
-            item, pos = _value(text, pos)
-            yield item
-            pos, done = _after_item(text, pos, "]")
+            buf = window.buf
+            try:  # as canonical text spells it: an item right at pos, a ',' right after it
+                item, end = _scan(buf, pos)
+                quick = buf[end : end + 1] == ","
+            except (StopIteration, json.JSONDecodeError):
+                quick = False
+            if quick:
+                yield item
+                pos = end + 1
+            else:
+                item, pos = window.value(pos)
+                yield item
+                pos, done = window.after_item(pos, "]")
         self.end = pos
 
 
-def _walk_object(text: str, member: Callable[[str, int], int]) -> None:
-    """Walk the one top-level object of ``text``: ``member(key, pos)`` reads
-    the value of each member, which starts at ``pos``, and returns the
-    position after it.  A text that is not one JSON object is refused, with
-    the message ``json.loads`` gives, and so is a key that comes twice."""
-    pos = _past_space(text, 0)
+def _walk_object(window: _Window, member: Callable[[str, int], int]) -> None:
+    """Walk the one top-level object of a window's text: ``member(key,
+    pos)`` reads the value of each member, which starts at ``pos``, and
+    returns the position after it.  A text that is not one JSON object is
+    refused, with the message ``json.loads`` gives, and so is a key that
+    comes twice."""
+    pos, c = window.peek(0)
+    if c != "{":
+        if window.start == 0 and window.buf.startswith("\ufeff"):
+            window.fail("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+        pos = window.space(window.value(pos)[1])
+        if pos < len(window.buf):
+            window.fail("Extra data", pos)
+        raise ParseError("top-level JSON value must be an object", 0)
     keys = set()
-    try:
-        if not text.startswith("{", pos):
-            if text.startswith("\ufeff"):
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-            pos = _past_space(text, _value(text, pos)[1])
-            if pos != len(text):
-                raise json.JSONDecodeError("Extra data", text, pos)
-            raise ParseError("top-level JSON value must be an object", 0)
-        pos = _past_space(text, pos + 1)
-        done = text.startswith("}", pos)
-        pos += done
-        while not done:
-            pos = _past_space(text, pos)
-            if not text.startswith('"', pos):
-                raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, pos)
-            key, pos = json.decoder.scanstring(text, pos + 1)
-            pos = _past_space(text, pos)
-            if not text.startswith(":", pos):
-                raise json.JSONDecodeError("Expecting ':' delimiter", text, pos)
-            if key in keys:
-                raise ParseError(f"field {key!r} is repeated", 0)
-            keys.add(key)
-            pos, done = _after_item(text, member(key, pos + 1), "}")
-        pos = _past_space(text, pos)
-        if pos != len(text):
-            raise json.JSONDecodeError("Extra data", text, pos)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e}", e.pos) from e
+    pos, c = window.peek(pos + 1)
+    done = c == "}"
+    pos += done
+    while not done:
+        pos, c = window.peek(pos)
+        if c != '"':
+            window.fail("Expecting property name enclosed in double quotes", pos)
+        key, pos = window.string(pos + 1)
+        pos, c = window.peek(pos)
+        if c != ":":
+            window.fail("Expecting ':' delimiter", pos)
+        if key in keys:
+            raise ParseError(f"field {key!r} is repeated", 0)
+        keys.add(key)
+        pos, done = window.after_item(member(key, pos + 1), "}")
+    pos = window.space(pos)
+    if pos < len(window.buf):
+        window.fail("Extra data", pos)
 
 
-def _read_terms(text: str, pos: int, planned: tuple | None, term: Callable, total: Callable) -> tuple[int, Any, int]:
+def _read_terms(window: _Window, pos: int, planned: tuple | None, term: Callable, total: Callable) -> tuple[int, Any, int]:
     """The count of the terms whose list starts at ``pos``, their total,
     and the position after the list.  Given ``planned``, a witness's
     (ring, shape, limit), each term is read by ``term(item, ring, shape,
     seen)``, refused if malformed, and the first ``limit`` go to
     ``total(terms, shape)``; the total is None if there are more, and with
     None for ``planned`` the terms are only walked."""
-    pos = _past_space(text, pos)
-    if not text.startswith("[", pos):
+    pos, c = window.peek(pos)
+    if c != "[":
         raise ParseError("terms must be a list of objects", 0)
-    items = _Items(text, pos)
+    items = _Items(window, pos)
     if planned is None:
         return sum(1 for _ in items), None, items.end
     ring, shape, limit = planned
@@ -570,41 +690,44 @@ def _read_terms(text: str, pos: int, planned: tuple | None, term: Callable, tota
     return count, result if count <= limit else None, items.end
 
 
-def _witness_terms(text: str, plan: Callable[[dict], tuple], term: Callable, total: Callable) -> tuple:
+def _witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple], term: Callable, total: Callable) -> tuple:
     """The ring, shape and term count of a witness, and the total of its
-    terms, read from its text with no tree of it.
+    terms, read from its text, given in pieces, with no tree of it.
 
-    The top-level object is walked member by member: each member but
-    ``terms`` is decoded whole, and the terms one at a time, as
-    ``_read_terms`` reads them.  ``plan`` checks the other members and
-    returns the witness's (ring, shape, limit): how many terms to total at
-    most.  It is called first on the members before the
-    terms; where those fail it, the terms are only walked, and read once
-    the whole text has been.  Every refusal of the text comes before the
-    result; the total is None where more terms than ``limit`` are listed.
+    The top-level object is walked member by member through one window:
+    each member but ``terms`` is decoded whole, and the terms one at a
+    time, as ``_read_terms`` reads them, the text of each let go once it
+    is read.  ``plan`` checks the other members and returns the witness's
+    (ring, shape, limit): how many terms to total at most.  It is called
+    first on the members before the terms; where those fail it, the terms
+    are only walked, their text kept, and read again once the whole text
+    has been.  Every refusal of the text comes before the result; the
+    total is None where more terms than ``limit`` are listed.
     """
+    window = _Window(pieces)
     header: dict = {}
-    found = None  # where the terms start, the plan they were read by, and what they gave
+    found = None  # the plan the terms were read by, and what they gave
 
     def member(key: str, pos: int) -> int:
         nonlocal found
         if key != "terms":
-            header[key], end = _value(text, pos)
+            header[key], end = window.value(pos)
             return end
         try:
             planned = plan(_checked(header))
         except ParseError:  # refused below, or passed once every member is known
             planned = None
-        found = (pos, planned, *_read_terms(text, pos, planned, term, total))
+            window.keep = window.start + pos
+        found = (planned, *_read_terms(window, pos, planned, term, total))
         return found[-1]
 
-    _walk_object(text, member)
+    _walk_object(window, member)
     planned = plan(_checked(header))
     if found is None:
         raise ParseError("missing field 'terms'", 0)
-    pos, reached, count, result, _ = found
-    if reached is None:
-        count, result, _ = _read_terms(text, pos, planned, term, total)
+    reached, count, result, _ = found
+    if reached is None:  # the whole text has been read, from the terms on
+        count, result, _ = _read_terms(window, window.keep - window.start, planned, term, total)
     return planned[0], planned[1], count, result
 
 
@@ -617,12 +740,12 @@ def _tensor_term(item: dict, ring: RingDescriptor, dims: tuple, seen: dict) -> t
     )
 
 
-def tensor_witness_sum(text: str, plan: Callable[[dict], tuple]) -> tuple:
+def tensor_witness_sum(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> tuple:
     """The ring, dims and term count of a tensor witness, and the exact sum
     of its terms as ``sum_terms_raw`` makes it, read by ``_witness_terms``
     with ``plan`` giving (ring, dims, limit): each term is read into raw
     (a, b, c) maps and added to the sum as it is."""
-    return _witness_terms(text, plan, _tensor_term, sum_terms_raw)
+    return _witness_terms(pieces, plan, _tensor_term, sum_terms_raw)
 
 
 def _cube_term(item: dict, ring: RingDescriptor, dim: int, seen: dict) -> tuple:
@@ -636,12 +759,12 @@ def _cube_term(item: dict, ring: RingDescriptor, dim: int, seen: dict) -> tuple:
     return s, v
 
 
-def symmetric_witness_terms(text: str, plan: Callable[[dict], tuple]) -> tuple:
+def symmetric_witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> tuple:
     """The ring, dim and term count of a symmetric witness, and its cube
     terms as a list of raw (s, v) pairs in file order, whose runs the
     grouped sum needs, read by ``_witness_terms`` with ``plan`` giving
     (ring, dim, limit)."""
-    return _witness_terms(text, plan, _cube_term, lambda terms, dim: list(terms))
+    return _witness_terms(pieces, plan, _cube_term, lambda terms, dim: list(terms))
 
 
 def tensor_witness_text(D: Decomposition) -> Iterator[str]:

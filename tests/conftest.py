@@ -22,11 +22,20 @@ CHILD_MEMORY_BYTES = 1 << 30
 CHILD_TIMEOUT_S = 20.0
 
 
-def tenred_runner(memory_bytes: int = CHILD_MEMORY_BYTES, timeout_s: float = CHILD_TIMEOUT_S):
+# runs the tenred command line, then writes the process's peak RSS in KiB
+# as the last line of its standard error
+_WITH_PEAK = (
+    "import resource, sys; from tenred.cli import main; code = main(sys.argv[1:]); "
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)"
+)
+
+
+def tenred_runner(memory_bytes: int = CHILD_MEMORY_BYTES, timeout_s: float = CHILD_TIMEOUT_S, peak: bool = False):
     """A function that runs ``python -m tenred ARGS`` in a child process
     capped at ``memory_bytes`` of address space and ``timeout_s``, so that
     a command which outgrows its budget fails the test quickly instead of
-    exhausting the host.
+    exhausting the host.  With ``peak``, the child also reports its peak
+    RSS in KiB as the last line of its standard error.
 
     The directory holding the imported ``tenred`` goes first on PYTHONPATH,
     so the child runs the code under test.  It returns the CompletedProcess;
@@ -41,7 +50,7 @@ def tenred_runner(memory_bytes: int = CHILD_MEMORY_BYTES, timeout_s: float = CHI
 
     def run(*args):
         return subprocess.run(
-            [sys.executable, "-m", "tenred", *map(str, args)],
+            [sys.executable, *(["-c", _WITH_PEAK] if peak else ["-m", "tenred"]), *map(str, args)],
             capture_output=True,
             text=True,
             env=env,

@@ -181,7 +181,7 @@ def symmetric_witness_parse(obj: dict) -> SymDecomposition:
     def plan(head: dict) -> tuple:
         return jsonio._ring_of(head), jsonio._dim_of(head), sys.maxsize
 
-    ring, dim, _, raw = jsonio.symmetric_witness_terms(jsonio.canonical_dumps(obj), plan)
+    ring, dim, _, raw = jsonio.symmetric_witness_terms([jsonio.canonical_dumps(obj)], plan)
     return SymDecomposition(ring, dim, raw)
 
 

@@ -1,16 +1,20 @@
 import gc
 import hashlib
 import importlib.util
+import inspect
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tenred_runner
-from tenred import certify, jsonio, sigma, symmetric, tensors
+from tenred import certify, cli, jsonio, sigma, symmetric, tensors
 from tenred.cli import build_parser, main
 from tenred.jsonio import (
     canonical_dumps,
@@ -590,25 +594,109 @@ def test_a_file_that_is_no_object_exits_2_as_json_loads_words_it(text, x1_gf2_te
         assert capsys.readouterr().err == f"error: {reason}\n"
 
 
-def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, monkeypatch, capsys):
-    # neither file goes whole to jsonio.loads or json.loads: the instance's
-    # members are walked, its entries and stars stepped over, and the
-    # witness is read from its text term by term and summed once by the
-    # packed kernel
-    instf, witf = empty_gf11_symmetric
-    parsed, whole, sums = [], [], []
-    real_loads, real_json_loads, real_verify = jsonio.loads, json.loads, certify.verify_symmetric_decomposition
+@pytest.mark.parametrize("bad, at", [(b"\xff", 1000), (b"\xe2\x82", 127)], ids=["invalid-start", "cut-sequence"])
+@pytest.mark.parametrize("which", ["instance", "witness"])
+def test_a_byte_that_is_no_utf8_is_named_at_its_offset_in_the_file(which, bad, at, x1_gf2_tensor, tmp_path, monkeypatch, capsys):
+    # the witness is decoded a chunk at a time and the instance whole, and
+    # either names a byte that is no UTF-8 at its offset in the file, as
+    # decoding the whole file names it, past the first chunk or across two
+    monkeypatch.setattr(jsonio, "_WINDOW", 64)
+    instf, witf = x1_gf2_tensor
+    files = {"instance": instf, "witness": witf}
+    data = bytearray(files[which].read_bytes())
+    data[at : at + len(bad)] = bad
+    with pytest.raises(UnicodeDecodeError) as e:
+        bytes(data).decode("utf-8")
+    files[which] = tmp_path / "bad.json"
+    files[which].write_bytes(data)
+    capsys.readouterr()
+    assert main(["verify", str(files["instance"]), str(files["witness"])]) == 2
+    assert capsys.readouterr() == ("", f"error: {e.value}\n")
+    assert f"in position {at}" in str(e.value)
+
+
+class _SizedReads:
+    """A file that records the size of each read of it."""
+
+    def __init__(self, fh, sizes):
+        self.fh, self.sizes = fh, sizes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.fh.read(size)
+
+
+def _verify_with_no_tree(instf, witf, window, monkeypatch, capsys):
+    """Verify a fixture with the witness read in chunks of ``window``
+    characters, refusing any parse of either file whole; the size of each
+    read of the witness, and the length of the window's buffer after each
+    time it is refilled while the witness is read."""
+    parsed, whole, sizes, buffers, reading = [], [], [], [], []
+    real_loads, real_json_loads = jsonio.loads, json.loads
     monkeypatch.setattr(jsonio, "loads", lambda text: parsed.append(text) or real_loads(text))
     monkeypatch.setattr(json, "loads", lambda text, **kw: whole.append(text) or real_json_loads(text, **kw))
-    monkeypatch.setattr(
-        certify, "verify_symmetric_decomposition", lambda T, D: sums.append(D.dim) or real_verify(T, D)
-    )
+    monkeypatch.setattr(jsonio, "_WINDOW", window)
+    real_open = open
+
+    def sized_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return _SizedReads(fh, sizes) if str(path) == str(witf) else fh
+
+    monkeypatch.setattr(cli, "open", sized_open, raising=False)
+    real_failure, real_more = certify.failure, jsonio._Window.more
+    monkeypatch.setattr(certify, "failure", lambda red, pieces: reading.append(red) or real_failure(red, pieces))
+
+    def more(self, pos):
+        pos = real_more(self, pos)
+        if reading:
+            buffers.append(len(self.buf))
+        return pos
+
+    monkeypatch.setattr(jsonio._Window, "more", more)
     capsys.readouterr()
     assert main(["verify", str(instf), str(witf)]) == 0
     assert capsys.readouterr().out == "verified\n"
     assert parsed == []
     assert whole == []
+    return sizes, buffers
+
+
+def _longest_term(witf):
+    return max(len(canonical_dumps(t)) - 1 for t in json.loads(witf.read_text())["terms"])
+
+
+def test_symmetric_verify_reads_no_tree_of_the_witness(empty_gf11_symmetric, monkeypatch, capsys):
+    # neither file goes whole to jsonio.loads or json.loads: the instance's
+    # members are walked, its entries and stars stepped over, and the
+    # witness is read from its text term by term and summed once by the
+    # packed kernel.  The text is read a chunk at a time, into a window
+    # that holds one chunk and at most the term it cuts
+    instf, witf = empty_gf11_symmetric
+    sums = []
+    real_verify = certify.verify_symmetric_decomposition
+    monkeypatch.setattr(
+        certify, "verify_symmetric_decomposition", lambda T, D: sums.append(D.dim) or real_verify(T, D)
+    )
+    size = len(witf.read_text())
+    sizes, buffers = _verify_with_no_tree(instf, witf, 1024, monkeypatch, capsys)
     assert sums == [1131]
+    assert sizes and all(0 < n <= 1024 for n in sizes)
+    assert len(buffers) > size // 1024 and max(buffers) <= 1024 + _longest_term(witf)
+
+
+def test_tensor_verify_reads_no_tree_of_the_witness(x1_gf2_tensor, monkeypatch, capsys):
+    # the same for the tensor witness, whose terms go straight into the sum
+    instf, witf = x1_gf2_tensor
+    size = len(witf.read_text())
+    sizes, buffers = _verify_with_no_tree(instf, witf, 256, monkeypatch, capsys)
+    assert sizes and all(0 < n <= 256 for n in sizes)
+    assert len(buffers) > size // 256 and max(buffers) <= 256 + _longest_term(witf)
 
 
 def _scale_coordinate(terms, x, c):
@@ -1185,6 +1273,17 @@ def test_a_malformed_tensor_witness_text_exits_2(edit, message, x1_gf2_tensor, t
     assert captured.err.startswith(f"error: {message} (at position ")
 
 
+def _cases(test):
+    """Each case a parametrized test runs, as its keyword arguments."""
+    marks = [m for m in getattr(test, "pytestmark", []) if m.name == "parametrize"]
+    cases = [{}]
+    for mark in marks:
+        names = [n.strip() for n in mark.args[0].split(",")]
+        rows = [row if len(names) > 1 else (row,) for row in mark.args[1]]
+        cases = [dict(case, **dict(zip(names, row))) for case in cases for row in rows]
+    return cases
+
+
 def _altered(wit):
     """The benchmark's altered witness: one value of the first term plus one."""
     pair = wit["terms"][0]["a"][0]
@@ -1222,6 +1321,34 @@ def test_a_tensor_witness_that_proves_nothing_exits_4(edit, message, x1_gf2_tens
     capsys.readouterr()
     assert main(["verify", str(instf), badf]) == 4
     assert capsys.readouterr().out == message
+
+
+
+# every test above that pins what verify says of a witness file
+_WITNESS_PINS = [
+    test_symmetric_witness_reader_refusals,
+    test_symmetric_verify_outputs_are_pinned,
+    test_verify_refuses_a_symmetric_witness_key_given_twice,
+    test_a_file_that_is_no_object_exits_2_as_json_loads_words_it,
+    test_verify_refuses_a_star_holding_a_slice_0_value,
+    test_verify_witness_terms_not_a_list_exits_2,
+    test_verify_checks_a_tensor_witness_in_order,
+    test_a_tensor_witness_spelled_otherwise_still_verifies,
+    test_a_malformed_tensor_witness_text_exits_2,
+    test_a_tensor_witness_that_proves_nothing_exits_4,
+]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("pin", _WITNESS_PINS, ids=lambda test: test.__name__.removeprefix("test_"))
+def test_the_witness_pins_hold_in_any_window(pin, window, request, tmp_path, monkeypatch, capsys):
+    # the witness is read through a window refilled a chunk at a time; a
+    # chunk of a few characters cuts numbers, keys, terms and whitespace,
+    # and changes no exit code and no message of any pin
+    monkeypatch.setattr(jsonio, "_WINDOW", window)
+    given = {"tmp_path": tmp_path, "capsys": capsys}
+    for case in _cases(pin):
+        pin(**{name: case[name] if name in case else given.get(name) or request.getfixturevalue(name) for name in inspect.signature(pin).parameters})
 
 
 @pytest.fixture(scope="module")
@@ -1644,16 +1771,33 @@ def test_verify_agrees_with_the_independent_checks(fixture, independent_checks, 
         assert _agrees_with_the_checks(independent_checks, instf, wit, tmp_path) == 2
 
 
-@settings(derandomize=True, max_examples=100, database=None, deadline=None)
+@pytest.mark.parametrize("fixture", ["x1_gf2_completion", "x1_gf2_tensor", "x1_z_tensor", "empty_gf11_symmetric"])
+@settings(derandomize=True, max_examples=8, database=None, deadline=None)
 @given(data=st.data())
-def test_verify_agrees_with_the_independent_checks_on_mutations(
-    independent_checks, x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric, data
-):
-    # check_symmetric_witness expands every cube term in pure Python, about
-    # 2.5 s a witness, so the symmetric fixture is one of ten to draw from
-    fixtures = [x1_gf2_completion, x1_gf2_tensor, x1_z_tensor] * 3 + [empty_gf11_symmetric]
-    instf, _, wit = _mutated(data, fixtures)
+def test_verify_agrees_with_the_independent_checks_on_mutations(fixture, independent_checks, request, data):
+    # each fixture gets as many examples: drawn from one list, the
+    # derandomized draws gave the completion fixture 60 of 107 and the
+    # symmetric one 8.  check_symmetric_witness expands every cube term in
+    # pure Python, about 2.5 s a witness, so each gets the symmetric one's 8
+    instf, _, wit = _mutated(data, [request.getfixturevalue(fixture)])
     _agrees_with_the_checks(independent_checks, instf, wit, instf.parent)
+
+
+@settings(derandomize=True, max_examples=30, database=None, deadline=None)
+@given(data=st.data(), window=st.integers(1, 100), spelled=st.sampled_from([canonical_dumps, _spaced]))
+def test_a_mutated_witness_reads_alike_in_any_window(
+    x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric, data, window, spelled
+):
+    # verify says the same of a witness read in chunks of a few characters
+    # as of the file read in one piece, wherever the chunks cut its text
+    instf, witf, wit = _mutated(data, [x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric])
+    path = _write(witf.parent / "windowed.json", spelled(wit))
+    said = []
+    for size in (1 << 30, window):
+        with mock.patch.object(jsonio, "_WINDOW", size), redirect_stdout(io.StringIO()) as out:
+            with redirect_stderr(io.StringIO()) as err:
+                said.append((main(["verify", str(instf), path]), out.getvalue(), err.getvalue()))
+    assert said[0] == said[1]
 
 
 @pytest.fixture(scope="module")
@@ -1984,6 +2128,11 @@ def test_commands_leave_the_collector_as_found_and_no_cycles(
         capsys.readouterr()
 
 
+# verify's peak RSS on the clause (1 2 3) tensor rung: 415 MB with the
+# witness read through a window, 521 MB when its 111 MB text was read whole
+RUNG_VERIFY_PEAK_MB = 460
+
+
 @pytest.mark.slow
 def test_the_three_variable_tensor_rung_fits_in_1_gib(tmp_path):
     # clause (1 2 3) over GF(2) at the tensor stage: 1,387 labels, a 61 MB
@@ -1993,7 +2142,7 @@ def test_the_three_variable_tensor_rung_fits_in_1_gib(tmp_path):
     cnf = _write(tmp_path / "f.cnf", "p cnf 3 1\n1 2 3 0\n")
     sysf, instf, witf = tmp_path / "sys.json", tmp_path / "inst.json", tmp_path / "wit.json"
     assert main(["encode-3sat", cnf, "--ring", "gf:2", "--out", str(sysf)]) == 0
-    run = tenred_runner(memory_bytes=1 << 30, timeout_s=600)
+    run = tenred_runner(memory_bytes=1 << 30, timeout_s=600, peak=True)
     for argv in (
         ["reduce", "tensor", sysf, "--out", instf],
         ["witness", instf, "--solution", "1,0,0", "--out", witf],
@@ -2002,3 +2151,5 @@ def test_the_three_variable_tensor_rung_fits_in_1_gib(tmp_path):
         proc = run(*argv)
         assert proc.returncode == 0, (argv[0], proc.stderr)
     assert proc.stdout == "verified\n"
+    peak_mb = int(proc.stderr.splitlines()[-1]) / 1024
+    assert peak_mb < RUNG_VERIFY_PEAK_MB, f"verify peaked at {peak_mb:.0f} MB"

@@ -167,6 +167,52 @@ def test_loads_refuses_a_format_version_that_only_equals_1(version):
         loads('{"format_version":%s,"kind":"tensor"}' % version)
 
 
+def _walked_members(text, size):
+    """The top-level members of a text read in pieces of ``size``
+    characters, each decoded whole by the member walk, or the refusal."""
+    window = jsonio._Window(text[i : i + size] for i in range(0, len(text), size))
+    obj = {}
+
+    def member(key, pos):
+        obj[key], end = window.value(pos)
+        return end
+
+    try:
+        jsonio._walk_object(window, member)
+    except ParseError as e:
+        return str(e)
+    return obj
+
+
+_MEMBER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(
+    obj=st.dictionaries(st.text(max_size=3), _MEMBER_VALUES, max_size=4),
+    indent=st.sampled_from([None, 1]),
+    cut=st.none() | st.integers(0, 200),
+    size=st.integers(1, 9),
+)
+@example(obj={"a": 1.5e16, "b": -0.25}, indent=None, cut=None, size=7)  # "1.5e+16" cut after "e" and "+"
+def test_a_text_reads_alike_in_pieces_of_any_size(obj, indent, cut, size):
+    # the walk reads a text a piece at a time: a number cut before its
+    # '.', 'e' or sign, or any token cut where a piece ends, reads as the
+    # whole text reads, and a text with one character taken out is refused
+    # with the same message, at the same line, column and character
+    text = json.dumps(obj, indent=indent)
+    if cut is not None:
+        text = text[:cut] + text[cut + 1 :]
+    whole = _walked_members(text, max(1, len(text)))
+    if cut is None:
+        assert whole == json.loads(text)
+    assert _walked_members(text, size) == whole
+
+
 def test_vec_round_trip():
     v = {1: Fraction(-3, 7), 3: Fraction(2)}
     data = vec_to_json(v)
@@ -635,7 +681,7 @@ def _read_all(wit):
 def test_streamed_witness_sum_matches_the_decomposition_sum(obj):
     # verify sums the raw maps as it reads the terms from the text; the same
     # file read into a Decomposition held in memory must sum to the same map
-    ring, dims, count, total = jsonio.tensor_witness_sum(canonical_dumps(obj), _read_all)
+    ring, dims, count, total = jsonio.tensor_witness_sum([canonical_dumps(obj)], _read_all)
     assert (str(ring), list(dims), count) == (obj["ring"], obj["dims"], len(obj["terms"]))
     assert unpacked(total, ring, dims) == sum_decomposition_raw(tensor_witness_parse(obj)) == _reference_sum(obj)
 
