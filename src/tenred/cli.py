@@ -84,7 +84,10 @@ def _decoded(decoder, data: bytes, final: bool, offset: int) -> str:
         return decoder.decode(data, final)
     except UnicodeDecodeError as e:
         start, end = offset + e.start, offset + e.end
-        bad = f"byte 0x{e.object[e.start]:02x} in position {start}" if e.end == e.start + 1 else f"bytes in position {start}-{end - 1}"
+        if end == start + 1:
+            bad = f"byte 0x{e.object[e.start]:02x} in position {start}"
+        else:
+            bad = f"bytes in position {start}-{end - 1}"
         raise ParseError(f"'{e.encoding}' codec can't decode {bad}: {e.reason}") from e
 
 

@@ -69,12 +69,12 @@ def members(text: str, *flat: str) -> tuple[dict, dict]:
     matches: such a member is stepped over, none of its items decoded, and
     holds None; ``_value(text, pos)`` decodes it.  Any other spelling is
     decoded whole, so every refusal is the one ``loads`` gives."""
-    window = _Window((text,))
+    window = _Window((text,))  # one piece: the whole text is in the buffer
     obj: dict = {}
     stepped: dict = {}
 
     def member(key: str, pos: int) -> int:
-        if key in flat and (match := window.match(_FLAT_LISTS, pos)):
+        if key in flat and (match := _FLAT_LISTS.match(text, pos)):
             obj[key], stepped[key] = None, pos
             return match.end()
         obj[key], end = window.value(pos)
@@ -581,13 +581,6 @@ class _Window:
             self.fail("Expecting ',' delimiter", pos)
         return pos + 1, c == close
 
-    def match(self, pattern: re.Pattern, pos: int) -> re.Match | None:
-        """``pattern`` matched at ``pos``; a match that fails is tried again
-        with more text until the text ends."""
-        while not (found := pattern.match(self.buf, pos)) and not self.done:
-            pos = self.more(pos)
-        return found
-
 
 def _value(text: str, pos: int) -> tuple[Any, int]:
     """The JSON value at ``pos`` of a whole text, and the position after it."""
@@ -659,7 +652,9 @@ def _walk_object(window: _Window, member: Callable[[str, int], int]) -> None:
         window.fail("Extra data", pos)
 
 
-def _read_terms(window: _Window, pos: int, planned: tuple | None, term: Callable, total: Callable) -> tuple[int, Any, int]:
+def _read_terms(
+    window: _Window, pos: int, planned: tuple | None, term: Callable, total: Callable
+) -> tuple[int, Any, int]:
     """The count of the terms whose list starts at ``pos``, their total,
     and the position after the list.  Given ``planned``, a witness's
     (ring, shape, limit), each term is read by ``term(item, ring, shape,

@@ -596,7 +596,9 @@ def test_a_file_that_is_no_object_exits_2_as_json_loads_words_it(text, x1_gf2_te
 
 @pytest.mark.parametrize("bad, at", [(b"\xff", 1000), (b"\xe2\x82", 127)], ids=["invalid-start", "cut-sequence"])
 @pytest.mark.parametrize("which", ["instance", "witness"])
-def test_a_byte_that_is_no_utf8_is_named_at_its_offset_in_the_file(which, bad, at, x1_gf2_tensor, tmp_path, monkeypatch, capsys):
+def test_a_byte_that_is_no_utf8_is_named_at_its_offset_in_the_file(
+    which, bad, at, x1_gf2_tensor, tmp_path, monkeypatch, capsys
+):
     # the witness is decoded a chunk at a time and the instance whole, and
     # either names a byte that is no UTF-8 at its offset in the file, as
     # decoding the whole file names it, past the first chunk or across two
@@ -1323,7 +1325,6 @@ def test_a_tensor_witness_that_proves_nothing_exits_4(edit, message, x1_gf2_tens
     assert capsys.readouterr().out == message
 
 
-
 # every test above that pins what verify says of a witness file
 _WITNESS_PINS = [
     test_symmetric_witness_reader_refusals,
@@ -1346,9 +1347,10 @@ def test_the_witness_pins_hold_in_any_window(pin, window, request, tmp_path, mon
     # chunk of a few characters cuts numbers, keys, terms and whitespace,
     # and changes no exit code and no message of any pin
     monkeypatch.setattr(jsonio, "_WINDOW", window)
-    given = {"tmp_path": tmp_path, "capsys": capsys}
+    own = {"tmp_path": tmp_path, "capsys": capsys}
+    names = inspect.signature(pin).parameters
     for case in _cases(pin):
-        pin(**{name: case[name] if name in case else given.get(name) or request.getfixturevalue(name) for name in inspect.signature(pin).parameters})
+        pin(**{name: case[name] if name in case else own.get(name) or request.getfixturevalue(name) for name in names})
 
 
 @pytest.fixture(scope="module")
