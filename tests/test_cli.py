@@ -1793,9 +1793,10 @@ def test_a_mutated_witness_reads_alike_in_any_window(
     # verify says the same of a witness read in chunks of a few characters
     # as of the file read in one piece, wherever the chunks cut its text
     instf, witf, wit = _mutated(data, [x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric])
-    path = _write(witf.parent / "windowed.json", spelled(wit))
+    text = spelled(wit)
+    path = _write(witf.parent / "windowed.json", text)
     said = []
-    for size in (1 << 30, window):
+    for size in (len(text.encode()), window):  # the whole file in one piece, then in many
         with mock.patch.object(jsonio, "_WINDOW", size), redirect_stdout(io.StringIO()) as out:
             with redirect_stderr(io.StringIO()) as err:
                 said.append((main(["verify", str(instf), path]), out.getvalue(), err.getvalue()))
