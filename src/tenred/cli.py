@@ -11,9 +11,7 @@ Exit codes: 0 success, 2 parse or input error, 3 guard exceeded,
 from __future__ import annotations
 
 import argparse
-import codecs
 import gc
-import io
 import sys
 import time
 from typing import Iterator
@@ -63,32 +61,18 @@ def _read_pieces(path: str) -> Iterator[str]:
     ``jsonio._WINDOW`` characters, read as they are asked for.  A byte
     that is no UTF-8 is refused at its offset in the file, as a whole read
     refuses it."""
-    utf8 = codecs.getincrementaldecoder("utf-8")()
-    decoder = io.IncrementalNewlineDecoder(utf8, translate=True)
-    offset = 0  # bytes read before this one
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while piece := fh.read(jsonio._WINDOW):
+                yield piece
+    except UnicodeDecodeError:
+        # a piece's decoder names the offset in the piece; the whole file's
+        # decode raises the same error at the offset in the file
         with open(path, "rb") as fh:
-            while data := fh.read(jsonio._WINDOW):
-                yield _decoded(decoder, data, False, offset - len(utf8.buffer))
-                offset += len(data)
-            yield _decoded(decoder, b"", True, offset - len(utf8.buffer))
+            fh.read().decode("utf-8")
+        raise
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}", 0) from e
-
-
-def _decoded(decoder, data: bytes, final: bool, offset: int) -> str:
-    """``data`` decoded after what the decoder holds, which starts at byte
-    ``offset`` of the file; an error names the byte as ``bytes.decode``
-    names it in the whole file."""
-    try:
-        return decoder.decode(data, final)
-    except UnicodeDecodeError as e:
-        start, end = offset + e.start, offset + e.end
-        if end == start + 1:
-            bad = f"byte 0x{e.object[e.start]:02x} in position {start}"
-        else:
-            bad = f"bytes in position {start}-{end - 1}"
-        raise ParseError(f"'{e.encoding}' codec can't decode {bad}: {e.reason}") from e
 
 
 def _load(path: str) -> dict:

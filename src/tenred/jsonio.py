@@ -512,7 +512,8 @@ class _Window:
             if newline >= 0:
                 self.line_start = self.start + newline + 1
             self.start += drop
-        self.buf = "".join([buf[drop:], *parts])
+        # with nothing kept, a single piece becomes the buffer uncopied
+        self.buf = "".join([buf[drop:], *parts] if kept else parts)
         return pos - drop
 
     def fail(self, message: str, pos: int):
@@ -547,7 +548,8 @@ class _Window:
         decoded two characters or less before the buffer's end may go on
         (its '.' or 'e' is checked for digits after it), and one that fails
         to decode may be cut."""
-        pos = self.space(pos)
+        if self.buf[pos : pos + 1] in " \t\n\r":  # whitespace, or the buffer's end: '' is in any str
+            pos = self.space(pos)
         while True:
             buf = self.buf
             try:
@@ -576,6 +578,8 @@ class _Window:
     def after_item(self, pos: int, close: str) -> tuple[int, bool]:
         """The position after the ',' or the ``close`` that follows ``pos``,
         whitespace skipped, and whether it was ``close``."""
+        if self.buf[pos : pos + 1] == ",":  # as canonical text spells it
+            return pos + 1, False
         pos, c = self.peek(pos)
         if c != "," and c != close:
             self.fail("Expecting ',' delimiter", pos)
@@ -601,19 +605,9 @@ class _Items:
         done = c == "]"
         pos += done
         while not done:
-            buf = window.buf
-            try:  # as canonical text spells it: an item right at pos, a ',' right after it
-                item, end = _scan(buf, pos)
-                quick = buf[end : end + 1] == ","
-            except (StopIteration, json.JSONDecodeError):
-                quick = False
-            if quick:
-                yield item
-                pos = end + 1
-            else:
-                item, pos = window.value(pos)
-                yield item
-                pos, done = window.after_item(pos, "]")
+            item, pos = window.value(pos)
+            yield item
+            pos, done = window.after_item(pos, "]")
         self.end = pos
 
 

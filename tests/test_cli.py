@@ -594,16 +594,26 @@ def test_a_file_that_is_no_object_exits_2_as_json_loads_words_it(text, x1_gf2_te
         assert capsys.readouterr().err == f"error: {reason}\n"
 
 
-@pytest.mark.parametrize("bad, at", [(b"\xff", 1000), (b"\xe2\x82", 127)], ids=["invalid-start", "cut-sequence"])
+@pytest.mark.parametrize(
+    "fixture, bad, at",
+    [
+        ("x1_gf2_tensor", b"\xff", 1000),
+        ("x1_gf2_tensor", b"\xe2\x82", 127),
+        ("empty_gf11_symmetric", b"\xff", 20_000),
+    ],
+    ids=["invalid-start", "cut-sequence", "past-8-kib"],
+)
 @pytest.mark.parametrize("which", ["instance", "witness"])
 def test_a_byte_that_is_no_utf8_is_named_at_its_offset_in_the_file(
-    which, bad, at, x1_gf2_tensor, tmp_path, monkeypatch, capsys
+    which, fixture, bad, at, request, tmp_path, monkeypatch, capsys
 ):
-    # the witness is decoded a chunk at a time and the instance whole, and
+    # the witness is read a chunk at a time and the instance whole, and
     # either names a byte that is no UTF-8 at its offset in the file, as
-    # decoding the whole file names it, past the first chunk or across two
+    # decoding the whole file names it, past the first chunk or across two.
+    # A text-mode file decodes 8 KiB of bytes at a time and names the offset
+    # in those: the last case puts the byte past the first 8 KiB
     monkeypatch.setattr(jsonio, "_WINDOW", 64)
-    instf, witf = x1_gf2_tensor
+    instf, witf = request.getfixturevalue(fixture)
     files = {"instance": instf, "witness": witf}
     data = bytearray(files[which].read_bytes())
     data[at : at + len(bad)] = bad
@@ -1773,16 +1783,25 @@ def test_verify_agrees_with_the_independent_checks(fixture, independent_checks, 
         assert _agrees_with_the_checks(independent_checks, instf, wit, tmp_path) == 2
 
 
-@pytest.mark.parametrize("fixture", ["x1_gf2_completion", "x1_gf2_tensor", "x1_z_tensor", "empty_gf11_symmetric"])
-@settings(derandomize=True, max_examples=8, database=None, deadline=None)
-@given(data=st.data())
-def test_verify_agrees_with_the_independent_checks_on_mutations(fixture, independent_checks, request, data):
-    # each fixture gets as many examples: drawn from one list, the
-    # derandomized draws gave the completion fixture 60 of 107 and the
-    # symmetric one 8.  check_symmetric_witness expands every cube term in
-    # pure Python, about 2.5 s a witness, so each gets the symmetric one's 8
-    instf, _, wit = _mutated(data, [request.getfixturevalue(fixture)])
-    _agrees_with_the_checks(independent_checks, instf, wit, instf.parent)
+# Examples of the mutation fuzz per fixture, 100 in all.  Drawn from one
+# list, the derandomized draws gave the completion fixture 60 of 107 and
+# the symmetric one 8; check_symmetric_witness expands every cube term in
+# pure Python, about 2.5 s a witness, so the symmetric fixture keeps its 8
+# and the other three share the rest evenly.
+_MUTATION_EXAMPLES = {"x1_gf2_completion": 31, "x1_gf2_tensor": 31, "x1_z_tensor": 30, "empty_gf11_symmetric": 8}
+
+
+@pytest.mark.parametrize("fixture", sorted(_MUTATION_EXAMPLES))
+def test_verify_agrees_with_the_independent_checks_on_mutations(fixture, independent_checks, request):
+    files = request.getfixturevalue(fixture)
+
+    @settings(derandomize=True, max_examples=_MUTATION_EXAMPLES[fixture], database=None, deadline=None)
+    @given(data=st.data())
+    def agrees(data):
+        instf, _, wit = _mutated(data, [files])
+        _agrees_with_the_checks(independent_checks, instf, wit, instf.parent)
+
+    agrees()
 
 
 @settings(derandomize=True, max_examples=30, database=None, deadline=None)
