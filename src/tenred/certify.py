@@ -38,11 +38,12 @@ build.  A ``verified`` line means, over the witness ring:
   padded symmetrization of the size-m payload, so its symmetric rank is
   at most that.
 
-A tensor or symmetric witness is read from its text one term at a time,
+A witness is read from its text one term, or one row of W, at a time,
 with no JSON tree of it and never as one text: the file is read in
 pieces, through a window that holds one piece and the term being
-decoded.  A tensor term goes straight into the exact sum, and a cube term
-is kept as a raw (s, v) pair for the grouped sum.  The verdict comes only
+decoded.  A tensor term goes straight into the exact sum, a cube term is
+kept as a raw (s, v) pair for the grouped sum, and a row of W as a list
+of raw values.  The verdict comes only
 once the whole text has been read, so a fault anywhere in the file is
 refused as input first.  The one packed sum is then compared with the
 expected entries: the star-slice tensor's, walked from B and never
@@ -158,7 +159,7 @@ def reduce_system(
     report("labels", B.nrows)
     report("tau", B.tau)
     if stage == "completion":
-        return [jsonio.canonical_dumps(jsonio.completion_instance_file(B))], Reduction(stage, B)
+        return jsonio.completion_instance_text(B), Reduction(stage, B)
     m = max(B.nrows, B.tau + 1)
     if stage == "symmetric" and index_guard is not None and padded_size(m) > index_guard:
         raise GuardExceededError(padded_size(m), index_guard, "symmetric indices")
@@ -205,11 +206,11 @@ def read_instance(text: str, *kinds: str) -> Reduction:
     says; a bare tensor or symtensor file is read as it stands.  Given
     ``kinds``, a file of any other kind is refused first.
 
-    The entries and stars are stepped over by ``jsonio.members`` where
-    their text is a plain list of flat lists, as a reduction writes them:
-    the comparison with the rebuilt text checks them byte for byte.  A
-    bare file decodes them where they start."""
-    obj, stepped = jsonio.members(text, "entries", "star_map")
+    The grid, entries and stars are stepped over by ``jsonio.members``
+    where their text is a plain list of flat lists, as a reduction writes
+    them: the comparison with the rebuilt text checks them byte for byte.
+    A bare file decodes them where they start."""
+    obj, stepped = jsonio.members(text, "entries", "grid", "star_map")
     if kinds:
         jsonio.expect_kind(obj, *kinds)
     kind = obj.get("kind")
@@ -276,8 +277,7 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     if red.stage == "completion":
         reason = completion_verdict(red, field, point.values, W.raw_grid)
         facts = [("rank", 3)]
-        # the tree holds no reference to W; it is dumped as it is written
-        text = map(jsonio.canonical_dumps, [jsonio.completion_witness_file(point, W)])
+        text = jsonio.completion_witness_text(point, W)
     else:
         inst = red.inst.change_ring(field)
         U = SymbolicU(inst.source.row_labels).evaluate(point, field)
@@ -363,17 +363,24 @@ def _embeds(instance_ring, ring) -> bool:
 def failure(red: Reduction, pieces: Iterable[str]) -> str | None:
     """Why a witness file, given as its text in pieces, does not prove what
     the module docstring says, or None.  The file is refused as input
-    first; the stage's verdict then decides.  A tensor or symmetric witness
-    is read from its pieces through one window of its text."""
+    first; the stage's verdict then decides.  Every witness is read from
+    its pieces through one window of its text, a term or a row of W at a
+    time, with no tree of it."""
     if red.stage == "completion":
-        wit = jsonio.loads("".join(pieces))
-        _check_header(red, wit)
-        ring = jsonio._ring_of(wit)
-        rows = jsonio.raw_matrix_from_json(ring, jsonio._need(wit, "matrix"))
-        point = jsonio.assignment_from_json(ring, jsonio._need(wit, "assignment"))
-        if len(rows) != red.B.nrows or len(rows[0]) != red.B.ncols:
+        B, head = red.B, {}
+
+        def rows_plan(members: dict) -> tuple:
+            # W is read in the witness's ring, at most as many rows as B
+            # has; the point, the shape and the ring's fit are checked after
+            _check_header(red, members)
+            head.update(members)
+            return jsonio._ring_of(members), None, B.nrows
+
+        ring, _, count, rows = jsonio.completion_witness_rows(pieces, rows_plan)
+        point = jsonio.assignment_from_json(ring, jsonio._need(head, "assignment"))
+        if count != B.nrows or len(rows[0]) != B.ncols:
             raise ParseError("witness shape differs from the instance", 0)
-        if red.B.ring != ring and (red.B.ring != ZZ or ring != QQ):
+        if B.ring != ring and (B.ring != ZZ or ring != QQ):
             raise ParseError("witness ring incompatible with the instance", 0)
         return completion_verdict(red, ring, point.values, rows)
     T = red.expected

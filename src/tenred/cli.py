@@ -179,7 +179,7 @@ def cmd_oracle(args) -> int:
         out_obj = jsonio.oracle_result_text(
             "minrank",
             res.value,
-            jsonio.matrix_to_json(res.witness),
+            res.witness,
             res.exhausted,
             res.lower_bound,
         )

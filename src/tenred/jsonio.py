@@ -7,22 +7,25 @@ bytes, which is what the determinism checks hash.
 
 Ring values are encoded as strings (exact; no floats anywhere), sparse
 vectors as [[index, "value"], ...] pairs, tensors as sorted
-[[i, j, k, "value"], ...] quadruples.  Witnesses of the tensor and the
-symmetric stage are text at both ends, never a tree: their terms are
-written one by one (``decomposition_text``, ``sym_decomposition_text``),
-and a tensor instance in pieces of entries and stars
-(``tensor_instance_text``), with the canonical bytes of the tree.  Every
-file is read by one member walk of its top-level object, which refuses a
-key given twice, through a window of its text (``_Window``): a buffer
-refilled a piece at a time, a whole text being one piece.  ``loads``
-decodes each member whole; ``members``, which reads instances, steps over
-the entries and stars where one possessive pattern shows their text is a
-list of flat lists of integers and strings that json decodes, so none of
-their items is decoded; and the two witnesses are read from their text in
-pieces of ``_WINDOW`` characters, one term at a time (``_witness_terms``),
-the text of each term let go once it is read: ``tensor_witness_sum`` adds
-each term to the exact sum as it reads it, and ``symmetric_witness_terms``
-keeps raw (s, v) pairs, whose runs the grouped sum needs.
+[[i, j, k, "value"], ...] quadruples.  Every witness is text at both
+ends, never a tree: terms are written one by one (``decomposition_text``,
+``sym_decomposition_text``), W and a completion grid a row at a time
+(``completion_witness_text``, ``completion_instance_text``), and a tensor
+instance in pieces of entries and stars (``tensor_instance_text``), with
+the canonical bytes of the tree.  Every file is read by one member walk
+of its top-level object, which refuses a key given twice, through a
+window of its text (``_Window``): a buffer refilled a piece at a time, a
+whole text being one piece.  ``loads`` decodes each member whole;
+``members``, which reads instances, steps over the grid, entries and
+stars where one possessive pattern shows their text is a list of flat
+lists of strings, nulls and integers that json decodes, so none of their
+items is decoded; and witnesses are read from their text in pieces of
+``_WINDOW`` characters, one term or row at a time (``_witness_terms``),
+the text of each let go once it is read: ``tensor_witness_sum`` adds each
+term to the exact sum as it reads it, ``symmetric_witness_terms`` keeps
+raw (s, v) pairs, whose runs the grouped sum needs, and
+``completion_witness_rows`` the rows of W, stepped over as text until the
+ring after them is known and then decoded once.
 """
 
 from __future__ import annotations
@@ -53,12 +56,12 @@ def loads(text: str) -> dict:
     return members(text)[0]
 
 
-# A list of flat lists of JSON integers and strings, spelled with no
+# A list of flat lists of JSON strings, nulls and integers, spelled with no
 # whitespace, escape or control character and with integers of at most 18
 # digits, so json decodes every text it matches without error.  Every
 # quantifier is possessive: a match keeps no backtracking state, however
 # long the list.
-_ATOM = r'(?:-?+(?:0|[1-9][0-9]{0,17}+)|"[^"\\\x00-\x1f]*+")'
+_ATOM = r'(?:"[^"\\\x00-\x1f]*+"|null|-?+(?:0|[1-9][0-9]{0,17}+))'
 _FLAT = rf"\[(?:{_ATOM}(?:,{_ATOM})*+)?+\]"
 _FLAT_LISTS = re.compile(rf"\[(?:{_FLAT}(?:,{_FLAT})*+)?+\]")
 
@@ -154,43 +157,6 @@ def raw_vec_from_json(ring: RingDescriptor, n: int, data, seen: dict | None = No
     return nz
 
 
-def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
-    """Raw values of a nonempty list of equal-length rows of scalar strings.
-
-    Each distinct string is read once, by _scalar; the rows are fresh
-    lists, so a caller may hand them to rank_raw, which mutates them.
-    """
-    if not isinstance(data, list) or not data or data[0] == []:
-        raise ParseError("matrix must be a nonempty list of nonempty rows", 0)
-    seen: dict = {}
-    rows = []
-    for row in data:
-        if not isinstance(row, list):
-            raise ParseError(f"matrix rows must be lists, got {type(row).__name__}", 0)
-        if len(row) != len(data[0]):
-            raise ParseError(f"ragged matrix: row {len(rows)} has {len(row)} cells, row 0 has {len(data[0])}", 0)
-        for v in row:
-            if not isinstance(v, str) or v not in seen:
-                seen[v] = _scalar(ring, v)  # refuses all but strings
-        rows.append([seen[v] for v in row])
-    return rows
-
-
-def _spelled(rows) -> list:
-    """Rows of raw values as strings, None kept.  Cells holding one value
-    share one object, so each is printed once, keyed by id (alive in the
-    rows): hashing a Fraction by value costs more than printing it."""
-    text: dict = {}
-    return [
-        [None if v is None else text[k] if (k := id(v)) in text else text.setdefault(k, str(v)) for v in row]
-        for row in rows
-    ]
-
-
-def matrix_to_json(m: DenseMatrix) -> list:
-    return _spelled(m.raw_grid)
-
-
 def system_to_json(F: PolySystem) -> dict:
     return {
         "ring": str(F.ring),
@@ -239,20 +205,6 @@ def polysystem_parse(obj: dict) -> PolySystem:
 def _labels_to_json(labels) -> list:
     text: dict = {}  # labels share few coordinates; print each once
     return [[text[f] if f in text else text.setdefault(f, str(f)) for f in lab.coords] for lab in labels]
-
-
-def completion_instance_file(B: IncompleteMatrix) -> dict:
-    if B.system is None or B.row_labels is None:
-        raise ValueError("instance files need the system and labels attached")
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "completion_instance",
-        "ring": str(B.ring),
-        "system": system_to_json(B.system),
-        "labels": _labels_to_json(B.row_labels),
-        "grid": _spelled(B.raw_grid),
-        "tau": B.tau,
-    }
 
 
 def entries_to_json(entries: dict) -> list:
@@ -309,12 +261,14 @@ def tensor_parse(obj: dict) -> Tensor3:
 _CHUNK = 4096  # list items per piece of text
 
 
-def _list_text(items: Iterable[str]) -> Iterator[str]:
+def _list_text(items: Iterable[str], width: int = 1) -> Iterator[str]:
     """The canonical text of a JSON list, given its items' texts, in pieces
-    of up to _CHUNK items."""
+    of up to _CHUNK items, or of _CHUNK cells where each item is a row of
+    ``width`` cells."""
     items = iter(items)
+    size = max(1, _CHUNK // width)
     sep = "["
-    while chunk := list(islice(items, _CHUNK)):
+    while chunk := list(islice(items, size)):
         yield sep + ",".join(chunk)
         sep = ","
     yield "[]" if sep == "[" else "]"
@@ -323,6 +277,29 @@ def _list_text(items: Iterable[str]) -> Iterator[str]:
 def _members_text(**fields) -> str:
     """The canonical text of some top-level members, without the braces."""
     return canonical_dumps(fields)[1:-2]
+
+
+def _rows_text(rows: tuple) -> Iterator[str]:
+    """The canonical text of a nonempty list of equal rows of raw values,
+    None spelled null, spelled a row at a time.  Cells holding one value
+    share one object, so each is spelled once, keyed by id (alive in the
+    rows): hashing a Fraction by value costs more than printing it."""
+    text: dict = {}
+    spell = text.setdefault
+    cells = (
+        ["null" if v is None else text[k] if (k := id(v)) in text else spell(k, f'"{v}"') for v in row] for row in rows
+    )
+    return _list_text((f"[{','.join(row)}]" for row in cells), len(rows[0]))
+
+
+def completion_instance_text(B: IncompleteMatrix) -> Iterator[str]:
+    """The canonical text of a completion instance file in pieces, the grid
+    a row at a time, its stars spelled null."""
+    if B.system is None or B.row_labels is None:
+        raise ValueError("instance files need the system and labels attached")
+    tail = {"kind": "completion_instance", "labels": _labels_to_json(B.row_labels), "ring": str(B.ring)}
+    tail.update(system=system_to_json(B.system), tau=B.tau)
+    return _with_member({"format_version": FORMAT_VERSION}, "grid", _rows_text(B.raw_grid), tail)
 
 
 def tensor_instance_text(inst: DerksenInstance, B: IncompleteMatrix) -> Iterator[str]:
@@ -405,14 +382,10 @@ def assignment_from_json(ring: RingDescriptor, data) -> Assignment:
     return Assignment(ring, tuple(_scalar(ring, v) for v in data))
 
 
-def completion_witness_file(point: Assignment, W: DenseMatrix) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "completion_witness",
-        "ring": str(W.ring),
-        "assignment": assignment_to_json(point),
-        "matrix": matrix_to_json(W),
-    }
+def completion_witness_text(point: Assignment, W: DenseMatrix) -> Iterator[str]:
+    """The canonical text of a completion witness file in pieces, W a row at a time."""
+    head = {"assignment": assignment_to_json(point), "format_version": FORMAT_VERSION, "kind": "completion_witness"}
+    return _with_member(head, "matrix", _rows_text(W.raw_grid), {"ring": str(W.ring)})
 
 
 class _Spelled(dict):
@@ -448,13 +421,13 @@ def sym_decomposition_text(D: SymDecomposition) -> Iterator[str]:
     return _list_text(f'{{"s":{spelled[s]},"v":[{spelled.pairs(v)}]}}' for s, v in D.raw)
 
 
-def _ending_with(head: dict, key: str, value: Iterable[str]) -> Iterator[str]:
-    """The canonical text of ``head`` with one more field, given as the
-    canonical text of its value in pieces; ``key`` sorts after every key of
-    ``head``, so the field comes last."""
+def _with_member(head: dict, key: str, value: Iterable[str], tail: dict | None = None) -> Iterator[str]:
+    """The canonical text of a file whose members are those of ``head``,
+    then ``key``, whose value is given as its canonical text in pieces,
+    then those of ``tail``: the keys sort in that order."""
     yield f'{canonical_dumps(head)[:-2]},"{key}":'
     yield from value
-    yield "}\n"
+    yield f",{_members_text(**tail)}}}\n" if tail else "}\n"
 
 
 _skip_space = json.decoder.WHITESPACE.match
@@ -646,21 +619,36 @@ def _walk_object(window: _Window, member: Callable[[str, int], int]) -> None:
         window.fail("Extra data", pos)
 
 
+_LISTED = {"terms": "a list of objects", "matrix": "a nonempty list of nonempty rows"}  # each witness's list
+
+
 def _read_terms(
-    window: _Window, pos: int, planned: tuple | None, term: Callable, total: Callable
-) -> tuple[int, Any, int]:
-    """The count of the terms whose list starts at ``pos``, their total,
-    and the position after the list.  Given ``planned``, a witness's
-    (ring, shape, limit), each term is read by ``term(item, ring, shape,
-    seen)``, refused if malformed, and the first ``limit`` go to
-    ``total(terms, shape)``; the total is None if there are more, and with
-    None for ``planned`` the terms are only walked."""
+    window: _Window, pos: int, name: str, planned: tuple | None, term: Callable, total: Callable
+) -> tuple[int | None, Any, int]:
+    """The count of the terms, the items of the list member ``name`` whose
+    value starts at ``pos``, their total, and the position after it.  Given
+    ``planned``, a witness's (ring, shape, limit), each term is read by
+    ``term(item, ring, shape, seen)``, refused if malformed, and the first
+    ``limit`` go to ``total(terms, shape)``; the total is None if there are
+    more.  With None for ``planned`` the value is only stepped over, the
+    rest of the text read, as it is kept: where ``_FLAT_LISTS`` matches it,
+    as it matches W, none of its items is decoded.  The count and total are
+    then None."""
     pos, c = window.peek(pos)
-    if c != "[":
-        raise ParseError("terms must be a list of objects", 0)
-    items = _Items(window, pos)
     if planned is None:
-        return sum(1 for _ in items), None, items.end
+        while not window.done:
+            pos = window.more(pos)
+        if match := _FLAT_LISTS.match(window.buf, pos):
+            return None, None, match.end()
+        if c != "[":
+            return None, None, window.value(pos)[1]
+        items = _Items(window, pos)
+        for _ in items:
+            pass
+        return None, None, items.end
+    if c != "[":
+        raise ParseError(f"{name} must be {_LISTED[name]}", 0)
+    items = _Items(window, pos)
     ring, shape, limit = planned
     seen: dict = {}  # each distinct spelling is parsed once
     count = 0
@@ -669,8 +657,6 @@ def _read_terms(
         nonlocal count
         for item in items:
             count += 1
-            if not isinstance(item, dict):
-                raise ParseError("decomposition terms must be objects", 0)
             read = term(item, ring, shape, seen)
             if count <= limit:
                 yield read
@@ -679,17 +665,20 @@ def _read_terms(
     return count, result if count <= limit else None, items.end
 
 
-def _witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple], term: Callable, total: Callable) -> tuple:
+def _witness_terms(
+    pieces: Iterable[str], plan: Callable[[dict], tuple], name: str, term: Callable, total: Callable
+) -> tuple:
     """The ring, shape and term count of a witness, and the total of its
-    terms, read from its text, given in pieces, with no tree of it.
+    terms, the items of its list member ``name``, read from its text, given
+    in pieces, with no tree of it.
 
     The top-level object is walked member by member through one window:
-    each member but ``terms`` is decoded whole, and the terms one at a
+    each member but ``name`` is decoded whole, and the terms one at a
     time, as ``_read_terms`` reads them, the text of each let go once it
     is read.  ``plan`` checks the other members and returns the witness's
     (ring, shape, limit): how many terms to total at most.  It is called
     first on the members before the terms; where those fail it, the terms
-    are only walked, their text kept, and read again once the whole text
+    are only stepped over, their text kept, and read once the whole text
     has been.  Every refusal of the text comes before the result; the
     total is None where more terms than ``limit`` are listed.
     """
@@ -699,7 +688,7 @@ def _witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple], term: C
 
     def member(key: str, pos: int) -> int:
         nonlocal found
-        if key != "terms":
+        if key != name:
             header[key], end = window.value(pos)
             return end
         try:
@@ -707,20 +696,22 @@ def _witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple], term: C
         except ParseError:  # refused below, or passed once every member is known
             planned = None
             window.keep = window.start + pos
-        found = (planned, *_read_terms(window, pos, planned, term, total))
+        found = (planned, *_read_terms(window, pos, name, planned, term, total))
         return found[-1]
 
     _walk_object(window, member)
     planned = plan(_checked(header))
     if found is None:
-        raise ParseError("missing field 'terms'", 0)
+        raise ParseError(f"missing field {name!r}", 0)
     reached, count, result, _ = found
     if reached is None:  # the whole text has been read, from the terms on
-        count, result, _ = _read_terms(window, window.keep - window.start, planned, term, total)
+        count, result, _ = _read_terms(window, window.keep - window.start, name, planned, term, total)
     return planned[0], planned[1], count, result
 
 
-def _tensor_term(item: dict, ring: RingDescriptor, dims: tuple, seen: dict) -> tuple:
+def _tensor_term(item, ring: RingDescriptor, dims: tuple, seen: dict) -> tuple:
+    if not isinstance(item, dict):
+        raise ParseError("decomposition terms must be objects", 0)
     n1, n2, n3 = dims
     return (
         raw_vec_from_json(ring, n1, _need(item, "a"), seen),
@@ -734,10 +725,12 @@ def tensor_witness_sum(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> 
     of its terms as ``sum_terms_raw`` makes it, read by ``_witness_terms``
     with ``plan`` giving (ring, dims, limit): each term is read into raw
     (a, b, c) maps and added to the sum as it is."""
-    return _witness_terms(pieces, plan, _tensor_term, sum_terms_raw)
+    return _witness_terms(pieces, plan, "terms", _tensor_term, sum_terms_raw)
 
 
-def _cube_term(item: dict, ring: RingDescriptor, dim: int, seen: dict) -> tuple:
+def _cube_term(item, ring: RingDescriptor, dim: int, seen: dict) -> tuple:
+    if not isinstance(item, dict):
+        raise ParseError("decomposition terms must be objects", 0)
     spelling = _need(item, "s")
     s = seen.get(spelling) if type(spelling) is str else None
     if s is None:
@@ -753,23 +746,53 @@ def symmetric_witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple]
     terms as a list of raw (s, v) pairs in file order, whose runs the
     grouped sum needs, read by ``_witness_terms`` with ``plan`` giving
     (ring, dim, limit)."""
-    return _witness_terms(pieces, plan, _cube_term, lambda terms, dim: list(terms))
+    return _witness_terms(pieces, plan, "terms", _cube_term, lambda terms, dim: list(terms))
+
+
+def completion_witness_rows(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> tuple:
+    """The ring and shape of a completion witness, as ``plan`` gives them
+    with its (ring, shape, limit), its row count, and the rows of its
+    matrix W as lists of raw values (None past ``limit`` rows), read by
+    ``_witness_terms``: each row is decoded once, checked against row 0,
+    and each distinct spelling in W parsed once."""
+    widths: list[int] = []  # the cell count of each row read, row 0's first
+
+    def row(item, ring: RingDescriptor, shape, seen: dict) -> list:
+        if not isinstance(item, list):
+            raise ParseError(f"matrix rows must be lists, got {type(item).__name__}", 0)
+        if not widths and not item:
+            raise ParseError(f"matrix must be {_LISTED['matrix']}", 0)
+        if widths and len(item) != widths[0]:
+            raise ParseError(f"ragged matrix: row {len(widths)} has {len(item)} cells, row 0 has {widths[0]}", 0)
+        widths.append(len(item))
+        try:  # a row of spellings read before, as W has few
+            return [seen[v] for v in item]
+        except (KeyError, TypeError):  # a new spelling, or a cell no string spells
+            for v in item:
+                if type(v) is not str or v not in seen:
+                    seen[v] = _scalar(ring, v)  # refuses all but strings
+            return [seen[v] for v in item]
+
+    ring, shape, count, rows = _witness_terms(pieces, plan, "matrix", row, lambda rows, shape: list(rows))
+    if not count:
+        raise ParseError(f"matrix must be {_LISTED['matrix']}", 0)
+    return ring, shape, count, rows
 
 
 def tensor_witness_text(D: Decomposition) -> Iterator[str]:
     head = {"format_version": FORMAT_VERSION, "kind": "tensor_witness", "ring": str(D.ring), "dims": list(D.dims)}
-    return _ending_with(head, "terms", decomposition_text(D))
+    return _with_member(head, "terms", decomposition_text(D))
 
 
 def symmetric_witness_text(D: SymDecomposition) -> Iterator[str]:
     head = {"format_version": FORMAT_VERSION, "kind": "symmetric_witness", "ring": str(D.ring), "dim": D.dim}
-    return _ending_with(head, "terms", sym_decomposition_text(D))
+    return _with_member(head, "terms", sym_decomposition_text(D))
 
 
 def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound) -> Iterable[str]:
     """An oracle's result in pieces of canonical text; a Decomposition or
-    SymDecomposition witness is written by its term writer, any other as a
-    JSON value."""
+    SymDecomposition witness is written by its term writer, a DenseMatrix a
+    row at a time, any other as a JSON value."""
     head = {
         "format_version": FORMAT_VERSION,
         "kind": "oracle_result",
@@ -779,7 +802,9 @@ def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound)
         "lower_bound": lower_bound,
     }
     if isinstance(witness, Decomposition):
-        return _ending_with(head, "witness", decomposition_text(witness))
+        return _with_member(head, "witness", decomposition_text(witness))
     if isinstance(witness, SymDecomposition):
-        return _ending_with(head, "witness", sym_decomposition_text(witness))
+        return _with_member(head, "witness", sym_decomposition_text(witness))
+    if isinstance(witness, DenseMatrix):
+        return _with_member(head, "witness", _rows_text(witness.raw_grid))
     return [canonical_dumps(dict(head, witness=witness))]

@@ -257,7 +257,7 @@ class IncompleteMatrix:
         row_labels: Sequence[Label] | None = None,
         system: PolySystem | None = None,
     ):
-        grid = [tuple(r) for r in raw_grid]
+        grid = [tuple(r) for r in raw_grid]  # rows given as tuples are kept, not copied
         if not grid or not grid[0]:
             raise ValueError("matrix needs positive dimensions")
         ncols = len(grid[0])
@@ -368,7 +368,7 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
     ]
     cells: dict[int, object] = {}
     n_lab = len(labels)
-    grid: list[list] = [[None] * n_lab for _ in range(n_lab)]
+    grid: list = [[None] * n_lab for _ in range(n_lab)]
     for u in range(n_lab):
         au, bu, cu = coord_idx[u]
         pa, pb, pc = pw[au], pw[bu], pw[cu]
@@ -380,6 +380,8 @@ def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = No
             cell = cells[key] if key in cells else cells.setdefault(key, classify(wa, wb, wc))
             row_u[v] = cell
             grid[v][u] = cell
+        # row u is complete: the rows below write only into their own lists
+        grid[u] = tuple(row_u)
     B = IncompleteMatrix(ring, grid, labels, F)
     bad = unit_block_mismatch(B.raw_grid, B)
     if bad is not None:
@@ -450,7 +452,7 @@ def completion_witness(
     cell = (lambda g: Fraction(g, dd)) if field.kind == RATIONALS else field.canon
     n = B.ncols
     values: dict[int, object] = {}
-    grid: list[list] = [[None] * n for _ in range(n)]
+    grid: list = [[None] * n for _ in range(n)]
     for i in range(n):
         a0, a1, a2 = r0[i], r1[i], r2[i]
         row = grid[i]
@@ -460,5 +462,6 @@ def completion_witness(
             if w is None:
                 w = values[g] = cell(g)
             row[j] = grid[j][i] = w
+        grid[i] = tuple(row)  # complete, as in build_B
     return DenseMatrix(field, grid)
 

@@ -23,10 +23,13 @@ CHILD_TIMEOUT_S = 20.0
 
 
 # runs the tenred command line, then writes the process's peak RSS in KiB
-# as the last line of its standard error
+# as the last line of its standard error: the VmHWM of its own memory, as
+# getrusage's ru_maxrss also counts the RSS of the process that forked it,
+# the test run, which a full run grows past a small command's peak
 _WITH_PEAK = (
-    "import resource, sys; from tenred.cli import main; code = main(sys.argv[1:]); "
-    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(code)"
+    "import sys; from tenred.cli import main; code = main(sys.argv[1:]); "
+    "print(next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:')), "
+    "file=sys.stderr); sys.exit(code)"
 )
 
 

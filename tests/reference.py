@@ -3,9 +3,10 @@ and Fractions, matrix products and inverses (with the error a singular one
 raises), nested and term-map
 constructors, star and symmetry predicates, the tuple-keyed tensor and
 cube sums and the compare that the packed kernels of ``tenred.tensors``
-and ``tenred.symmetric`` are checked against, the JSON tree writer and
-reader of a symmetric witness that its text writer and reader are checked
-against, and the instance reader that decodes every member whole, which
+and ``tenred.symmetric`` are checked against, the JSON tree writers and
+readers of a symmetric witness, a completion instance and a completion
+witness that their text writers and readers are checked against, and the
+instance reader that decodes every member whole, which
 ``certify.read_instance`` is checked against.  The package itself never
 needs them, so they live here, beside the tests that check against them."""
 
@@ -18,6 +19,7 @@ from typing import Sequence
 from tenred import certify, jsonio
 from tenred.errors import GuardExceededError, ParseError, RingMismatchError
 from tenred.linalg import DenseMatrix
+from tenred.jsonio import FORMAT_VERSION, assignment_to_json, system_to_json
 from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
 from tenred.rings import RingDescriptor
 from tenred.sigma import IncompleteMatrix
@@ -183,6 +185,59 @@ def symmetric_witness_parse(obj: dict) -> SymDecomposition:
 
     ring, dim, _, raw = jsonio.symmetric_witness_terms([jsonio.canonical_dumps(obj)], plan)
     return SymDecomposition(ring, dim, raw)
+
+
+def matrix_to_json(m: DenseMatrix) -> list:
+    """The rows of a matrix as lists of value strings."""
+    return [[str(v) for v in row] for row in m.raw_grid]
+
+
+def raw_matrix_from_json(ring: RingDescriptor, data) -> list[list]:
+    """Raw values of a nonempty list of equal-length rows of scalar strings,
+    as ``verify`` read W when it decoded the witness whole; each distinct
+    string is read once, by ``jsonio._scalar``."""
+    if not isinstance(data, list) or not data or data[0] == []:
+        raise ParseError("matrix must be a nonempty list of nonempty rows", 0)
+    seen: dict = {}
+    rows = []
+    for row in data:
+        if not isinstance(row, list):
+            raise ParseError(f"matrix rows must be lists, got {type(row).__name__}", 0)
+        if len(row) != len(data[0]):
+            raise ParseError(f"ragged matrix: row {len(rows)} has {len(row)} cells, row 0 has {len(data[0])}", 0)
+        for v in row:
+            if not isinstance(v, str) or v not in seen:
+                seen[v] = jsonio._scalar(ring, v)  # refuses all but strings
+        rows.append([seen[v] for v in row])
+    return rows
+
+
+def completion_instance_file(B: IncompleteMatrix) -> dict:
+    """The completion instance file of B as a JSON tree, stars as None: the
+    reference for ``jsonio.completion_instance_text``."""
+    if B.system is None or B.row_labels is None:
+        raise ValueError("instance files need the system and labels attached")
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "completion_instance",
+        "ring": str(B.ring),
+        "system": system_to_json(B.system),
+        "labels": [[str(f) for f in lab.coords] for lab in B.row_labels],
+        "grid": [[None if v is None else str(v) for v in row] for row in B.raw_grid],
+        "tau": B.tau,
+    }
+
+
+def completion_witness_file(point: Assignment, W: DenseMatrix) -> dict:
+    """The completion witness file of a point and W as a JSON tree: the
+    reference for ``jsonio.completion_witness_text``."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "completion_witness",
+        "ring": str(W.ring),
+        "assignment": assignment_to_json(point),
+        "matrix": matrix_to_json(W),
+    }
 
 
 def read_instance_tree(text: str, *kinds: str) -> certify.Reduction:

@@ -18,7 +18,6 @@ from tenred import certify, cli, jsonio, sigma, symmetric, tensors
 from tenred.cli import build_parser, main
 from tenred.jsonio import (
     canonical_dumps,
-    completion_instance_file,
     polysystem_file,
     symtensor_file,
 )
@@ -28,7 +27,7 @@ from tenred.rings import GF, QQ, ZZ, RingDescriptor
 from tenred.sigma import IncompleteMatrix
 from tenred.symmetric import SymTensor
 from tenred.tensors import build_derksen
-from reference import symmetric_witness_parse
+from reference import completion_instance_file, raw_matrix_from_json, symmetric_witness_parse
 from test_jsonio import tensor_file, tensor_witness_parse
 
 
@@ -711,6 +710,29 @@ def test_tensor_verify_reads_no_tree_of_the_witness(x1_gf2_tensor, monkeypatch, 
     assert len(buffers) > size // 256 and max(buffers) <= 256 + _longest_term(witf)
 
 
+def test_completion_verify_reads_no_tree_of_the_witness(x1_q_completion, monkeypatch, capsys):
+    # the same for a completion witness, whose ring comes after W: each row
+    # is stepped over as text, then decoded once the ring is known, and
+    # never twice; the instance's grid is stepped over too
+    instf, witf = x1_q_completion
+    rows = []
+    real_scan = jsonio._scan
+
+    def scan(text, pos):
+        value, end = real_scan(text, pos)
+        if type(value) is list and len(value) == 98 and type(value[0]) is str:
+            rows.append(value)
+        return value, end
+
+    monkeypatch.setattr(jsonio, "_scan", scan)
+    sizes, buffers = _verify_with_no_tree(instf, witf, 256, monkeypatch, capsys)
+    assert sizes and all(0 < n <= 256 for n in sizes)
+    assert rows == json.loads(witf.read_text())["matrix"]
+    # W's text is kept, from its first row on, until the ring is read; the
+    # kept text at least doubles at each read, so it is copied a few times
+    assert len(buffers) <= (len(witf.read_text()) // 256).bit_length() + 1
+
+
 def _scale_coordinate(terms, x, c):
     """Multiply coordinate x of each term's vector by c, over GF(11)."""
     for t in terms:
@@ -956,6 +978,100 @@ def test_verify_refuses_an_assignment_of_the_wrong_length(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "verified\n"
     assert captured.err == "error: assignment length mismatch\n"
+
+
+def _rows_edited(edit):
+    """An edit of a completion witness whose rows go through ``edit``."""
+    return lambda wit: wit.update(matrix=edit(wit["matrix"]))
+
+
+def _cell(i, j, value):
+    def edit(rows):
+        rows[i][j] = value
+        return rows
+
+    return edit
+
+
+def _ring_first(wit):
+    """The witness's text with its ring put before its matrix, so that the
+    rows are read as the walk meets them."""
+    ring = wit.pop("ring")
+    return canonical_dumps({"ring": ring})[:-2] + "," + canonical_dumps(wit)[1:]
+
+
+def _matrix_twice(wit):
+    return canonical_dumps(wit)[:-2] + ',"matrix":[]}\n'
+
+
+_UNCHANGED = lambda wit: None  # noqa: E731
+
+
+_NO_MATRIX = "matrix must be a nonempty list of nonempty rows"
+_OTHER_SHAPE = "witness shape differs from the instance"
+
+
+@pytest.mark.parametrize(
+    "edit, spell, message",
+    [
+        (
+            _rows_edited(lambda rows: [*rows[:3], rows[3][:-1], *rows[4:]]),
+            canonical_dumps,
+            "ragged matrix: row 3 has 97 cells, row 0 has 98",
+        ),
+        (_rows_edited(_cell(2, 5, 5)), canonical_dumps, "scalar values are strings, got int"),
+        (_rows_edited(_cell(2, 5, None)), canonical_dumps, "scalar values are strings, got NoneType"),
+        (_rows_edited(_cell(2, 5, ["0"])), canonical_dumps, "scalar values are strings, got list"),
+        (_rows_edited(_cell(2, 5, "x")), canonical_dumps, "bad rational literal 'x'"),
+        (_rows_edited(lambda rows: [*rows[:4], "0", *rows[5:]]), canonical_dumps, "matrix rows must be lists, got str"),
+        (_rows_edited(lambda rows: []), canonical_dumps, _NO_MATRIX),
+        (_rows_edited(lambda rows: [[], *rows[1:]]), canonical_dumps, _NO_MATRIX),
+        (_rows_edited(lambda rows: "0"), canonical_dumps, _NO_MATRIX),
+        (_rows_edited(lambda rows: rows[:-1]), canonical_dumps, _OTHER_SHAPE),
+        (_rows_edited(lambda rows: [*rows, rows[0]]), canonical_dumps, _OTHER_SHAPE),
+        (_rows_edited(lambda rows: [row[:-1] for row in rows]), canonical_dumps, _OTHER_SHAPE),
+        (lambda wit: wit.update(ring="gf:3"), canonical_dumps, "witness ring incompatible with the instance"),
+        (lambda wit: wit.pop("matrix"), canonical_dumps, "missing field 'matrix'"),
+        (lambda wit: wit.update(extra=1), canonical_dumps, "unexpected field 'extra' in a completion witness"),
+        # the header is checked before the rows, and the rows before the point
+        (
+            lambda wit: wit.update(kind="tensor_witness", matrix=[]),
+            canonical_dumps,
+            "cannot verify a 'tensor_witness' witness against a completion instance",
+        ),
+        (lambda wit: wit.update(assignment=5, matrix=[[]]), canonical_dumps, _NO_MATRIX),
+        (
+            lambda wit: wit.update(assignment=5, matrix=wit["matrix"][:-1]),
+            canonical_dumps,
+            "assignment must be a list of values",
+        ),
+        (_UNCHANGED, _matrix_twice, "field 'matrix' is repeated"),
+        (_rows_edited(_cell(2, 5, 5)), _ring_first, "scalar values are strings, got int"),
+        (lambda wit: wit.update(ring="gf:3"), _ring_first, "witness ring incompatible with the instance"),
+    ],
+)
+def test_completion_witness_reader_refusals(edit, spell, message, x1_q_completion, tmp_path, capsys):
+    # each refusal of a completion witness, whose rows are read one at a
+    # time, keeps the message it had when the witness was decoded whole
+    instf, witf = x1_q_completion
+    wit = json.loads(witf.read_text())
+    edit(wit)
+    badf = _write(tmp_path / "bad.json", spell(wit))
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 2
+    assert capsys.readouterr() == ("", f"error: {message} (at position 0)\n")
+
+
+@pytest.mark.parametrize("spell", [_ring_first, lambda wit: _spaced(wit)], ids=["ring-first", "spaced"])
+def test_a_completion_witness_spelled_otherwise_still_verifies(spell, x1_q_completion, tmp_path, capsys):
+    # W is read as the walk meets it where the ring comes first, and kept
+    # as text until the ring is known where it comes after; whitespace
+    # anywhere changes nothing
+    instf, witf = x1_q_completion
+    badf = _write(tmp_path / "respelled.json", spell(json.loads(witf.read_text())))
+    capsys.readouterr()
+    assert main(["verify", str(instf), badf]) == 0
+    assert capsys.readouterr() == ("verified\n", "")
 
 
 def test_ring_beyond_the_primality_bound_exits_2(tmp_path, capsys):
@@ -1291,7 +1407,8 @@ def _cases(test):
     cases = [{}]
     for mark in marks:
         names = [n.strip() for n in mark.args[0].split(",")]
-        rows = [row if len(names) > 1 else (row,) for row in mark.args[1]]
+        rows = [getattr(row, "values", row) for row in mark.args[1]]  # a pytest.param's values
+        rows = [row if len(names) > 1 else (row,) for row in rows]
         cases = [dict(case, **dict(zip(names, row))) for case in cases for row in rows]
     return cases
 
@@ -1347,6 +1464,12 @@ _WITNESS_PINS = [
     test_a_tensor_witness_spelled_otherwise_still_verifies,
     test_a_malformed_tensor_witness_text_exits_2,
     test_a_tensor_witness_that_proves_nothing_exits_4,
+    test_a_key_given_twice_exits_2,
+    test_verify_reports_completion_rank,
+    test_verify_malformed_completion_input_exits_2,
+    test_verify_refuses_an_assignment_of_the_wrong_length,
+    test_completion_witness_reader_refusals,
+    test_a_completion_witness_spelled_otherwise_still_verifies,
 ]
 
 
@@ -1568,7 +1691,7 @@ def _witness_meaning(wit):
     head = sorted(wit), type(wit["format_version"]), wit["kind"]
     if wit["kind"] == "completion_witness":
         ring = jsonio._ring_of(wit)
-        matrix = jsonio.raw_matrix_from_json(ring, wit["matrix"])
+        matrix = raw_matrix_from_json(ring, wit["matrix"])
         return head, ring, matrix, jsonio.assignment_from_json(ring, wit["assignment"])
     if wit["kind"] == "tensor_witness":
         return head, tensor_witness_parse(wit)
@@ -1804,22 +1927,30 @@ def test_verify_agrees_with_the_independent_checks_on_mutations(fixture, indepen
     agrees()
 
 
-@settings(derandomize=True, max_examples=30, database=None, deadline=None)
-@given(data=st.data(), window=st.integers(1, 100), spelled=st.sampled_from([canonical_dumps, _spaced]))
-def test_a_mutated_witness_reads_alike_in_any_window(
-    x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric, data, window, spelled
-):
+# Each fixture gets its own examples: drawn from one list of five, the
+# derandomized draws never took x1_q_completion
+@pytest.mark.parametrize(
+    "fixture", ["x1_gf2_completion", "x1_q_completion", "x1_gf2_tensor", "x1_z_tensor", "empty_gf11_symmetric"]
+)
+def test_a_mutated_witness_reads_alike_in_any_window(fixture, request):
     # verify says the same of a witness read in chunks of a few characters
     # as of the file read in one piece, wherever the chunks cut its text
-    instf, witf, wit = _mutated(data, [x1_gf2_completion, x1_gf2_tensor, x1_z_tensor, empty_gf11_symmetric])
-    text = spelled(wit)
-    path = _write(witf.parent / "windowed.json", text)
-    said = []
-    for size in (len(text.encode()), window):  # the whole file in one piece, then in many
-        with mock.patch.object(jsonio, "_WINDOW", size), redirect_stdout(io.StringIO()) as out:
-            with redirect_stderr(io.StringIO()) as err:
-                said.append((main(["verify", str(instf), path]), out.getvalue(), err.getvalue()))
-    assert said[0] == said[1]
+    files = request.getfixturevalue(fixture)
+
+    @settings(derandomize=True, max_examples=8, database=None, deadline=None)
+    @given(data=st.data(), window=st.integers(1, 100), spelled=st.sampled_from([canonical_dumps, _spaced]))
+    def reads_alike(data, window, spelled):
+        instf, witf, wit = _mutated(data, [files])
+        text = spelled(wit)
+        path = _write(witf.parent / "windowed.json", text)
+        said = []
+        for size in (len(text.encode()), window):  # the whole file in one piece, then in many
+            with mock.patch.object(jsonio, "_WINDOW", size), redirect_stdout(io.StringIO()) as out:
+                with redirect_stderr(io.StringIO()) as err:
+                    said.append((main(["verify", str(instf), path]), out.getvalue(), err.getvalue()))
+        assert said[0] == said[1]
+
+    reads_alike()
 
 
 @pytest.fixture(scope="module")
@@ -2175,3 +2306,31 @@ def test_the_three_variable_tensor_rung_fits_in_1_gib(tmp_path):
     assert proc.stdout == "verified\n"
     peak_mb = int(proc.stderr.splitlines()[-1]) / 1024
     assert peak_mb < RUNG_VERIFY_PEAK_MB, f"verify peaked at {peak_mb:.0f} MB"
+
+
+# peak RSS in MB of reduce, witness and verify on the clause (1 2 3)
+# completion rung, each bound between the peak with the grid and W written
+# and read a row at a time (39, 50 and 57 MB) and the peak when both were
+# whole JSON trees (72, 87 and 87 MB)
+RUNG_COMPLETION_PEAK_MB = {"reduce": 56, "witness": 69, "verify": 72}
+
+
+def test_the_three_variable_completion_rung_peaks_below_its_bounds(tmp_path):
+    # clause (1 2 3) over GF(2) at the completion stage: 1,387 labels, a
+    # 9.7 MB instance and a 7.7 MB witness
+    cnf = _write(tmp_path / "f.cnf", "p cnf 3 1\n1 2 3 0\n")
+    sysf, instf, witf = tmp_path / "sys.json", tmp_path / "inst.json", tmp_path / "wit.json"
+    assert main(["encode-3sat", cnf, "--ring", "gf:2", "--out", str(sysf)]) == 0
+    run = tenred_runner(timeout_s=120, peak=True)
+    for argv in (
+        ["reduce", "completion", sysf, "--out", instf],
+        ["witness", instf, "--solution", "1,0,0", "--out", witf],
+        ["verify", instf, witf],
+    ):
+        proc = run(*argv)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        peak_mb = int(proc.stderr.splitlines()[-1]) / 1024
+        assert peak_mb < RUNG_COMPLETION_PEAK_MB[argv[0]], f"{argv[0]} peaked at {peak_mb:.0f} MB"
+        if argv[0] == "witness":
+            assert "verification: verified" in proc.stderr.splitlines()
+    assert proc.stdout == "verified\n"

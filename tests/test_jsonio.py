@@ -16,13 +16,11 @@ from tenred.jsonio import (
     assignment_from_json,
     assignment_to_json,
     canonical_dumps,
-    completion_instance_file,
-    completion_witness_file,
+    completion_instance_text,
+    completion_witness_text,
     decomposition_text,
     loads,
-    matrix_to_json,
     polysystem_file,
-    raw_matrix_from_json,
     oracle_result_text,
     sym_decomposition_text,
     symmetric_instance_file,
@@ -54,8 +52,12 @@ from tenred.tensors import (
 )
 
 from reference import (
+    completion_instance_file,
+    completion_witness_file,
     dense,
+    matrix_to_json,
     point,
+    raw_matrix_from_json,
     read_instance_tree,
     sum_decomposition_raw,
     sym_decomposition_to_json,
@@ -229,13 +231,25 @@ def test_vec_round_trip():
         vec_from_json(QQ, 2, "oops")
 
 
+def _read_matrix(ring, data):
+    """The rows of W as verify reads them, a row at a time, from a witness
+    whose matrix member is ``data``."""
+    wit = {"format_version": 1, "kind": "completion_witness", "matrix": data, "ring": str(ring)}
+    _, _, _, rows = jsonio.completion_witness_rows([canonical_dumps(wit)], lambda head: (ring, None, sys.maxsize))
+    return rows
+
+
 def test_matrix_round_trip():
     m = dense(GF(5), [[1, 7], [-1, 0]])
     data = matrix_to_json(m)
     assert data == [["1", "2"], ["4", "0"]]
-    assert raw_matrix_from_json(GF(5), data) == m.raw_rows()
+    assert _read_matrix(GF(5), data) == m.raw_rows()
     with pytest.raises(ParseError):
-        raw_matrix_from_json(GF(5), [])
+        _read_matrix(GF(5), [])
+    # an oracle's completion is written a row at a time, as the tree dumps
+    tree = {"format_version": 1, "kind": "oracle_result", "oracle": "minrank", "value": 2}
+    tree.update(exhausted=True, lower_bound=2, witness=data)
+    assert "".join(oracle_result_text("minrank", 2, m, True, 2)) == canonical_dumps(tree)
 
 
 def test_decomposition_json_reads_each_spelling_once():
@@ -257,26 +271,35 @@ def test_matrix_json_over_q_reads_each_spelling_once():
     data = matrix_to_json(m)
     assert data == [["-3/4", "2"], ["0", "7/5"]]
     assert data == [[str(s) for s in r] for r in m.raw_grid]
-    assert raw_matrix_from_json(QQ, data) == m.raw_rows()
+    assert _read_matrix(QQ, data) == m.raw_rows()
     # equal spellings share one value; different spellings of one value
     # are each read, and both read to that value
-    back = raw_matrix_from_json(QQ, [["1/2", "2/4"], [" 1/2", "1/2"]])
-    assert back[0][0] is back[1][1]
+    back = _read_matrix(QQ, [["1/2", "2/4"], [" 1/2", "1/2"], ["2/4", "1/2"]])
+    assert back[0][0] is back[1][1] is back[2][1]
     assert back[0][0] is not back[0][1]
     assert {v for r in back for v in r} == {Fraction(1, 2)}
+    # the row reader refuses what the tree reader refused, with its message
     for bad in (
         [["1", 2]],
         [["1", None]],
         [["1", ["1"]]],
+        [["1", {}]],
         [["1", "1/0"]],
         [["1", "x"]],
         [["1"], ["1", "2"]],
+        [["1", "2"], ["1"], 5],
+        [["1", "x"], ["1"]],
         [[]],
+        [[], 5],
+        [],
         ["1"],
         5,
     ):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as want:
             raw_matrix_from_json(QQ, bad)
+        with pytest.raises(ParseError) as got:
+            _read_matrix(QQ, bad)
+        assert str(got.value) == str(want.value), bad
 
 
 def test_system_round_trip():
@@ -306,12 +329,13 @@ def test_completion_instance_round_trip():
     B = build_B(F)
     obj = completion_instance_file(B)
     assert obj["tau"] == B.tau
-    text = canonical_dumps(obj)
+    text = "".join(completion_instance_text(B))
+    assert text == canonical_dumps(obj)
     back = read_instance(text).B
     assert back.raw_grid == B.raw_grid
     assert back.row_labels == B.row_labels
     assert back.system == F
-    assert canonical_dumps(completion_instance_file(back)) == text
+    assert "".join(completion_instance_text(back)) == text
 
 
 def test_completion_instance_requires_labels():
@@ -319,17 +343,48 @@ def test_completion_instance_requires_labels():
 
     bare = IncompleteMatrix(GF(2), [[1, None]])
     with pytest.raises(ValueError):
-        completion_instance_file(bare)
+        completion_instance_text(bare)
 
 
 def test_completion_witness_file_shape():
     F = _system(["x1"], 1, GF(11))
     pt = point(GF(11), [0])
     W = completion_witness(F, pt)
-    obj = completion_witness_file(pt, W)
+    obj = json.loads("".join(completion_witness_text(pt, W)))
     assert obj["kind"] == "completion_witness"
     assert obj["assignment"] == ["0"]
-    assert raw_matrix_from_json(GF(11), obj["matrix"]) == W.raw_rows()
+    assert _read_matrix(GF(11), obj["matrix"]) == W.raw_rows()
+
+
+# a system, its ring, and a solution in the ring a witness is over: Q for
+# an integer system, whose witness cells are then Fractions
+_COMPLETIONS = {
+    "gf2": (["x1"], GF(2), 0),
+    "q-half": ([], QQ, Fraction(1, 2)),
+    "z-instance-q-witness": (["x1 - x1^2"], ZZ, 1),
+    "z-half": ([], ZZ, Fraction(-1, 2)),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 40, jsonio._CHUNK])
+@pytest.mark.parametrize("case", sorted(_COMPLETIONS))
+def test_completion_texts_match_the_tree_writers(case, chunk):
+    # the instance and the witness written a row at a time, a chunk of
+    # about _CHUNK cells per piece, are the canonical dumps of their trees
+    texts, ring, value = _COMPLETIONS[case]
+    F = _system(texts, 1, ring)
+    B = build_B(F)
+    pt = point(QQ if ring == ZZ else ring, [value])
+    W = completion_witness(F, pt, B=B)
+    assert W.ring == (QQ if ring == ZZ else ring)
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        pieces = list(completion_instance_text(B))
+        witness = list(completion_witness_text(pt, W))
+    assert "".join(pieces) == canonical_dumps(completion_instance_file(B))
+    assert "".join(witness) == canonical_dumps(completion_witness_file(pt, W))
+    # a piece before the grid and one after it; the rows in chunks, then "]"
+    rows_per_piece = max(1, chunk // B.ncols)
+    assert len(pieces) == len(witness) == 3 + -(-B.nrows // rows_per_piece)
 
 
 def test_tensor_round_trip():
@@ -446,11 +501,13 @@ def test_read_instance_refuses_an_edited_text(edit, message):
 
 @pytest.fixture(scope="module")
 def instance_texts():
-    """Canonical texts of a tensor and a symmetric reduction instance and of
-    a bare tensor file, each with the members read_instance steps over."""
+    """Canonical texts of a completion, a tensor and a symmetric reduction
+    instance and of a bare tensor file, each with the members read_instance
+    steps over."""
     F, B, inst, m, S, target = _symmetric_instance(GF(11))
     bare = Tensor3(ZZ, (2, 2, 3), {(0, 1, 2): -4, (1, 0, 0): 9, (1, 1, 1): 12})
     return {
+        "completion": (canonical_dumps(completion_instance_file(build_B(_system(["x1"], 1, QQ)))), ["grid"]),
         "tensor": (_x1_gf2_instance_text(), ["entries", "star_map"]),
         "symmetric": (canonical_dumps(symmetric_instance_file(S, target, m, inst, B)), ["entries", "star_map"]),
         "bare-tensor": (canonical_dumps(tensor_file(bare)), ["entries"]),
@@ -482,12 +539,15 @@ _MEMBER_EDITS = {
     "whitespace": lambda text, start, end: text[: start + 1] + " " + text[start + 1 :],
     "01": _first_index("01"),
     "1.0": _first_index("1.0"),
+    "true": _first_index("true"),
     "-0": _first_index("-0"),
     "string": _first_index('"1"'),
     "escaped-string": _first_index('"\\u0031"'),
     "control-character": _first_index('"\x01"'),
     "5000-digits": _first_index("9" * 5000),
     "nested": _first_index("[0]"),
+    # the whole file, indented
+    "indented": lambda text, start, end: json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n",
     "trailing-comma": lambda text, start, end: text[: end - 1] + ",]" + text[end:],
     "unterminated-string": lambda text, start, end: text[:start] + '[["1',
     # the whole member again after it, from its key's opening quote
@@ -496,21 +556,21 @@ _MEMBER_EDITS = {
 
 
 def _outcome(read, text):
-    """What reading an instance text gives: the stage, target and tensor
-    of the reduction, or the type and message of the refusal, which is
+    """What reading an instance text gives: the stage, target, tensor and
+    grid of the reduction, or the type and message of the refusal, which is
     what picks verify's exit code and error line."""
     try:
         red = read(text)
     except (ParseError, ValueError) as e:
         return type(e), str(e)
-    return red.stage, red.target_rank, red.tensor
+    return red.stage, red.target_rank, red.tensor, red.B and red.B.raw_grid
 
 
 @pytest.mark.parametrize("kind_twice", [False, True], ids=["kind-once", "kind-twice"])
 @pytest.mark.parametrize("edit", sorted(_MEMBER_EDITS))
-@pytest.mark.parametrize("which", ["tensor", "symmetric", "bare-tensor"])
+@pytest.mark.parametrize("which", ["completion", "tensor", "symmetric", "bare-tensor"])
 def test_read_instance_agrees_with_the_tree_reader(which, edit, kind_twice, instance_texts):
-    # stepping over the entries and stars changes no outcome: any spelling
+    # stepping over the grid, entries and stars changes no outcome: any spelling
     # the pattern does not accept is decoded as the tree reader decodes it,
     # and what it accepts is checked byte for byte against the rebuild.  A
     # kind given again after every member is refused by the walk, after the
@@ -523,13 +583,14 @@ def test_read_instance_agrees_with_the_tree_reader(which, edit, kind_twice, inst
         edited = _MEMBER_EDITS[edit](text, *_span(text, key))
         want = _outcome(read_instance_tree, edited)
         assert _outcome(read_instance, edited) == want, key
-        if edit == "none" and not kind_twice:
-            assert want[0] == ("symmetric" if which == "symmetric" else "tensor")
+        if edit in ("none", "indented") and not kind_twice:
+            assert want[0] == ("tensor" if which == "bare-tensor" else which)
 
 
 def test_read_instance_decodes_no_item_of_the_entries_or_stars(instance_texts, monkeypatch):
-    # the JSON scanner is never started inside the entries or the stars of
-    # a reduction instance; a bare tensor file's entries are decoded whole
+    # the JSON scanner is never started inside the grid, the entries or the
+    # stars of a reduction instance; a bare tensor file's entries are
+    # decoded whole
     starts = []
     real_scan = jsonio._scan
     monkeypatch.setattr(jsonio, "_scan", lambda text, pos: starts.append(pos) or real_scan(text, pos))

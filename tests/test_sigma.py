@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tenred import sigma
 from tenred.errors import GuardExceededError, RingMismatchError, VerificationError
 from tenred.linalg import DenseMatrix, matrix_rank
 from tenred.polysys import Assignment, Polynomial, PolySystem, parse_polynomial
@@ -175,6 +176,26 @@ def test_incomplete_matrix_basics():
         IncompleteMatrix(ZZ, [])
     with pytest.raises(ValueError):
         m.label_position(())
+
+
+def test_rows_given_as_tuples_are_kept(monkeypatch):
+    # build_B and completion_witness turn each row into a tuple once it is
+    # complete, and the matrix keeps those rows, so no grid is held twice;
+    # rows given as lists are copied
+    rows = [(1, None), (None, 2)]
+    assert all(kept is given for kept, given in zip(IncompleteMatrix(ZZ, rows).raw_grid, rows))
+    lists = [[1, None], [None, 2]]
+    assert IncompleteMatrix(ZZ, lists).raw_grid == tuple(map(tuple, lists))
+    given = []
+    for name in ("IncompleteMatrix", "DenseMatrix"):
+        real = getattr(sigma, name)
+        monkeypatch.setattr(sigma, name, lambda ring, grid, *more, real=real: given.append(grid) or real(ring, grid, *more))
+    F = _system(["x1"], 1, GF(11))
+    B = build_B(F)
+    W = completion_witness(F, point(GF(11), [0]), B=B)
+    for grid, matrix in ((given[0], B), (given[-1], W)):  # U's matrix comes between
+        assert all(type(row) is tuple for row in grid)
+        assert all(kept is row for kept, row in zip(matrix.raw_grid, grid))
 
 
 def test_incomplete_matrix_change_ring():
