@@ -22,9 +22,9 @@ it.
 the instance's ring, or a field an integer instance embeds in (only Q for
 a completion), and on the term stages it and the dimensions are checked
 before any term is read; then the stage's verdict (``completion_verdict``,
-``tensor_verdict``, ``symmetric_verdict``) decides, once: the term count
-may not exceed the target rank worked out from the rebuilt instance, and
-one exact check follows.  ``witness`` calls the same verdict, once, on what
+or ``sum_verdict`` on the term stages) decides, once: the term count may
+not exceed the target rank worked out from the rebuilt instance, and one
+exact check follows.  ``witness`` calls the same verdict, once, on what
 it built, before any byte is written, so its ``verification: verified``
 says what ``verify``'s ``verified`` says; the builders it calls only
 build.  A ``verified`` line means, over the witness ring:
@@ -41,13 +41,12 @@ build.  A ``verified`` line means, over the witness ring:
 A witness is read from its text one term, or one row of W, at a time,
 with no JSON tree of it and never as one text: the file is read in
 pieces, through a window that holds one piece and the term being
-decoded.  A tensor term goes straight into the exact sum, a cube term is
-kept as a raw (s, v) pair for the grouped sum, and a row of W as a list
-of raw values.  The verdict comes only
-once the whole text has been read, so a fault anywhere in the file is
-refused as input first.  The one packed sum is then compared with the
-expected entries: the star-slice tensor's, walked from B and never
-stored, or the padded tensor's.
+decoded.  A tensor or cube term goes straight into the exact sum, with no
+list of the terms, and a row of W is kept as a list of raw values.  The
+verdict comes only once the whole text has been read, so a fault anywhere
+in the file is refused as input first.  The one packed sum is then
+compared with the expected entries: the star-slice tensor's, walked from
+B and never stored, or the padded tensor's.
 
 By the reduction, each bound can be met exactly when F has a solution in
 that field.  A bare ``tensor`` or ``symtensor`` file carries no system and
@@ -60,6 +59,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_not
 from typing import Callable, Iterable
 
 from . import jsonio
@@ -76,15 +77,14 @@ from .sigma import (
     unit_label_positions,
 )
 from .symmetric import (
-    SymDecomposition,
     SymTensor,
     build_curly_T,
     embed_S,
     padded_size,
     padding_terms,
     require_big_field,
+    sum_sym_decomposition_raw,
     symmetric_witness,
-    verify_symmetric_decomposition,
 )
 from .tensors import (
     Decomposition,
@@ -283,14 +283,14 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
         U = SymbolicU(inst.source.row_labels).evaluate(point, field)
         D = derksen_witness(inst, W, U)
         if red.stage == "tensor":
-            reason = tensor_verdict(red, field, len(D), sum_terms_raw(D.raw, D.dims))
+            reason = sum_verdict(red, field, len(D), sum_terms_raw(D.raw, D.dims, field))
             facts = [("terms", len(D))]
             text = jsonio.tensor_witness_text(D)
         else:
             padded = pad_cubical(inst.tensor)
             # padding leaves every raw map as it is
             WS = symmetric_witness(padded, Decomposition(field, padded.dims, D.raw))
-            reason = symmetric_verdict(red, field, len(WS), WS.raw)
+            reason = sum_verdict(red, field, len(WS), sum_sym_decomposition_raw(WS.raw, WS.dim, field))
             facts = [("terms", len(WS)), ("target_rank", red.target_rank)]
             text = jsonio.symmetric_witness_text(WS)
     if reason is not None:
@@ -313,39 +313,33 @@ def completion_verdict(red: Reduction, ring, values: tuple, rows) -> str | None:
     if bad is not None:
         return f"assignment fails: {bad[0]} evaluates to {bad[1]}"
     # an integer cell equals its image in Q, so B is compared as it is
+    equal = set()  # the id pairs of cell objects found equal, both kept alive by the rows
     for i, (row, expect_row) in enumerate(zip(rows, B.raw_grid)):
-        for j, expect in enumerate(expect_row):
-            if expect is not None and row[j] != expect:
-                return f"mismatch at ({i},{j}): instance has {expect}, witness has {row[j]}"
+        for j in compress(range(len(expect_row)), map(is_not, expect_row, repeat(None))):  # the specified cells
+            if (pair := (id(row[j]), id(expect_row[j]))) not in equal:
+                if row[j] != expect_row[j]:
+                    return f"mismatch at ({i},{j}): instance has {expect_row[j]}, witness has {row[j]}"
+                equal.add(pair)
     if factors_through_units(rows, unit_label_positions(B), ring):
         return None
     return f"completion rank is {rank_raw([list(row) for row in rows], ring)}, not 3"
 
 
-def _sum_verdict(red: Reduction, count: int, check: Callable[[], tuple]) -> str | None:
+def sum_verdict(red: Reduction, ring, count: int, total: dict | None) -> str | None:
+    """Why ``count`` terms over ``ring``, rank-1 or cube terms as the stage
+    has, whose exact packed sum is ``total`` (None past the target), do not
+    prove the stage's claim, or None; the sum is popped from, and the
+    expected entries are taken into ``ring`` as they are walked."""
     # a witness longer than the target proves nothing about the rank
     # bound, however exactly it sums
     if red.target_rank is not None and count > red.target_rank:
         return f"{count} terms exceed the target rank {red.target_rank}"
-    ok, mismatch = check()
-    return None if ok else "mismatch at {}: instance has {}, witness sums to {}".format(*mismatch)
-
-
-def tensor_verdict(red: Reduction, ring, count: int, total: dict | None) -> str | None:
-    """Why ``count`` rank-1 terms over ``ring``, whose exact sum from
-    ``sum_terms_raw`` is ``total`` (None past the target), do not prove the
-    tensor claim, or None; the sum is popped from, and the instance's
-    entries are taken into ``ring`` as they are walked."""
-    T, canon = red.expected, ring.canon
-    want = ((key, canon(v)) for key, v in T.items())
-    return _sum_verdict(red, count, lambda: first_mismatch(want, total, ring, T.dims))
-
-
-def symmetric_verdict(red: Reduction, ring, count: int, terms: list | None) -> str | None:
-    """Why ``count`` cube terms over ``ring``, raw (s, v) pairs (None past
-    the target), do not prove the symmetric claim, or None."""
     T = red.expected
-    return _sum_verdict(red, count, lambda: verify_symmetric_decomposition(T, SymDecomposition(ring, T.size, terms)))
+    want, dims = (T.entries.items(), (T.size,) * 3) if isinstance(T, SymTensor) else (T.items(), T.dims)
+    if ring != T.ring:  # an integer instance checked over a field
+        want = ((key, ring.canon(v)) for key, v in want)
+    ok, mismatch = first_mismatch(want, total, ring, dims)
+    return None if ok else "mismatch at {}: instance has {}, witness sums to {}".format(*mismatch)
 
 
 def _check_header(red: Reduction, wit: dict) -> None:
@@ -387,7 +381,6 @@ def failure(red: Reduction, pieces: Iterable[str]) -> str | None:
     limit = sys.maxsize if red.target_rank is None else red.target_rank
     symmetric = red.stage == "symmetric"
     shape = T.size if symmetric else T.dims
-    fits = (lambda ring: ring == T.ring) if symmetric else (lambda ring: _embeds(T.ring, ring))
 
     def plan(head: dict) -> tuple:
         # the terms are read only against the instance's shape and ring
@@ -396,10 +389,9 @@ def failure(red: Reduction, pieces: Iterable[str]) -> str | None:
         dims = jsonio._dim_of(head) if symmetric else jsonio._dims_of(head)
         if dims != shape:
             raise ParseError(f"witness {'dimension differs' if symmetric else 'dimensions differ'} from the instance", 0)
-        if not fits(ring):
+        if not (ring == T.ring if symmetric else _embeds(T.ring, ring)):
             raise ParseError("witness ring incompatible with the instance", 0)
         return ring, dims, limit
 
-    read = jsonio.symmetric_witness_terms if symmetric else jsonio.tensor_witness_sum
-    ring, _, count, total = read(pieces, plan)
-    return (symmetric_verdict if symmetric else tensor_verdict)(red, ring, count, total)
+    ring, _, count, total = (jsonio.symmetric_witness_sum if symmetric else jsonio.tensor_witness_sum)(pieces, plan)
+    return sum_verdict(red, ring, count, total)

@@ -21,11 +21,10 @@ stars where one possessive pattern shows their text is a list of flat
 lists of strings, nulls and integers that json decodes, so none of their
 items is decoded; and witnesses are read from their text in pieces of
 ``_WINDOW`` characters, one term or row at a time (``_witness_terms``),
-the text of each let go once it is read: ``tensor_witness_sum`` adds each
-term to the exact sum as it reads it, ``symmetric_witness_terms`` keeps
-raw (s, v) pairs, whose runs the grouped sum needs, and
-``completion_witness_rows`` the rows of W, stepped over as text until the
-ring after them is known and then decoded once.
+the text of each let go once it is read: ``tensor_witness_sum`` and
+``symmetric_witness_sum`` add each term to the exact sum as they read it,
+and ``completion_witness_rows`` keeps the rows of W, stepped over as text
+until the ring after them is known and then decoded once.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .linalg import DenseMatrix
 from .polysys import Assignment, PolySystem, parse_polynomial
 from .rings import RingDescriptor
 from .sigma import IncompleteMatrix
-from .symmetric import SymDecomposition, SymTensor
+from .symmetric import SymDecomposition, SymTensor, sum_sym_decomposition_raw
 from .tensors import Decomposition, DerksenInstance, Tensor3, sum_terms_raw
 
 FORMAT_VERSION = 1
@@ -401,6 +400,9 @@ class _Spelled(dict):
         if len(nz) == 1:  # most maps of a star term
             ((i, v),) = nz.items()
             return f"[{i},{self[v]}]"
+        if len(nz) == 2:  # the c map of a star term at a nonzero W cell
+            (i, v), (k, w) = nz.items()
+            return f"[{i},{self[v]}],[{k},{self[w]}]" if i < k else f"[{k},{self[w]}],[{i},{self[v]}]"
         return ",".join([f"[{i},{self[v]}]" for i, v in sorted(nz.items())])
 
 
@@ -408,9 +410,19 @@ def decomposition_text(D: Decomposition) -> Iterator[str]:
     """The canonical JSON text of D's terms, a list of {"a", "b", "c"}
     sparse vectors, made term by term from the raw maps.  Each distinct
     value is spelled once; a map is spelled each time a term holds it, as
-    maps made during the walk are freed and their ids reused."""
+    maps made during the walk are freed and their ids reused, unless it is
+    the previous term's ``a``, which the writer still holds (the star terms
+    of one row share it)."""
     vec = _Spelled().pairs
-    return _list_text(f'{{"a":[{vec(a)}],"b":[{vec(b)}],"c":[{vec(c)}]}}' for a, b, c in D.raw)
+
+    def terms() -> Iterator[str]:
+        last = head = None
+        for a, b, c in D.raw:
+            if a is not last:
+                last, head = a, f'{{"a":[{vec(a)}],"b":['
+            yield f'{head}{vec(b)}],"c":[{vec(c)}]}}'
+
+    return _list_text(terms())
 
 
 def sym_decomposition_text(D: SymDecomposition) -> Iterator[str]:
@@ -629,11 +641,11 @@ def _read_terms(
     value starts at ``pos``, their total, and the position after it.  Given
     ``planned``, a witness's (ring, shape, limit), each term is read by
     ``term(item, ring, shape, seen)``, refused if malformed, and the first
-    ``limit`` go to ``total(terms, shape)``; the total is None if there are
-    more.  With None for ``planned`` the value is only stepped over, the
-    rest of the text read, as it is kept: where ``_FLAT_LISTS`` matches it,
-    as it matches W, none of its items is decoded.  The count and total are
-    then None."""
+    ``limit`` go to ``total(terms, shape, ring)``; the total is None if
+    there are more.  With None for ``planned`` the value is only stepped
+    over, the rest of the text read, as it is kept: where ``_FLAT_LISTS``
+    matches it, as it matches W, none of its items is decoded.  The count
+    and total are then None."""
     pos, c = window.peek(pos)
     if planned is None:
         while not window.done:
@@ -661,7 +673,7 @@ def _read_terms(
             if count <= limit:
                 yield read
 
-    result = total(terms(), shape)
+    result = total(terms(), shape, ring)
     return count, result if count <= limit else None, items.end
 
 
@@ -741,12 +753,12 @@ def _cube_term(item, ring: RingDescriptor, dim: int, seen: dict) -> tuple:
     return s, v
 
 
-def symmetric_witness_terms(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> tuple:
-    """The ring, dim and term count of a symmetric witness, and its cube
-    terms as a list of raw (s, v) pairs in file order, whose runs the
-    grouped sum needs, read by ``_witness_terms`` with ``plan`` giving
-    (ring, dim, limit)."""
-    return _witness_terms(pieces, plan, "terms", _cube_term, lambda terms, dim: list(terms))
+def symmetric_witness_sum(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> tuple:
+    """The ring, dim and term count of a symmetric witness, and the exact
+    sum of its cube terms as ``sum_sym_decomposition_raw`` makes it, read
+    by ``_witness_terms`` with ``plan`` giving (ring, dim, limit): each
+    term is fed to the grouped sum as it is read, and no list is made."""
+    return _witness_terms(pieces, plan, "terms", _cube_term, sum_sym_decomposition_raw)
 
 
 def completion_witness_rows(pieces: Iterable[str], plan: Callable[[dict], tuple]) -> tuple:
@@ -773,7 +785,7 @@ def completion_witness_rows(pieces: Iterable[str], plan: Callable[[dict], tuple]
                     seen[v] = _scalar(ring, v)  # refuses all but strings
             return [seen[v] for v in item]
 
-    ring, shape, count, rows = _witness_terms(pieces, plan, "matrix", row, lambda rows, shape: list(rows))
+    ring, shape, count, rows = _witness_terms(pieces, plan, "matrix", row, lambda rows, *_: list(rows))
     if not count:
         raise ParseError(f"matrix must be {_LISTED['matrix']}", 0)
     return ring, shape, count, rows

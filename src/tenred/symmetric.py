@@ -16,10 +16,10 @@ decomposition handed in are summed on their own, and it refuses only a
 residual its padding cannot close.  The builders that are entry points of
 their own (waring_gadget, whose 2-dimensional result is cached and shared,
 build_L_pi and symmetric_upper_witness) still check what they return.  All
-sums go through one raw-value kernel, sum_sym_decomposition_raw, into one
-map keyed by a packed int and left unreduced; every check compares that
-map with the expected entries through ``tensors.first_mismatch``, which
-pops each one, and symmetric_witness unpacks only its residual.
+sums go through one raw-value kernel, sum_sym_decomposition_raw, fed the
+terms as they come, into one map keyed by a packed int and unreduced;
+every check compares it with the expected entries through
+``tensors.first_mismatch``, and symmetric_witness unpacks its residual.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; the reader of a symtensor file refuses
@@ -31,8 +31,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Sequence
+from itertools import chain, permutations
+from typing import Iterable, Iterator
 
 from .errors import FieldTooSmallError, RingMismatchError, StructureError, VerificationError
 from .rings import RingDescriptor
@@ -175,50 +175,48 @@ _PLACEMENTS = tuple(
 )
 
 
-def _collinear_run(raw: Sequence[tuple], i: int, ring: RingDescriptor):
-    """The longest run raw[i:j] of cubes s_k (u + a_k d)^3 on one support.
+def _collinear_run(first: tuple, rest: Iterator[tuple], ring: RingDescriptor):
+    """The longest run of cubes s_k (u + a_k d)^3 on one support from the
+    term ``first`` on, the later terms taken from ``rest`` as needed.
 
     With d = v_2 - v_1 and the pivot p = min supp(d), u = v_1 -
     (v_1[p]/d[p]) d and a_k = v_k[p]/d[p], all exact; a term joins only
     if it has the support of v_1 and v_k = u + a_k d, true by construction
     of v_1 and v_2 = v_1 + d, so only later terms are compared entrywise.
-    Returns (j, u, d, mu), mu_e = sum of s_k a_k^e reduced, or None where
-    terms i and i+1 start no run: different supports, equal vectors, or
-    over Z a pivot other than 1 or -1.
+    Returns (the term after the run or None, u, d, mu), mu_e = sum of
+    s_k a_k^e reduced; where terms 1 and 2 start no run (other supports,
+    equal vectors, over Z a pivot not 1 or -1) it is term 1 alone, d = 0.
     """
-    if i + 1 >= len(raw):
-        return None
-    v1, v2 = raw[i][1], raw[i + 1][1]
-    support = v1.keys()
-    if v2.keys() != support:
-        return None
+    second = next(rest, None)
+    s, v1 = first
+    lone = second, v1, {}, [s, 0, 0, 0]
+    if second is None or second[1].keys() != v1.keys():
+        return lone
+    v2, support = second[1], v1.keys()
     canon, canon_map = ring.canon, ring.canon_map
     d = canon_map({x: v2[x] - v for x, v in v1.items()})
     if not d:
-        return None
+        return lone
     p = min(d)
-    if ring.is_field:
-        inv = ring.inverse(d[p])
-    elif d[p] in (1, -1):
-        inv = d[p]
-    else:
-        return None
+    if not ring.is_field and d[p] not in (1, -1):
+        return lone
+    inv = ring.inverse(d[p]) if ring.is_field else d[p]
     a1 = canon(v1[p] * inv)
     u = canon_map({x: v - a1 * d.get(x, 0) for x, v in v1.items()})
     mu = [0, 0, 0, 0]
-    j = i
-    while j < len(raw):
-        w, v = raw[j]
+    for k, term in enumerate(chain((first, second), rest)):
+        w, v = term
         if v.keys() != support:
             break
         a = canon(v[p] * inv)
-        if j > i + 1 and canon_map({x: u.get(x, 0) + a * d.get(x, 0) for x in v}) != v:
+        if k > 1 and canon_map({x: u.get(x, 0) + a * d.get(x, 0) for x in v}) != v:
             break
         for e in range(4):
             mu[e] += w
             w *= a
-        j += 1
-    return j, u, d, [canon(m) for m in mu]
+    else:
+        term = None
+    return term, u, d, [canon(m) for m in mu]
 
 
 def _add_product(acc: dict[int, object], c, A, B, C, size: int) -> None:
@@ -243,36 +241,28 @@ def _add_product(acc: dict[int, object], c, A, B, C, size: int) -> None:
                 acc[key] = get(key, 0) + cxy * cz
 
 
-def sum_sym_decomposition_raw(D: SymDecomposition) -> dict[int, object]:
-    """Exact sum of all cube terms on the nondecreasing triples x <= y <= z.
+def sum_sym_decomposition_raw(terms: Iterable[tuple], dim: int, ring: RingDescriptor) -> dict[int, object]:
+    """Exact sum of cube terms, raw (s, v) pairs walked once in order, on
+    the nondecreasing triples x <= y <= z below ``dim``.
 
     The one summation kernel behind every exact check here.  Each run of
     consecutive cubes s_k (u + a_k d)^3 that _collinear_run finds (the
-    three terms of a Waring gadget are one) is summed as mu_0 u^3 +
-    mu_1 Sym(u,u,d) + mu_2 Sym(u,d,d) + mu_3 d^3, mu_e = sum_k s_k a_k^e,
-    skipping zero moments; any other term is expanded alone.  As
-    ``tensors.sum_terms_raw`` does, it keys the sum by the int
-    (x*dim + y)*dim + z and leaves it unreduced, zeros kept:
-    ``tensors.first_mismatch`` makes canonical only the values it reads.
+    three terms of a Waring gadget are one; a lone term is a run with d =
+    0) is summed as mu_0 u^3 + mu_1 Sym(u,u,d) + mu_2 Sym(u,d,d) + mu_3
+    d^3, mu_e = sum_k s_k a_k^e, skipping zero moments.  It holds one
+    run's sums and one term of lookahead, so a reader may feed it terms as
+    it reads them.  The sum is keyed by the int (x*dim + y)*dim + z, unreduced.
     """
-    size = D.dim
     acc: dict[int, object] = {}
-    raw = D.raw
-    i = 0
-    while i < len(raw):
-        run = _collinear_run(raw, i, D.ring)
-        if run is not None:
-            i, u, d, mu = run
-            factors = (sorted(u.items()), sorted(d.items()))
-            for e in range(4):
-                if mu[e]:
-                    for placement in _PLACEMENTS[e]:
-                        _add_product(acc, mu[e], *(factors[f] for f in placement), size)
-            continue
-        s, v = raw[i]
-        items = sorted(v.items())
-        _add_product(acc, s, items, items, items, size)
-        i += 1
+    terms = iter(terms)
+    term = next(terms, None)
+    while term is not None:
+        term, u, d, mu = _collinear_run(term, terms, ring)
+        factors = (sorted(u.items()), sorted(d.items()))
+        for e in range(4):
+            if mu[e]:
+                for placement in _PLACEMENTS[e]:
+                    _add_product(acc, mu[e], *(factors[f] for f in placement), dim)
     return acc
 
 
@@ -284,7 +274,7 @@ def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dim != T.size:
         raise ValueError(f"decomposition dimension {D.dim} != tensor size {T.size}")
-    return first_mismatch(T.entries.items(), sum_sym_decomposition_raw(D), D.ring, (D.dim,) * 3)
+    return first_mismatch(T.entries.items(), sum_sym_decomposition_raw(D.raw, D.dim, D.ring), D.ring, (D.dim,) * 3)
 
 
 def embed_S(T: Tensor3) -> SymTensor:
@@ -615,7 +605,7 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
 
     S = embed_S(T)
     # the cubes minus S(T), packed; the residual U is its negation, unpacked
-    acc = sum_sym_decomposition_raw(SymDecomposition(ring, size, raw))
+    acc = sum_sym_decomposition_raw(raw, size, ring)
     for (x, y, z), v in S.entries.items():
         key = (x * size + y) * size + z
         acc[key] = acc.get(key, 0) - v

@@ -123,14 +123,16 @@ class Walk:
         return self.walk()
 
 
-def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], dims: tuple[int, int, int]) -> dict[int, object]:
+def sum_terms_raw(terms: Iterable[tuple], dims: tuple[int, int, int], ring: RingDescriptor) -> dict[int, object]:
     """Exact entrywise sum of rank-1 terms given as raw (a, b, c) value
     maps, walked once, in order.  It is keyed by the int (i*n2 + j)*n3 + k,
-    which orders as the (i, j, k) triples do, and left unreduced, zeros
-    kept: ``first_mismatch`` makes canonical only the values it reads."""
+    which orders as the (i, j, k) triples do; each addition is made
+    canonical by ``ring.canon``, and a key whose value becomes zero is
+    dropped at once, so only canonical nonzero values are held."""
     _, n2, n3 = dims
+    canon = ring.canon
     acc: dict[int, object] = {}
-    get = acc.get
+    get, pop = acc.get, acc.pop
     for a, b, c in terms:
         c_items = c.items()
         for i, va in a.items():
@@ -140,7 +142,10 @@ def sum_terms_raw(terms: Iterable[tuple[dict, dict, dict]], dims: tuple[int, int
                 base = (row + j) * n3
                 for k, vc in c_items:
                     key = base + k
-                    acc[key] = get(key, 0) + vab * vc
+                    if s := canon(get(key, 0) + vab * vc):
+                        acc[key] = s
+                    else:
+                        pop(key, None)
     return acc
 
 
@@ -151,16 +156,17 @@ def verify_decomposition(T: "Tensor3 | DerksenInstance", D: Decomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dims != T.dims:
         raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
-    return first_mismatch(T.items(), sum_terms_raw(D.raw, D.dims), D.ring, D.dims)
+    return first_mismatch(T.items(), sum_terms_raw(D.raw, D.dims, D.ring), D.ring, D.dims)
 
 
 def first_mismatch(
     want: Iterable[tuple[Key, object]], got: dict[int, object], ring: RingDescriptor, dims: tuple[int, int, int]
 ):
     """(ok, first mismatch) of expected (key, canonical value) pairs, in any
-    order, against a sum from ``sum_terms_raw``, which each key is popped
-    from.  The mismatch, when present, is ((i, j, k), expected, actual) at
-    the smallest key where they disagree, an absent key reading as zero."""
+    order, against a packed sum, which each key is popped from and whose
+    values are made canonical as they are read.  The mismatch, when present,
+    is ((i, j, k), expected, actual) at the smallest key where they
+    disagree, an absent key reading as zero."""
     _, n2, n3 = dims
     canon = ring.canon
     pop = got.pop

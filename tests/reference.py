@@ -3,9 +3,11 @@ and Fractions, matrix products and inverses (with the error a singular one
 raises), nested and term-map
 constructors, star and symmetry predicates, the tuple-keyed tensor and
 cube sums and the compare that the packed kernels of ``tenred.tensors``
-and ``tenred.symmetric`` are checked against, the JSON tree writers and
-readers of a symmetric witness, a completion instance and a completion
-witness that their text writers and readers are checked against, and the
+and ``tenred.symmetric`` are checked against, the grouped cube sum over a
+list of all the terms that the streamed one must equal exactly, the JSON
+tree writers and readers of a symmetric witness, a completion instance
+and a completion witness that their text writers and readers are checked
+against, and the
 instance reader that decodes every member whole, which
 ``certify.read_instance`` is checked against.  The package itself never
 needs them, so they live here, beside the tests that check against them."""
@@ -16,7 +18,7 @@ import itertools
 import sys
 from typing import Sequence
 
-from tenred import certify, jsonio
+from tenred import certify, jsonio, symmetric
 from tenred.errors import GuardExceededError, ParseError, RingMismatchError
 from tenred.linalg import DenseMatrix
 from tenred.jsonio import FORMAT_VERSION, assignment_to_json, system_to_json
@@ -159,6 +161,66 @@ def sum_sym_decomposition_reference(D: SymDecomposition) -> dict:
     return D.ring.canon_map(acc)
 
 
+def sum_sym_list_kernel(raw: list, dim: int, ring: RingDescriptor) -> dict:
+    """The grouped sum as the list kernel made it, indexing a list of all
+    the terms: the packed, unreduced map that the streamed
+    ``symmetric.sum_sym_decomposition_raw`` must equal exactly, with the
+    same runs added in the same order."""
+
+    def run_from(i: int):
+        # (j, u, d, mu) of the run raw[i:j], or None where raw[i] and raw[i+1] start none
+        if i + 1 >= len(raw):
+            return None
+        v1, v2 = raw[i][1], raw[i + 1][1]
+        support = v1.keys()
+        if v2.keys() != support:
+            return None
+        d = ring.canon_map({x: v2[x] - v for x, v in v1.items()})
+        if not d:
+            return None
+        p = min(d)
+        if ring.is_field:
+            inv = ring.inverse(d[p])
+        elif d[p] in (1, -1):
+            inv = d[p]
+        else:
+            return None
+        a1 = ring.canon(v1[p] * inv)
+        u = ring.canon_map({x: v - a1 * d.get(x, 0) for x, v in v1.items()})
+        mu = [0, 0, 0, 0]
+        j = i
+        while j < len(raw):
+            w, v = raw[j]
+            if v.keys() != support:
+                break
+            a = ring.canon(v[p] * inv)
+            if j > i + 1 and ring.canon_map({x: u.get(x, 0) + a * d.get(x, 0) for x in v}) != v:
+                break
+            for e in range(4):
+                mu[e] += w
+                w *= a
+            j += 1
+        return j, u, d, [ring.canon(m) for m in mu]
+
+    acc: dict = {}
+    i = 0
+    while i < len(raw):
+        run = run_from(i)
+        if run is not None:
+            i, u, d, mu = run
+            factors = (sorted(u.items()), sorted(d.items()))
+            for e in range(4):
+                if mu[e]:
+                    for placement in symmetric._PLACEMENTS[e]:
+                        symmetric._add_product(acc, mu[e], *(factors[f] for f in placement), dim)
+            continue
+        s, v = raw[i]
+        items = sorted(v.items())
+        symmetric._add_product(acc, s, items, items, items, dim)
+        i += 1
+    return acc
+
+
 def sym_decomposition_to_json(D: SymDecomposition) -> list:
     """The cube terms of D as a JSON tree, one {"s", "v"} object per term:
     the reference for ``jsonio.sym_decomposition_text``."""
@@ -178,12 +240,14 @@ def symmetric_witness_tree(D: SymDecomposition) -> dict:
 
 def symmetric_witness_parse(obj: dict) -> SymDecomposition:
     """The cube terms a symmetric witness file, given as a JSON tree, lists,
-    read back by the text reader that ``verify`` runs, every term kept."""
+    read back through the member walk and term reader that ``verify``
+    runs, every term kept in a list where ``verify`` sums them as read."""
 
     def plan(head: dict) -> tuple:
         return jsonio._ring_of(head), jsonio._dim_of(head), sys.maxsize
 
-    ring, dim, _, raw = jsonio.symmetric_witness_terms([jsonio.canonical_dumps(obj)], plan)
+    text = [jsonio.canonical_dumps(obj)]
+    ring, dim, _, raw = jsonio._witness_terms(text, plan, "terms", jsonio._cube_term, lambda terms, *_: list(terms))
     return SymDecomposition(ring, dim, raw)
 
 

@@ -176,7 +176,7 @@ def test_symmetric_rank_frozen_examples():
     cube = SymDecomposition(ring, 2, [(2, {0: 1, 1: 3})])
     from tenred.symmetric import sum_sym_decomposition_raw
 
-    T = SymTensor(ring, ("a", "b"), unpacked(sum_sym_decomposition_raw(cube), ring, (2, 2, 2)))
+    T = SymTensor(ring, ("a", "b"), unpacked(sum_sym_decomposition_raw(cube.raw, 2, ring), ring, (2, 2, 2)))
     res = symmetric_rank_bruteforce(T)
     assert res.value == 1 and res.exhausted
     ok, _ = verify_symmetric_decomposition(T, res.witness)

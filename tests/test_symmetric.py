@@ -39,6 +39,7 @@ from tenred.symmetric import (
 from tenred.tensors import Decomposition, Tensor3
 
 from reference import dict_mismatch, sum_decomposition_raw, sum_sym_decomposition_reference, sym_entry, unpacked
+from reference import sum_sym_list_kernel
 from reference import vec as _vec
 
 
@@ -661,7 +662,7 @@ def test_symmetric_witness_n1_minimal_in_family():
 
 def _kernel_sum(D):
     """The packed sum of the kernel as a canonical (x, y, z)-keyed map."""
-    return unpacked(sum_sym_decomposition_raw(D), D.ring, (D.dim,) * 3)
+    return unpacked(sum_sym_decomposition_raw(D.raw, D.dim, D.ring), D.ring, (D.dim,) * 3)
 
 
 @pytest.mark.parametrize("ring", [GF(11), QQ], ids=str)
@@ -780,6 +781,100 @@ def test_grouped_sum_matches_per_term_expansion(ring, data):
     assert _kernel_sum(D) == sum_sym_decomposition_reference(D)
 
 
+def _run_from(raw, i, ring):
+    """The run ``_collinear_run`` finds from raw[i], fed the later terms one
+    at a time: the index of the term after it (None at the end) and its
+    (u, d, mu), or None where raw[i] starts no run and is taken alone."""
+    after, u, d, mu = symmetric._collinear_run(raw[i], iter(raw[i + 1 :]), ring)
+    if not d:  # raw[i] alone: u = v, mu = (s, 0, 0, 0)
+        assert (u, mu) == (raw[i][1], [raw[i][0], 0, 0, 0])
+    j = None if after is None else next(k for k, t in enumerate(raw) if t is after and k > i)
+    return j, (u, d, mu) if d else None
+
+
+def _grouped_terms(data, ring, dim):
+    """Raw cube terms drawn to exercise the runs: Waring lines and other
+    collinear runs, a run broken by a term on its support off its line, a
+    run whose last term is the last one, equal vectors in a row, terms on
+    one support drawn independently, and lone terms."""
+    indices = st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True)
+    value = _nonzero(ring)
+    terms = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        kind = data.draw(st.sampled_from(["line", "broken", "equal", "support", "lone"]))
+        if kind in ("line", "broken"):
+            support = data.draw(indices.filter(lambda s: len(s) >= 2))
+            cut = data.draw(st.integers(1, len(support) - 1))
+            line = _line_terms(data, ring, dim, support[:cut], support[cut:])
+            if kind == "broken":
+                # twice the first vector: on the line's support, off the line,
+                # put after the two terms that always start the run
+                s, v = line[0]
+                k = data.draw(st.integers(2, len(line)))
+                line.insert(k, (s, ring.canon_map({i: 2 * x for i, x in v.items()})))
+            terms += line
+        elif kind == "equal":
+            v = ring.canon_map({i: data.draw(value) for i in data.draw(indices)})
+            terms += [(ring.canon(data.draw(value)), v), (ring.canon(data.draw(value)), dict(v))]
+        elif kind == "support":
+            support = data.draw(indices)
+            for _ in range(data.draw(st.integers(2, 3))):
+                terms.append((ring.canon(data.draw(value)), ring.canon_map({i: data.draw(value) for i in support})))
+        else:
+            v = ring.canon_map({i: data.draw(value) for i in data.draw(indices)})
+            terms.append((ring.canon(data.draw(value)), v))
+    return terms
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(ring=st.sampled_from([GF(11), GF(13), QQ]), data=st.data())
+def test_streamed_grouped_sum_equals_the_list_kernel(ring, data):
+    # the grouped sum, fed the terms one at a time, forms the runs the list
+    # kernel formed and adds them in the same order: the packed, unreduced
+    # maps are equal, not only their canonical values
+    dim = data.draw(st.integers(2, 7))
+    terms = _grouped_terms(data, ring, dim)
+    got = sum_sym_decomposition_raw((t for t in terms), dim, ring)
+    assert got == sum_sym_list_kernel(terms, dim, ring)
+    assert unpacked(got, ring, (dim,) * 3) == sum_sym_decomposition_reference(SymDecomposition(ring, dim, terms))
+
+
+_COEFFS = ((1, 1), (2, 2), (3, 3), (5, 4))  # (s, r) of the cubes s (u + r w)^3 on one line
+
+
+@pytest.mark.parametrize("ring", [GF(11), GF(13), QQ], ids=str)
+def test_streamed_grouped_sum_on_the_edge_cases(ring):
+    # each case next to the run it is about: a run broken on its support,
+    # a run ending at the last term, a single term, no terms, equal vectors
+    u, w = _vec(ring, [1, 1, 0, 0]), _vec(ring, [0, 0, 3, 1])
+    line = [(ring.canon(s), ring.canon_map({i: u.get(i, 0) + r * w.get(i, 0) for i in range(4)})) for s, r in _COEFFS]
+    off = (ring.canon(1), _vec(ring, [1, 1, 4, 4]))  # the support of the line, off it
+    lone = (ring.canon(7), _vec(ring, [0, 2, 0, 5]))
+    cases = {
+        "broken": line[:2] + [off] + line[2:],
+        "ends-last": [lone] + line,
+        "single": [lone],
+        "none": [],
+        "equal": [lone, (ring.canon(3), dict(lone[1])), *line],
+    }
+    for name, terms in cases.items():
+        fed = []
+
+        def feed():
+            for t in terms:
+                fed.append(t)
+                yield t
+
+        got = sum_sym_decomposition_raw(feed(), 4, ring)
+        assert fed == terms, name
+        assert got == sum_sym_list_kernel(terms, 4, ring), name
+        want = sum_sym_decomposition_reference(SymDecomposition(ring, 4, terms))
+        assert unpacked(got, ring, (4, 4, 4)) == want, name
+    # the line alone is one run of four, broken it is two runs and a lone term
+    assert _run_from(line, 0, ring)[0] is None
+    assert _run_from(cases["broken"], 0, ring)[0] == 2 and _run_from(cases["broken"], 2, ring)[0] == 4
+
+
 def test_collinear_run_groups_a_gadget_exactly():
     ring = GF(11)
     u, w = _vec(ring, [1, 1, 0, 0, 0]), _vec(ring, [0, 0, 3, 0, 7])
@@ -788,16 +883,16 @@ def test_collinear_run_groups_a_gadget_exactly():
     raw = [lone, *piece, lone]
     # the lone term shares no support with the gadget; the gadget's three
     # terms form one run, with mu_0 = a and mu_2 = mu_3 = 0 as it was solved
-    assert symmetric._collinear_run(raw, 0, ring) is None
-    j, ru, rd, mu = symmetric._collinear_run(raw, 1, ring)
+    assert _run_from(raw, 0, ring) == (1, None)
+    j, (ru, rd, mu) = _run_from(raw, 1, ring)
     assert j == 4 and mu[0] == 4 and mu[2] == mu[3] == 0
     assert set(ru) == {0, 1} and set(rd) == {2, 4}
-    assert symmetric._collinear_run(raw, 4, ring) is None
+    assert _run_from(raw, 4, ring) == (None, None)
     # over Z a run needs a pivot of d equal to 1 or -1
     v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 3, 5))
-    assert symmetric._collinear_run([(1, v1), (1, v2), (1, v3)], 0, ZZ) is None
+    assert _run_from([(1, v1), (1, v2), (1, v3)], 0, ZZ)[1] is None
     v1, v2, v3 = (_vec(ZZ, [1, r, 2 * r]) for r in (1, 2, 3))
-    assert symmetric._collinear_run([(1, v1), (1, v2), (1, v3)], 0, ZZ)[0] == 3
+    assert _run_from([(1, v1), (1, v2), (1, v3)], 0, ZZ)[0] is None  # the run ends with the terms
 
 
 def _corrupt_pair_pieces(monkeypatch):
@@ -817,7 +912,7 @@ def _corrupt_pair_pieces(monkeypatch):
 def _symmetric_verdict(T, W):
     """The verdict ``verify`` gives W's terms against the padded tensor of T."""
     red = certify.Reduction("symmetric", None, expected=build_curly_T(embed_S(T), T.dims[0]))
-    return certify.symmetric_verdict(red, T.ring, len(W), W.raw)
+    return certify.sum_verdict(red, T.ring, len(W), sum_sym_decomposition_raw(W.raw, W.dim, W.ring))
 
 
 def test_symmetric_witness_final_check_catches_corrupt_pieces(monkeypatch):
@@ -870,7 +965,14 @@ def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
         return real_verify(S, W)
 
     monkeypatch.setattr(symmetric, "verify_symmetric_decomposition", counting_verify)
-    monkeypatch.setattr(certify, "verify_symmetric_decomposition", counting_verify)
+    # the verdict takes the witness's sum, and compares it once
+    real_compare = certify.first_mismatch
+
+    def counting_compare(want, got, ring, dims):
+        checks.append(dims[0])
+        return real_compare(want, got, ring, dims)
+
+    monkeypatch.setattr(certify, "first_mismatch", counting_compare)
     symmetric.waring_gadget.cache_clear()
     W = symmetric_witness(T, D)
     info = symmetric.waring_gadget.cache_info()

@@ -199,7 +199,7 @@ def test_derksen_witness_pipeline():
 def _tensor_verdict(inst, D):
     """The verdict ``verify`` gives D's terms against the instance."""
     red = certify.Reduction("tensor", inst.source, inst, inst, inst.target_rank)
-    return certify.tensor_verdict(red, inst.ring, len(D), sum_terms_raw(D.raw, D.dims))
+    return certify.sum_verdict(red, inst.ring, len(D), sum_terms_raw(D.raw, D.dims, inst.ring))
 
 
 def test_derksen_witness_rejects_bad_completion():
@@ -330,7 +330,9 @@ def test_packed_sum_and_compare_match_the_tuple_keyed_reference(seed, ring, dims
     # the packed sum, made canonical and unpacked, is the tuple-keyed sum,
     # and the compare names the same first mismatch, expected and actual
     D, T = _random_case(random.Random(seed), ring, dims)
-    assert unpacked(sum_terms_raw(D.raw, dims), ring, dims) == sum_decomposition_raw(D)
+    total = sum_terms_raw(D.raw, dims, ring)
+    assert total == ring.canon_map(total)  # only canonical nonzero values
+    assert unpacked(total, ring, dims) == sum_decomposition_raw(D)
     assert verify_decomposition(T, D) == dict_mismatch(T.entries, sum_decomposition_raw(D))
 
 
@@ -348,6 +350,8 @@ def test_an_integer_instance_checked_over_q_matches_the_reference():
             i, j, k = (rng.randrange(n) for n in inst.dims)
             terms.append(({i: QQ.canon(Fraction(1, rng.randint(1, 3)))}, {j: QQ.canon(1)}, {k: QQ.canon(-1)}))
         D = Decomposition(QQ, inst.dims, terms)
-        got = first_mismatch(inst.change_ring(QQ).items(), sum_terms_raw(D.raw, D.dims), QQ, D.dims)
+        total = sum_terms_raw(D.raw, D.dims, QQ)
+        assert total == QQ.canon_map(total) and all(type(v) is Fraction for v in total.values())
+        got = first_mismatch(inst.change_ring(QQ).items(), total, QQ, D.dims)
         assert got == dict_mismatch(want, sum_decomposition_raw(D))
         assert got[0] == (trial == 0)
