@@ -1,22 +1,23 @@
 """What a ``verified`` line proves, and the one path from a system to an instance.
 
 An instance is its system.  ``reduce_system`` is the only code that turns
-a polynomial system F into an instance file, and ``read_instance`` accepts
-a completion, tensor or symmetric instance file only if it *is* that
-reduction: it rebuilds the instance from the file's own ``system`` and
-refuses (exit 2) a file whose canonical JSON differs from the rebuilt one
-in any top-level field, a missing or an extra field included.  It walks
-the file's top-level members with no tree of its entries and stars, which
-are stepped over where their text is a plain list of flat lists, keeps
-only the system and two counts through the rebuild, then compares the
-file's text with the rebuilt canonical text, piece by piece as the
-rebuild writes it; only text that differs is parsed again and compared
-field by field, so a file spelled otherwise (indented, keys reordered) is
-still accepted.  The rebuild's guards are the file's own label count
-and, on the symmetric stage, its index count, so reading never builds
-more than the file already lists.  Every claim below is therefore about
-the reduction of the file's system F, never about numbers stored next to
-it.
+a polynomial system F into an instance file, whose canonical text it gives
+in pieces on every stage, as ``jsonio``'s one file writer orders and
+streams them; ``read_instance`` accepts a completion, tensor or symmetric
+instance file only if it *is* that reduction: it rebuilds the instance
+from the file's own ``system`` and refuses (exit 2) a file whose canonical
+JSON differs from the rebuilt one in any top-level field, a missing or an
+extra field included.  It walks the file's top-level members with no tree
+of its entries and stars, which are stepped over where their text is a
+plain list of flat lists, keeps only the system and two counts through the
+rebuild, then compares the file's text with the rebuilt canonical text,
+piece by piece as the rebuild writes it; only text that differs is parsed
+again and compared field by field, so a file spelled otherwise (indented,
+keys reordered) is still accepted.  The rebuild's guards are the file's
+own label count and, on the symmetric stage, its index count, so reading
+never builds more than the file already lists.  Every claim below is
+therefore about the reduction of the file's system F, never about numbers
+stored next to it.
 
 ``verify`` runs the same steps on every stage: the witness ring must be
 the instance's ring, or a field an integer instance embeds in (only Q for
@@ -171,8 +172,7 @@ def reduce_system(
     target = inst.target_rank + padding_terms(m)
     report("symmetric_indices", S.size)
     report("symmetric_target_rank", target)
-    text = jsonio.canonical_dumps(jsonio.symmetric_instance_file(S, target, m, inst, B))
-    return [text], Reduction(stage, B, inst, S, target)
+    return jsonio.symmetric_instance_text(S, target, m, B), Reduction(stage, B, inst, S, target)
 
 
 def _listed(obj: dict, field: str) -> int:
@@ -209,13 +209,13 @@ def read_instance(text: str, *kinds: str) -> Reduction:
     The grid, entries and stars are stepped over by ``jsonio.members``
     where their text is a plain list of flat lists, as a reduction writes
     them: the comparison with the rebuilt text checks them byte for byte.
-    A bare file decodes them where they start."""
-    obj, stepped = jsonio.members(text, "entries", "grid", "star_map")
+    A bare file, a small oracle input, is decoded whole."""
+    obj = jsonio.members(text, "entries", "grid", "star_map")
     if kinds:
         jsonio.expect_kind(obj, *kinds)
     kind = obj.get("kind")
     if kind in ("tensor", "symtensor"):
-        obj.update((key, jsonio._value(text, pos)[0]) for key, pos in stepped.items())
+        obj = jsonio.loads(text)
     if kind == "tensor":
         return Reduction("tensor", None, expected=jsonio.tensor_parse(obj))
     if kind == "symtensor":

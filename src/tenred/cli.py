@@ -75,10 +75,6 @@ def _read_pieces(path: str) -> Iterator[str]:
         raise ParseError(f"cannot read {path}: {e}", 0) from e
 
 
-def _load(path: str) -> dict:
-    return jsonio.loads(_read_text(path))
-
-
 def _parse_budget(spec: str | None, budget_type):
     if not spec:
         return budget_type()
@@ -111,7 +107,7 @@ def cmd_encode(args) -> int:
         F = F.change_ring(RingDescriptor.from_str(args.ring))
     _report("variables", F.num_vars)
     _report("polynomials", len(F.polynomials))
-    _emit([jsonio.canonical_dumps(jsonio.polysystem_file(F))], args.out)
+    _emit(jsonio.polysystem_text(F), args.out)
     return EXIT_OK
 
 
@@ -124,9 +120,7 @@ def _threads_ok(n: int) -> None:
 
 def cmd_reduce(args) -> int:
     _threads_ok(args.threads)
-    obj = _load(args.system)
-    jsonio.expect_kind(obj, "polysystem")
-    F = jsonio.polysystem_parse(obj)
+    F = jsonio.polysystem_parse(_read_text(args.system))
     if args.ring is not None:
         target = RingDescriptor.from_str(args.ring)
         if target != F.ring:
@@ -161,9 +155,7 @@ def cmd_oracle(args) -> int:
     text = _read_text(args.file)
     t0 = time.monotonic()
     if args.which == "solve":
-        obj = jsonio.loads(text)
-        jsonio.expect_kind(obj, "polysystem")
-        F = jsonio.polysystem_parse(obj)
+        F = jsonio.polysystem_parse(text)
         sols = oracle.solve_system_bruteforce(F, budget)
         _report("solutions", len(sols))
         out_obj = jsonio.oracle_result_text(

@@ -7,31 +7,35 @@ bytes, which is what the determinism checks hash.
 
 Ring values are encoded as strings (exact; no floats anywhere), sparse
 vectors as [[index, "value"], ...] pairs, tensors as sorted
-[[i, j, k, "value"], ...] quadruples.  Every witness is text at both
-ends, never a tree: terms are written one by one (``decomposition_text``,
-``sym_decomposition_text``), W and a completion grid a row at a time
-(``completion_witness_text``, ``completion_instance_text``), and a tensor
-instance in pieces of entries and stars (``tensor_instance_text``), with
-the canonical bytes of the tree.  Every file is read by one member walk
-of its top-level object, which refuses a key given twice, through a
-window of its text (``_Window``): a buffer refilled a piece at a time, a
-whole text being one piece.  ``loads`` decodes each member whole;
-``members``, which reads instances, steps over the grid, entries and
-stars where one possessive pattern shows their text is a list of flat
-lists of strings, nulls and integers that json decodes, so none of their
-items is decoded; and witnesses are read from their text in pieces of
-``_WINDOW`` characters, one term or row at a time (``_witness_terms``),
-the text of each let go once it is read: ``tensor_witness_sum`` and
-``symmetric_witness_sum`` add each term to the exact sum as they read it,
-and ``completion_witness_rows`` keeps the rows of W, stepped over as text
-until the ring after them is known and then decoded once.
+[[i, j, k, "value"], ...] quadruples.  Every file is written as text, never
+as a tree, by one writer, ``_object_text``, the one place a file's members
+are put in order and its format_version is written; a long member is
+streamed in pieces, with the canonical bytes of its tree: terms one by one
+(``decomposition_text``, ``sym_decomposition_text``), W and a completion
+grid a row at a time (``completion_witness_text``,
+``completion_instance_text``), and the entries and stars of a tensor or a
+symmetric instance a chunk at a time (``tensor_instance_text``,
+``symmetric_instance_text``).  ``canonical_dumps`` spells single values.
+Every file is read by one member walk of its top-level object, which
+refuses a key given twice, through a window of its text (``_Window``): a
+buffer refilled a piece at a time, a whole text being one piece.
+``loads`` decodes each member whole; ``members``, which reads instances,
+steps over the grid, entries and stars where one possessive pattern shows
+their text is a list of flat lists of strings, nulls and integers that
+json decodes, so none of their items is decoded; and witnesses are read
+from their text in pieces of ``_WINDOW`` characters, one term or row at a
+time (``_witness_terms``), the text of each let go once it is read:
+``tensor_witness_sum`` and ``symmetric_witness_sum`` add each term to the
+exact sum as they read it, and ``completion_witness_rows`` keeps the rows
+of W, stepped over as text until the ring after them is known and then
+decoded once.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import ParseError
@@ -43,16 +47,17 @@ from .symmetric import SymDecomposition, SymTensor, sum_sym_decomposition_raw
 from .tensors import Decomposition, DerksenInstance, Tensor3, sum_terms_raw
 
 FORMAT_VERSION = 1
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode(obj) + "\n"
 
 
 def loads(text: str) -> dict:
     """The top-level members of a file, each decoded whole by the member
     walk, which refuses a key given twice."""
-    return members(text)[0]
+    return members(text)
 
 
 # A list of flat lists of JSON strings, nulls and integers, spelled with no
@@ -65,25 +70,24 @@ _FLAT = rf"\[(?:{_ATOM}(?:,{_ATOM})*+)?+\]"
 _FLAT_LISTS = re.compile(rf"\[(?:{_FLAT}(?:,{_FLAT})*+)?+\]")
 
 
-def members(text: str, *flat: str) -> tuple[dict, dict]:
-    """The top-level members of a whole text, as ``loads`` gives them, and
-    where each member named in ``flat`` starts whose text ``_FLAT_LISTS``
-    matches: such a member is stepped over, none of its items decoded, and
-    holds None; ``_value(text, pos)`` decodes it.  Any other spelling is
-    decoded whole, so every refusal is the one ``loads`` gives."""
+def members(text: str, *flat: str) -> dict:
+    """The top-level members of a whole text, as ``loads`` gives them,
+    except that a member named in ``flat`` whose text ``_FLAT_LISTS``
+    matches is stepped over, none of its items decoded, and holds None.
+    Any other spelling is decoded whole, so every refusal is the one
+    ``loads`` gives."""
     window = _Window((text,))  # one piece: the whole text is in the buffer
     obj: dict = {}
-    stepped: dict = {}
 
     def member(key: str, pos: int) -> int:
         if key in flat and (match := _FLAT_LISTS.match(text, pos)):
-            obj[key], stepped[key] = None, pos
+            obj[key] = None
             return match.end()
         obj[key], end = window.value(pos)
         return end
 
     _walk_object(window, member)
-    return _checked(obj), stepped
+    return _checked(obj)
 
 
 def _checked(obj: dict) -> dict:
@@ -185,8 +189,8 @@ def system_from_json(obj) -> PolySystem:
         raise ParseError(str(e), 0) from e
 
 
-def polysystem_file(F: PolySystem) -> dict:
-    return {"format_version": FORMAT_VERSION, "kind": "polysystem", **system_to_json(F)}
+def polysystem_text(F: PolySystem) -> Iterator[str]:
+    return _object_text(kind="polysystem", **system_to_json(F))
 
 
 def _only_fields(obj: dict, what: str, *fields: str) -> None:
@@ -196,7 +200,11 @@ def _only_fields(obj: dict, what: str, *fields: str) -> None:
         raise ParseError(f"unexpected field {extra[0]!r} in a {what}", 0)
 
 
-def polysystem_parse(obj: dict) -> PolySystem:
+def polysystem_parse(text: str) -> PolySystem:
+    """The system a polysystem file's text holds; a file of another kind,
+    or with a field beyond the system's, is refused first."""
+    obj = loads(text)
+    expect_kind(obj, "polysystem")
     _only_fields(obj, "polysystem file", "num_vars", "polynomials")
     return system_from_json(obj)
 
@@ -204,15 +212,6 @@ def polysystem_parse(obj: dict) -> PolySystem:
 def _labels_to_json(labels) -> list:
     text: dict = {}  # labels share few coordinates; print each once
     return [[text[f] if f in text else text.setdefault(f, str(f)) for f in lab.coords] for lab in labels]
-
-
-def entries_to_json(entries: dict) -> list:
-    """Sorted [i, j, k, "value"] quadruples of a sparse raw-value map."""
-    text: dict = {}
-    return [
-        [i, j, k, text[v] if v in text else text.setdefault(v, str(v))]
-        for (i, j, k), v in sorted(entries.items())
-    ]
 
 
 def _entries_from_json(ring: RingDescriptor, data) -> dict:
@@ -273,9 +272,24 @@ def _list_text(items: Iterable[str], width: int = 1) -> Iterator[str]:
     yield "[]" if sep == "[" else "]"
 
 
-def _members_text(**fields) -> str:
-    """The canonical text of some top-level members, without the braces."""
-    return canonical_dumps(fields)[1:-2]
+def _object_text(**members) -> Iterator[str]:
+    """The canonical text of a file whose top-level members are
+    format_version and the given ones, in pieces; the one place a file's
+    members are put in order.  A member given as an iterator of the pieces
+    of its value's canonical text is streamed, a piece at a time; each run
+    of the others is written as one piece with the text around it."""
+    members["format_version"] = FORMAT_VERSION
+    text = "{"  # the text not yet given, since the last streamed member
+    for key in sorted(members):
+        value = members[key]
+        text += f'"{key}":'
+        if isinstance(value, Iterator):
+            yield text
+            yield from value
+            text = ","
+        else:
+            text += _encode(value) + ","
+    yield text[:-1] + "}\n"
 
 
 def _rows_text(rows: tuple) -> Iterator[str]:
@@ -291,47 +305,47 @@ def _rows_text(rows: tuple) -> Iterator[str]:
     return _list_text((f"[{','.join(row)}]" for row in cells), len(rows[0]))
 
 
+def _entries_text(items: Iterable) -> Iterator[str]:
+    """The canonical text of a tensor's [i, j, k, "value"] entries, given
+    in key order, a chunk at a time; each distinct value is spelled once."""
+    spelled = _Spelled()
+    return _list_text(f"[{i},{j},{k},{spelled[v]}]" for (i, j, k), v in items)
+
+
+def _instance_text(kind: str, B: IncompleteMatrix, **members) -> Iterator[str]:
+    """The canonical text of an instance file of the reduction of B's
+    system, in pieces: its kind, ring, system, labels and tau beside
+    ``members``."""
+    if B.system is None or B.row_labels is None:
+        raise ValueError("instance files need the system and labels attached")
+    return _object_text(
+        kind=kind,
+        labels=_labels_to_json(B.row_labels),
+        ring=str(B.ring),
+        system=system_to_json(B.system),
+        tau=B.tau,
+        **members,
+    )
+
+
 def completion_instance_text(B: IncompleteMatrix) -> Iterator[str]:
     """The canonical text of a completion instance file in pieces, the grid
     a row at a time, its stars spelled null."""
-    if B.system is None or B.row_labels is None:
-        raise ValueError("instance files need the system and labels attached")
-    tail = {"kind": "completion_instance", "labels": _labels_to_json(B.row_labels), "ring": str(B.ring)}
-    tail.update(system=system_to_json(B.system), tau=B.tau)
-    return _with_member({"format_version": FORMAT_VERSION}, "grid", _rows_text(B.raw_grid), tail)
+    return _instance_text("completion_instance", B, grid=_rows_text(B.raw_grid))
 
 
 def tensor_instance_text(inst: DerksenInstance, B: IncompleteMatrix) -> Iterator[str]:
     """The canonical text of a tensor instance file in pieces: the entries,
     as the instance walks them, and the stars are spelled a chunk at a
     time, in key order."""
-    if B.system is None or B.row_labels is None:
-        raise ValueError("instance files need the system and labels attached")
-    spelled = _Spelled()
-    middle = _members_text(
-        format_version=FORMAT_VERSION,
-        kind="tensor_instance",
-        labels=_labels_to_json(B.row_labels),
-        ring=str(inst.ring),
+    return _instance_text(
+        "tensor_instance",
+        B,
+        dims=list(inst.dims),
+        entries=_entries_text(inst.items()),
+        star_map=_list_text(f"[{i},{j}]" for i, j in B.stars()),
+        target_rank=inst.target_rank,
     )
-    tail = _members_text(system=system_to_json(B.system), target_rank=inst.target_rank, tau=inst.tau)
-    return chain(
-        [f'{{{_members_text(dims=list(inst.dims))},"entries":'],
-        _list_text(f"[{i},{j},{k},{spelled[v]}]" for (i, j, k), v in inst.items()),
-        [f',{middle},"star_map":'],
-        _list_text(f"[{i},{j}]" for i, j in B.stars()),
-        [f",{tail}}}\n"],
-    )
-
-
-def symtensor_file(S: SymTensor) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "symtensor",
-        "ring": str(S.ring),
-        "index_names": list(S.index_names),
-        "entries": entries_to_json(S.entries),
-    }
 
 
 def symtensor_parse(obj: dict) -> SymTensor:
@@ -353,22 +367,18 @@ def symtensor_parse(obj: dict) -> SymTensor:
     return SymTensor(ring, tuple(names), {key: v for key, v in canonical.items() if v})
 
 
-def symmetric_instance_file(
-    S: SymTensor,
-    target_rank: int,
-    payload_size: int,
-    inst: DerksenInstance,
-    B: IncompleteMatrix,
-) -> dict:
-    obj = symtensor_file(S)
-    obj["kind"] = "symmetric_instance"
-    obj["target_rank"] = target_rank
-    obj["payload_size"] = payload_size
-    obj["tau"] = inst.tau
-    obj["star_map"] = [[i, j] for i, j in B.stars()]
-    obj["system"] = system_to_json(B.system)
-    obj["labels"] = _labels_to_json(B.row_labels)
-    return obj
+def symmetric_instance_text(S: SymTensor, target_rank: int, payload_size: int, B: IncompleteMatrix) -> Iterator[str]:
+    """The canonical text of a symmetric instance file in pieces: the
+    entries, in key order, and the stars are spelled a chunk at a time."""
+    return _instance_text(
+        "symmetric_instance",
+        B,
+        entries=_entries_text(sorted(S.entries.items())),
+        index_names=list(S.index_names),
+        payload_size=payload_size,
+        star_map=_list_text(f"[{i},{j}]" for i, j in B.stars()),
+        target_rank=target_rank,
+    )
 
 
 def assignment_to_json(point: Assignment) -> list:
@@ -383,8 +393,12 @@ def assignment_from_json(ring: RingDescriptor, data) -> Assignment:
 
 def completion_witness_text(point: Assignment, W: DenseMatrix) -> Iterator[str]:
     """The canonical text of a completion witness file in pieces, W a row at a time."""
-    head = {"assignment": assignment_to_json(point), "format_version": FORMAT_VERSION, "kind": "completion_witness"}
-    return _with_member(head, "matrix", _rows_text(W.raw_grid), {"ring": str(W.ring)})
+    return _object_text(
+        assignment=assignment_to_json(point),
+        kind="completion_witness",
+        matrix=_rows_text(W.raw_grid),
+        ring=str(W.ring),
+    )
 
 
 class _Spelled(dict):
@@ -433,18 +447,8 @@ def sym_decomposition_text(D: SymDecomposition) -> Iterator[str]:
     return _list_text(f'{{"s":{spelled[s]},"v":[{spelled.pairs(v)}]}}' for s, v in D.raw)
 
 
-def _with_member(head: dict, key: str, value: Iterable[str], tail: dict | None = None) -> Iterator[str]:
-    """The canonical text of a file whose members are those of ``head``,
-    then ``key``, whose value is given as its canonical text in pieces,
-    then those of ``tail``: the keys sort in that order."""
-    yield f'{canonical_dumps(head)[:-2]},"{key}":'
-    yield from value
-    yield f",{_members_text(**tail)}}}\n" if tail else "}\n"
-
-
 _skip_space = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder().scan_once
-_scan_string = json.decoder.scanstring
 _WINDOW = 1 << 16  # characters of a file's text read at a time
 
 
@@ -549,17 +553,6 @@ class _Window:
                     self.fail(e.msg, e.pos)
             pos = self.more(pos)
 
-    def string(self, pos: int) -> tuple[str, int]:
-        """The JSON string whose opening quote is just before ``pos``, and
-        the position after its closing quote."""
-        while True:
-            try:
-                return _scan_string(self.buf, pos)
-            except json.JSONDecodeError as e:
-                if self.done:
-                    self.fail(e.msg, e.pos)
-            pos = self.more(pos - 1) + 1
-
     def after_item(self, pos: int, close: str) -> tuple[int, bool]:
         """The position after the ',' or the ``close`` that follows ``pos``,
         whitespace skipped, and whether it was ``close``."""
@@ -569,11 +562,6 @@ class _Window:
         if c != "," and c != close:
             self.fail("Expecting ',' delimiter", pos)
         return pos + 1, c == close
-
-
-def _value(text: str, pos: int) -> tuple[Any, int]:
-    """The JSON value at ``pos`` of a whole text, and the position after it."""
-    return _Window((text,)).value(pos)
 
 
 class _Items:
@@ -618,7 +606,7 @@ def _walk_object(window: _Window, member: Callable[[str, int], int]) -> None:
         pos, c = window.peek(pos)
         if c != '"':
             window.fail("Expecting property name enclosed in double quotes", pos)
-        key, pos = window.string(pos + 1)
+        key, pos = window.value(pos)  # a string, as it starts with '"'
         pos, c = window.peek(pos)
         if c != ":":
             window.fail("Expecting ':' delimiter", pos)
@@ -792,31 +780,23 @@ def completion_witness_rows(pieces: Iterable[str], plan: Callable[[dict], tuple]
 
 
 def tensor_witness_text(D: Decomposition) -> Iterator[str]:
-    head = {"format_version": FORMAT_VERSION, "kind": "tensor_witness", "ring": str(D.ring), "dims": list(D.dims)}
-    return _with_member(head, "terms", decomposition_text(D))
+    return _object_text(dims=list(D.dims), kind="tensor_witness", ring=str(D.ring), terms=decomposition_text(D))
 
 
 def symmetric_witness_text(D: SymDecomposition) -> Iterator[str]:
-    head = {"format_version": FORMAT_VERSION, "kind": "symmetric_witness", "ring": str(D.ring), "dim": D.dim}
-    return _with_member(head, "terms", sym_decomposition_text(D))
+    return _object_text(dim=D.dim, kind="symmetric_witness", ring=str(D.ring), terms=sym_decomposition_text(D))
 
 
-def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound) -> Iterable[str]:
+def oracle_result_text(which: str, value, witness, exhausted: bool, lower_bound) -> Iterator[str]:
     """An oracle's result in pieces of canonical text; a Decomposition or
     SymDecomposition witness is written by its term writer, a DenseMatrix a
     row at a time, any other as a JSON value."""
-    head = {
-        "format_version": FORMAT_VERSION,
-        "kind": "oracle_result",
-        "oracle": which,
-        "value": value,
-        "exhausted": exhausted,
-        "lower_bound": lower_bound,
-    }
     if isinstance(witness, Decomposition):
-        return _with_member(head, "witness", decomposition_text(witness))
-    if isinstance(witness, SymDecomposition):
-        return _with_member(head, "witness", sym_decomposition_text(witness))
-    if isinstance(witness, DenseMatrix):
-        return _with_member(head, "witness", _rows_text(witness.raw_grid))
-    return [canonical_dumps(dict(head, witness=witness))]
+        witness = decomposition_text(witness)
+    elif isinstance(witness, SymDecomposition):
+        witness = sym_decomposition_text(witness)
+    elif isinstance(witness, DenseMatrix):
+        witness = _rows_text(witness.raw_grid)
+    return _object_text(
+        exhausted=exhausted, kind="oracle_result", lower_bound=lower_bound, oracle=which, value=value, witness=witness
+    )

@@ -307,4 +307,4 @@ def pad_cubical(T: Tensor3) -> Tensor3:
     m = max(T.dims)
     if T.dims == (m, m, m):
         return T
-    return Tensor3(T.ring, (m, m, m), dict(T.entries))
+    return Tensor3(T.ring, (m, m, m), T.entries)  # immutable, so the map is shared

@@ -7,7 +7,8 @@ and ``tenred.symmetric`` are checked against, the grouped cube sum over a
 list of all the terms that the streamed one must equal exactly, the JSON
 tree writers and readers of a symmetric witness, a completion instance
 and a completion witness that their text writers and readers are checked
-against, and the
+against, the tree writers of a polysystem file, a bare symtensor file and
+a symmetric instance that ``jsonio`` writes as text, and the
 instance reader that decodes every member whole, which
 ``certify.read_instance`` is checked against.  The package itself never
 needs them, so they live here, beside the tests that check against them."""
@@ -22,11 +23,11 @@ from tenred import certify, jsonio, symmetric
 from tenred.errors import GuardExceededError, ParseError, RingMismatchError
 from tenred.linalg import DenseMatrix
 from tenred.jsonio import FORMAT_VERSION, assignment_to_json, system_to_json
-from tenred.polysys import Assignment, Exponents, Polynomial, _grlex_key
+from tenred.polysys import Assignment, Exponents, Polynomial, PolySystem, _grlex_key
 from tenred.rings import RingDescriptor
 from tenred.sigma import IncompleteMatrix
 from tenred.symmetric import SymDecomposition, SymTensor
-from tenred.tensors import Decomposition, Tensor3
+from tenred.tensors import Decomposition, DerksenInstance, Tensor3
 
 
 def vec(ring: RingDescriptor, values: Sequence) -> dict:
@@ -302,6 +303,45 @@ def completion_witness_file(point: Assignment, W: DenseMatrix) -> dict:
         "assignment": assignment_to_json(point),
         "matrix": matrix_to_json(W),
     }
+
+
+def polysystem_file(F: PolySystem) -> dict:
+    """The polysystem file of F as a JSON tree: the reference for
+    ``jsonio.polysystem_text``."""
+    return {"format_version": FORMAT_VERSION, "kind": "polysystem", **system_to_json(F)}
+
+
+def entries_to_json(entries: dict) -> list:
+    """Sorted [i, j, k, "value"] quadruples of a sparse raw-value map."""
+    return [[i, j, k, str(v)] for (i, j, k), v in sorted(entries.items())]
+
+
+def symtensor_file(S: SymTensor) -> dict:
+    """A bare symtensor file: a symmetric tensor with no system and no target."""
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": "symtensor",
+        "ring": str(S.ring),
+        "index_names": list(S.index_names),
+        "entries": entries_to_json(S.entries),
+    }
+
+
+def symmetric_instance_file(
+    S: SymTensor, target_rank: int, payload_size: int, inst: DerksenInstance, B: IncompleteMatrix
+) -> dict:
+    """The symmetric instance file of a padded tensor S as a JSON tree: the
+    reference for ``jsonio.symmetric_instance_text``."""
+    return dict(
+        symtensor_file(S),
+        kind="symmetric_instance",
+        target_rank=target_rank,
+        payload_size=payload_size,
+        tau=inst.tau,
+        star_map=[[i, j] for i, j in B.stars()],
+        system=system_to_json(B.system),
+        labels=[[str(f) for f in lab.coords] for lab in B.row_labels],
+    )
 
 
 def read_instance_tree(text: str, *kinds: str) -> certify.Reduction:

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import tenred
-from tenred.jsonio import canonical_dumps, polysystem_file, symtensor_file
+from tenred.jsonio import canonical_dumps
 from tenred.linalg import DenseMatrix, matrix_rank
 from tenred.oracle import (
     SearchBudget,
@@ -54,7 +54,7 @@ from tenred.tensors import (
     derksen_witness,
     verify_decomposition,
 )
-from reference import inverse_3x3, matmul, point, sum_decomposition_raw, transpose, vec
+from reference import inverse_3x3, matmul, point, polysystem_file, sum_decomposition_raw, symtensor_file, transpose, vec
 from test_jsonio import tensor_file
 from test_sigma import extract_solution
 

@@ -17,18 +17,20 @@ from hypothesis import strategies as st
 from conftest import tenred_runner
 from tenred import certify, cli, jsonio, sigma, symmetric, tensors
 from tenred.cli import build_parser, main
-from tenred.jsonio import (
-    canonical_dumps,
-    polysystem_file,
-    symtensor_file,
-)
+from tenred.jsonio import canonical_dumps
 from tenred.oracle import symmetric_rank_bruteforce, tensor_rank_bruteforce
 from tenred.polysys import PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ, RingDescriptor
 from tenred.sigma import IncompleteMatrix
 from tenred.symmetric import SymTensor
 from tenred.tensors import build_derksen
-from reference import completion_instance_file, raw_matrix_from_json, symmetric_witness_parse
+from reference import (
+    completion_instance_file,
+    polysystem_file,
+    raw_matrix_from_json,
+    symmetric_witness_parse,
+    symtensor_file,
+)
 from test_jsonio import tensor_file, tensor_witness_parse
 
 
@@ -2106,6 +2108,59 @@ def test_oracle_result_bytes_pinned(case, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def _completion_of_the_empty_system(d):
+    instf = d / "inst.json"
+    assert main(["reduce", "completion", _write_system(d / "sys.json", [], 0, GF(11)), "--out", str(instf)]) == 0
+    return str(instf)
+
+
+# each kind of file the command line writes, and the type of an oracle's
+# witness: a fixture's instance (0) or witness (1), or the argv of the
+# command that writes it, given a scratch directory
+WRITTEN_FILES = {
+    "polysystem": lambda d: ["encode-3sat", _write(d / "f.cnf", "p cnf 3 1\n1 2 3 0\n")],
+    "completion_instance": ("x1_gf2_completion", 0),
+    "completion_witness": ("x1_gf2_completion", 1),
+    "tensor_instance": ("x1_gf2_tensor", 0),
+    "tensor_witness": ("x1_gf2_tensor", 1),
+    "symmetric_instance": ("empty_gf11_symmetric", 0),
+    "symmetric_witness": ("empty_gf11_symmetric", 1),
+    "oracle_result-decomposition": lambda d: [
+        "oracle", "rank", _write(d / "t.json", canonical_dumps(_derksen_2x2_tensor()))
+    ],
+    "oracle_result-symmetric-decomposition": lambda d: [
+        "oracle", "srank", _write(d / "s.json", canonical_dumps(symtensor_file(symmetric.pair_target(GF(11), 0))))
+    ],
+    "oracle_result-matrix": lambda d: ["oracle", "minrank", _completion_of_the_empty_system(d)],
+    "oracle_result-value": lambda d: ["oracle", "solve", _system_file(d, ["x1^2 - x1 - 1"], GF(11))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN_FILES))
+def test_every_written_file_is_canonical(case, request, tmp_path, capsys):
+    # each file is written by one writer that orders its members; whatever
+    # it streams, the text is the canonical dump of the tree it reads as
+    make = WRITTEN_FILES[case]
+    if callable(make):
+        assert main(make(tmp_path)) == 0
+        text = capsys.readouterr().out
+    else:
+        fixture, which = make
+        text = request.getfixturevalue(fixture)[which].read_text(encoding="utf-8")
+    obj = json.loads(text)
+    assert obj["kind"] == case.split("-")[0]
+    assert text == canonical_dumps(obj)
+    witness = obj.get("witness")
+    if case == "oracle_result-value":
+        assert witness is None and obj["value"]
+    elif case == "oracle_result-matrix":
+        assert witness and all(type(v) is str for row in witness for v in row)
+    elif case == "oracle_result-decomposition":
+        assert witness and all(term.keys() == {"a", "b", "c"} for term in witness)
+    elif case == "oracle_result-symmetric-decomposition":
+        assert witness and all(term.keys() == {"s", "v"} for term in witness)
+
+
 def _cubes_gf101():
     """x^3 + y^3 + z^3 over GF(101): 10,303 directions, no decomposition of
     one or two cubes."""
@@ -2307,10 +2362,11 @@ def test_commands_leave_the_collector_as_found_and_no_cycles(
         capsys.readouterr()
 
 
-# peak RSS in MB of witness and verify on the clause (1 2 3) tensor rung,
-# each bound between the peak with the exact sum reduced as it is made (379
-# and 363 MB) and the peak when it kept its unreduced values (421 and 406
-# MB); verify peaked at 521 MB when the witness's 111 MB text was read whole
+# peak RSS in MiB (VmHWM / 1024) of witness and verify on the clause
+# (1 2 3) tensor rung, each bound between the peak with the exact sum
+# reduced as it is made (379 and 363 MiB) and the peak when it kept its
+# unreduced values (421 and 406 MiB); verify peaked above 500 MiB when the
+# witness's 111 MB text was read whole
 RUNG_TENSOR_PEAK_MB = {"witness": 400, "verify": 385}
 
 
@@ -2337,10 +2393,10 @@ def test_the_three_variable_tensor_rung_fits_in_1_gib(tmp_path):
     assert proc.stdout == "verified\n"
 
 
-# peak RSS in MB of reduce, witness and verify on the clause (1 2 3)
-# completion rung, each bound between the peak with the grid and W written
-# and read a row at a time (39, 50 and 57 MB) and the peak when both were
-# whole JSON trees (72, 87 and 87 MB)
+# peak RSS in MiB (VmHWM / 1024) of reduce, witness and verify on the
+# clause (1 2 3) completion rung, each bound between the peak with the grid
+# and W written and read a row at a time (39, 50 and 57 MiB) and the peak
+# when both were whole JSON trees (72, 87 and 87 MiB)
 RUNG_COMPLETION_PEAK_MB = {"reduce": 56, "witness": 69, "verify": 72}
 
 

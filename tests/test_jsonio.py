@@ -20,12 +20,10 @@ from tenred.jsonio import (
     completion_witness_text,
     decomposition_text,
     loads,
-    polysystem_file,
     oracle_result_text,
     sym_decomposition_text,
-    symmetric_instance_file,
+    symmetric_instance_text,
     symmetric_witness_text,
-    symtensor_file,
     symtensor_parse,
     system_from_json,
     system_to_json,
@@ -55,14 +53,18 @@ from reference import (
     completion_instance_file,
     completion_witness_file,
     dense,
+    entries_to_json,
     matrix_to_json,
     point,
+    polysystem_file,
     raw_matrix_from_json,
     read_instance_tree,
     sum_decomposition_raw,
     sym_decomposition_to_json,
+    symmetric_instance_file,
     symmetric_witness_parse,
     symmetric_witness_tree,
+    symtensor_file,
     unpacked,
 )
 
@@ -106,7 +108,7 @@ def tensor_file(T):
         "kind": "tensor",
         "ring": str(T.ring),
         "dims": list(T.dims),
-        "entries": jsonio.entries_to_json(T.entries),
+        "entries": entries_to_json(T.entries),
     }
 
 
@@ -118,7 +120,7 @@ def tensor_instance_file(inst, B):
         "kind": "tensor_instance",
         "ring": str(inst.tensor.ring),
         "dims": list(inst.tensor.dims),
-        "entries": jsonio.entries_to_json(inst.tensor.entries),
+        "entries": entries_to_json(inst.tensor.entries),
         "tau": inst.tau,
         "star_map": [[i, j] for i, j in B.stars()],
         "target_rank": inst.target_rank,
@@ -461,6 +463,23 @@ def test_tensor_instance_text_matches_the_tree_writer(case, chunk):
     # three fixed pieces, then each list in chunks and its closing bracket
     assert len(pieces) == 5 + -(-inst.tensor.nnz // chunk) + -(-inst.tau // chunk)
     assert read_instance(text).tensor == inst.tensor
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, jsonio._CHUNK])
+@pytest.mark.parametrize("ring", [GF(11), QQ], ids=str)
+def test_symmetric_instance_text_matches_the_tree_writer(ring, chunk):
+    # the symmetric instance written in pieces, a chunk of entries or
+    # stars at a time, is the canonical dump of its JSON tree, and reads
+    # back as itself
+    F, B, inst, m, S, target = _symmetric_instance(ring)
+    with mock.patch.object(jsonio, "_CHUNK", chunk):
+        pieces = list(symmetric_instance_text(S, target, m, B))
+    text = "".join(pieces)
+    assert text == canonical_dumps(symmetric_instance_file(S, target, m, inst, B))
+    # three fixed pieces, then each list in chunks and its closing bracket
+    assert len(pieces) == 5 + -(-S.nnz // chunk) + -(-inst.tau // chunk)
+    red = read_instance(text)
+    assert (red.tensor, red.target_rank) == (S, target)
 
 
 def _x1_gf2_instance_text():
