@@ -25,8 +25,12 @@ a completion), and on the term stages it and the dimensions are checked
 before any term is read; then the stage's verdict (``completion_verdict``,
 or ``sum_verdict`` on the term stages) decides, once: the term count may
 not exceed the target rank worked out from the rebuilt instance, and one
-exact check follows.  ``witness`` calls the same verdict, once, on what
-it built, before any byte is written, so its ``verification: verified``
+exact check follows.  ``witness`` makes each stage's witness once, from
+the stage before it: B is taken into the witness field once, the
+completion W is built from it and the point, the tensor terms from W
+alone, and the symmetric terms from those and the padded tensor the
+rebuild already holds.  It calls the same verdict, once, on what it
+built, before any byte is written, so its ``verification: verified``
 says what ``verify``'s ``verified`` says; the builders it calls only
 build.  A ``verified`` line means, over the witness ring:
 
@@ -69,14 +73,7 @@ from .errors import GuardExceededError, ParseError, VerificationError
 from .linalg import factors_through_units, rank_raw
 from .polysys import Assignment, PolySystem
 from .rings import QQ, ZZ
-from .sigma import (
-    IncompleteMatrix,
-    SymbolicU,
-    build_B,
-    completion_witness,
-    sigma_system,
-    unit_label_positions,
-)
+from .sigma import IncompleteMatrix, build_B, completion_witness, sigma_system, unit_label_positions
 from .symmetric import (
     SymTensor,
     build_curly_T,
@@ -88,7 +85,6 @@ from .symmetric import (
     symmetric_witness,
 )
 from .tensors import (
-    Decomposition,
     DerksenInstance,
     Tensor3,
     build_derksen,
@@ -108,12 +104,12 @@ class Reduction:
 
     Witness terms must sum to ``expected``, at most ``target_rank`` of
     them; both are None at the completion stage.  On the tensor stage it is
-    ``inst``, walked from B.  A bare tensor file has only these two.
+    the star-slice tensor of B, walked from B; on the symmetric stage the
+    padded tensor.  A bare tensor file has only these two.
     """
 
     stage: str
     B: IncompleteMatrix | None
-    inst: DerksenInstance | None = None
     expected: DerksenInstance | Tensor3 | SymTensor | None = None
     target_rank: int | None = None
 
@@ -167,12 +163,12 @@ def reduce_system(
     inst = build_derksen(B)
     report("target_rank", inst.target_rank)
     if stage == "tensor":
-        return jsonio.tensor_instance_text(inst, B), Reduction(stage, B, inst, inst, inst.target_rank)
+        return jsonio.tensor_instance_text(inst, B), Reduction(stage, B, inst, inst.target_rank)
     S = build_curly_T(embed_S(pad_cubical(inst.tensor)), m)
     target = inst.target_rank + padding_terms(m)
     report("symmetric_indices", S.size)
     report("symmetric_target_rank", target)
-    return jsonio.symmetric_instance_text(S, target, m, B), Reduction(stage, B, inst, S, target)
+    return jsonio.symmetric_instance_text(S, target, m, B), Reduction(stage, B, S, target)
 
 
 def _listed(obj: dict, field: str) -> int:
@@ -262,34 +258,31 @@ def witness_file(red: Reduction, solution: str, report: Callable[[str, object], 
     """The canonical text of the witness file a solution, comma-separated
     values, induces, in pieces, made as they are read.
 
-    Witnesses live over Q for an integer instance, else over its ring.
-    What is built goes to the stage's verdict, the one ``verify`` runs,
-    before it is returned; a refusal raises VerificationError.
+    Witnesses live over Q for an integer instance, else over its ring,
+    and each is made once, from the one before it, as the module docstring
+    says.  What is built goes to the stage's verdict, the one ``verify``
+    runs, before it is returned; a refusal raises VerificationError.
     """
-    B = red.B
-    field = QQ if B.ring == ZZ else B.ring
+    field = QQ if red.B.ring == ZZ else red.B.ring
     values = [v.strip() for v in solution.split(",") if v.strip()]
     try:
         point = Assignment(field, tuple(field.parse(v) for v in values))
     except ValueError as e:
         raise ParseError(f"bad solution value: {e}", 0) from e
-    W = completion_witness(B.system, point, B=B)
+    B = red.B.change_ring(field)
+    W = completion_witness(B, point)
     if red.stage == "completion":
         reason = completion_verdict(red, field, point.values, W.raw_grid)
         facts = [("rank", 3)]
         text = jsonio.completion_witness_text(point, W)
     else:
-        inst = red.inst.change_ring(field)
-        U = SymbolicU(inst.source.row_labels).evaluate(point, field)
-        D = derksen_witness(inst, W, U)
+        D = derksen_witness(DerksenInstance(B), W)
         if red.stage == "tensor":
             reason = sum_verdict(red, field, len(D), sum_terms_raw(D.raw, D.dims, field))
             facts = [("terms", len(D))]
             text = jsonio.tensor_witness_text(D)
         else:
-            padded = pad_cubical(inst.tensor)
-            # padding leaves every raw map as it is
-            WS = symmetric_witness(padded, Decomposition(field, padded.dims, D.raw))
+            WS = symmetric_witness(red.expected, D)
             reason = sum_verdict(red, field, len(WS), sum_sym_decomposition_raw(WS.raw, WS.dim, field))
             facts = [("terms", len(WS)), ("target_rank", red.target_rank)]
             text = jsonio.symmetric_witness_text(WS)
@@ -338,7 +331,7 @@ def sum_verdict(red: Reduction, ring, count: int, total: dict | None) -> str | N
     want, dims = (T.entries.items(), (T.size,) * 3) if isinstance(T, SymTensor) else (T.items(), T.dims)
     if ring != T.ring:  # an integer instance checked over a field
         want = ((key, ring.canon(v)) for key, v in want)
-    ok, mismatch = first_mismatch(want, total, ring, dims)
+    ok, mismatch = first_mismatch(want, total, dims)
     return None if ok else "mismatch at {}: instance has {}, witness sums to {}".format(*mismatch)
 
 

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .polysys import parse_dimacs, encode_3sat
 from .rings import RingDescriptor
+from .sigma import LABEL_GUARD
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     red = sub.add_parser("reduce", help="build a completion, tensor, or symmetric instance")
     red.add_argument("stage", choices=["completion", "tensor", "symmetric"])
     red.add_argument("system", help="polysystem JSON file")
-    red.add_argument("--guard", type=int, default=5000, help="size guard (0 disables)")
+    red.add_argument("--guard", type=int, default=LABEL_GUARD, help="size guard (0 disables)")
     red.add_argument("--ring", help="convert the system to this ring first")
     red.add_argument("--out", help="output path (default stdout)")
     red.add_argument("--threads", type=int, default=1, help="worker count (speed only)")

@@ -5,7 +5,10 @@ works over a closure set sigma(F) of subexpressions of the system F:
 prefix products of each monomial, prefix sums of each polynomial, the
 variables, and all constants involved, closed under negation.  Triples of
 closure elements with a +-1 coordinate index an incomplete matrix B(F)
-whose rank-3 completions correspond exactly to solutions of F.
+whose rank-3 completions correspond exactly to solutions of F.  A
+solution over the field a witness lives in induces one such completion,
+completion_witness(B, point), with B taken into that field first.  The
+label count is bounded by LABEL_GUARD unless the caller gives a bound.
 """
 
 from __future__ import annotations
@@ -23,7 +26,11 @@ from .errors import (
 )
 from .linalg import DenseMatrix
 from .polysys import Assignment, Exponents, Polynomial, PolySystem, prefix_sums, term_map_sum
-from .rings import QQ, RATIONALS, RingDescriptor, ZZ
+from .rings import RATIONALS, RingDescriptor, ZZ
+
+# the label count past which a reduction is refused, unless its caller
+# gives another bound
+LABEL_GUARD = 5000
 
 
 def is_plus_minus_one(f: Polynomial) -> bool:
@@ -192,7 +199,7 @@ def count_labels(sigma: SigmaSet) -> int:
     return m**3 - (m - units) ** 3
 
 
-def build_H(sigma: SigmaSet, guard: int | None = 5000) -> list[Label]:
+def build_H(sigma: SigmaSet, guard: int | None = LABEL_GUARD) -> list[Label]:
     """All coordinate triples with a +-1 entry, in lexicographic closure order."""
     size = count_labels(sigma)
     if guard is not None and size > guard:
@@ -323,7 +330,7 @@ class IncompleteMatrix:
         )
 
 
-def build_B(F: PolySystem, guard: int | None = 5000, sigma: SigmaSet | None = None) -> IncompleteMatrix:
+def build_B(F: PolySystem, guard: int | None = LABEL_GUARD, sigma: SigmaSet | None = None) -> IncompleteMatrix:
     """The incomplete gadget matrix of a system.
 
     Entry (u, v) is the coordinatewise dot product delta = u . v: a
@@ -415,37 +422,24 @@ def unit_block_mismatch(raw_rows, B: IncompleteMatrix) -> tuple[int, int] | None
     return None
 
 
-def completion_witness(
-    F: PolySystem,
-    point: Assignment,
-    B: IncompleteMatrix | None = None,
-    guard: int | None = 5000,
-) -> DenseMatrix:
-    """Rank-at-most-3 completion of B(F) induced by a solution.
+def completion_witness(B: IncompleteMatrix, point: Assignment) -> DenseMatrix:
+    """Rank-at-most-3 completion of B induced by a solution of its system,
+    both over the field the witness lives in.
 
-    Evaluates the label coordinates at the point and returns the Gram
-    matrix W = U(point)^T U(point).  Rejects non-solutions up front, and
-    checks nothing else: the completion verdict of ``certify`` compares W
-    with every specified entry of B(F).  Integer inputs give a completion
-    over Q.  V = dU is integral for the lcm d of U's denominators (1 over
-    GF(p)), so each cell of W = V^T V / d^2 is an integer dot product, and
-    equal products share one value.
+    Evaluates the label coordinates at the point, once, and returns the
+    Gram matrix W = U(point)^T U(point).  Rejects non-solutions up front,
+    and checks nothing else: the completion verdict of ``certify`` compares
+    W with every specified entry of B.  V = dU is integral for the lcm d of
+    U's denominators (1 over GF(p)), so each cell of W = V^T V / d^2 is an
+    integer dot product, and equal products share one value.
     """
-    field = QQ if point.ring == ZZ else point.ring
-    if len(point) != F.num_vars:
+    field = B.ring
+    if len(point) != B.system.num_vars:
         raise ValueError("solution length does not match the variable count")
-    Ff = F.change_ring(field)
-    vals = tuple(field.canon(v) for v in point.values)
-    bad = Ff.first_violation(vals)
+    bad = B.system.first_violation(point.values)
     if bad is not None:
         raise VerificationError(f"not a solution: {bad[0]} evaluates to {bad[1]}")
-    if B is None:
-        B = build_B(Ff, guard=guard)
-    elif B.ring != field:
-        B = B.change_ring(field)
-    if B.row_labels is None:
-        raise ValueError("matrix carries no labels")
-    u = SymbolicU(B.row_labels).evaluate(Assignment(field, vals), field).raw_grid
+    u = SymbolicU(B.row_labels).evaluate(point, field).raw_grid
     d = lcm(*(v.denominator for row in u for v in row))
     r0, r1, r2 = ([v.numerator * (d // v.denominator) for v in row] for row in u)
     dd = d * d

@@ -17,9 +17,12 @@ residual its padding cannot close.  The builders that are entry points of
 their own (waring_gadget, whose 2-dimensional result is cached and shared,
 build_L_pi and symmetric_upper_witness) still check what they return.  All
 sums go through one raw-value kernel, sum_sym_decomposition_raw, fed the
-terms as they come, into one map keyed by a packed int and unreduced;
-every check compares it with the expected entries through
-``tensors.first_mismatch``, and symmetric_witness unpacks its residual.
+terms as they come, into one map keyed by a packed int and made canonical
+once, at the end; every check compares it with the expected entries
+through ``tensors.first_mismatch``.  symmetric_witness builds no tensor:
+it takes the padded tensor a symmetric instance already holds, and what
+the payload's cubes leave of it, unpacked, is the working map that the
+padding terms of _upper_terms close.
 
 Symmetric tensors are stored on canonical index triples i <= j <= k, so
 storage itself enforces symmetry; the reader of a symtensor file refuses
@@ -251,7 +254,9 @@ def sum_sym_decomposition_raw(terms: Iterable[tuple], dim: int, ring: RingDescri
     0) is summed as mu_0 u^3 + mu_1 Sym(u,u,d) + mu_2 Sym(u,d,d) + mu_3
     d^3, mu_e = sum_k s_k a_k^e, skipping zero moments.  It holds one
     run's sums and one term of lookahead, so a reader may feed it terms as
-    it reads them.  The sum is keyed by the int (x*dim + y)*dim + z, unreduced.
+    it reads them.  The sum is keyed by the int (x*dim + y)*dim + z and
+    made canonical once, at the end, its zeros dropped: only canonical
+    nonzero values are returned, as ``tensors.sum_terms_raw`` returns them.
     """
     acc: dict[int, object] = {}
     terms = iter(terms)
@@ -263,7 +268,7 @@ def sum_sym_decomposition_raw(terms: Iterable[tuple], dim: int, ring: RingDescri
             if mu[e]:
                 for placement in _PLACEMENTS[e]:
                     _add_product(acc, mu[e], *(factors[f] for f in placement), dim)
-    return acc
+    return ring.canon_map(acc)
 
 
 def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
@@ -274,7 +279,7 @@ def verify_symmetric_decomposition(T: SymTensor, D: SymDecomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dim != T.size:
         raise ValueError(f"decomposition dimension {D.dim} != tensor size {T.size}")
-    return first_mismatch(T.entries.items(), sum_sym_decomposition_raw(D.raw, D.dim, D.ring), D.ring, (D.dim,) * 3)
+    return first_mismatch(T.entries.items(), sum_sym_decomposition_raw(D.raw, D.dim, D.ring), (D.dim,) * 3)
 
 
 def embed_S(T: Tensor3) -> SymTensor:
@@ -492,27 +497,28 @@ def build_L_pi(U: SymTensor, pi: PairIndex):
     return tensor, deco
 
 
-def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
+def _upper_terms(phi: dict[Key, object], n: int, ring: RingDescriptor) -> SymDecomposition:
     """The body of symmetric_upper_witness, without its final exact check.
 
-    An entry of U on three distinct indices lies in the slice w of one
-    strict pair (ap, aq): the two that share a letter, the lowest two if
-    all three do.  With 1 at the pair's padded position added to w and
-    u = e_ap + e_aq, the pair takes the a = 0 gadget's cubes s_t (u +
-    r_t w)^3, whose sum w_z at (ap, ap, z), (ap, aq, z) and (aq, aq, z)
-    comes off a copy of the padded tensor.  The residual must lie on
-    repeated first-block indices (asserted, never patched) and splits
-    into per-index pieces.  U is not scanned for entries spanning all three
-    letters: such an entry lies in no pair's slice, so it stays on the
-    working copy and the residual assertion refuses it.  symmetric_witness
-    uses this directly, as the verdict checks the larger sum these terms
-    are part of.
+    ``phi`` is the working map, which is consumed: a padded tensor on
+    sorted triples less what other terms already cover, the residual U on
+    the first 3n indices plus the pair units.  An entry of U on three
+    distinct indices lies in the slice w of one strict pair (ap, aq): the
+    two that share a letter, the lowest two if all three do.  With 1 at
+    the pair's padded position added to w and u = e_ap + e_aq, the pair
+    takes the a = 0 gadget's cubes s_t (u + r_t w)^3, whose sum w_z at
+    (ap, ap, z), (ap, aq, z) and (aq, aq, z) comes off the working map.
+    The residual must lie on repeated first-block indices (asserted, never
+    patched) and splits into per-index pieces.  U is not scanned for
+    entries spanning all three letters: such an entry lies in no pair's
+    slice, so it stays on the working map and the residual assertion
+    refuses it.  symmetric_witness uses this directly, as the verdict
+    checks the larger sum these terms are part of.
     """
-    require_big_field(U.ring)
-    ring = U.ring
+    require_big_field(ring)
     slices: dict[tuple[int, int], dict[int, object]] = {}
-    for (x, y, z), v in U.entries.items():
-        if x == y or y == z:
+    for (x, y, z), v in phi.items():
+        if x == y or y == z or z >= 3 * n:  # z >= 3n: a pair unit, in no slice of U
             continue
         if x // n == y // n:
             pair, other = (x, y), z
@@ -525,7 +531,6 @@ def _upper_terms(U: SymTensor, n: int) -> SymDecomposition:
     # the gadget's nodes r_t are nonzero, so r_t w keeps the support of w
     gadget = [(s, v[1]) for s, v in waring_gadget(ring, ring.canon(0)).raw]
     one_raw = ring.canon(1)
-    phi = build_curly_T(U, n).entries  # a fresh map, the working copy
     raw: list = []
     pos = 3 * n - 1
     for off in range(0, 3 * n, n):
@@ -566,34 +571,36 @@ def symmetric_upper_witness(U: SymTensor, n: int) -> SymDecomposition:
     those of _upper_terms, checked exactly against the padded tensor; U
     must vanish on index triples that span all three letters."""
     check_mixed_block_zero(U, n)
-    deco = _upper_terms(U, n)
-    ok, mismatch = verify_symmetric_decomposition(build_curly_T(U, n), deco)
+    padded = build_curly_T(U, n)
+    deco = _upper_terms(dict(padded.entries), n, U.ring)
+    ok, mismatch = verify_symmetric_decomposition(padded, deco)
     if not ok:
         raise StructureError(f"padded witness fails at {mismatch[0]}")
     return deco
 
 
-def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
-    """Symmetric decomposition of the padded symmetrization of T.
+def symmetric_witness(padded: SymTensor, D: Decomposition) -> SymDecomposition:
+    """Symmetric decomposition of a padded tensor, the padded
+    symmetrization of a tensor T that D decomposes.
 
-    Each rank-1 term of D becomes one cube on the concatenated index
-    blocks.  The residual U = S(T) minus those cubes is T - sum D at each
-    mixed-block position (a, n+b, 2n+c), where no padding term reaches, so
-    a nonzero value there is refused; the rest of U is closed by the terms
-    of _upper_terms.  The term count is exactly len(D) plus the padding
-    witness size.  Nothing else is checked; the symmetric verdict of
-    ``certify`` decides whether the terms sum to the padded tensor of T.
+    The payload size n is D's largest dimension: T is zero-padded to a
+    cube, which leaves every term of D as it is.  Each rank-1 term of D
+    becomes one cube on the concatenated index blocks.  The padded tensor
+    minus those cubes is T - sum D at each mixed-block position (a, n+b,
+    2n+c), where no padding term reaches, so a nonzero value there is
+    refused; the rest of it is the working map that _upper_terms closes.
+    The term count is exactly len(D) plus the padding witness size.
+    Nothing else is checked; the symmetric verdict of ``certify`` decides
+    whether the terms sum to the padded tensor.
     """
-    n = T.dims[0]
-    if T.dims != (n, n, n):
-        raise ValueError(f"symmetrization needs a cubical tensor, got {T.dims}")
-    require_big_field(T.ring)
-    if D.ring != T.ring:
-        raise RingMismatchError("decomposition ring differs from tensor ring")
-    if D.dims != T.dims:
-        raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
-    ring = T.ring
+    n = max(D.dims)
     size = padded_size(n)
+    if padded.size != size:
+        raise ValueError(f"a payload of size {n} pads to {size} indices, the tensor has {padded.size}")
+    require_big_field(padded.ring)
+    if D.ring != padded.ring:
+        raise RingMismatchError("decomposition ring differs from tensor ring")
+    ring = padded.ring
     one_raw = ring.canon(1)
     raw: list = []
     for a, b, c in D.raw:
@@ -603,19 +610,18 @@ def symmetric_witness(T: Tensor3, D: Decomposition) -> SymDecomposition:
         if nz:
             raw.append((one_raw, nz))
 
-    S = embed_S(T)
-    # the cubes minus S(T), packed; the residual U is its negation, unpacked
+    # the cubes minus the padded tensor, packed; the working map is its negation, unpacked
     acc = sum_sym_decomposition_raw(raw, size, ring)
-    for (x, y, z), v in S.entries.items():
+    for (x, y, z), v in padded.entries.items():
         key = (x * size + y) * size + z
         acc[key] = acc.get(key, 0) - v
     canon, area = ring.canon, size * size
-    resid = {(key // area, key // size % size, key % size): r for key, v in acc.items() if (r := canon(-v))}
+    phi = {(key // area, key // size % size, key % size): r for key, v in acc.items() if (r := canon(-v))}
     del acc
-    mixed = [key for key in resid if key[0] < n <= key[1] < 2 * n <= key[2]]
+    mixed = [key for key in phi if key[0] < n <= key[1] < 2 * n <= key[2]]
     if mixed:
         x, y, z = min(mixed)
         raise VerificationError(f"decomposition does not sum to the tensor at {(x, y - n, z - 2 * n)}")
 
-    raw.extend(_upper_terms(SymTensor(ring, S.index_names, resid), n).raw)
+    raw.extend(_upper_terms(phi, n, ring).raw)
     return SymDecomposition(ring, size, raw)

@@ -4,7 +4,11 @@ Tensors are stored sparsely (zero entries are absent).  The constructions
 here are dense in at most one slice, while the auxiliary star slices are
 matrix units, so sparse storage is what makes instance-scale objects
 (hundreds of labels, tens of thousands of stars) fit in memory.  All
-arithmetic is exact; verification means literal entrywise equality.
+arithmetic is exact; verification means literal entrywise equality: an
+exact sum of terms holds only canonical nonzero values, here and in
+``symmetric``, and first_mismatch compares them as they are.  The
+star-slice witness is made from a completion W alone, its factor U read
+off W's rows at the unit labels.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable, Iterable, Iterator
 from .errors import RingMismatchError
 from .linalg import DenseMatrix
 from .rings import RingDescriptor, ZZ
-from .sigma import IncompleteMatrix
+from .sigma import IncompleteMatrix, unit_label_positions
 
 Key = tuple[int, int, int]
 
@@ -156,29 +160,26 @@ def verify_decomposition(T: "Tensor3 | DerksenInstance", D: Decomposition):
         raise RingMismatchError("decomposition ring differs from tensor ring")
     if D.dims != T.dims:
         raise ValueError(f"decomposition shape {D.dims} != tensor shape {T.dims}")
-    return first_mismatch(T.items(), sum_terms_raw(D.raw, D.dims, D.ring), D.ring, D.dims)
+    return first_mismatch(T.items(), sum_terms_raw(D.raw, D.dims, D.ring), D.dims)
 
 
-def first_mismatch(
-    want: Iterable[tuple[Key, object]], got: dict[int, object], ring: RingDescriptor, dims: tuple[int, int, int]
-):
+def first_mismatch(want: Iterable[tuple[Key, object]], got: dict[int, object], dims: tuple[int, int, int]):
     """(ok, first mismatch) of expected (key, canonical value) pairs, in any
-    order, against a packed sum, which each key is popped from and whose
-    values are made canonical as they are read.  The mismatch, when present,
-    is ((i, j, k), expected, actual) at the smallest key where they
-    disagree, an absent key reading as zero."""
+    order, against a packed sum of canonical nonzero values, as both exact
+    sums make it, which each key is popped from.  The mismatch, when
+    present, is ((i, j, k), expected, actual) at the smallest key where
+    they disagree, an absent key reading as zero."""
     _, n2, n3 = dims
-    canon = ring.canon
     pop = got.pop
     bad = None  # (key, expected, actual) of the smallest disagreement yet
     for (i, j, k), v in want:
         key = (i * n2 + j) * n3 + k
-        s = canon(pop(key, 0))
+        s = pop(key, 0)
         if s != v and (bad is None or key < bad[0]):
             bad = key, v, s
-    for key, s in got.items():  # what the terms put where nothing is expected
-        if (bad is None or key < bad[0]) and (s := canon(s)):
-            bad = key, 0, s
+    extra = min(got, default=None)  # the first value the terms put where nothing is expected
+    if extra is not None and (bad is None or extra < bad[0]):
+        bad = extra, 0, got[extra]
     if bad is None:
         return True, None
     key, v, s = bad
@@ -224,27 +225,27 @@ class DerksenInstance:
         """The star-slice tensor, built on each access."""
         return Tensor3(self.ring, self.dims, dict(self.items()))
 
-    def change_ring(self, ring: RingDescriptor) -> "DerksenInstance":
-        """Embed an integer instance into Q or GF(p); identity otherwise."""
-        return self if ring == self.ring else DerksenInstance(self.source.change_ring(ring))
-
 
 def build_derksen(B: IncompleteMatrix) -> DerksenInstance:
     """The star-slice tensor of B, within the label-count guard B was built under."""
     return DerksenInstance(B)
 
 
-def derksen_witness(inst: DerksenInstance, completion: DenseMatrix, U: DenseMatrix) -> Decomposition:
-    """The tau+3 term decomposition induced by a rank-3 completion W = U^T U.
+def derksen_witness(inst: DerksenInstance, completion: DenseMatrix) -> Decomposition:
+    """The tau+3 term decomposition induced by a rank-3 completion W of
+    the instance's matrix, over its ring.
 
-    Three terms carry the Gram factorization of W into slice 0, one per
-    row of U; each star then gets one term that cancels the completed
-    value at its position in slice 0 and plants the unit in its own slice.
-    The terms are a ``Walk``: they are made from U, W and the stars of the
-    source matrix each time they are walked, and never held all at once.
-    Nothing is checked here: the terms sum to the instance exactly when
-    U^T U agrees with the matrix at its specified cells and W with U^T U at
-    its stars, which the tensor verdict of ``certify`` decides by one sum.
+    W's rows at the unit labels E are taken as U: a symmetric W that agrees
+    with the matrix is the identity at E, and has rank 3 exactly when it
+    factors through E, as W = U^T U.  Three terms carry U^T U into slice 0,
+    one per row of U; each star then gets one term that cancels the
+    completed value at its position in slice 0 and plants the unit in its
+    own slice.  The terms are a ``Walk``: they are made from W and the
+    stars of the source matrix each time they are walked, and never held
+    all at once.  Nothing is checked here: the terms sum to the instance
+    when W agrees with the matrix and factors through E, the completion
+    verdict, and the tensor verdict of ``certify`` decides by one sum
+    whether they do.
     """
     ring = inst.ring
     B = inst.source
@@ -253,8 +254,8 @@ def derksen_witness(inst: DerksenInstance, completion: DenseMatrix, U: DenseMatr
     one_raw = ring.canon(1)
     slice0 = {0: one_raw}
     gram = []
-    for row in U.raw_grid:
-        u = {i: v for i, v in enumerate(row) if v}
+    for e in unit_label_positions(B):
+        u = {i: v for i, v in enumerate(craw[e]) if v}
         gram.append((u, u, slice0))
     # a star term is e_i (x) e_j (x) (e_t - W(i,j) e_0); the unit maps are shared
     rows = [{i: one_raw} for i in range(B.nrows)]

@@ -1,7 +1,8 @@
 """Reference helpers that only the tests use: constructors from plain ints
 and Fractions, matrix products and inverses (with the error a singular one
 raises), nested and term-map
-constructors, star and symmetry predicates, the tuple-keyed tensor and
+constructors, star and symmetry predicates, the star-slice witness made
+from a factor U given beside W, the tuple-keyed tensor and
 cube sums and the compare that the packed kernels of ``tenred.tensors``
 and ``tenred.symmetric`` are checked against, the grouped cube sum over a
 list of all the terms that the streamed one must equal exactly, the JSON
@@ -136,6 +137,23 @@ def sum_decomposition_raw(D: Decomposition) -> dict:
     return D.ring.canon_map(acc)
 
 
+def derksen_witness_from_u(inst: DerksenInstance, completion: DenseMatrix, U: DenseMatrix) -> Decomposition:
+    """The tau+3 terms of a rank-3 completion W = U^T U with U given beside
+    W, as ``tensors.derksen_witness`` made them before it took U from W's
+    rows at the unit labels: the reference it is checked against."""
+    ring, B = inst.ring, inst.source
+    one_raw = ring.canon(1)
+    craw = completion.raw_grid
+    terms = []
+    for row in U.raw_grid:
+        u = {i: v for i, v in enumerate(row) if v}
+        terms.append((u, u, {0: one_raw}))
+    for t, (i, j) in enumerate(B.stars(), start=1):
+        w = ring.canon(-craw[i][j])
+        terms.append(({i: one_raw}, {j: one_raw}, {0: w, t: one_raw} if w else {t: one_raw}))
+    return Decomposition(ring, inst.dims, terms)
+
+
 def dict_mismatch(want: dict, got: dict):
     """(ok, first mismatch) of two canonical (i, j, k)-keyed maps: the
     mismatch is (key, expected, actual) at the smallest key where they
@@ -164,7 +182,7 @@ def sum_sym_decomposition_reference(D: SymDecomposition) -> dict:
 
 def sum_sym_list_kernel(raw: list, dim: int, ring: RingDescriptor) -> dict:
     """The grouped sum as the list kernel made it, indexing a list of all
-    the terms: the packed, unreduced map that the streamed
+    the terms: the packed, unreduced map whose canonical form the streamed
     ``symmetric.sum_sym_decomposition_raw`` must equal exactly, with the
     same runs added in the same order."""
 

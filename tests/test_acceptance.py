@@ -228,7 +228,7 @@ def test_criterion_03_rank3_completions(capsys, system_q, system_gf11):
             for sol in solutions:
                 values = sol if isinstance(sol, list) else [sol]
                 xi = point(F.ring, values)
-                W = completion_witness(F, xi, B=B)
+                W = completion_witness(B, xi)
                 raw = W.raw_rows()
                 for i in range(B.nrows):
                     for j in range(B.ncols):
@@ -262,9 +262,8 @@ def test_criterion_05_star_slice_witness(capsys, system_q, system_gf11):
             t0 = time.monotonic()
             inst = build_derksen(B)
             xi = point(F.ring, [first])
-            W = completion_witness(F, xi, B=B)
-            U = SymbolicU(B.row_labels).evaluate(xi, F.ring)
-            D = derksen_witness(inst, W, U)
+            W = completion_witness(B, xi)
+            D = derksen_witness(inst, W)
             assert len(list(D.raw)) == inst.tau + 3
             ok, mismatch = verify_decomposition(inst.tensor, D)
             assert ok, mismatch
@@ -300,9 +299,9 @@ def test_criterion_08_symmetric_pipeline(capsys):
             t0 = time.monotonic()
             # the transversal support assertion is enforced during
             # construction; a violation aborts with StructureError
-            W = symmetric_witness(T, D)
-            assert len(W) <= len(D.raw) + 27
             curly = build_curly_T(embed_S(T), 2)
+            W = symmetric_witness(curly, D)
+            assert len(W) <= len(D.raw) + 27
             assert curly.size == 15
             ok, mismatch = verify_symmetric_decomposition(curly, W)
             assert ok, mismatch

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import tracemalloc
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -472,7 +473,7 @@ def test_symmetric_witness_checks_each_thing_once(empty_gf11_symmetric, tmp_path
     checks = seen["verify_symmetric_decomposition"]
     spy([symmetric], "verify_symmetric_decomposition", lambda T, D: checks.append(D.dim))
     # the verdict compares the finished witness's sum, as verify_symmetric_decomposition does
-    spy([certify], "first_mismatch", lambda want, got, ring, dims: checks.append(dims[0]))
+    spy([certify], "first_mismatch", lambda want, got, dims: checks.append(dims[0]))
     out = tmp_path / "wit.json"
     assert main(["witness", str(instf), "--solution", "", "--out", str(out)]) == 0
     assert out.read_bytes() == witf.read_bytes()
@@ -820,8 +821,8 @@ def test_completion_witness_rank_from_unit_block(tmp_path, monkeypatch, capsys):
 
     real = certify.completion_witness
 
-    def broken_unit_block(F, point, B=None):
-        W = real(F, point, B=B)
+    def broken_unit_block(B, point):
+        W = real(B, point)
         e = sigma.unit_label_positions(B)[0]
         rows = W.raw_rows()
         rows[e][e] = W.ring.canon(2)
@@ -1120,10 +1121,12 @@ def x1_gf2_tensor(tmp_path_factory):
 
 # SHA-256 of the tensor witnesses of {x1} at x1 = 0, over GF(2) and over Q;
 # the Q one spells its values as Fractions and negates the completed value
-# of every star, so drift in either changes it
+# of every star, so drift in either changes it.  The Z instance's witness is
+# over Q, its B taken into Q, so it is the Q instance's witness byte for byte
 X1_TENSOR_WITNESS_SHA256 = {
     "x1_gf2_tensor": "d4ffeb250b9992968ea61e255ec283a449c29d8e1f71fd507482c55455114fe0",
     "x1_q_tensor": "6f0269d5785aecd31ef5114e26ffb3eea6dda09325bd7c7966e7a46a1f7397f6",
+    "x1_z_tensor": "6f0269d5785aecd31ef5114e26ffb3eea6dda09325bd7c7966e7a46a1f7397f6",
 }
 
 
@@ -1606,10 +1609,10 @@ def test_witness_and_verify_each_run_the_stage_verdict_once(fixture, request, tm
         )
     real_completion, real_derksen = certify.completion_witness, certify.derksen_witness
 
-    def completion_witness(F, point, B):
+    def completion_witness(B, point):
         grid, B.raw_grid = B.raw_grid, _Unread()
         try:
-            return real_completion(F, point, B=B)
+            return real_completion(B, point)
         finally:
             B.raw_grid = grid
 
@@ -1618,9 +1621,9 @@ def test_witness_and_verify_each_run_the_stage_verdict_once(fixture, request, tm
             reads.append(j)
             return tuple.__getitem__(self, j)
 
-    def derksen_witness(inst, W, U):
+    def derksen_witness(inst, W):
         W.raw_grid = tuple(map(Row, W.raw_grid))
-        D = real_derksen(inst, W, U)
+        D = real_derksen(inst, W)
         assert reads == []
         return D
 
@@ -1644,6 +1647,42 @@ def test_witness_and_verify_each_run_the_stage_verdict_once(fixture, request, tm
     assert capsys.readouterr().out == "verified\n"
     assert verdicts == [verdict]
     assert len(sums) == (stage == "tensor")
+
+
+@pytest.mark.parametrize("fixture", ["x1_gf2_completion", "x1_gf2_tensor", "x1_z_tensor", "empty_gf11_symmetric"])
+def test_witness_builds_each_piece_once(fixture, request, tmp_path, monkeypatch):
+    # each witness is made once, from the stage before it: U is evaluated
+    # once, an integer B is taken into Q once, and the padded tensor is
+    # built once, piece by piece, by the rebuild of the instance, whose
+    # padded tensor the symmetric witness is closed against
+    instf, witf = request.getfixturevalue(fixture)
+    stage = json.loads(instf.read_text())["kind"].removesuffix("_instance")
+    calls = Counter()
+
+    def counted(name, real, counts=lambda *args: True):
+        def count(*args, **kwargs):
+            calls[name] += counts(*args)
+            return real(*args, **kwargs)
+
+        return count
+
+    monkeypatch.setattr(sigma.SymbolicU, "evaluate", counted("evaluate", sigma.SymbolicU.evaluate))
+    change_ring = counted("change_ring", IncompleteMatrix.change_ring, lambda B, ring: ring != B.ring)
+    monkeypatch.setattr(IncompleteMatrix, "change_ring", change_ring)
+    monkeypatch.setattr(tensors.DerksenInstance, "tensor", property(counted("tensor", tensors.DerksenInstance.tensor.fget)))
+    for owner, name in ((tensors, "pad_cubical"), (symmetric, "embed_S"), (symmetric, "build_curly_T")):
+        count = counted(name, getattr(owner, name))
+        for module in (tensors, symmetric, certify):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, count)
+    out = tmp_path / "wit.json"
+    solution = "" if fixture.startswith("empty") else "0"
+    assert main(["witness", str(instf), "--solution", solution, "--out", str(out)]) == 0
+    assert out.read_bytes() == witf.read_bytes()
+    want = {"evaluate": 1, "change_ring": int(fixture == "x1_z_tensor")}
+    if stage == "symmetric":
+        want.update(tensor=1, pad_cubical=1, embed_S=1, build_curly_T=1)
+    assert {name: calls[name] for name in calls.keys() | want.keys()} == want
 
 
 def test_verify_reads_a_tensor_witness_with_no_tree_of_it(x1_gf2_tensor, monkeypatch, capsys):

@@ -351,7 +351,7 @@ def test_completion_instance_requires_labels():
 def test_completion_witness_file_shape():
     F = _system(["x1"], 1, GF(11))
     pt = point(GF(11), [0])
-    W = completion_witness(F, pt)
+    W = completion_witness(build_B(F), pt)
     obj = json.loads("".join(completion_witness_text(pt, W)))
     assert obj["kind"] == "completion_witness"
     assert obj["assignment"] == ["0"]
@@ -377,7 +377,7 @@ def test_completion_texts_match_the_tree_writers(case, chunk):
     F = _system(texts, 1, ring)
     B = build_B(F)
     pt = point(QQ if ring == ZZ else ring, [value])
-    W = completion_witness(F, pt, B=B)
+    W = completion_witness(B.change_ring(pt.ring), pt)
     assert W.ring == (QQ if ring == ZZ else ring)
     with mock.patch.object(jsonio, "_CHUNK", chunk):
         pieces = list(completion_instance_text(B))
@@ -413,7 +413,7 @@ def test_tensor_instance_round_trip():
     assert obj["target_rank"] == inst.tau + 3
     text = canonical_dumps(obj)
     red = read_instance(text)
-    back, F2 = red.inst, red.B.system
+    back, F2 = red.expected, red.B.system
     assert red.tensor == inst.tensor
     assert red.target_rank == inst.target_rank
     assert back.tensor == inst.tensor
@@ -672,7 +672,7 @@ def test_symmetric_instance_round_trip():
     obj = symmetric_instance_file(S, target, m, inst, B)
     text = canonical_dumps(obj)
     red = read_instance(text)
-    S2, target2, inst2, F2 = red.tensor, red.target_rank, red.inst, red.B.system
+    S2, target2, inst2, F2 = red.tensor, red.target_rank, build_derksen(red.B), red.B.system
     m2 = max(inst2.tensor.dims)
     assert S2 == S
     assert target2 == target

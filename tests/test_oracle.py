@@ -301,7 +301,7 @@ def test_reduction_soundness_tiny_systems():
         F = _system(texts, 1, ring)
         B = build_B(F)
         for sol in solve_system_bruteforce(F):
-            W = completion_witness(F, sol, B=B)
+            W = completion_witness(B, sol)
             assert matrix_rank(W) <= 3
 
 

@@ -192,7 +192,7 @@ def test_rows_given_as_tuples_are_kept(monkeypatch):
         monkeypatch.setattr(sigma, name, lambda ring, grid, *more, real=real: given.append(grid) or real(ring, grid, *more))
     F = _system(["x1"], 1, GF(11))
     B = build_B(F)
-    W = completion_witness(F, point(GF(11), [0]), B=B)
+    W = completion_witness(B, point(GF(11), [0]))
     for grid, matrix in ((given[0], B), (given[-1], W)):  # U's matrix comes between
         assert all(type(row) is tuple for row in grid)
         assert all(kept is row for kept, row in zip(matrix.raw_grid, grid))
@@ -232,7 +232,7 @@ def test_symbolic_u_columns():
 def test_completion_witness_and_rank():
     F = _system(["x1"], 1, GF(11))
     B = build_B(F)
-    W = completion_witness(F, point(GF(11), [0]), B=B)
+    W = completion_witness(B, point(GF(11), [0]))
     assert W.nrows == W.ncols == 98
     assert matrix_rank(W) == 3
     for (i, j) in ((0, 0), (5, 7)):
@@ -243,12 +243,12 @@ def test_completion_witness_and_rank():
 def test_completion_witness_rejects_non_solutions():
     F = _system(["x1"], 1, GF(11))
     with pytest.raises(VerificationError):
-        completion_witness(F, point(GF(11), [3]))
+        completion_witness(build_B(F), point(GF(11), [3]))
 
 
 def test_completion_witness_integer_system_over_q():
     F = _system(["x1^2 - x1"], 1, ZZ)
-    W = completion_witness(F, point(ZZ, [1]), guard=None)
+    W = completion_witness(build_B(F).change_ring(QQ), point(QQ, [1]))
     assert W.ring == QQ
     assert matrix_rank(W) == 3
 
@@ -281,8 +281,8 @@ def _dot(canon, a, b):
 )
 def test_completion_witness_matches_scalar_gram(texts, ring, values):
     F = _system(texts, 1, ring)
-    W = completion_witness(F, point(ring, values), guard=None)
     field = QQ if ring == ZZ else ring
+    W = completion_witness(build_B(F).change_ring(field), point(field, values))
     assert W.ring == field and W.nrows == W.ncols == 386
     before = W.raw_rows()
     assert matrix_rank(W) == 3

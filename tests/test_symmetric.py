@@ -291,8 +291,8 @@ def test_monomial_transform_maps_decompositions():
     rng = random.Random(2)
     T = Tensor3(ring, (1, 1, 1), {(0, 0, 0): ring.canon(1)})
     D = Decomposition(ring, (1, 1, 1), [({0: 1}, {0: 1}, {0: 1})])
-    W = symmetric_witness(T, D)
     curly = build_curly_T(embed_S(T), 1)
+    W = symmetric_witness(curly, D)
     rho = list(range(6))
     rng.shuffle(rho)
     f = [ring.canon(rng.randrange(1, 11)) for _ in range(6)]
@@ -584,6 +584,12 @@ def test_symmetric_upper_witness_field_rules():
         symmetric_upper_witness(SymTensor(ZZ, block_names(1), {}), 1)
 
 
+def _padded(T):
+    """The padded symmetrization of a cubical tensor, as a symmetric
+    instance holds it."""
+    return build_curly_T(embed_S(T), T.dims[0])
+
+
 def _unit_cube_instance(ring):
     T = Tensor3(ring, (1, 1, 1), {(0, 0, 0): ring.canon(1)})
     D = Decomposition(ring, (1, 1, 1), [({0: 1}, {0: 1}, {0: 1})])
@@ -593,7 +599,7 @@ def _unit_cube_instance(ring):
 def test_symmetric_witness_n1():
     ring = GF(11)
     T, D = _unit_cube_instance(ring)
-    W = symmetric_witness(T, D)
+    W = symmetric_witness(_padded(T), D)
     assert len(W) == 10
     ok, _ = verify_symmetric_decomposition(build_curly_T(embed_S(T), 1), W)
     assert ok
@@ -603,7 +609,7 @@ def test_symmetric_witness_zero_tensor():
     ring = GF(11)
     T = Tensor3(ring, (2, 2, 2), {})
     D = Decomposition(ring, (2, 2, 2), [])
-    W = symmetric_witness(T, D)
+    W = symmetric_witness(_padded(T), D)
     assert len(W) <= 27
     ok, _ = verify_symmetric_decomposition(build_curly_T(embed_S(T), 2), W)
     assert ok
@@ -617,7 +623,7 @@ def test_symmetric_witness_n2_rank2():
         terms.append(tuple(_vec(ring, [rng.randint(1, 3) for _ in range(2)]) for _ in range(3)))
     D = Decomposition(ring, (2, 2, 2), terms)
     T = Tensor3(ring, (2, 2, 2), sum_decomposition_raw(D))
-    W = symmetric_witness(T, D)
+    W = symmetric_witness(_padded(T), D)
     assert len(W) <= 2 + 27
     ok, _ = verify_symmetric_decomposition(build_curly_T(embed_S(T), 2), W)
     assert ok
@@ -628,12 +634,12 @@ def test_symmetric_witness_rejects_bad_decomposition():
     T, _ = _unit_cube_instance(ring)
     bad = Decomposition(ring, (1, 1, 1), [({0: 1}, {0: 1}, {0: 2})])
     with pytest.raises(VerificationError):
-        symmetric_witness(T, bad)
+        symmetric_witness(_padded(T), bad)
     with pytest.raises(ValueError):
-        symmetric_witness(Tensor3(ring, (1, 2, 2), {}), Decomposition(ring, (1, 2, 2), []))
+        symmetric_witness(_padded(T), Decomposition(ring, (1, 2, 2), []))
     qt, qd = _unit_cube_instance(GF(7))
     with pytest.raises(FieldTooSmallError):
-        symmetric_witness(qt, qd)
+        symmetric_witness(_padded(qt), qd)
 
 
 def test_symmetric_witness_n1_minimal_in_family():
@@ -648,8 +654,8 @@ def test_symmetric_witness_n1_minimal_in_family():
 
     ring = GF(11)
     T, D = _unit_cube_instance(ring)
-    W = symmetric_witness(T, D)
     curly = build_curly_T(embed_S(T), 1)
+    W = symmetric_witness(curly, D)
     candidates = [v for _, v in W.raw] + [{i: 1} for i in range(3)]
     assert len(candidates) == 13
     res = restricted_symmetric_search(
@@ -830,12 +836,12 @@ def _grouped_terms(data, ring, dim):
 @given(ring=st.sampled_from([GF(11), GF(13), QQ]), data=st.data())
 def test_streamed_grouped_sum_equals_the_list_kernel(ring, data):
     # the grouped sum, fed the terms one at a time, forms the runs the list
-    # kernel formed and adds them in the same order: the packed, unreduced
-    # maps are equal, not only their canonical values
+    # kernel formed and adds them in the same order: the packed maps are
+    # equal, made canonical as the grouped sum returns its map
     dim = data.draw(st.integers(2, 7))
     terms = _grouped_terms(data, ring, dim)
     got = sum_sym_decomposition_raw((t for t in terms), dim, ring)
-    assert got == sum_sym_list_kernel(terms, dim, ring)
+    assert got == ring.canon_map(sum_sym_list_kernel(terms, dim, ring))
     assert unpacked(got, ring, (dim,) * 3) == sum_sym_decomposition_reference(SymDecomposition(ring, dim, terms))
 
 
@@ -867,7 +873,7 @@ def test_streamed_grouped_sum_on_the_edge_cases(ring):
 
         got = sum_sym_decomposition_raw(feed(), 4, ring)
         assert fed == terms, name
-        assert got == sum_sym_list_kernel(terms, 4, ring), name
+        assert got == ring.canon_map(sum_sym_list_kernel(terms, 4, ring)), name
         want = sum_sym_decomposition_reference(SymDecomposition(ring, 4, terms))
         assert unpacked(got, ring, (4, 4, 4)) == want, name
     # the line alone is one run of four, broken it is two runs and a lone term
@@ -911,7 +917,7 @@ def _corrupt_pair_pieces(monkeypatch):
 
 def _symmetric_verdict(T, W):
     """The verdict ``verify`` gives W's terms against the padded tensor of T."""
-    red = certify.Reduction("symmetric", None, expected=build_curly_T(embed_S(T), T.dims[0]))
+    red = certify.Reduction("symmetric", None, expected=_padded(T))
     return certify.sum_verdict(red, T.ring, len(W), sum_sym_decomposition_raw(W.raw, W.dim, W.ring))
 
 
@@ -921,7 +927,7 @@ def test_symmetric_witness_final_check_catches_corrupt_pieces(monkeypatch):
     ring = GF(11)
     T, D = _unit_cube_instance(ring)
     _corrupt_pair_pieces(monkeypatch)
-    W = symmetric_witness(T, D)
+    W = symmetric_witness(_padded(T), D)
     assert _symmetric_verdict(T, W) == "mismatch at (0, 0, 0): instance has 0, witness sums to 5"
 
 
@@ -943,10 +949,10 @@ def test_upper_witness_refuses_an_entry_on_three_letters():
 
 def test_upper_terms_leave_an_entry_on_three_letters_in_the_residual():
     # _upper_terms does not scan U for such an entry; it lies in no pair's
-    # slice, so it stays on the working copy and the residual check refuses it
+    # slice, so it stays on the working map and the residual check refuses it
     U = SymTensor(GF(11), block_names(2), {(0, 2, 4): 1})
     with pytest.raises(StructureError, match="residual entry at pairwise distinct indices"):
-        symmetric._upper_terms(U, 2)
+        _upper_terms(U, 2)
 
 
 def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
@@ -968,13 +974,13 @@ def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
     # the verdict takes the witness's sum, and compares it once
     real_compare = certify.first_mismatch
 
-    def counting_compare(want, got, ring, dims):
+    def counting_compare(want, got, dims):
         checks.append(dims[0])
-        return real_compare(want, got, ring, dims)
+        return real_compare(want, got, dims)
 
     monkeypatch.setattr(certify, "first_mismatch", counting_compare)
     symmetric.waring_gadget.cache_clear()
-    W = symmetric_witness(T, D)
+    W = symmetric_witness(_padded(T), D)
     info = symmetric.waring_gadget.cache_info()
     # the three pair corrections share the a = 0 gadget: solved once, then reused
     assert info.misses and info.hits >= 2
@@ -982,6 +988,11 @@ def test_symmetric_witness_checks_each_gadget_once(monkeypatch):
     assert checks == [2] * info.misses
     assert _symmetric_verdict(T, W) is None
     assert checks == [2] * info.misses + [W.dim]
+
+
+def _upper_terms(U, n):
+    """``symmetric._upper_terms`` given the padded tensor of U as its working map."""
+    return symmetric._upper_terms(build_curly_T(U, n).entries, n, U.ring)
 
 
 def _reference_upper_terms(U, n):
@@ -1029,5 +1040,5 @@ def test_upper_terms_match_the_correction_tensor_construction(ring, data):
     chosen = data.draw(st.lists(st.sampled_from(keys), max_size=12, unique=True))
     value = _nonzero(ring)
     U = SymTensor(ring, block_names(n), {key: ring.canon(data.draw(value)) for key in chosen})
-    got = symmetric._upper_terms(U, n)
+    got = _upper_terms(U, n)
     assert got.raw == _reference_upper_terms(U, n).raw

@@ -10,7 +10,7 @@ from tenred.errors import RingMismatchError
 from tenred.linalg import DenseMatrix
 from tenred.polysys import PolySystem, parse_polynomial
 from tenred.rings import GF, QQ, ZZ
-from tenred.sigma import IncompleteMatrix, SymbolicU, build_B, completion_witness
+from tenred.sigma import IncompleteMatrix, SymbolicU, build_B, completion_witness, unit_label_positions
 from tenred.tensors import (
     Decomposition,
     DerksenInstance,
@@ -26,7 +26,16 @@ from tenred.tensors import (
     verify_decomposition,
 )
 
-from reference import dense, dict_mismatch, point, sum_decomposition_raw, tensor_from_nested, unpacked, vec
+from reference import (
+    dense,
+    derksen_witness_from_u,
+    dict_mismatch,
+    point,
+    sum_decomposition_raw,
+    tensor_from_nested,
+    unpacked,
+    vec,
+)
 
 
 def _t(ring, dims, triples):
@@ -167,8 +176,8 @@ def test_stars_are_counted_and_walked_in_row_major_order(name):
 
 def test_derksen_witness_terms_are_made_on_each_walk():
     # the tau+3 terms are no list: each walk makes them again, the same
-    inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
-    D = derksen_witness(inst, W, U)
+    inst, W = _gadget_pipeline(GF(11), "x1", 0)
+    D = derksen_witness(inst, W)
     assert isinstance(D.raw, Walk) and len(D.raw) == inst.tau + 3
     first, second = list(D.raw), list(D.raw)
     assert first == second and len(first) == inst.tau + 3
@@ -182,15 +191,37 @@ def _gadget_pipeline(ring, poly, solution):
     F = PolySystem(ring, 1, [parse_polynomial(poly, 1, ring)])
     B = build_B(F)
     inst = build_derksen(B)
-    pt = point(ring, [solution])
-    W = completion_witness(F, pt, B=B)
-    U = SymbolicU(B.row_labels).evaluate(pt, ring)
-    return inst, W, U
+    W = completion_witness(B, point(ring, [solution]))
+    return inst, W
+
+
+@pytest.mark.parametrize(
+    "ring, poly, solution",
+    [(GF(2), "x1^2 - x1", 1), (GF(11), "x1 - 3", 3), (ZZ, "x1^2 - x1", 1)],
+    ids=["gf2", "gf11", "z-over-q"],
+)
+def test_derksen_witness_takes_u_from_w(ring, poly, solution):
+    # the rows of W at the unit labels are U(point): the terms are those
+    # made with U evaluated beside W, value for value and type for type
+    field = QQ if ring == ZZ else ring
+    F = PolySystem(ring, 1, [parse_polynomial(poly, 1, ring)])
+    B = build_B(F).change_ring(field)
+    pt = point(field, [solution])
+    inst, W = build_derksen(B), completion_witness(B, pt)
+    U = SymbolicU(B.row_labels).evaluate(pt, field)
+    got, want = list(derksen_witness(inst, W).raw), list(derksen_witness_from_u(inst, W, U).raw)
+    assert got == want and len(got) == inst.tau + 3
+
+    def typed(terms):
+        return [[(k, type(v)) for m in term for k, v in m.items()] for term in terms]
+
+    assert typed(got) == typed(want)
+    assert any(len(a) > 1 for a, _, _ in got[:3])  # U is not only the unit columns
 
 
 def test_derksen_witness_pipeline():
-    inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
-    D = derksen_witness(inst, W, U)
+    inst, W = _gadget_pipeline(GF(11), "x1", 0)
+    D = derksen_witness(inst, W)
     assert len(D) == inst.target_rank == inst.tau + 3
     ok, _ = verify_decomposition(inst.tensor, D)
     assert ok
@@ -198,24 +229,28 @@ def test_derksen_witness_pipeline():
 
 def _tensor_verdict(inst, D):
     """The verdict ``verify`` gives D's terms against the instance."""
-    red = certify.Reduction("tensor", inst.source, inst, inst, inst.target_rank)
+    red = certify.Reduction("tensor", inst.source, inst, inst.target_rank)
     return certify.sum_verdict(red, inst.ring, len(D), sum_terms_raw(D.raw, D.dims, inst.ring))
 
 
 def test_derksen_witness_rejects_bad_completion():
-    # derksen_witness builds from any completion and factors; the tensor
-    # verdict refuses the terms and names where they miss the instance.
-    # W is read only at the stars, so a bump there shows in slice 0
-    inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
+    # derksen_witness builds from any completion; the tensor verdict
+    # refuses the terms and names where they miss the instance.  W is read
+    # at the stars, so a bump there shows in slice 0, and its rows at the
+    # unit labels are the factor U, so doubling them doubles U
+    inst, W = _gadget_pipeline(GF(11), "x1", 0)
     ring = GF(11)
-    assert _tensor_verdict(inst, derksen_witness(inst, W, U)) is None
-    i, j = inst.star_map[0]
+    assert _tensor_verdict(inst, derksen_witness(inst, W)) is None
+    E = unit_label_positions(inst.source)
+    i, j = next((i, j) for i, j in inst.star_map if i not in E)
     bumped = W.raw_rows()
     bumped[i][j] = ring.canon(bumped[i][j] + 1)
-    D = derksen_witness(inst, DenseMatrix(ring, bumped), U)
+    D = derksen_witness(inst, DenseMatrix(ring, bumped))
     assert _tensor_verdict(inst, D) == f"mismatch at ({i}, {j}, 0): instance has 0, witness sums to 10"
-    badU = DenseMatrix(ring, [[ring.canon(v * 2) for v in row] for row in U.raw_grid])
-    D = derksen_witness(inst, W, badU)
+    doubled = W.raw_rows()
+    for e in E:
+        doubled[e] = [ring.canon(v * 2) for v in doubled[e]]
+    D = derksen_witness(inst, DenseMatrix(ring, doubled))
     assert _tensor_verdict(inst, D) == "mismatch at (0, 0, 0): instance has 1, witness sums to 4"
 
 
@@ -223,12 +258,12 @@ def test_derksen_witness_refuses_terms_that_miss_the_tensor(monkeypatch):
     # the completion and its factors agree with B, so only the verdict's
     # sum can see that one star unit of the instance tensor was changed;
     # the instance walks its entries from B, so the change goes into the walk
-    inst, W, U = _gadget_pipeline(GF(11), "x1", 0)
+    inst, W = _gadget_pipeline(GF(11), "x1", 0)
     key = (*inst.star_map[0], 1)
     entries = dict(inst.tensor.entries)
     entries[key] = 2
     monkeypatch.setattr(DerksenInstance, "items", lambda self: entries.items())
-    D = derksen_witness(inst, W, U)
+    D = derksen_witness(inst, W)
     assert _tensor_verdict(inst, D) == f"mismatch at {key}: instance has 2, witness sums to 1"
 
 
@@ -352,6 +387,6 @@ def test_an_integer_instance_checked_over_q_matches_the_reference():
         D = Decomposition(QQ, inst.dims, terms)
         total = sum_terms_raw(D.raw, D.dims, QQ)
         assert total == QQ.canon_map(total) and all(type(v) is Fraction for v in total.values())
-        got = first_mismatch(inst.change_ring(QQ).items(), total, QQ, D.dims)
+        got = first_mismatch(build_derksen(B.change_ring(QQ)).items(), total, D.dims)
         assert got == dict_mismatch(want, sum_decomposition_raw(D))
         assert got[0] == (trial == 0)
